@@ -33,5 +33,5 @@ print("\nworklist refinement matches the naive fixed-point pass")
 
 # per-depth classes on the tree: class sizes double with each level
 idx = build_color_index(complete_binary_tree_db(4))
-sizes = sorted(len(c) for c in idx.class_members)
+sizes = sorted(len(c) for c in idx.coloring.classes)
 print("tree class sizes by depth:", sizes)

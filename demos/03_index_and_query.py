@@ -27,7 +27,7 @@ ci = idx.cindex
 st = stats(ci)
 print(f"|D|={st.source_size} |D_L|={st.labeled_size} |C|={st.num_colors} "
       f"|D_col|={st.d_col_size} ratio={st.color_ratio:.2f}")
-for c, members in enumerate(ci.class_members):
+for c, members in enumerate(ci.coloring.classes):
     shown = ",".join(db.display(v) for v in members)
     print(f"  color {c}: {{{shown}}} labels={sorted(ci.graph.vl[members[0]])}")
 

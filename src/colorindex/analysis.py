@@ -524,10 +524,6 @@ class VariableOrder:
     labels: dict[int, frozenset[str]]
     root: int
 
-    def free_prefix_len(self, q: ConjunctiveQuery) -> int:
-        free = q.free()
-        return sum(1 for v in self.order if v in free)
-
 
 def variable_order(q: ConjunctiveQuery) -> VariableOrder:
     """Two-queue BFS from the root (lowest-id free variable when free(Q) is

@@ -44,16 +44,14 @@ def rewrite_loops(q: ConjunctiveQuery, edge_symbol: str, loop_label: str) -> Loo
 
 
 def eval_bool(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> bool:
-    """Boolean evaluation against the color database, component-wise."""
+    """Boolean evaluation by the counting dynamic program, component-wise."""
+    ops = ops if ops is not None else OpCounter()
     if not q.is_boolean():
         raise ValueError("eval_bool expects a Boolean query")
     if not is_acyclic(q):
         raise NotAcyclic("Boolean evaluation requires an acyclic query")
     lfq = rewrite_loops(q, idx.edge_label, idx.loop_label)
-    for comp, _ in connected_components(lfq.q_l):
-        if not engine.bool_eval(comp, idx.d_col, ops):
-            return False
-    return True
+    return all(_count_component(comp, idx, ops) for comp, _ in connected_components(lfq.q_l))
 
 
 @dataclass
@@ -85,8 +83,7 @@ def prepare(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) 
     empty = False
     for comp, head_positions in connected_components(lfq.q_l):
         if comp.is_boolean():
-            if not engine.bool_eval(comp, idx.d_col, ops):
-                empty = True
+            empty = empty or not _count_component(comp, idx, ops)
             continue
         vo = variable_order(comp)
         k = len(comp.free())
@@ -127,7 +124,7 @@ def _expand(idx: ColorIndex, cbar: tuple[int, ...], parent_pos: tuple[int, ...],
     """
     k = len(cbar)
     vals = [0] * k
-    iters: list[Iterator[int]] = [iter(idx.class_members[cbar[0]])]
+    iters: list[Iterator[int]] = [iter(idx.coloring.classes[cbar[0]])]
     while iters:
         d = len(iters) - 1
         steps.tick()
@@ -195,9 +192,11 @@ def enumerate_answers(q: ConjunctiveQuery, idx: ColorIndex,
 
 
 def _count_component(comp: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter) -> int:
+    """|Q(D)| of one connected component; 1 or 0 for a Boolean one."""
     vo = variable_order(comp)
     order = vo.order
     ncolors = idx.colors
+    classes = idx.coloring.classes
     free = comp.free()
     kfree = sum(1 for v in order if v in free)
 
@@ -207,7 +206,7 @@ def _count_component(comp: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter) ->
         lam = vo.labels[x]
         row = []
         for c in range(ncolors):
-            rep = idx.class_members[c][0]
+            rep = classes[c][0]
             ops.tick()
             row.append(1 if lam <= idx.graph.vl[rep] else 0)
         return row
@@ -230,7 +229,9 @@ def _count_component(comp: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter) ->
                 gx[c] += fd[cp] * n
             g[x] = gx
 
-    n_c = [idx.n_c(c) for c in range(ncolors)]
+    if not free:
+        return 1 if any(f_down[vo.root]) else 0
+    n_c = [len(members) for members in classes]
     if kfree == len(order):
         return sum(n_c[c] * f_down[vo.root][c] for c in range(ncolors))
 
@@ -279,11 +280,7 @@ def count_answers(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = 
     lfq = rewrite_loops(q, idx.edge_label, idx.loop_label)
     total = 1
     for comp, _ in connected_components(lfq.q_l):
-        if comp.is_boolean():
-            factor = 1 if engine.bool_eval(comp, idx.d_col, ops) else 0
-        else:
-            factor = _count_component(comp, idx, ops)
-        total *= factor
+        total *= _count_component(comp, idx, ops)
         if total == 0:
             return 0
     return total

@@ -7,36 +7,40 @@ the evaluation phase serves many queries against one index.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import ParseError
 from .model import ConstantPool, Database, Schema
-from .refinement import Coloring, LabeledGraph, encode_loops, refine
+from .refinement import Coloring, LabeledGraph, encode_loops, is_stable, refine, refines_labels
 
 
 @dataclass(frozen=True)
 class ColorIndex:
     graph: LabeledGraph
     coloring: Coloring
-    class_members: tuple[tuple[int, ...], ...]
     nbr: dict[int, dict[int, tuple[int, ...]]]
     deg: dict[tuple[int, int], int]
     d_col: Database
-    edge_label: str
     source_size: int
 
     @property
     def colors(self) -> int:
-        return len(self.class_members)
+        return self.coloring.num_colors
 
     def color_of(self, v: int) -> int:
         return self.coloring.col[v]
 
     def n_c(self, c: int) -> int:
-        return len(self.class_members[c])
+        return len(self.coloring.classes[c])
 
     def num_n(self, c: int, cprime: int) -> int:
         return self.deg.get((c, cprime), 0)
+
+    @property
+    def edge_label(self) -> str:
+        return self.graph.edge_label
 
     @property
     def loop_label(self) -> str:
@@ -76,21 +80,16 @@ def build_from_coloring(graph: LabeledGraph, coloring: Coloring, source_size: in
         for u in graph.adj[v]:
             buckets.setdefault(col[u], []).append(u)
         nbr[v] = {c: tuple(sorted(us)) for c, us in sorted(buckets.items())}
-    deg: dict[tuple[int, int], int] = {}
-    for c, members in enumerate(coloring.classes):
-        rep = members[0]
-        for cprime, us in nbr[rep].items():
-            deg[(c, cprime)] = len(us)
+    # stability makes every member of a class see what its first member sees
+    deg = {(c, cp): len(us) for c, members in enumerate(coloring.classes) for cp, us in nbr[members[0]].items()}
 
     d_col = _build_color_db(graph, coloring, deg)
     return ColorIndex(
         graph=graph,
         coloring=coloring,
-        class_members=coloring.classes,
         nbr=nbr,
         deg=deg,
         d_col=d_col,
-        edge_label=graph.edge_label,
         source_size=source_size,
     )
 
@@ -138,7 +137,7 @@ def check_colorindex(idx: ColorIndex) -> list[str]:
     problems: list[str] = []
     g = idx.graph
     col = idx.coloring.col
-    for c, members in enumerate(idx.class_members):
+    for c, members in enumerate(idx.coloring.classes):
         for v in members:
             if col[v] != c:
                 problems.append(f"class table disagrees with col at vertex {v}")
@@ -162,7 +161,7 @@ def check_colorindex(idx: ColorIndex) -> list[str]:
             problems.append(f"color edge ({c},{cp}) has numN 0")
         if not idx.d_col.contains(idx.edge_label, (cp, c)):
             problems.append(f"color edge relation not symmetric at ({c},{cp})")
-        for v in idx.class_members[c]:
+        for v in idx.coloring.classes[c]:
             if not any(col[u] == cp for u in g.adj[v]):
                 problems.append(f"vertex {v} of color {c} has no {cp}-neighbor")
     for label in g.label_universe:
@@ -176,129 +175,122 @@ def check_colorindex(idx: ColorIndex) -> list[str]:
 
 # --- serialization -----------------------------------------------------------
 #
-# Line-oriented, versioned sections; every section header carries its line
-# count.  Writing is a pure function of the index, so write -> read -> write
-# is bit-identical.
+# Line-oriented, versioned sections; every section header carries its row
+# count.  Only the loop-encoded graph and its coloring are written: the
+# neighbor tables, numN and the color database are derived on load by
+# build_from_coloring, as on build.  Writing is a pure function of the index,
+# so write -> read -> write is bit-identical.
+
+def write_section(lines: list[str], name: str, rows: list[str]) -> None:
+    lines.append(f"[{name} {len(rows)}]")
+    lines.extend(rows)
+
 
 def write_sections(idx: ColorIndex) -> list[str]:
     g = idx.graph
     lines: list[str] = []
-
-    def section(name: str, rows: list[str]) -> None:
-        lines.append(f"[{name} {len(rows)}]")
-        lines.extend(rows)
-
-    section("LABELS", [f"{g.loop_label}\t{idx.edge_label}"] + list(g.label_universe))
-    section(
-        "VERTICES",
-        [f"{v}\t{','.join(sorted(g.vl[v])) or '-'}" for v in g.vertices],
-    )
-    section("COLORS", [f"{v}\t{idx.coloring.col[v]}" for v in g.vertices])
-    section(
-        "CLASSES",
-        [f"{c}\t{' '.join(map(str, members))}" for c, members in enumerate(idx.class_members)],
-    )
-    nbr_rows = []
-    for v in g.vertices:
-        for c, us in sorted(idx.nbr[v].items()):
-            nbr_rows.append(f"{v}\t{c}\t{' '.join(map(str, us))}")
-    section("NBR", nbr_rows)
-    section("DEG", [f"{c}\t{cp}\t{n}" for (c, cp), n in sorted(idx.deg.items())])
-    dcol_rows = []
-    for name in idx.d_col.schema.names:
-        for tup in idx.d_col.rel(name):
-            dcol_rows.append(name + "\t" + "\t".join(map(str, tup)))
-    section("DCOL", dcol_rows)
+    write_section(lines, "LABELS", [f"{g.loop_label}\t{g.edge_label}"] + list(g.label_universe))
+    write_section(lines, "VERTICES", [
+        f"{v}\t{','.join(sorted(g.vl[v])) or '-'}\t{' '.join(map(str, sorted(g.adj[v])))}"
+        for v in g.vertices
+    ])
+    write_section(lines, "CLASSES", [" ".join(map(str, members)) for members in idx.coloring.classes])
     return lines
 
 
 class SectionReader:
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self.pos = 0
+    """Reads `[NAME count]` sections in file order.  `line` is the 1-based
+    file line of the row last handed out, for error messages."""
 
-    def expect(self, name: str) -> list[str]:
-        if self.pos >= len(self.lines):
-            raise ParseError(f"missing section [{name}]", line=self.pos + 1)
-        header = self.lines[self.pos]
-        if not (header.startswith(f"[{name} ") and header.endswith("]")):
-            raise ParseError(f"expected section [{name}], got {header!r}", line=self.pos + 1)
-        count = int(header[len(name) + 2 : -1])
-        body = self.lines[self.pos + 1 : self.pos + 1 + count]
-        if len(body) != count:
-            raise ParseError(f"section [{name}] truncated", line=self.pos + 1)
-        self.pos += 1 + count
-        return body
+    def __init__(self, lines: list[str], pos: int = 0):
+        self.lines = lines
+        self.pos = self.line = pos
+
+    def rows(self, name: str, width: int | None) -> Iterator[list[str]]:
+        """The rows of the next section, split at tabs into `width` fields
+        (any number when width is None).  Iterate to the end before asking
+        for the next section."""
+        header = self.lines[self.pos] if self.pos < len(self.lines) else "end of file"
+        count = header[len(name) + 2 : -1]
+        if not (header.startswith(f"[{name} ") and header.endswith("]") and count.isdecimal()):
+            raise ParseError(f"expected a [{name} <row count>] header, got {header!r}", line=self.pos + 1)
+        first = self.pos + 1
+        body = self.lines[first : first + int(count)]
+        if len(body) != int(count):
+            raise ParseError(f"section [{name}] is cut off after {len(body)} of {count} rows", line=self.pos + 1)
+        self.pos = first + len(body)
+        for self.line, row in enumerate(body, first + 1):
+            fields = row.split("\t")
+            if width is not None and len(fields) != width:
+                raise ParseError(f"[{name}] rows have {width} tab-separated fields, not {len(fields)}", self.line)
+            yield fields
+
+    @contextmanager
+    def numbers(self) -> Iterator[None]:
+        """Report a malformed number as a ParseError at the row being read."""
+        try:
+            yield
+        except ValueError as e:
+            raise ParseError(f"bad number ({e})", line=self.line) from None
 
 
 def read_sections(reader: SectionReader, source_size: int) -> ColorIndex:
-    labels = reader.expect("LABELS")
-    loop_label, edge_label = labels[0].split("\t")
-    universe = tuple(labels[1:])
-    vert_rows = reader.expect("VERTICES")
-    vertices = []
-    vl = {}
-    for row in vert_rows:
-        v_s, lab_s = row.split("\t")
+    """Read LABELS, VERTICES and CLASSES, check that they describe an
+    undirected graph and a stable coloring of it, and derive the rest of the
+    index with build_from_coloring.  Any inconsistency raises ParseError."""
+    with reader.numbers():
+        graph = _read_graph(reader)
+        classes = tuple(tuple(map(int, members.split())) for (members,) in reader.rows("CLASSES", 1))
+    col = {v: c for c, members in enumerate(classes) for v in members}
+    if not all(classes) or sum(map(len, classes)) != len(col) or col.keys() != graph.vl.keys():
+        raise ParseError("[CLASSES] does not partition the vertices")
+    coloring = Coloring(col=col, classes=classes)
+    if not refines_labels(graph, coloring):
+        raise ParseError("a color class mixes vertices with different labels")
+    stable, witness = is_stable(graph, coloring)
+    if not stable:
+        raise ParseError("unstable coloring: vertices {} and {} share a color but not "
+                         "their number of color-{} neighbors".format(*witness))
+    return build_from_coloring(graph, coloring, source_size)
+
+
+def _read_graph(reader: SectionReader) -> LabeledGraph:
+    labels = list(reader.rows("LABELS", None))
+    if not labels or len(labels[0]) != 2 or any(len(row) != 1 for row in labels[1:]):
+        raise ParseError("[LABELS] holds `loop label<TAB>edge label`, then one label per row", line=reader.line)
+    (loop_label, edge_label), universe = labels[0], tuple(row[0] for row in labels[1:])
+    if len(set(universe) | {edge_label}) != len(universe) + 1:
+        raise ParseError("[LABELS] names a label twice", line=reader.line)
+    label_sets = {"-": frozenset()}  # one frozenset per distinct label list
+    vertices: list[int] = []
+    adj: dict[int, tuple[int, ...]] = {}
+    vl: dict[int, frozenset[str]] = {}
+    for v_s, lab_s, nbr_s in reader.rows("VERTICES", 3):
         v = int(v_s)
+        if vertices and v <= vertices[-1]:
+            raise ParseError(f"vertex {v} is out of order", line=reader.line)
+        if lab_s not in label_sets:
+            label_sets[lab_s] = frozenset(lab_s.split(","))
+            if not label_sets[lab_s] <= set(universe):
+                raise ParseError(f"undeclared label in {lab_s!r}", line=reader.line)
         vertices.append(v)
-        vl[v] = frozenset() if lab_s == "-" else frozenset(lab_s.split(","))
-    col = {}
-    for row in reader.expect("COLORS"):
-        v_s, c_s = row.split("\t")
-        col[int(v_s)] = int(c_s)
-    class_rows = reader.expect("CLASSES")
-    classes = []
-    for row in class_rows:
-        _, members = row.split("\t")
-        classes.append(tuple(int(x) for x in members.split()))
-    for c, ms in enumerate(classes):
-        for v in ms:
-            if col.get(v) != c:
-                raise ParseError(f"color table disagrees with class table at vertex {v}")
-    nbr: dict[int, dict[int, tuple[int, ...]]] = {v: {} for v in vertices}
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for row in reader.expect("NBR"):
-        v_s, c_s, us = row.split("\t")
-        members = tuple(int(x) for x in us.split())
-        nbr[int(v_s)][int(c_s)] = members
-        adj[int(v_s)].extend(members)
-    deg = {}
-    for row in reader.expect("DEG"):
-        c_s, cp_s, n_s = row.split("\t")
-        deg[(int(c_s), int(cp_s))] = int(n_s)
-    graph = LabeledGraph(
-        vertices=tuple(vertices),
-        adj={v: tuple(sorted(us)) for v, us in adj.items()},
-        vl=vl,
-        label_universe=universe,
-        loop_label=loop_label,
-        edge_label=edge_label,
-    )
-    coloring = Coloring(col=col, classes=tuple(classes))
-    dcol_schema = Schema(tuple((u, 1) for u in universe) + ((edge_label, 2),))
-    pool = ConstantPool()
-    for c in range(len(classes)):
-        pool.intern(f"c{c}")
-    rel: dict[str, list[tuple[int, ...]]] = {name: [] for name in dcol_schema.names}
-    for row in reader.expect("DCOL"):
-        parts = row.split("\t")
-        rel[parts[0]].append(tuple(int(x) for x in parts[1:]))
-    d_col = Database(
-        schema=dcol_schema,
-        relations={name: tuple(ts) for name, ts in rel.items()},
-        pool=pool,
-    )
-    return ColorIndex(
-        graph=graph,
-        coloring=coloring,
-        class_members=coloring.classes,
-        nbr=nbr,
-        deg=deg,
-        d_col=d_col,
-        edge_label=edge_label,
-        source_size=source_size,
-    )
+        vl[v] = label_sets[lab_s]
+        adj[v] = tuple(map(int, nbr_s.split()))
+    # the reverse adjacency, filled in vertex order, equals the adjacency
+    # exactly when every edge has its reverse and every list is sorted
+    rev: dict[int, list[int]] = {v: [] for v in vertices}
+    for v in vertices:
+        for u in adj[v]:
+            back = rev.get(u)
+            if back is None or (back and back[-1] == v):
+                raise ParseError(f"vertex {v} lists {u}, which is not a vertex or is listed twice")
+            back.append(v)
+    for v in vertices:
+        if tuple(rev[v]) != adj[v]:
+            raise ParseError(f"the neighbors of vertex {v} are unsorted or include an edge without its reverse")
+        if (loop_label in vl[v]) != (v in adj[v]):
+            raise ParseError(f"loop label {loop_label!r} disagrees with the loops at vertex {v}")
+    return LabeledGraph(tuple(vertices), adj, vl, universe, loop_label, edge_label)
 
 
 def dump_coloring(idx: ColorIndex, display) -> str:

@@ -10,12 +10,15 @@ from typing import Callable, Iterator
 
 from . import arb2bin, bin2graph, evaluator, index as cindex_mod
 from .analysis import compute_fc1ghd, is_acyclic, is_free_connex_acyclic
-from .errors import AsymmetricEdgeRelation, NotAcyclic, NotFreeConnex, ParseError, TaskMismatch
-from .index import ColorIndex, SectionReader
+from .errors import (
+    ArityMismatch, AsymmetricEdgeRelation, NotAcyclic, NotFreeConnex, ParseError, TaskMismatch, UnknownSymbol,
+)
+from .index import ColorIndex, SectionReader, write_section
 from .instrument import OpCounter
 from .model import ConjunctiveQuery, ConstantPool, Database, Schema
+from .refinement import loop_encoding_labels
 
-FORMAT_HEADER = "colorindex-file v1"
+FORMAT_HEADER = "colorindex-file v2"
 
 TASKS = ("bool", "count", "enum")
 
@@ -165,31 +168,14 @@ class DatabaseIndex:
 
     def save_text(self) -> str:
         lines: list[str] = [FORMAT_HEADER]
-
-        def section(name: str, rows: list[str]) -> None:
-            lines.append(f"[{name} {len(rows)}]")
-            lines.extend(rows)
-
-        section(
-            "META",
-            [
-                f"stage\t{self.stage}",
-                f"source_size\t{self.source_size}",
-                f"graph_size\t{self.cindex.source_size}",
-            ],
-        )
-        section("SCHEMA", [f"{n}\t{ar}" for n, ar in self.schema.symbols])
-        section("CONSTANTS", self.pool.names())
-        section("VMAP", [f"{c}\t{n}" for c, n in sorted(self.vmap.items())])
-        section("GADGET", [f"{n}\t{a}\t{b}" for (a, b), n in sorted(self.gadget_node.items())])
-        section(
-            "PROJ",
-            [f"{n}\t{' '.join(map(str, p))}" for n, p in sorted(self.node_proj.items())],
-        )
-        section(
-            "TUPLES",
-            [f"{n}\t{' '.join(map(str, p))}" for n, p in sorted(self.node_tuple.items())],
-        )
+        write_section(lines, "META", [f"stage\t{self.stage}", f"source_size\t{self.source_size}",
+                                      f"graph_size\t{self.cindex.source_size}"])
+        write_section(lines, "SCHEMA", [f"{n}\t{ar}" for n, ar in self.schema.symbols])
+        write_section(lines, "CONSTANTS", self.pool.names())
+        write_section(lines, "VMAP", [f"{c}\t{n}" for c, n in sorted(self.vmap.items())])
+        write_section(lines, "GADGET", [f"{n}\t{a}\t{b}" for (a, b), n in sorted(self.gadget_node.items())])
+        write_section(lines, "PROJ", [f"{n}\t{' '.join(map(str, p))}" for n, p in sorted(self.node_proj.items())])
+        write_section(lines, "TUPLES", [f"{n}\t{' '.join(map(str, p))}" for n, p in sorted(self.node_tuple.items())])
         lines.extend(cindex_mod.write_sections(self.cindex))
         return "\n".join(lines) + "\n"
 
@@ -199,45 +185,78 @@ class DatabaseIndex:
 
     @classmethod
     def load_text(cls, text: str) -> "DatabaseIndex":
+        """Parse and check an index file; any inconsistency raises ParseError."""
         lines = text.splitlines()
-        if not lines or lines[0] != FORMAT_HEADER:
-            raise ParseError(f"not a {FORMAT_HEADER} file")
-        reader = SectionReader(lines[1:])
-        meta = dict(row.split("\t") for row in reader.expect("META"))
-        stage = meta["stage"]
-        source_size = int(meta["source_size"])
-        graph_size = int(meta["graph_size"])
-        schema = Schema(tuple((n, int(ar)) for n, ar in (row.split("\t") for row in reader.expect("SCHEMA"))))
-        pool = ConstantPool()
-        for name in reader.expect("CONSTANTS"):
-            pool.intern(name)
-        vmap = {}
-        for row in reader.expect("VMAP"):
-            c, n = row.split("\t")
-            vmap[int(c)] = int(n)
-        gadget_node = {}
-        for row in reader.expect("GADGET"):
-            n, a, b = row.split("\t")
-            gadget_node[(int(a), int(b))] = int(n)
-        node_proj = {}
-        for row in reader.expect("PROJ"):
-            n, vals = row.split("\t")
-            node_proj[int(n)] = tuple(int(x) for x in vals.split())
-        node_tuple = {}
-        for row in reader.expect("TUPLES"):
-            n, vals = row.split("\t")
-            node_tuple[int(n)] = tuple(int(x) for x in vals.split())
+        if lines[:1] != [FORMAT_HEADER]:
+            found = lines[0][:40] if lines else ""
+            raise ParseError(f"expected {FORMAT_HEADER!r}, found {found!r}: index files of "
+                             "other versions must be rebuilt with `colorindex index`", line=1)
+        reader = SectionReader(lines, pos=1)
+        with reader.numbers():
+            meta = dict(reader.rows("META", 2))
+            try:
+                stage, source_size, graph_size = meta["stage"], int(meta["source_size"]), int(meta["graph_size"])
+            except KeyError as e:
+                raise ParseError(f"[META] lacks {e}") from None
+            if stage not in ("graph", "binary", "full"):
+                raise ParseError(f"unknown stage {stage!r}")
+            try:
+                schema = Schema(tuple((n, int(ar)) for n, ar in reader.rows("SCHEMA", 2)))
+            except (UnknownSymbol, ArityMismatch) as e:
+                raise ParseError(f"[SCHEMA] {e}") from None
+            names = [name for (name,) in reader.rows("CONSTANTS", 1)]
+            vmap = {int(c): int(n) for c, n in reader.rows("VMAP", 2)}
+            gadget_node = {(int(a), int(b)): int(n) for n, a, b in reader.rows("GADGET", 3)}
+            node_proj = {int(n): tuple(map(int, p.split())) for n, p in reader.rows("PROJ", 2)}
+            node_tuple = {int(n): tuple(map(int, p.split())) for n, p in reader.rows("TUPLES", 2)}
         ci = cindex_mod.read_sections(reader, graph_size)
-        return cls(
-            schema, pool, stage, ci, source_size,
-            vmap=vmap, gadget_node=gadget_node,
-            node_proj=node_proj, node_tuple=node_tuple,
-        )
+        if reader.pos != len(lines):
+            raise ParseError("unexpected line after the last section", line=reader.pos + 1)
+        pool = ConstantPool()
+        for name in names:
+            pool.intern(name)
+        if len(pool) != len(names):
+            raise ParseError("[CONSTANTS] lists a constant twice")
+        idx = cls(schema, pool, stage, ci, source_size, vmap, gadget_node, node_proj, node_tuple)
+        idx._check_maps()
+        return idx
 
     @classmethod
     def load(cls, path: str) -> "DatabaseIndex":
         with open(path, encoding="utf-8") as fh:
             return cls.load_text(fh.read())
+
+    def _check_maps(self) -> None:
+        """Check the labels and reduction maps of a loaded index against its
+        schema and graph, so that every answer decodes to a constant."""
+        graph, vmap, constants = self.cindex.graph, self.vmap, range(len(self.pool))
+        fits = {"graph": self.schema.is_graph_schema(), "binary": self.schema.is_binary(), "full": True}
+        if not self.schema.symbols or not fits[self.stage]:
+            raise ParseError(f"[SCHEMA] cannot be indexed in the {self.stage} stage")
+        gschema, v_label = self.schema, None
+        if self.stage != "graph":
+            binary = self.schema if self.stage == "binary" else arb2bin.binary_schema_for(self.schema)[0]
+            symbols = bin2graph.graph_symbols_for(binary)
+            gschema, v_label = symbols.schema(), symbols.v_label
+        universe, loop_label = loop_encoding_labels(gschema)
+        if (graph.label_universe, graph.loop_label, graph.edge_label) != (universe, loop_label, gschema.edge_symbol()):
+            raise ParseError(f"[LABELS] does not match the {self.stage}-stage graph of [SCHEMA]")
+        if v_label is None:
+            if not all(v in constants for v in graph.vertices):
+                raise ParseError("a graph-stage vertex is not a constant id")
+            return
+        v_nodes = {v for v in graph.vertices if v_label in graph.vl[v]}
+        if len(vmap) != len(v_nodes) or set(vmap.values()) != v_nodes:
+            raise ParseError(f"[VMAP] does not map one to one onto the {v_label!r}-labeled vertices")
+        sources = constants if self.stage == "binary" else self.node_proj.keys() | self.node_tuple.keys()
+        if not all(c in sources for c in vmap):
+            raise ParseError("[VMAP] maps an id that is not a constant (binary stage) "
+                             "or a node of [PROJ] or [TUPLES] (full stage)")
+        if not all(a in vmap and b in vmap and n in graph.vl for (a, b), n in self.gadget_node.items()):
+            raise ParseError("[GADGET] names an unmapped pair or a node that is not a vertex")
+        if not all(n in vmap and all(c in constants for c in t)
+                   for table in (self.node_proj, self.node_tuple) for n, t in table.items()):
+            raise ParseError("[PROJ] or [TUPLES] names an unmapped node or an id that is not a constant")
 
 
 def eval_pipeline(q: ConjunctiveQuery, db: Database, task: str):

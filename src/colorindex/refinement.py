@@ -11,7 +11,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import AsymmetricEdgeRelation
-from .model import Database
+from .model import Database, Schema
 
 
 def fresh_name(base: str, taken: set[str]) -> str:
@@ -36,12 +36,12 @@ class LabeledGraph:
     def has_loop(self, v: int) -> bool:
         return v in self.adj[v]
 
-    @property
-    def num_edges(self) -> int:
-        """Number of undirected edges, loops counted once."""
-        total = sum(len(self.adj[v]) for v in self.vertices)
-        loops = sum(1 for v in self.vertices if self.has_loop(v))
-        return (total - loops) // 2 + loops
+
+def loop_encoding_labels(schema: Schema) -> tuple[tuple[str, ...], str]:
+    """The label universe of the loop-encoded graph of a database over a
+    graph schema, and its loop label: a fresh unary label."""
+    loop_label = fresh_name("L", set(schema.names))
+    return schema.unary_symbols() + (loop_label,), loop_label
 
 
 def encode_loops(db: Database) -> LabeledGraph:
@@ -57,13 +57,12 @@ def encode_loops(db: Database) -> LabeledGraph:
                 f"{edge_sym}({db.display(a)},{db.display(b)}) present without its reverse"
             )
     vertices = tuple(sorted(db.active_domain()))
-    unary = schema.unary_symbols()
-    loop_label = fresh_name("L", set(schema.names))
+    universe, loop_label = loop_encoding_labels(schema)
     nbrs: dict[int, set[int]] = {v: set() for v in vertices}
     for a, b in etuples:
         nbrs[a].add(b)
     labels: dict[int, set[str]] = {v: set() for v in vertices}
-    for u in unary:
+    for u in schema.unary_symbols():
         for (v,) in db.rel(u):
             labels[v].add(u)
     for v in vertices:
@@ -73,7 +72,7 @@ def encode_loops(db: Database) -> LabeledGraph:
         vertices=vertices,
         adj={v: tuple(sorted(ns)) for v, ns in nbrs.items()},
         vl={v: frozenset(ls) for v, ls in labels.items()},
-        label_universe=tuple(unary) + (loop_label,),
+        label_universe=universe,
         loop_label=loop_label,
         edge_label=edge_sym,
     )
@@ -155,16 +154,15 @@ def refine(g: LabeledGraph) -> Coloring:
 def is_stable(g: LabeledGraph, coloring: Coloring) -> tuple[bool, tuple[int, int, int] | None]:
     """Check stability; on failure return a witness (v, w, c) of same-colored
     vertices with different counts of c-colored neighbors."""
-    col = coloring.col
+    col = coloring.col.__getitem__
     for members in coloring.classes:
         ref_v = members[0]
-        ref_sig = Counter(col[u] for u in g.adj[ref_v])
+        ref_colors = sorted(map(col, g.adj[ref_v]))
         for w in members[1:]:
-            sig = Counter(col[u] for u in g.adj[w])
-            if sig != ref_sig:
-                for c in sorted(set(sig) | set(ref_sig)):
-                    if sig.get(c, 0) != ref_sig.get(c, 0):
-                        return False, (ref_v, w, c)
+            if sorted(map(col, g.adj[w])) != ref_colors:
+                ref_sig, sig = Counter(ref_colors), Counter(map(col, g.adj[w]))
+                c = min(c for c in set(sig) | set(ref_sig) if sig[c] != ref_sig[c])
+                return False, (ref_v, w, c)
     return True, None
 
 

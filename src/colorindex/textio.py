@@ -104,10 +104,6 @@ def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
     return cq(head_args, atoms, schema)
 
 
-def format_tuple(db: Database, tup: tuple[int, ...]) -> str:
-    return "(" + ",".join(db.display(c) for c in tup) + ")"
-
-
 def format_query(q: ConjunctiveQuery) -> str:
     head = ",".join(q.var_name(v) for v in q.head)
     body = ", ".join(f"{a.symbol}({','.join(q.var_name(v) for v in a.args)})" for a in q.atoms)

@@ -108,7 +108,7 @@ def test_degree_sum_property():
         db = random_graph_db(rng.randint(2, 9), rng.random(), seed=rng.randrange(10**9), loop_p=0.2)
         idx = build(db)
         for c in range(idx.colors):
-            v = idx.class_members[c][0]
+            v = idx.coloring.classes[c][0]
             assert sum(idx.num_n(c, cp) for cp in range(idx.colors)) == len(idx.graph.adj[v])
 
 
