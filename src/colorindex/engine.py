@@ -3,8 +3,8 @@ O(|Q| * |D|) builds a semijoin-reduced join plan over a complete fc-1-GHD;
 enumeration then streams the duplicate-free answer set with delay bounded by
 the witness size (and hence by O(|free(Q)|)), independent of |D|.
 
-Used both directly on a database (the unindexed baseline) and on the color
-database inside the indexed path.
+Used directly on a database as the unindexed baseline that the indexed path
+is checked and measured against.
 """
 from __future__ import annotations
 

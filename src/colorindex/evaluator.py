@@ -3,16 +3,19 @@ atoms to the loop label, decompose into connected components, order variables
 by a free-first BFS, and answer bool / enum / count tasks against the color
 index.
 
-Per-query preprocessing only touches the color database; enumeration expands
-each color tuple into vertex tuples through the class and neighbor tables,
-with delay proportional to the number of free variables.
+All three tasks run one counting dynamic program per component over the
+color tables, in O(|Q| * |D_col|). Enumeration keeps the rows of the free
+variables: a color is alive at a free variable when its entry is non-zero,
+and tables from each parent color to the alive child colors stream color
+tuples whose every prefix extends. Each color tuple expands into vertex
+tuples through the class and neighbor tables, with delay proportional to the
+number of free variables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from . import engine
 from .analysis import VariableOrder, connected_components, is_acyclic, is_free_connex_acyclic, variable_order
 from .errors import NotAcyclic, NotFreeConnex
 from .index import ColorIndex
@@ -45,24 +48,23 @@ def rewrite_loops(q: ConjunctiveQuery, edge_symbol: str, loop_label: str) -> Loo
 
 def eval_bool(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> bool:
     """Boolean evaluation by the counting dynamic program, component-wise."""
-    ops = ops if ops is not None else OpCounter()
     if not q.is_boolean():
         raise ValueError("eval_bool expects a Boolean query")
     if not is_acyclic(q):
         raise NotAcyclic("Boolean evaluation requires an acyclic query")
-    lfq = rewrite_loops(q, idx.edge_label, idx.loop_label)
-    return all(_count_component(comp, idx, ops) for comp, _ in connected_components(lfq.q_l))
+    return _count(q, idx, ops) > 0
 
 
 @dataclass
 class _Component:
     query: ConjunctiveQuery
     head_positions: tuple[int, ...]
-    order: VariableOrder
     free_order: tuple[int, ...]  # free variables in BFS order
     sel: tuple[int, ...]  # output index per component-head position
     parent_pos: tuple[int, ...]  # BFS position of each free variable's parent
-    plan: engine.JoinPlan  # color-tuple plan over the color database
+    roots: list[int]  # alive colors of the root
+    # per free variable after the root: parent color -> its alive colors
+    tables: list[dict[int, list[int]]]
 
 
 @dataclass
@@ -70,7 +72,7 @@ class EnumPlan:
     query: ConjunctiveQuery
     idx: ColorIndex
     components: list[_Component]
-    empty: bool  # some Boolean component evaluated to no
+    empty: bool  # some component has no answer
 
 
 def prepare(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> EnumPlan:
@@ -79,40 +81,53 @@ def prepare(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) 
     if not is_free_connex_acyclic(q):
         raise NotFreeConnex("enumeration requires a free-connex acyclic query")
     lfq = rewrite_loops(q, idx.edge_label, idx.loop_label)
+    f1: dict[frozenset[str], list[int]] = {}
     components: list[_Component] = []
-    empty = False
     for comp, head_positions in connected_components(lfq.q_l):
-        if comp.is_boolean():
-            empty = empty or not _count_component(comp, idx, ops)
-            continue
         vo = variable_order(comp)
-        k = len(comp.free())
-        free_order = vo.order[:k]
-        assert set(free_order) == set(comp.free())
-        ordered_names = [comp.var_name(v) for v in free_order]
-        reordered = cq(
-            ordered_names,
-            [(a.symbol, [comp.var_name(v) for v in a.args]) for a in comp.atoms],
-        )
-        plan = engine.preprocess(reordered, idx.d_col, ops)
-        head_names = [comp.var_name(v) for v in comp.head]
-        sel = tuple(ordered_names.index(n) for n in head_names)
-        parent_pos = [0] * k
-        for i in range(1, k):
-            parent = vo.parent[free_order[i]]
-            parent_pos[i] = free_order.index(parent)
-        components.append(
-            _Component(
-                query=comp,
-                head_positions=head_positions,
-                order=vo,
-                free_order=free_order,
-                sel=sel,
-                parent_pos=tuple(parent_pos),
-                plan=plan,
-            )
-        )
-    return EnumPlan(query=q, idx=idx, components=components, empty=empty)
+        rows = _dp_rows(comp, vo, idx, f1, ops)
+        if not any(rows[vo.root]):
+            return EnumPlan(query=q, idx=idx, components=[], empty=True)
+        if comp.is_boolean():
+            continue
+        free_order = vo.order[: len(comp.free())]
+        parent_pos = (0,) + tuple(free_order.index(vo.parent[x]) for x in free_order[1:])
+        alive = [rows[x] for x in free_order]
+        tables: list[dict[int, list[int]]] = [{} for _ in free_order[1:]]
+        links = [(alive[parent_pos[i]], alive[i], tables[i - 1]) for i in range(1, len(free_order))]
+        ops.tick(idx.colors + len(idx.deg) * len(links))
+        if links:
+            for c, cp in idx.deg:
+                for up, down, table in links:
+                    if up[c] and down[cp]:
+                        table.setdefault(c, []).append(cp)
+        components.append(_Component(
+            query=comp, head_positions=head_positions, free_order=free_order,
+            sel=tuple(free_order.index(v) for v in comp.head), parent_pos=parent_pos,
+            roots=[c for c, n in enumerate(alive[0]) if n], tables=tables))
+    return EnumPlan(query=q, idx=idx, components=components, empty=False)
+
+
+def _walk(first: Iterable, k: int, child: Callable[[int, list], Iterable],
+          steps: OpCounter) -> Iterator[tuple]:
+    """Depth-first over k levels with an explicit iterator stack: level 0
+    draws from first, level d from child(d, values of the levels above).
+    One step per draw; when no level but the last can run dry, consecutive
+    outputs are O(k) steps apart."""
+    vals: list = [None] * k
+    iters = [iter(first)]
+    while iters:
+        d = len(iters) - 1
+        steps.tick()
+        v = next(iters[-1], None)  # values are never None
+        if v is None:
+            iters.pop()
+            continue
+        vals[d] = v
+        if d + 1 == k:
+            yield tuple(vals)
+        else:
+            iters.append(iter(child(d + 1, vals)))
 
 
 def _expand(idx: ColorIndex, cbar: tuple[int, ...], parent_pos: tuple[int, ...],
@@ -122,36 +137,29 @@ def _expand(idx: ColorIndex, cbar: tuple[int, ...], parent_pos: tuple[int, ...],
     Every neighbor set encountered is non-empty by stability of the coloring;
     an empty one indicates a broken index and raises instead of filtering.
     """
-    k = len(cbar)
-    vals = [0] * k
-    iters: list[Iterator[int]] = [iter(idx.coloring.classes[cbar[0]])]
-    while iters:
-        d = len(iters) - 1
-        steps.tick()
-        v = next(iters[-1], None)
-        if v is None:
-            iters.pop()
-            continue
-        vals[d] = v
-        if d + 1 == k:
-            yield tuple(vals)
-        else:
-            bucket = idx.nbr[vals[parent_pos[d + 1]]].get(cbar[d + 1])
-            if not bucket:
-                raise AssertionError("empty neighbor set during expansion (stability violated)")
-            iters.append(iter(bucket))
+    nbr = idx.nbr
+
+    def bucket(d: int, vals: list) -> tuple[int, ...]:
+        found = nbr[vals[parent_pos[d]]].get(cbar[d])
+        if not found:
+            raise AssertionError("empty neighbor set during expansion (stability violated)")
+        return found
+
+    return _walk(idx.coloring.classes[cbar[0]], len(cbar), bucket, steps)
 
 
 def _component_stream(comp: _Component, idx: ColorIndex, steps: OpCounter) -> Iterator[tuple[int, ...]]:
-    for cbar in engine.enumerate_plan(comp.plan, steps):
-        yield from _expand(idx, cbar, comp.parent_pos, steps)
+    tables, parent_pos = comp.tables, comp.parent_pos
+    colors = _walk(comp.roots, len(comp.free_order),
+                   lambda d, vals: tables[d - 1][vals[parent_pos[d]]], steps)
+    for cbar in colors:
+        yield from _expand(idx, cbar, parent_pos, steps)
 
 
 def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterator[tuple[int, ...]]:
     """Stream the answers of the prepared query, each exactly once, assembled
     in the original head order."""
     steps = steps if steps is not None else OpCounter()
-    idx = plan.idx
     if plan.empty:
         return
     comps = plan.components
@@ -159,30 +167,16 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
         steps.tick()
         yield ()
         return
-    factories: list[Callable[[], Iterator[tuple[int, ...]]]] = [
-        (lambda c=c: _component_stream(c, idx, steps)) for c in comps
-    ]
+    idx = plan.idx
     width = len(plan.query.head)
-    n = len(comps)
-    iters: list[Iterator[tuple[int, ...]] | None] = [factories[0]()] + [None] * (n - 1)
-    current: list[tuple[int, ...] | None] = [None] * n
-    depth = 0
-    while depth >= 0:
-        steps.tick()
-        tup = next(iters[depth], None)  # type: ignore[arg-type]
-        if tup is None:
-            depth -= 1
-            continue
-        current[depth] = tup
-        if depth + 1 == n:
-            out = [0] * width
-            for comp, ctup in zip(comps, current):
-                for j, pos in enumerate(comp.head_positions):
-                    out[pos] = ctup[comp.sel[j]]  # type: ignore[index]
-            yield tuple(out)
-        else:
-            depth += 1
-            iters[depth] = factories[depth]()
+    parts = _walk(_component_stream(comps[0], idx, steps), len(comps),
+                  lambda d, _: _component_stream(comps[d], idx, steps), steps)
+    for current in parts:
+        out = [0] * width
+        for comp, ctup in zip(comps, current):
+            for j, pos in enumerate(comp.head_positions):
+                out[pos] = ctup[comp.sel[j]]
+        yield tuple(out)
 
 
 def enumerate_answers(q: ConjunctiveQuery, idx: ColorIndex,
@@ -191,96 +185,98 @@ def enumerate_answers(q: ConjunctiveQuery, idx: ColorIndex,
     return enumerate_prepared(prepare(q, idx, ops), steps)
 
 
-def _count_component(comp: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter) -> int:
-    """|Q(D)| of one connected component; 1 or 0 for a Boolean one."""
-    vo = variable_order(comp)
-    order = vo.order
-    ncolors = idx.colors
-    classes = idx.coloring.classes
-    free = comp.free()
-    kfree = sum(1 for v in order if v in free)
+def _dp_rows(comp: ConjunctiveQuery, vo: VariableOrder, idx: ColorIndex,
+             f1: dict[frozenset[str], list[int]], ops: OpCounter) -> dict[int, list[int]]:
+    """The counting dynamic program of one connected component.
 
-    color_edges: list[tuple[int, int, int]] = [(c, cp, n) for (c, cp), n in idx.deg.items() if n > 0]
+    f_down[x][c] counts the matches of x's subtree with x on a fixed vertex
+    of color c; a Boolean component returns the root's row of it. Otherwise
+    row[c] of a free variable x counts the assignments to the free variables
+    of x's subtree that extend x on a vertex of color c: f_down when all
+    variables are free, else f_prime, a pass over the free subtree that asks
+    only for the existence of the quantified side. f1 memoizes the label rows
+    of one query, one scan of the colors per label set. Rows are never
+    changed after they are made.
+    """
+    order, root = vo.order, vo.root
+    ncolors, deg, free = idx.colors, idx.deg, comp.free()
+    classes, vl = idx.coloring.classes, idx.graph.vl
 
-    def f1_row(x: int) -> list[int]:
-        lam = vo.labels[x]
-        row = []
-        for c in range(ncolors):
-            rep = classes[c][0]
-            ops.tick()
-            row.append(1 if lam <= idx.graph.vl[rep] else 0)
-        return row
+    def label_row(x: int) -> list[int]:
+        labels = vo.labels[x]
+        if labels not in f1:
+            ops.tick(ncolors)
+            f1[labels] = [1 if labels <= vl[members[0]] else 0 for members in classes]
+        return f1[labels]
 
-    f1 = {x: f1_row(x) for x in order}
+    def lift(row: list[int]) -> list[int]:
+        # g[c]: extensions of a child row along the color edges from color c
+        ops.tick(len(deg))
+        g = [0] * ncolors
+        for (c, cp), n in deg.items():
+            r = row[cp]
+            if r:
+                g[c] += r * n
+        return g
+
     f_down: dict[int, list[int]] = {}
     g: dict[int, list[int]] = {}
     for x in reversed(order):
-        row = list(f1[x])
+        row = label_row(x)
         for y in vo.children[x]:
-            gy = g[y]
-            for c in range(ncolors):
-                row[c] *= gy[c]
+            row = [a * b for a, b in zip(row, g[y])]
         f_down[x] = row
-        if x != vo.root:
-            gx = [0] * ncolors
-            fd = row
-            for c, cp, n in color_edges:
-                ops.tick()
-                gx[c] += fd[cp] * n
-            g[x] = gx
-
+        if x != root:
+            g[x] = lift(row)
     if not free:
-        return 1 if any(f_down[vo.root]) else 0
-    n_c = [len(members) for members in classes]
-    if kfree == len(order):
-        return sum(n_c[c] * f_down[vo.root][c] for c in range(ncolors))
+        return {root: f_down[root]}
+    if len(free) == len(order):
+        return f_down
 
-    # free variables induce a subtree: same recursion over it, with existence
-    # (not multiplicity) taken from the quantified side
+    # the free variables are a prefix of the order and induce a subtree
     f_prime: dict[int, list[int]] = {}
     g_prime: dict[int, list[int]] = {}
-    free_prefix = [x for x in order if x in free]
-    for x in reversed(free_prefix):
+    for x in reversed(order[: len(free)]):
+        ops.tick(ncolors)
         free_children = [y for y in vo.children[x] if y in free]
-        quant_children = [y for y in vo.children[x] if y not in free]
-        row = [0] * ncolors
         if not free_children:
-            fd = f_down[x]
-            for c in range(ncolors):
-                ops.tick()
-                row[c] = 1 if fd[c] >= 1 else 0
+            row = [1 if n else 0 for n in f_down[x]]
         else:
-            for c in range(ncolors):
-                ops.tick()
-                val = f1[x][c]
-                for z in quant_children:
-                    if g[z][c] < 1:
-                        val = 0
-                        break
-                if val:
-                    for y in free_children:
-                        val *= g_prime[y][c]
-                row[c] = val
+            row = label_row(x)
+            for z in vo.children[x]:
+                if z not in free:
+                    row = [a if b else 0 for a, b in zip(row, g[z])]
+            for y in free_children:
+                row = [a * b for a, b in zip(row, g_prime[y])]
         f_prime[x] = row
-        if x != vo.root:
-            gx = [0] * ncolors
-            for c, cp, n in color_edges:
-                ops.tick()
-                gx[c] += row[cp] * n
-            g_prime[x] = gx
-    return sum(n_c[c] * f_prime[vo.root][c] for c in range(ncolors))
+        if x != root:
+            g_prime[x] = lift(row)
+    return f_prime
 
 
 def count_answers(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> int:
     """Exact |Q(D)| via the color-database dynamic programs; components
     multiply (arbitrary-precision)."""
-    ops = ops if ops is not None else OpCounter()
     if not is_free_connex_acyclic(q):
         raise NotFreeConnex("counting requires a free-connex acyclic query")
+    return _count(q, idx, ops)
+
+
+def _count(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None) -> int:
+    """Product over the components of |Q(D)|, taken as 1 or 0 for a Boolean
+    component; stops at the first zero."""
+    ops = ops if ops is not None else OpCounter()
     lfq = rewrite_loops(q, idx.edge_label, idx.loop_label)
+    f1: dict[frozenset[str], list[int]] = {}
+    classes = idx.coloring.classes
     total = 1
     for comp, _ in connected_components(lfq.q_l):
-        total *= _count_component(comp, idx, ops)
+        vo = variable_order(comp)
+        row = _dp_rows(comp, vo, idx, f1, ops)[vo.root]
+        if comp.is_boolean():
+            total *= 1 if any(row) else 0
+        else:
+            total *= sum(len(classes[c]) * n for c, n in enumerate(row) if n)
         if total == 0:
             return 0
     return total

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorindex import index as cidx
 from colorindex.errors import NotAcyclic, NotFreeConnex
@@ -137,7 +140,14 @@ def test_color_tuple_membership_and_disjointness():
     q = cq(["x", "y"], [("E", ["x", "y"]), ("E", ["y", "z"])])
     plan = prepare(q, idx)
     (comp,) = plan.components
-    color_answers = set(engine.enumerate_plan(comp.plan))
+    # the color patterns come from the baseline engine on the color database,
+    # for the component query with its head in the enumeration order
+    name = comp.query.var_name
+    reordered = cq(
+        [name(v) for v in comp.free_order],
+        [(a.symbol, [name(v) for v in a.args]) for a in comp.query.atoms],
+    )
+    color_answers = engine.answers(reordered, idx.d_col)
     k = len(comp.free_order)
     seen_by_pattern: dict[tuple, set] = {}
     for t in enumerate_prepared(plan):
@@ -214,3 +224,102 @@ def test_prepare_ops_bounded_by_color_db():
     prepare(q, build(cycle_db(100)), ops_small)
     prepare(q, build(cycle_db(10000)), ops_large)
     assert ops_large.n == ops_small.n
+
+
+def test_prepare_ops_within_count_ops_on_ternary():
+    # enumeration preprocessing is the counting DP plus one pass over the
+    # color edges per free variable: close to the count, not a multiple
+    from colorindex.generators import TERNARY_SCHEMA, random_relational_db
+    from colorindex.pipeline import DatabaseIndex
+
+    idx = DatabaseIndex.build(random_relational_db(TERNARY_SCHEMA, 4, 8, seed=1))
+    assert idx.stage == "full"
+    qhat = idx.translate(parse_query("Ans(x) :- T(x,y,z), R(z,w).", TERNARY_SCHEMA)).qhat
+    ops_prepare, ops_count = OpCounter(), OpCounter()
+    prepare(qhat, idx.cindex, ops_prepare)
+    count_answers(qhat, idx.cindex, ops_count)
+    assert ops_prepare.n <= 1.5 * ops_count.n
+
+
+STEP_GAP_K = 8  # steps between consecutive answers, per free variable of the translated query
+
+
+@st.composite
+def fc_queries(draw, schema: Schema):
+    """Free-connex acyclic queries of one to three connected components.
+
+    Each component grows from its root by atoms that share one anchor
+    variable with the component and are otherwise fresh (or repeat the
+    anchor, giving loops and equality patterns), so its hypergraph is a tree
+    of atoms. The root of a non-Boolean component is free, and the fresh
+    variables of an atom anchored at a free variable are free or quantified
+    together: the free variables form a connected subtree, and quantified
+    branches hang under free variables. A component after the first may be
+    Boolean.
+    """
+    arity = dict(schema.symbols)
+    symbols = sorted(arity)
+    fresh = itertools.count()
+    atoms: list[tuple[str, list[str]]] = []
+    head: list[str] = []
+    n_comps = draw(st.integers(1, 3))
+    for ci in range(n_comps):
+        root = f"v{next(fresh)}"
+        variables = [root]
+        free = set() if ci and draw(st.booleans()) else {root}
+        for _ in range(draw(st.integers(1, 4 if n_comps == 1 else 2))):
+            anchor = draw(st.sampled_from(variables))
+            sym = draw(st.sampled_from(symbols))
+            keep_free = anchor in free and draw(st.booleans())
+            others: list[str] = []
+            for _ in range(arity[sym] - 1):
+                if draw(st.integers(0, 4)) == 0:
+                    others.append(anchor)
+                    continue
+                v = f"v{next(fresh)}"
+                variables.append(v)
+                others.append(v)
+                if keep_free:
+                    free.add(v)
+            at = draw(st.integers(0, len(others)))
+            atoms.append((sym, others[:at] + [anchor] + others[at:]))
+        head += sorted(free)
+    return cq(draw(st.permutations(head)), atoms)
+
+
+@st.composite
+def instances(draw):
+    from colorindex.generators import BINARY_SCHEMA, TERNARY_SCHEMA, random_relational_db
+
+    kind = draw(st.sampled_from(["graph", "binary", "ternary"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "graph":
+        db = random_graph_db(draw(st.integers(2, 5)), draw(st.sampled_from([0.2, 0.5, 0.8])), seed,
+                             num_labels=draw(st.integers(0, 2)), loop_p=0.3)
+    else:
+        schema = BINARY_SCHEMA if kind == "binary" else TERNARY_SCHEMA
+        db = random_relational_db(schema, draw(st.integers(2, 4)), draw(st.integers(1, 4)), seed)
+    return db, draw(fc_queries(db.schema))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_enumeration_matches_oracle_property(instance):
+    from colorindex.analysis import is_free_connex_acyclic
+    from colorindex.pipeline import DatabaseIndex
+
+    db, q = instance
+    assert is_free_connex_acyclic(q)
+    idx = DatabaseIndex.build(db)
+    steps = OpCounter()
+    got, gaps, last = [], [], 0
+    for t in idx.enumerate(q, steps=steps):
+        gaps.append(steps.n - last)
+        last = steps.n
+        got.append(t)
+    assert len(got) == len(set(got))
+    assert set(got) == set(brute_answers(q, db).answers.tuples)
+    assert idx.count(q) == len(got)
+    # the delay bound is in the free variables of the query that is run
+    free = len(idx.translate(q).qhat.head)
+    assert max(gaps[1:], default=0) <= STEP_GAP_K * max(1, free)
