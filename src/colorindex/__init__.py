@@ -25,8 +25,6 @@ from .model import (
     Database,
     Schema,
     cq,
-    db_size,
-    query_stats,
     validate_database,
 )
 from .oracle import brute_answers, naive_refine
@@ -50,7 +48,6 @@ __all__ = [
     "connected_components",
     "count_answers",
     "cq",
-    "db_size",
     "encode_loops",
     "enumerate_answers",
     "enumerate_plan",
@@ -66,7 +63,6 @@ __all__ = [
     "parse_query",
     "parse_schema",
     "preprocess",
-    "query_stats",
     "refine",
     "rewrite_loops",
     "stats",

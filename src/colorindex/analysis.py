@@ -161,11 +161,6 @@ def _free_parts_connected(q: ConjunctiveQuery) -> bool:
     return True
 
 
-def is_acyclic_binary(q: ConjunctiveQuery) -> bool:
-    """Characterization for binary schemas: acyclic iff G(Q) is a forest."""
-    return gaifman(q).is_forest()
-
-
 def is_free_connex_binary(q: ConjunctiveQuery) -> bool:
     """Binary-schema characterization: G(Q) a forest and, per connected
     component, the induced free part connected or empty."""
@@ -537,8 +532,6 @@ def variable_order(q: ConjunctiveQuery) -> VariableOrder:
     if len(g.edges) != n - 1:
         raise NotTree(f"Gaifman graph has {n} vertices and {len(g.edges)} edges")
     free = q.free()
-    if free and not _free_parts_connected(q):
-        raise FreeNotConnected("free variables do not induce a connected subgraph")
     root = min(free) if free else min(g.vertices)
 
     order: list[int] = []
@@ -559,15 +552,20 @@ def variable_order(q: ConjunctiveQuery) -> VariableOrder:
             (free_q if w in free else quant_q).append(w)
     if len(order) != n:
         raise NotTree("Gaifman graph is disconnected")
+    # the free queue is served first, so it runs dry before every free
+    # variable is ordered exactly when some free variable can be reached
+    # from the root only through a quantified one
+    if not free.issuperset(order[: len(free)]):
+        raise FreeNotConnected("free variables do not induce a connected subgraph")
 
-    labels = {
-        v: frozenset(a.symbol for a in q.atoms if a.arity == 1 and a.args[0] == v)
-        for v in g.vertices
-    }
+    labels: dict[int, set[str]] = {v: set() for v in g.vertices}
+    for a in q.atoms:
+        if a.arity == 1:
+            labels[a.args[0]].add(a.symbol)
     return VariableOrder(
         order=tuple(order),
         parent=parent,
         children={v: tuple(c) for v, c in children.items()},
-        labels=labels,
+        labels={v: frozenset(s) for v, s in labels.items()},
         root=root,
     )

@@ -7,7 +7,8 @@ projection nodes with their arity; binary relations record position equality
 between tuples and projections, and between projections whose entry sets are
 comparable.  Query translation runs over a complete fc-1-GHD with bag
 containment on every edge: one node variable per GHD node, one extra tuple
-variable per atom node, head variables taken from the witness.
+variable per atom node, head variables taken from the witness nodes with
+non-empty bags.
 """
 from __future__ import annotations
 
@@ -123,7 +124,7 @@ def encode_db(db: Database) -> BinaryEncoding:
 class QueryEncoding2:
     q2: ConjunctiveQuery
     ghd: FcGHD
-    head_nodes: tuple[int, ...]  # witness nodes, in head order of q2
+    head_nodes: tuple[int, ...]  # witness nodes with non-empty bags, in head order of q2
     decode_node: dict[int, int]  # free source variable -> witness node
     decode_pos: dict[int, int]  # free source variable -> 1-based bag position
     source: ConjunctiveQuery
@@ -143,7 +144,9 @@ def encode_query(q: ConjunctiveQuery, ghd: FcGHD, schema: Schema) -> QueryEncodi
     atom_of_node = {t: ai for ai, t in node_of_atom.items()}
     parent = ghd.parents()
 
-    head_nodes = tuple(sorted(ghd.witness))
+    # an empty-bag witness node decodes no variable, and its one value (the
+    # empty projection) leaves the count unchanged: it stays quantified
+    head_nodes = tuple(sorted(t for t in ghd.witness if ghd.bag[t]))
     head_names = [f"v{t}" for t in head_nodes]
     atoms: list[tuple[str, list[str]]] = []
     for t in ghd.nodes:

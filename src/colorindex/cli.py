@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     TaskMismatch,
 )
+from .index import stats
 from .instrument import OpCounter
 from .model import ConjunctiveQuery, Database
 from .pipeline import TASKS, DatabaseIndex
@@ -60,9 +61,13 @@ def cmd_index(args) -> int:
     idx = DatabaseIndex.build(db, stage=args.stage)
     idx.save(args.out)
     ci = idx.cindex
+    # the compression: colors per vertex of the indexed graph, color-database
+    # tuples per input tuple (above 1, the index is larger than the data)
+    dcol_ratio = ci.d_col_size / db.size if db.size else 0.0
     print(
         f"stage={idx.stage} |D|={db.size} |D_L|={ci.labeled_size} "
-        f"|C|={ci.colors} |D_col|={ci.d_col_size}"
+        f"|C|={ci.colors} |D_col|={ci.d_col_size} "
+        f"colors/|V|={stats(ci).color_ratio:.3g} |D_col|/|D|={dcol_ratio:.3g}"
     )
     if args.dump_maps:
         for node, t in sorted(idx.node_tuple.items()):

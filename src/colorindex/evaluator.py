@@ -4,23 +4,34 @@ by a free-first BFS, and answer bool / enum / count tasks against the color
 index.
 
 All three tasks run one counting dynamic program per component over the
-color tables, in O(|Q| * |D_col|). Enumeration keeps the rows of the free
-variables: a color is alive at a free variable when its entry is non-zero,
-and tables from each parent color to the alive child colors stream color
-tuples whose every prefix extends. Each color tuple expands into vertex
-tuples through the class and neighbor tables, with delay proportional to the
-number of free variables.
+color tables, in O(|Q| * |D_col|). Its rows are sparse, {color: count} with
+only the non-zero entries, so the work is spent on the colors that can still
+match: a label row intersects the label's color sets, a product walks the
+smaller row, and a lift walks the per-color neighbor lists (`deg`) of the
+child row's colors only. Enumeration keeps the rows of the free variables:
+a color is alive at a free variable when it has an entry, and tables from
+each alive parent color to the alive child colors stream color tuples whose
+every prefix extends. Each color tuple expands into vertex tuples through
+the class and neighbor tables, with delay proportional to the number of
+free variables.
+
+The translated queries are over a graph schema, where a query is acyclic
+exactly when its Gaifman graph is a forest, and free-connex acyclic when in
+addition each component's free variables induce a connected subgraph. Those
+are the checks `variable_order` makes, so no separate acyclicity pass runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .analysis import VariableOrder, connected_components, is_acyclic, is_free_connex_acyclic, variable_order
-from .errors import NotAcyclic, NotFreeConnex
+from .analysis import VariableOrder, connected_components, variable_order
+from .errors import FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree
 from .index import ColorIndex
 from .instrument import OpCounter
 from .model import ConjunctiveQuery, cq
+
+Row = dict[int, int]  # color -> non-zero count; absent colors count 0
 
 
 @dataclass(frozen=True)
@@ -50,9 +61,21 @@ def eval_bool(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None
     """Boolean evaluation by the counting dynamic program, component-wise."""
     if not q.is_boolean():
         raise ValueError("eval_bool expects a Boolean query")
-    if not is_acyclic(q):
-        raise NotAcyclic("Boolean evaluation requires an acyclic query")
-    return _count(q, idx, ops) > 0
+    comps = _components(q, idx, NotAcyclic, "Boolean evaluation requires an acyclic query")
+    return _count(comps, idx, ops) > 0
+
+
+def _components(q: ConjunctiveQuery, idx: ColorIndex, error: type[Exception],
+                message: str) -> list[tuple[ConjunctiveQuery, tuple[int, ...], VariableOrder]]:
+    """The connected components of q with loops rewritten, each with its head
+    positions and variable order; raises error(message) when q is not
+    acyclic, or not free-connex acyclic (see the module docstring)."""
+    lfq = rewrite_loops(q, idx.edge_label, idx.loop_label)
+    try:
+        return [(comp, head_positions, variable_order(comp))
+                for comp, head_positions in connected_components(lfq.q_l)]
+    except (NotTree, FreeNotConnected):
+        raise error(message) from None
 
 
 @dataclass
@@ -63,7 +86,7 @@ class _Component:
     sel: tuple[int, ...]  # output index per component-head position
     parent_pos: tuple[int, ...]  # BFS position of each free variable's parent
     roots: list[int]  # alive colors of the root
-    # per free variable after the root: parent color -> its alive colors
+    # per free variable after the root: alive parent color -> its alive colors
     tables: list[dict[int, list[int]]]
 
 
@@ -78,33 +101,28 @@ class EnumPlan:
 def prepare(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> EnumPlan:
     """Per-query preprocessing for enumeration: O(|Q| * |D_col|)."""
     ops = ops if ops is not None else OpCounter()
-    if not is_free_connex_acyclic(q):
-        raise NotFreeConnex("enumeration requires a free-connex acyclic query")
-    lfq = rewrite_loops(q, idx.edge_label, idx.loop_label)
-    f1: dict[frozenset[str], list[int]] = {}
+    comps = _components(q, idx, NotFreeConnex, "enumeration requires a free-connex acyclic query")
+    deg = idx.deg
+    f1: dict[frozenset[str], Row] = {}
     components: list[_Component] = []
-    for comp, head_positions in connected_components(lfq.q_l):
-        vo = variable_order(comp)
+    for comp, head_positions, vo in comps:
         rows = _dp_rows(comp, vo, idx, f1, ops)
-        if not any(rows[vo.root]):
+        if not rows[vo.root]:
             return EnumPlan(query=q, idx=idx, components=[], empty=True)
         if comp.is_boolean():
             continue
         free_order = vo.order[: len(comp.free())]
         parent_pos = (0,) + tuple(free_order.index(vo.parent[x]) for x in free_order[1:])
         alive = [rows[x] for x in free_order]
-        tables: list[dict[int, list[int]]] = [{} for _ in free_order[1:]]
-        links = [(alive[parent_pos[i]], alive[i], tables[i - 1]) for i in range(1, len(free_order))]
-        ops.tick(idx.colors + len(idx.deg) * len(links))
-        if links:
-            for c, cp in idx.deg:
-                for up, down, table in links:
-                    if up[c] and down[cp]:
-                        table.setdefault(c, []).append(cp)
+        tables: list[dict[int, list[int]]] = []
+        for i in range(1, len(free_order)):
+            up, down = alive[parent_pos[i]], alive[i]
+            ops.tick(sum(len(deg[c]) for c in up))
+            tables.append({c: [cp for cp, _ in deg[c] if cp in down] for c in up})
         components.append(_Component(
             query=comp, head_positions=head_positions, free_order=free_order,
             sel=tuple(free_order.index(v) for v in comp.head), parent_pos=parent_pos,
-            roots=[c for c, n in enumerate(alive[0]) if n], tables=tables))
+            roots=list(alive[0]), tables=tables))
     return EnumPlan(query=q, idx=idx, components=components, empty=False)
 
 
@@ -186,8 +204,9 @@ def enumerate_answers(q: ConjunctiveQuery, idx: ColorIndex,
 
 
 def _dp_rows(comp: ConjunctiveQuery, vo: VariableOrder, idx: ColorIndex,
-             f1: dict[frozenset[str], list[int]], ops: OpCounter) -> dict[int, list[int]]:
-    """The counting dynamic program of one connected component.
+             f1: dict[frozenset[str], Row], ops: OpCounter) -> dict[int, Row]:
+    """The counting dynamic program of one connected component, on sparse
+    rows that hold only the non-zero entries.
 
     f_down[x][c] counts the matches of x's subtree with x on a fixed vertex
     of color c; a Boolean component returns the root's row of it. Otherwise
@@ -195,36 +214,51 @@ def _dp_rows(comp: ConjunctiveQuery, vo: VariableOrder, idx: ColorIndex,
     of x's subtree that extend x on a vertex of color c: f_down when all
     variables are free, else f_prime, a pass over the free subtree that asks
     only for the existence of the quantified side. f1 memoizes the label rows
-    of one query, one scan of the colors per label set. Rows are never
-    changed after they are made.
+    of one query, one per label set. Rows are never changed after they are
+    made.
     """
     order, root = vo.order, vo.root
-    ncolors, deg, free = idx.colors, idx.deg, comp.free()
-    classes, vl = idx.coloring.classes, idx.graph.vl
+    deg, label_colors, free = idx.deg, idx.label_colors, comp.free()
+    classes = idx.coloring.classes
 
-    def label_row(x: int) -> list[int]:
+    def label_row(x: int) -> Row:
         labels = vo.labels[x]
         if labels not in f1:
-            ops.tick(ncolors)
-            f1[labels] = [1 if labels <= vl[members[0]] else 0 for members in classes]
+            if labels:
+                # the colors of every label: walk the smallest set, probe the rest
+                first, *rest = sorted((label_colors.get(u, frozenset()) for u in labels), key=len)
+                ops.tick(len(first))
+                f1[labels] = dict.fromkeys(first.intersection(*rest), 1)
+            else:
+                ops.tick(idx.colors)
+                f1[labels] = dict.fromkeys(range(idx.colors), 1)
         return f1[labels]
 
-    def lift(row: list[int]) -> list[int]:
-        # g[c]: extensions of a child row along the color edges from color c
-        ops.tick(len(deg))
-        g = [0] * ncolors
-        for (c, cp), n in deg.items():
-            r = row[cp]
-            if r:
-                g[c] += r * n
-        return g
+    def times(a: Row, b: Row) -> Row:
+        if len(b) < len(a):
+            a, b = b, a
+        ops.tick(len(a))
+        return {c: n * b[c] for c, n in a.items() if c in b}
 
-    f_down: dict[int, list[int]] = {}
-    g: dict[int, list[int]] = {}
+    def lift(row: Row) -> Row:
+        # g[c] = sum over c' of numN(c, c') * row[c'], walked from the colors
+        # c' of the row: the edges between two classes number
+        # |C_c| * numN(c, c') = |C_c'| * numN(c', c), so the division is exact
+        total: Row = {}
+        for cp, r in row.items():
+            w = r * len(classes[cp])
+            edges = deg[cp]
+            ops.tick(len(edges))
+            for c, n in edges:
+                total[c] = total.get(c, 0) + w * n
+        return {c: t // len(classes[c]) for c, t in total.items()}
+
+    f_down: dict[int, Row] = {}
+    g: dict[int, Row] = {}
     for x in reversed(order):
         row = label_row(x)
         for y in vo.children[x]:
-            row = [a * b for a, b in zip(row, g[y])]
+            row = times(row, g[y])
         f_down[x] = row
         if x != root:
             g[x] = lift(row)
@@ -233,21 +267,17 @@ def _dp_rows(comp: ConjunctiveQuery, vo: VariableOrder, idx: ColorIndex,
     if len(free) == len(order):
         return f_down
 
-    # the free variables are a prefix of the order and induce a subtree
-    f_prime: dict[int, list[int]] = {}
-    g_prime: dict[int, list[int]] = {}
+    # the free variables are a prefix of the order and induce a subtree; a
+    # color extends x's whole subtree exactly when it has an f_down entry,
+    # and f_prime has the same colors as f_down at every variable
+    f_prime: dict[int, Row] = {}
+    g_prime: dict[int, Row] = {}
     for x in reversed(order[: len(free)]):
-        ops.tick(ncolors)
-        free_children = [y for y in vo.children[x] if y in free]
-        if not free_children:
-            row = [1 if n else 0 for n in f_down[x]]
-        else:
-            row = label_row(x)
-            for z in vo.children[x]:
-                if z not in free:
-                    row = [a if b else 0 for a, b in zip(row, g[z])]
-            for y in free_children:
-                row = [a * b for a, b in zip(row, g_prime[y])]
+        ops.tick(len(f_down[x]))
+        row = dict.fromkeys(f_down[x], 1)
+        for y in vo.children[x]:
+            if y in free:
+                row = times(row, g_prime[y])
         f_prime[x] = row
         if x != root:
             g_prime[x] = lift(row)
@@ -257,26 +287,24 @@ def _dp_rows(comp: ConjunctiveQuery, vo: VariableOrder, idx: ColorIndex,
 def count_answers(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> int:
     """Exact |Q(D)| via the color-database dynamic programs; components
     multiply (arbitrary-precision)."""
-    if not is_free_connex_acyclic(q):
-        raise NotFreeConnex("counting requires a free-connex acyclic query")
-    return _count(q, idx, ops)
+    comps = _components(q, idx, NotFreeConnex, "counting requires a free-connex acyclic query")
+    return _count(comps, idx, ops)
 
 
-def _count(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None) -> int:
+def _count(comps: list[tuple[ConjunctiveQuery, tuple[int, ...], VariableOrder]], idx: ColorIndex,
+           ops: OpCounter | None) -> int:
     """Product over the components of |Q(D)|, taken as 1 or 0 for a Boolean
     component; stops at the first zero."""
     ops = ops if ops is not None else OpCounter()
-    lfq = rewrite_loops(q, idx.edge_label, idx.loop_label)
-    f1: dict[frozenset[str], list[int]] = {}
+    f1: dict[frozenset[str], Row] = {}
     classes = idx.coloring.classes
     total = 1
-    for comp, _ in connected_components(lfq.q_l):
-        vo = variable_order(comp)
+    for comp, _, vo in comps:
         row = _dp_rows(comp, vo, idx, f1, ops)[vo.root]
         if comp.is_boolean():
-            total *= 1 if any(row) else 0
+            total *= 1 if row else 0
         else:
-            total *= sum(len(classes[c]) * n for c, n in enumerate(row) if n)
+            total *= sum(len(classes[c]) * n for c, n in row.items())
         if total == 0:
             return 0
     return total

@@ -1,6 +1,7 @@
 """The color-index: loop-encoded graph, coarsest stable coloring, lookup
-tables for classes / per-color neighbor lists / color-pair degrees, and the
-color database built over the colors.
+tables for classes / per-color neighbor lists / per-color neighbor colors
+with their degrees / per-label colors, and the color database built over the
+colors.
 
 The index is immutable after build and safe for unlimited concurrent readers;
 the evaluation phase serves many queries against one index.
@@ -21,7 +22,9 @@ class ColorIndex:
     graph: LabeledGraph
     coloring: Coloring
     nbr: dict[int, dict[int, tuple[int, ...]]]
-    deg: dict[tuple[int, int], int]
+    # deg[c]: (c', numN(c, c')) for each neighbor color c' of color c, c' ascending
+    deg: tuple[tuple[tuple[int, int], ...], ...]
+    label_colors: dict[str, frozenset[int]]  # label -> the colors that carry it
     d_col: Database
     source_size: int
 
@@ -36,7 +39,7 @@ class ColorIndex:
         return len(self.coloring.classes[c])
 
     def num_n(self, c: int, cprime: int) -> int:
-        return self.deg.get((c, cprime), 0)
+        return next((n for cp, n in self.deg[c] if cp == cprime), 0)
 
     @property
     def edge_label(self) -> str:
@@ -81,33 +84,32 @@ def build_from_coloring(graph: LabeledGraph, coloring: Coloring, source_size: in
             buckets.setdefault(col[u], []).append(u)
         nbr[v] = {c: tuple(sorted(us)) for c, us in sorted(buckets.items())}
     # stability makes every member of a class see what its first member sees
-    deg = {(c, cp): len(us) for c, members in enumerate(coloring.classes) for cp, us in nbr[members[0]].items()}
-
-    d_col = _build_color_db(graph, coloring, deg)
+    firsts = [members[0] for members in coloring.classes]
+    deg = tuple(tuple((cp, len(us)) for cp, us in nbr[v].items()) for v in firsts)
+    label_colors: dict[str, list[int]] = {u: [] for u in graph.label_universe}
+    for c, v in enumerate(firsts):
+        for label in graph.vl[v]:
+            label_colors[label].append(c)
     return ColorIndex(
         graph=graph,
         coloring=coloring,
         nbr=nbr,
         deg=deg,
-        d_col=d_col,
+        label_colors={u: frozenset(cs) for u, cs in label_colors.items()},
+        d_col=_build_color_db(graph, len(firsts), deg, label_colors),
         source_size=source_size,
     )
 
 
-def _build_color_db(graph: LabeledGraph, coloring: Coloring, deg: dict[tuple[int, int], int]) -> Database:
+def _build_color_db(graph: LabeledGraph, ncolors: int, deg: tuple[tuple[tuple[int, int], ...], ...],
+                    label_colors: dict[str, list[int]]) -> Database:
     edge_label = graph.edge_label
     schema = Schema(tuple((u, 1) for u in graph.label_universe) + ((edge_label, 2),))
     pool = ConstantPool()
-    for c in range(len(coloring.classes)):
+    for c in range(ncolors):
         pool.intern(f"c{c}")
-    unary_rel: dict[str, set[tuple[int, ...]]] = {u: set() for u in graph.label_universe}
-    for c, members in enumerate(coloring.classes):
-        for label in graph.vl[members[0]]:
-            unary_rel[label].add((c,))
-    relations: dict[str, tuple[tuple[int, ...], ...]] = {
-        u: tuple(sorted(ts)) for u, ts in unary_rel.items()
-    }
-    relations[edge_label] = tuple(sorted((c, cp) for (c, cp), n in deg.items() if n > 0))
+    relations = {u: tuple((c,) for c in cs) for u, cs in label_colors.items()}
+    relations[edge_label] = tuple((c, cp) for c, row in enumerate(deg) for cp, _ in row)
     return Database(schema=schema, relations=relations, pool=pool)
 
 
@@ -133,7 +135,8 @@ def stats(idx: ColorIndex) -> IndexStats:
 
 def check_colorindex(idx: ColorIndex) -> list[str]:
     """Consistency suite: numN well-definedness via stability, class sizes,
-    degree sums, and the color-database definition."""
+    degree sums, the per-label color sets, and the color-database
+    definition."""
     problems: list[str] = []
     g = idx.graph
     col = idx.coloring.col
@@ -153,9 +156,10 @@ def check_colorindex(idx: ColorIndex) -> list[str]:
                 problems.append(f"degree mismatch at {v}")
     if sum(idx.n_c(c) for c in range(idx.colors)) != len(g.vertices):
         problems.append("class sizes do not sum to |V|")
-    for (c, cp), n in idx.deg.items():
-        if n > 0 and not idx.d_col.contains(idx.edge_label, (c, cp)):
-            problems.append(f"color edge ({c},{cp}) missing from color database")
+    for c, row in enumerate(idx.deg):
+        for cp, n in row:
+            if n > 0 and not idx.d_col.contains(idx.edge_label, (c, cp)):
+                problems.append(f"color edge ({c},{cp}) missing from color database")
     for c, cp in idx.d_col.rel(idx.edge_label):
         if idx.num_n(c, cp) <= 0:
             problems.append(f"color edge ({c},{cp}) has numN 0")
@@ -165,9 +169,11 @@ def check_colorindex(idx: ColorIndex) -> list[str]:
             if not any(col[u] == cp for u in g.adj[v]):
                 problems.append(f"vertex {v} of color {c} has no {cp}-neighbor")
     for label in g.label_universe:
-        expected = sorted({(col[v],) for v in g.vertices if label in g.vl[v]})
-        if list(idx.d_col.rel(label)) != expected:
+        expected = sorted({col[v] for v in g.vertices if label in g.vl[v]})
+        if list(idx.d_col.rel(label)) != [(c,) for c in expected]:
             problems.append(f"unary color relation {label} incorrect")
+        if idx.label_colors.get(label) != frozenset(expected):
+            problems.append(f"color set of label {label} incorrect")
     if not idx.d_col.active_domain() <= set(range(idx.colors)):
         problems.append("color database domain exceeds color set")
     return problems

@@ -163,11 +163,6 @@ def validate_database(
     return Database(schema=schema, relations=relations, pool=pool, dropped_duplicates=dropped)
 
 
-def db_size(db: Database) -> int:
-    """Total number of tuples across all relations."""
-    return db.size
-
-
 @dataclass(frozen=True)
 class Atom:
     symbol: str
@@ -251,11 +246,6 @@ def cq(head: list[str], atoms: list[tuple[str, list[str]]], schema: Schema | Non
         atom_objs.append(Atom(sym, tuple(intern(v) for v in args)))
     names = tuple(sorted(ids, key=ids.get))
     return ConjunctiveQuery(head=head_ids, atoms=tuple(atom_objs), var_names=names)
-
-
-def query_stats(q: ConjunctiveQuery) -> tuple[frozenset[int], frozenset[int], frozenset[int], int, int]:
-    """(vars, free, quant, number of atoms, head arity + sum of atom arities)."""
-    return q.vars(), q.free(), q.quant(), q.num_atoms, q.weight
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ from colorindex.analysis import (
     connected_components,
     gaifman,
     is_acyclic,
-    is_acyclic_binary,
     is_free_connex_acyclic,
     is_free_connex_binary,
     variable_order,
@@ -88,7 +87,6 @@ def test_binary_characterization_agrees_with_general():
         used = sorted({v for _, a in atoms for v in a})
         head = rng.sample(used, rng.randint(0, len(used)))
         q = cq(head, atoms)
-        assert is_acyclic_binary(q) == is_acyclic(q)
         assert is_free_connex_binary(q) == is_free_connex_acyclic(q)
 
 

@@ -137,6 +137,8 @@ def test_index_stats_on_cycle(tmp_path, capsys):
     code, out, _ = run(capsys, "index", "--db", str(db), "--schema", str(schema), "--out", str(tmp_path / "c.idx"))
     assert code == 0
     assert "|C|=1" in out and "|D|=200" in out
+    # one color for 100 vertices, one color edge for 200 tuples
+    assert "colors/|V|=0.01 |D_col|/|D|=0.005" in out
 
 
 def test_check_reports_failure_with_witness(movie_files, capsys, monkeypatch):

@@ -241,6 +241,43 @@ def test_prepare_ops_within_count_ops_on_ternary():
     assert ops_prepare.n <= 1.5 * ops_count.n
 
 
+def test_count_ops_sparse_on_ternary():
+    # the DP carries only the colors that can still match: the dense rows
+    # took 52,023 ops here, one entry per color at every step
+    from colorindex.generators import TERNARY_SCHEMA, random_relational_db
+    from colorindex.pipeline import DatabaseIndex
+
+    idx = DatabaseIndex.build(random_relational_db(TERNARY_SCHEMA, 4, 8, seed=1))
+    qhat = idx.translate(parse_query("Ans(x) :- T(x,y,z), R(z,w).", TERNARY_SCHEMA)).qhat
+    ops = OpCounter()
+    count_answers(qhat, idx.cindex, ops)
+    assert ops.n <= 10_000
+
+
+def test_empty_bag_witness_nodes_stay_quantified():
+    # the fc-1-GHD of this query has empty-bag witness nodes (A0); they
+    # decode no variable, so the translated head leaves them out
+    from colorindex.generators import TERNARY_SCHEMA
+    from colorindex.pipeline import DatabaseIndex
+
+    db = validate_database(TERNARY_SCHEMA, {"T": [("a", "b", "a")], "R": [("b", "a")], "P": [("a",), ("b",)]})
+    idx = DatabaseIndex.build(db)
+    assert idx.stage == "full"
+    q = parse_query("Ans(x,y,z) :- P(x), P(y), P(z).", TERNARY_SCHEMA)
+    qhat = idx.translate(q).qhat
+    a0_vars = {a.args[0] for a in qhat.atoms if a.symbol == "A0"}
+    assert a0_vars and not a0_vars & set(qhat.head)
+    steps = OpCounter()
+    got, gaps, last = [], [], 0
+    for t in idx.enumerate(q, steps=steps):
+        gaps.append(steps.n - last)
+        last = steps.n
+        got.append(t)
+    assert len(got) == len(set(got)) == idx.count(q) == 8
+    assert set(got) == set(brute_answers(q, db).answers.tuples)
+    assert max(gaps[1:]) < 28  # with A0 in the head, two extra components took 28
+
+
 STEP_GAP_K = 8  # steps between consecutive answers, per free variable of the translated query
 
 
@@ -323,3 +360,16 @@ def test_enumeration_matches_oracle_property(instance):
     # the delay bound is in the free variables of the query that is run
     free = len(idx.translate(q).qhat.head)
     assert max(gaps[1:], default=0) <= STEP_GAP_K * max(1, free)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_count_and_bool_match_oracle_property(instance):
+    from colorindex.pipeline import DatabaseIndex
+
+    db, q = instance
+    idx = DatabaseIndex.build(db)
+    expected = brute_answers(q, db).answers
+    assert count_answers(idx.translate(q).qhat, idx.cindex) == len(expected)
+    q_bool = cq([], [(a.symbol, [q.var_name(v) for v in a.args]) for a in q.atoms])
+    assert eval_bool(idx.translate(q_bool).qhat, idx.cindex) == bool(expected)

@@ -9,8 +9,6 @@ from colorindex.model import (
     ConstantPool,
     Schema,
     cq,
-    db_size,
-    query_stats,
     validate_database,
 )
 
@@ -39,14 +37,14 @@ def test_zero_arity_rejected():
 
 
 def test_movie_db(movie_db):
-    assert db_size(movie_db) == 8
+    assert movie_db.size == 8
     shown = {movie_db.display(c) for c in movie_db.active_domain()}
     assert shown == {"PS", "LM", "MM", "Dr.S", "18m", "34m"}
 
 
 def test_db_size_empty():
     db = validate_database(R2, {})
-    assert db_size(db) == 0
+    assert db.size == 0
     assert db.active_domain() == frozenset()
 
 
@@ -54,31 +52,28 @@ def test_db_size_empty():
 def test_db_size_cycle(n):
     db = cycle_db(n)
     # ordered edge pairs of the symmetric closure, counted directly
-    assert db_size(db) == len({(a, b) for a, b in db.rel("E")}) == 2 * n
+    assert db.size == len({(a, b) for a, b in db.rel("E")}) == 2 * n
 
 
 def test_query_stats_boolean():
     q = cq([], [("R", ["x", "y"])])
-    vars_, free, quant, natoms, weight = query_stats(q)
-    assert free == frozenset()
-    assert quant == vars_ == frozenset({0, 1})
-    assert natoms == 1
+    assert q.free() == frozenset()
+    assert q.quant() == q.vars() == frozenset({0, 1})
+    assert q.num_atoms == 1
 
 
 def test_query_stats_movie_query(movie_query):
     q = movie_query
-    vars_, free, quant, natoms, weight = query_stats(q)
-    assert {q.var_name(v) for v in free} == {"x", "y1"}
-    assert {q.var_name(v) for v in quant} == {"y2"}
-    assert natoms == 3
-    assert weight == 8
+    assert {q.var_name(v) for v in q.free()} == {"x", "y1"}
+    assert {q.var_name(v) for v in q.quant()} == {"y2"}
+    assert q.num_atoms == 3
+    assert q.weight == 8
 
 
 def test_query_stats_projected_path():
     q = cq(["x", "z"], [("R", ["x", "y"]), ("R", ["y", "z"])])
-    _, free, quant, _, _ = query_stats(q)
-    assert {q.var_name(v) for v in free} == {"x", "z"}
-    assert {q.var_name(v) for v in quant} == {"y"}
+    assert {q.var_name(v) for v in q.free()} == {"x", "z"}
+    assert {q.var_name(v) for v in q.quant()} == {"y"}
 
 
 def test_head_must_occur_in_body():
@@ -114,7 +109,7 @@ def test_db_invariant_under_order_and_duplication(rows, rnd):
     shuffled = list(rows) + rows[: len(rows) // 2]
     rnd.shuffle(shuffled)
     db2 = validate_database(R2, {"R": shuffled})
-    assert db_size(db1) == db_size(db2)
+    assert db1.size == db2.size
     assert {db1.display(c) for c in db1.active_domain()} == {
         db2.display(c) for c in db2.active_domain()
     }
