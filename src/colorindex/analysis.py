@@ -16,36 +16,6 @@ class GaifmanGraph:
     vertices: frozenset[int]
     edges: frozenset[frozenset[int]]
 
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for e in self.edges:
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
-    def is_forest(self) -> bool:
-        adj = self.adjacency()
-        seen: set[int] = set()
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp_vertices = 0
-            comp_edges = 0
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                comp_vertices += 1
-                comp_edges += len(adj[v])
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if comp_edges // 2 != comp_vertices - 1:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class Hypergraph:
@@ -127,44 +97,74 @@ def is_free_connex_acyclic(q: ConjunctiveQuery) -> bool:
     return join_tree(hs + [free]) is not None
 
 
-def _free_parts_connected(q: ConjunctiveQuery) -> bool:
-    g = gaifman(q)
-    adj = g.adjacency()
-    free = q.free()
-    seen: set[int] = set()
-    for start in g.vertices:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comp_free = comp & free
-        if comp_free:
-            # connectivity of the subgraph induced by the free part
-            fstart = min(comp_free)
-            fseen = {fstart}
-            stack = [fstart]
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w in comp_free and w not in fseen:
-                        fseen.add(w)
-                        stack.append(w)
-            if fseen != comp_free:
-                return False
-    return True
-
-
 def is_free_connex_binary(q: ConjunctiveQuery) -> bool:
     """Binary-schema characterization: G(Q) a forest and, per connected
     component, the induced free part connected or empty."""
-    return gaifman(q).is_forest() and _free_parts_connected(q)
+    return spanning_forest(q).free_connex()
+
+
+@dataclass(frozen=True)
+class SpanningForest:
+    """A breadth-first spanning forest of a query's Gaifman graph: one tree
+    per connected component, in order of the component's smallest variable.
+    A tree is rooted at its lowest-id free variable, else at its lowest-id
+    variable, and lists its variables in BFS order, neighbors by id."""
+
+    trees: tuple[tuple[int, ...], ...]
+    parent: dict[int, int]  # every variable but the roots -> its parent
+    free: frozenset[int]
+    acyclic: bool  # the Gaifman graph is a forest
+
+    def free_connected(self) -> bool:
+        """On an acyclic Gaifman graph: the free variables of each component
+        induce a connected subtree (or none), that is, no free variable
+        hangs under a quantified one (the root of a tree with free variables
+        is free)."""
+        return all(self.parent[v] in self.free for v in self.free if v in self.parent)
+
+    def free_connex(self) -> bool:
+        """Free-connex acyclicity, for a query over a binary schema."""
+        return self.acyclic and self.free_connected()
+
+    def edges(self) -> list[tuple[int, int]]:
+        """The tree edges oriented away from the roots, in BFS discovery
+        order."""
+        return [(self.parent[v], v) for tree in self.trees for v in tree[1:]]
+
+
+def spanning_forest(q: ConjunctiveQuery) -> SpanningForest:
+    """The one component search over G(Q): the trees that rooted orders,
+    component splits and query orientations are read from."""
+    adj: dict[int, set[int]] = {v: set() for a in q.atoms for v in a.args}
+    for a in q.atoms:
+        args = a.args
+        for i, x in enumerate(args):
+            for y in args[i + 1:]:
+                if x != y:
+                    adj[x].add(y)
+                    adj[y].add(x)
+    free = q.free()
+    parent: dict[int, int] = {}
+    trees: list[tuple[int, ...]] = []
+    seen: set[int] = set()
+    # the free variables first, so that a component with free variables is
+    # entered at its lowest-id one
+    for root in sorted(free) + sorted(adj):
+        if root in seen:
+            continue
+        seen.add(root)
+        tree = [root]
+        for v in tree:  # grows while it is walked: a FIFO queue
+            for w in sorted(adj[v]):
+                if w not in seen:
+                    seen.add(w)
+                    parent[w] = v
+                    tree.append(w)
+        trees.append(tuple(tree))
+    trees.sort(key=min)
+    edges = sum(map(len, adj.values())) // 2
+    return SpanningForest(trees=tuple(trees), parent=parent, free=free,
+                          acyclic=edges == len(adj) - len(trees))
 
 
 @dataclass
@@ -263,16 +263,17 @@ def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
     Raises NotFreeConnex when the query admits no such decomposition.
     """
     hs = list(hypergraph(q).hyperedges)
-    if join_tree(hs) is None:
+    tree_edges = join_tree(hs)
+    if tree_edges is None:
         raise NotFreeConnex("query hypergraph is not alpha-acyclic")
     free = q.free()
 
     ext = list(hs)
     if free and free not in ext:
         ext.append(free)
-    tree_edges = join_tree(ext) if free else join_tree(ext)
-    if tree_edges is None:
-        raise NotFreeConnex("hypergraph plus free-variable hyperedge is not alpha-acyclic")
+        tree_edges = join_tree(ext)
+        if tree_edges is None:
+            raise NotFreeConnex("hypergraph plus free-variable hyperedge is not alpha-acyclic")
 
     bags: list[frozenset[int]] = list(ext)
     adj: dict[int, list[int]] = {i: [] for i in range(len(bags))}
@@ -468,34 +469,11 @@ def connected_components(q: ConjunctiveQuery) -> list[tuple[ConjunctiveQuery, tu
     Concatenating component heads and permuting by those positions restores
     the original head.  Components carrying head variables come first, in
     order of their earliest head position; Boolean components follow, ordered
-    by smallest variable id.
+    by smallest variable.
     """
-    adj = gaifman(q).adjacency()
-    comp_of: dict[int, int] = {}
-    comps: list[set[int]] = []
-    for v in sorted(adj):
-        if v in comp_of:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        idx = len(comps)
-        comps.append(comp)
-        for x in comp:
-            comp_of[x] = idx
-
-    def sort_key(ci: int) -> tuple[int, int]:
-        positions = [i for i, v in enumerate(q.head) if comp_of[v] == ci]
-        return (positions[0] if positions else len(q.head) + 1, min(comps[ci]))
-
     out: list[tuple[ConjunctiveQuery, tuple[int, ...]]] = []
-    for ci in sorted(range(len(comps)), key=sort_key):
-        comp = comps[ci]
+    for tree in spanning_forest(q).trees:
+        comp = set(tree)
         head_positions = tuple(i for i, v in enumerate(q.head) if v in comp)
         head_names = [q.var_name(q.head[i]) for i in head_positions]
         atom_specs = [
@@ -504,6 +482,8 @@ def connected_components(q: ConjunctiveQuery) -> list[tuple[ConjunctiveQuery, tu
             if a.args[0] in comp
         ]
         out.append((cq(head_names, atom_specs), head_positions))
+    # stable: Boolean components keep their order by smallest variable
+    out.sort(key=lambda part: part[1][0] if part[1] else len(q.head))
     return out
 
 
@@ -518,54 +498,56 @@ class VariableOrder:
     children: dict[int, tuple[int, ...]]
     labels: dict[int, frozenset[str]]
     root: int
+    free: frozenset[int]  # the free variables, order[:len(free)]
 
 
-def variable_order(q: ConjunctiveQuery) -> VariableOrder:
-    """Two-queue BFS from the root (lowest-id free variable when free(Q) is
-    non-empty, else lowest-id variable), free queue served first."""
-    for a in q.atoms:
-        if a.arity == 2 and a.args[0] == a.args[1]:
-            raise ValueError("query contains self-loop atoms; rewrite loops first")
-    g = gaifman(q)
-    adj = g.adjacency()
-    n = len(g.vertices)
-    if len(g.edges) != n - 1:
-        raise NotTree(f"Gaifman graph has {n} vertices and {len(g.edges)} edges")
-    free = q.free()
-    root = min(free) if free else min(g.vertices)
+def variable_orders(q: ConjunctiveQuery, loop_label: str | None = None) -> list[VariableOrder]:
+    """One variable order per tree of spanning_forest(q), in its order.
 
-    order: list[int] = []
-    parent: dict[int, int] = {}
-    children: dict[int, list[int]] = {v: [] for v in g.vertices}
-    free_q: deque[int] = deque([root])
-    quant_q: deque[int] = deque()
-    seen = {root}
-    while free_q or quant_q:
-        v = free_q.popleft() if free_q else quant_q.popleft()
-        order.append(v)
-        for w in sorted(adj[v]):
-            if w in seen:
-                continue
-            seen.add(w)
-            parent[w] = v
-            children[v].append(w)
-            (free_q if w in free else quant_q).append(w)
-    if len(order) != n:
-        raise NotTree("Gaifman graph is disconnected")
-    # the free queue is served first, so it runs dry before every free
-    # variable is ordered exactly when some free variable can be reached
-    # from the root only through a quantified one
-    if not free.issuperset(order[: len(free)]):
-        raise FreeNotConnected("free variables do not induce a connected subgraph")
-
-    labels: dict[int, set[str]] = {v: set() for v in g.vertices}
+    A variable's labels are the unary symbols on it.  A binary atom f(x, x)
+    adds loop_label to x instead (the loop rewrite; without a loop label it
+    raises ValueError).  Raises NotTree when G(Q) has a cycle, and
+    FreeNotConnected when the free variables of a component do not induce a
+    connected subgraph.
+    """
+    labels: dict[int, set[str]] = {v: set() for a in q.atoms for v in a.args}
     for a in q.atoms:
         if a.arity == 1:
             labels[a.args[0]].add(a.symbol)
-    return VariableOrder(
-        order=tuple(order),
-        parent=parent,
-        children={v: tuple(c) for v, c in children.items()},
-        labels={v: frozenset(s) for v, s in labels.items()},
-        root=root,
-    )
+        elif a.arity == 2 and a.args[0] == a.args[1]:
+            if loop_label is None:
+                raise ValueError("query contains self-loop atoms; rewrite loops first")
+            labels[a.args[0]].add(loop_label)
+    forest = spanning_forest(q)
+    if not forest.acyclic:
+        raise NotTree("Gaifman graph has a cycle")
+    if not forest.free_connected():
+        raise FreeNotConnected("free variables do not induce a connected subgraph")
+    orders: list[VariableOrder] = []
+    free, parent = forest.free, forest.parent
+    for tree in forest.trees:
+        # the free variables form a subtree at the root, so taking them
+        # first keeps every ancestor before its descendants
+        order = tuple(v for v in tree if v in free) + tuple(v for v in tree if v not in free)
+        children: dict[int, list[int]] = {v: [] for v in tree}
+        for v in tree[1:]:
+            children[parent[v]].append(v)
+        orders.append(VariableOrder(
+            order=order,
+            parent={v: parent[v] for v in tree[1:]},
+            children={v: tuple(c) for v, c in children.items()},
+            labels={v: frozenset(labels[v]) for v in tree},
+            root=tree[0],
+            free=free.intersection(tree),
+        ))
+    return orders
+
+
+def variable_order(q: ConjunctiveQuery) -> VariableOrder:
+    """The variable order of a connected query without self-loop atoms:
+    a BFS from the root (lowest-id free variable when free(Q) is non-empty,
+    else lowest-id variable) with the free variables taken first."""
+    orders = variable_orders(q)
+    if len(orders) != 1:
+        raise NotTree("Gaifman graph is disconnected")
+    return orders[0]

@@ -132,13 +132,13 @@ class QueryEncoding2:
 
 def encode_query(q: ConjunctiveQuery, ghd: FcGHD, schema: Schema) -> QueryEncoding2:
     """Translate an fc-ACQ into the binary schema, given a complete fc-1-GHD
-    with bag containment along every edge."""
+    with bag containment along every edge.  The atoms of q name everything
+    the translation reads; schema, q's source schema, is not consulted."""
     if ghd.query is not q:
         raise BadGHD("decomposition does not belong to the query")
     for a, b in ghd.edges:
         if not (ghd.bag[a] <= ghd.bag[b] or ghd.bag[b] <= ghd.bag[a]):
             raise BadGHD("decomposition lacks bag containment on an edge")
-    _, k = binary_schema_for(schema)
     bag_tuple = [tuple(sorted(ghd.bag[t])) for t in ghd.nodes]
     node_of_atom = dict(ghd.atom_node)
     atom_of_node = {t: ai for ai, t in node_of_atom.items()}

@@ -11,10 +11,9 @@ the original head prefix.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .analysis import gaifman, is_free_connex_binary
+from .analysis import SpanningForest, spanning_forest
 from .errors import NotBinarySchema, NotFreeConnex
 from .model import ConjunctiveQuery, ConstantPool, Database, Schema, cq
 from .refinement import fresh_name
@@ -138,48 +137,19 @@ class QueryEncodingHat:
     source: ConjunctiveQuery
 
 
-def _oriented_edges(q: ConjunctiveQuery) -> tuple[list[tuple[int, int]], list[int]]:
-    """Orient each Gaifman component away from its root (lowest-id free
-    variable if the component has one, else lowest-id variable); edges in BFS
-    discovery order."""
-    adj = gaifman(q).adjacency()
-    free = q.free()
-    edges: list[tuple[int, int]] = []
-    roots: list[int] = []
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        comp_free = comp & free
-        root = min(comp_free) if comp_free else min(comp)
-        roots.append(root)
-        seen |= comp
-        visited = {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(adj[v]):
-                if w not in visited:
-                    visited.add(w)
-                    edges.append((v, w))
-                    queue.append(w)
-    return edges, roots
-
-
 def encode_query(q: ConjunctiveQuery, schema: Schema) -> QueryEncodingHat:
-    if not is_free_connex_binary(q):
+    forest = spanning_forest(q)
+    if not forest.free_connex():
         raise NotFreeConnex("graph encoding requires a free-connex acyclic query")
-    symbols = graph_symbols_for(schema)
-    free = q.free()
-    edges, roots = _oriented_edges(q)
+    return encode_forest(q, forest, graph_symbols_for(schema))
+
+
+def encode_forest(q: ConjunctiveQuery, forest: SpanningForest, symbols: GraphSymbols) -> QueryEncodingHat:
+    """encode_query for a query whose spanning forest is known to be
+    free-connex, with the graph symbols of its schema: each tree edge,
+    oriented away from its root, gets two gadget variables."""
+    free = forest.free
+    edges = forest.edges()
 
     def name(v: int) -> str:
         return q.var_name(v)
@@ -222,7 +192,7 @@ def encode_query(q: ConjunctiveQuery, schema: Schema) -> QueryEncodingHat:
         qhat=qhat,
         source_head_len=len(q.head),
         appended=tuple(appended),
-        roots=tuple(roots),
+        roots=tuple(tree[0] for tree in forest.trees),
         source=q,
     )
 

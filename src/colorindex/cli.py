@@ -203,6 +203,16 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _limit(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, not {n}")
+    return n
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="colorindex", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -219,7 +229,7 @@ def build_parser() -> _Parser:
     pq.add_argument("--idx", required=True)
     pq.add_argument("--query", required=True)
     pq.add_argument("--task", required=True, choices=TASKS)
-    pq.add_argument("--limit", type=int, default=None)
+    pq.add_argument("--limit", type=_limit, default=None, help="print at most this many answers")
     pq.set_defaults(func=cmd_query)
 
     pc = sub.add_parser("check", help="cross-check indexed path, baseline, and oracle")

@@ -3,6 +3,13 @@ atoms to the loop label, decompose into connected components, order variables
 by a free-first BFS, and answer bool / enum / count tasks against the color
 index.
 
+`components` is the per-query compile step: the loop rewrite, the component
+split and the variable orders, read from one spanning forest of the query.
+Its result is immutable and depends only on the query and the index's edge
+and loop labels, so a caller may keep it and pass it to `count_components`
+and `prepare_components` again (`pipeline.DatabaseIndex` does). The dynamic
+program runs on every call; no row, count or answer is kept.
+
 All three tasks run one counting dynamic program per component over the
 color tables, in O(|Q| * |D_col|). Its rows are sparse, {color: count} with
 only the non-zero entries, so the work is spent on the colors that can still
@@ -18,15 +25,15 @@ free variables.
 The translated queries are over a graph schema, where a query is acyclic
 exactly when its Gaifman graph is a forest, and free-connex acyclic when in
 addition each component's free variables induce a connected subgraph. Those
-are the checks `variable_order` makes, so no separate acyclicity pass runs.
+are the checks `variable_orders` makes, so no separate acyclicity pass runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .analysis import VariableOrder, connected_components, variable_order
-from .errors import FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree
+from .analysis import VariableOrder, variable_orders
+from .errors import ArityMismatch, FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree, UnknownSymbol
 from .index import ColorIndex
 from .instrument import OpCounter
 from .model import ConjunctiveQuery, cq
@@ -57,73 +64,103 @@ def rewrite_loops(q: ConjunctiveQuery, edge_symbol: str, loop_label: str) -> Loo
     return LoopFreeQuery(q_l=q_l, original=q, rewritten_atoms=rewritten)
 
 
-def eval_bool(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> bool:
-    """Boolean evaluation by the counting dynamic program, component-wise."""
-    if not q.is_boolean():
-        raise ValueError("eval_bool expects a Boolean query")
-    comps = _components(q, idx, NotAcyclic, "Boolean evaluation requires an acyclic query")
-    return _count(comps, idx, ops) > 0
+@dataclass(frozen=True)
+class Component:
+    """One connected component of a graph query after the loop rewrite, with
+    its variable order and the head positions its free variables fill."""
+
+    vo: VariableOrder
+    free_order: tuple[int, ...]  # the free variables in BFS order, a prefix of vo.order
+    head_positions: tuple[int, ...]  # ascending
+    sel: tuple[int, ...]  # per head position, the index of its variable in free_order
+    parent_pos: tuple[int, ...]  # per free variable, the index of its parent in free_order
 
 
-def _components(q: ConjunctiveQuery, idx: ColorIndex, error: type[Exception],
-                message: str) -> list[tuple[ConjunctiveQuery, tuple[int, ...], VariableOrder]]:
-    """The connected components of q with loops rewritten, each with its head
-    positions and variable order; raises error(message) when q is not
-    acyclic, or not free-connex acyclic (see the module docstring)."""
-    lfq = rewrite_loops(q, idx.edge_label, idx.loop_label)
+def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
+    """The loop rewrite and component split of a query over the index's
+    graph schema, in one pass over the one spanning forest: components with
+    head variables first, by their earliest head position, then the Boolean
+    ones by smallest variable.  Raises UnknownSymbol for a binary atom other
+    than the edge label, ArityMismatch for a wider atom, and NotTree or
+    FreeNotConnected when q is not acyclic or not free-connex acyclic (see
+    the module docstring)."""
+    for a in q.atoms:
+        if a.arity > 2:
+            raise ArityMismatch(f"{a.symbol} has arity {a.arity}; a graph query has arities 1 and 2")
+        if a.arity == 2 and a.symbol != idx.edge_label:
+            raise UnknownSymbol(f"{a.symbol!r} is not the edge label {idx.edge_label!r} of the index")
+    position = {v: i for i, v in enumerate(q.head)}
+    out: list[Component] = []
+    for vo in variable_orders(q, idx.loop_label):
+        free_order = vo.order[: len(vo.free)]
+        head_positions = tuple(sorted(position[v] for v in free_order))
+        out.append(Component(
+            vo=vo, free_order=free_order, head_positions=head_positions,
+            sel=tuple(free_order.index(q.head[i]) for i in head_positions),
+            parent_pos=(0,) + tuple(free_order.index(vo.parent[x]) for x in free_order[1:])))
+    out.sort(key=lambda c: c.head_positions[0] if c.head_positions else len(q.head))
+    return tuple(out)
+
+
+def _checked(q: ConjunctiveQuery, idx: ColorIndex, error: type[Exception],
+             message: str) -> tuple[Component, ...]:
     try:
-        return [(comp, head_positions, variable_order(comp))
-                for comp, head_positions in connected_components(lfq.q_l)]
+        return components(q, idx)
     except (NotTree, FreeNotConnected):
         raise error(message) from None
 
 
-@dataclass
-class _Component:
-    query: ConjunctiveQuery
-    head_positions: tuple[int, ...]
-    free_order: tuple[int, ...]  # free variables in BFS order
-    sel: tuple[int, ...]  # output index per component-head position
-    parent_pos: tuple[int, ...]  # BFS position of each free variable's parent
-    roots: list[int]  # alive colors of the root
-    # per free variable after the root: alive parent color -> its alive colors
-    tables: list[dict[int, list[int]]]
+def eval_bool(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> bool:
+    """Boolean evaluation by the counting dynamic program, component-wise."""
+    if not q.is_boolean():
+        raise ValueError("eval_bool expects a Boolean query")
+    comps = _checked(q, idx, NotAcyclic, "Boolean evaluation requires an acyclic query")
+    return count_components(comps, idx, ops) > 0
 
 
 @dataclass
 class EnumPlan:
-    query: ConjunctiveQuery
     idx: ColorIndex
-    components: list[_Component]
+    width: int  # of the query head
+    components: list[Component]  # the non-Boolean ones
+    roots: list[list[int]]  # per component, the alive colors of its root
+    # per component and free variable after the root: alive parent color ->
+    # its alive colors
+    tables: list[list[dict[int, list[int]]]]
     empty: bool  # some component has no answer
 
 
 def prepare(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> EnumPlan:
     """Per-query preprocessing for enumeration: O(|Q| * |D_col|)."""
+    comps = _checked(q, idx, NotFreeConnex, "enumeration requires a free-connex acyclic query")
+    return prepare_components(comps, len(q.head), idx, ops)
+
+
+def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex,
+                       ops: OpCounter | None = None) -> EnumPlan:
+    """prepare() on the components of a query whose head has width
+    variables."""
     ops = ops if ops is not None else OpCounter()
-    comps = _components(q, idx, NotFreeConnex, "enumeration requires a free-connex acyclic query")
     deg = idx.deg
     f1: dict[frozenset[str], Row] = {}
-    components: list[_Component] = []
-    for comp, head_positions, vo in comps:
-        rows = _dp_rows(comp, vo, idx, f1, ops)
+    plan = EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=False)
+    for comp in comps:
+        vo = comp.vo
+        rows = _dp_rows(vo, idx, f1, ops)
         if not rows[vo.root]:
-            return EnumPlan(query=q, idx=idx, components=[], empty=True)
-        if comp.is_boolean():
+            return EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=True)
+        if not vo.free:
             continue
-        free_order = vo.order[: len(comp.free())]
-        parent_pos = (0,) + tuple(free_order.index(vo.parent[x]) for x in free_order[1:])
-        alive = [rows[x] for x in free_order]
+        alive = [rows[x] for x in comp.free_order]
         tables: list[dict[int, list[int]]] = []
-        for i in range(1, len(free_order)):
-            up, down = alive[parent_pos[i]], alive[i]
+        for i in range(1, len(alive)):
+            up, down = alive[comp.parent_pos[i]], alive[i]
             ops.tick(sum(len(deg[c]) for c in up))
             tables.append({c: [cp for cp, _ in deg[c] if cp in down] for c in up})
-        components.append(_Component(
-            query=comp, head_positions=head_positions, free_order=free_order,
-            sel=tuple(free_order.index(v) for v in comp.head), parent_pos=parent_pos,
-            roots=list(alive[0]), tables=tables))
-    return EnumPlan(query=q, idx=idx, components=components, empty=False)
+        plan.components.append(comp)
+        plan.roots.append(list(alive[0]))
+        plan.tables.append(tables)
+    return plan
 
 
 def _walk(first: Iterable, k: int, child: Callable[[int, list], Iterable],
@@ -166,9 +203,10 @@ def _expand(idx: ColorIndex, cbar: tuple[int, ...], parent_pos: tuple[int, ...],
     return _walk(idx.coloring.classes[cbar[0]], len(cbar), bucket, steps)
 
 
-def _component_stream(comp: _Component, idx: ColorIndex, steps: OpCounter) -> Iterator[tuple[int, ...]]:
-    tables, parent_pos = comp.tables, comp.parent_pos
-    colors = _walk(comp.roots, len(comp.free_order),
+def _component_stream(comp: Component, roots: list[int], tables: list[dict[int, list[int]]],
+                      idx: ColorIndex, steps: OpCounter) -> Iterator[tuple[int, ...]]:
+    parent_pos = comp.parent_pos
+    colors = _walk(roots, len(comp.free_order),
                    lambda d, vals: tables[d - 1][vals[parent_pos[d]]], steps)
     for cbar in colors:
         yield from _expand(idx, cbar, parent_pos, steps)
@@ -180,20 +218,21 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
     steps = steps if steps is not None else OpCounter()
     if plan.empty:
         return
-    comps = plan.components
+    comps, idx = plan.components, plan.idx
     if not comps:
         steps.tick()
         yield ()
         return
-    idx = plan.idx
-    width = len(plan.query.head)
-    parts = _walk(_component_stream(comps[0], idx, steps), len(comps),
-                  lambda d, _: _component_stream(comps[d], idx, steps), steps)
+
+    def stream(d: int, _=None) -> Iterator[tuple[int, ...]]:
+        return _component_stream(comps[d], plan.roots[d], plan.tables[d], idx, steps)
+
+    parts = _walk(stream(0), len(comps), stream, steps)
     for current in parts:
-        out = [0] * width
+        out = [0] * plan.width
         for comp, ctup in zip(comps, current):
-            for j, pos in enumerate(comp.head_positions):
-                out[pos] = ctup[comp.sel[j]]
+            for pos, j in zip(comp.head_positions, comp.sel):
+                out[pos] = ctup[j]
         yield tuple(out)
 
 
@@ -203,8 +242,8 @@ def enumerate_answers(q: ConjunctiveQuery, idx: ColorIndex,
     return enumerate_prepared(prepare(q, idx, ops), steps)
 
 
-def _dp_rows(comp: ConjunctiveQuery, vo: VariableOrder, idx: ColorIndex,
-             f1: dict[frozenset[str], Row], ops: OpCounter) -> dict[int, Row]:
+def _dp_rows(vo: VariableOrder, idx: ColorIndex, f1: dict[frozenset[str], Row],
+             ops: OpCounter) -> dict[int, Row]:
     """The counting dynamic program of one connected component, on sparse
     rows that hold only the non-zero entries.
 
@@ -218,7 +257,7 @@ def _dp_rows(comp: ConjunctiveQuery, vo: VariableOrder, idx: ColorIndex,
     made.
     """
     order, root = vo.order, vo.root
-    deg, label_colors, free = idx.deg, idx.label_colors, comp.free()
+    deg, label_colors, free = idx.deg, idx.label_colors, vo.free
     classes = idx.coloring.classes
 
     def label_row(x: int) -> Row:
@@ -287,21 +326,21 @@ def _dp_rows(comp: ConjunctiveQuery, vo: VariableOrder, idx: ColorIndex,
 def count_answers(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> int:
     """Exact |Q(D)| via the color-database dynamic programs; components
     multiply (arbitrary-precision)."""
-    comps = _components(q, idx, NotFreeConnex, "counting requires a free-connex acyclic query")
-    return _count(comps, idx, ops)
+    comps = _checked(q, idx, NotFreeConnex, "counting requires a free-connex acyclic query")
+    return count_components(comps, idx, ops)
 
 
-def _count(comps: list[tuple[ConjunctiveQuery, tuple[int, ...], VariableOrder]], idx: ColorIndex,
-           ops: OpCounter | None) -> int:
+def count_components(comps: tuple[Component, ...], idx: ColorIndex, ops: OpCounter | None = None) -> int:
     """Product over the components of |Q(D)|, taken as 1 or 0 for a Boolean
     component; stops at the first zero."""
     ops = ops if ops is not None else OpCounter()
     f1: dict[frozenset[str], Row] = {}
     classes = idx.coloring.classes
     total = 1
-    for comp, _, vo in comps:
-        row = _dp_rows(comp, vo, idx, f1, ops)[vo.root]
-        if comp.is_boolean():
+    for comp in comps:
+        vo = comp.vo
+        row = _dp_rows(vo, idx, f1, ops)[vo.root]
+        if not vo.free:
             total *= 1 if row else 0
         else:
             total *= sum(len(classes[c]) * n for c, n in row.items())

@@ -4,7 +4,9 @@ with their degrees / per-label colors, and the color database built over the
 colors.
 
 The index is immutable after build and safe for unlimited concurrent readers;
-the evaluation phase serves many queries against one index.
+the evaluation phase serves many queries against one index.  It holds nothing
+query-specific: the compiled queries that `pipeline.DatabaseIndex` keeps live
+beside it, and every dynamic program reads these tables afresh.
 """
 from __future__ import annotations
 

@@ -2,23 +2,37 @@
 graph (skipping stages the schema does not need), build the color index, and
 serve bool / count / enum queries with answers decoded back to the source
 constants.  Indexes serialize to a versioned, deterministic text format.
+
+Serving compiles a query once per index: `DatabaseIndex.compile` checks it
+against the schema and for free-connex acyclicity, translates it to the
+graph stage, and splits it into components with their variable orders, all
+in one `CompiledQuery`.  The index keeps the last COMPILED_LIMIT of them,
+keyed by the parsed query; the oldest goes first.  Only compile results are
+kept: bool, count and enum run the dynamic program and the enumeration
+preprocessing on every call.  An index is safe for concurrent readers: a
+`CompiledQuery` is immutable, a lock guards each look-up and change of the
+map but not the compiling, and two threads that miss the map at once both
+compile the query and store equal results.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import arb2bin, bin2graph, evaluator, index as cindex_mod
-from .analysis import compute_fc1ghd, is_acyclic, is_free_connex_acyclic
+from .analysis import compute_fc1ghd, spanning_forest
 from .errors import (
-    ArityMismatch, AsymmetricEdgeRelation, NotAcyclic, NotFreeConnex, ParseError, TaskMismatch, UnknownSymbol,
+    ArityMismatch, AsymmetricEdgeRelation, FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree, ParseError,
+    TaskMismatch, UnknownSymbol,
 )
 from .index import ColorIndex, SectionReader, write_section
 from .instrument import OpCounter
 from .model import ConjunctiveQuery, ConstantPool, Database, Schema
 from .refinement import loop_encoding_labels
 
-FORMAT_HEADER = "colorindex-file v2"
+FORMAT_HEADER = "colorindex-file v3"
+COMPILED_LIMIT = 64  # compiled queries kept per index
 
 TASKS = ("bool", "count", "enum")
 
@@ -38,15 +52,50 @@ def choose_stage(db: Database) -> str:
     return "full"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Translation:
     qhat: ConjunctiveQuery
     decode: Callable[[tuple[int, ...]], tuple[int, ...]]
 
 
+@dataclass(frozen=True)
+class CompiledQuery:
+    """A query compiled against one index.  When it is not free-connex
+    acyclic (for a Boolean query: not acyclic), that is all it records."""
+
+    free_connex: bool
+    translation: Translation | None = None  # to the graph stage, with the answer decoder
+    components: tuple[evaluator.Component, ...] = ()  # of translation.qhat
+
+
+_REJECTED = CompiledQuery(free_connex=False)
+
+
+def _stage_symbols(stage: str, schema: Schema) -> bin2graph.GraphSymbols | None:
+    """The graph symbols of the stage's binary schema, derived once per
+    index; None on the graph stage and for a schema that the stage cannot
+    index (the loader reports that)."""
+    if stage == "binary" and schema.is_binary():
+        return bin2graph.graph_symbols_for(schema)
+    if stage == "full" and schema.symbols:
+        return bin2graph.graph_symbols_for(arb2bin.binary_schema_for(schema)[0])
+    return None
+
+
+def _query_key(q: ConjunctiveQuery) -> tuple:
+    """The parsed query as plain tuples: equal exactly when the queries are,
+    and hashed and compared without running Python code."""
+    return q.head, q.var_names, tuple((a.symbol, a.args) for a in q.atoms)
+
+
+def _identity(t: tuple[int, ...]) -> tuple[int, ...]:
+    return t
+
+
 class DatabaseIndex:
     """A built index: reduction maps (when staged) plus the color index of
-    the final node-labeled graph."""
+    the final node-labeled graph, and a bounded map of compiled queries.
+    Safe for concurrent readers (see the module docstring)."""
 
     def __init__(
         self,
@@ -67,9 +116,13 @@ class DatabaseIndex:
         self.source_size = source_size
         self.vmap = vmap or {}
         self.vmap_inv = {n: c for c, n in self.vmap.items()}
-        self.gadget_node = gadget_node or {}
+        self.gadget_node = gadget_node or {}  # for `index --dump-maps`; not saved
         self.node_proj = node_proj or {}
         self.node_tuple = node_tuple or {}
+        self._arity = dict(schema.symbols)
+        self._symbols = _stage_symbols(stage, schema)
+        self._compiled: dict[tuple, CompiledQuery] = {}  # insertion order: oldest first
+        self._lock = threading.Lock()
 
     # -- construction --------------------------------------------------------
 
@@ -99,46 +152,81 @@ class DatabaseIndex:
             )
         raise ValueError(f"unknown stage {stage!r}")
 
-    # -- query translation ----------------------------------------------------
+    # -- compiling queries -----------------------------------------------------
+
+    def compile(self, q: ConjunctiveQuery) -> CompiledQuery:
+        """The compiled form of q, from the map or compiled now.  Raises
+        UnknownSymbol or ArityMismatch when q does not fit the schema."""
+        key = _query_key(q)
+        with self._lock:
+            compiled = self._compiled.get(key)
+        if compiled is None:
+            compiled = self._compile(q)
+            with self._lock:
+                self._compiled[key] = compiled
+                while len(self._compiled) > COMPILED_LIMIT:
+                    del self._compiled[next(iter(self._compiled))]
+        return compiled
+
+    def _compile(self, q: ConjunctiveQuery) -> CompiledQuery:
+        for a in q.atoms:
+            arity = self._arity.get(a.symbol)
+            if arity is None:
+                raise UnknownSymbol(f"unknown relation symbol {a.symbol!r}")
+            if arity != a.arity:
+                raise ArityMismatch(f"{a.symbol} expects {arity} arguments, got {a.arity}")
+        if self.stage == "graph":
+            tr = Translation(qhat=q, decode=_identity)
+        elif self.stage == "binary":
+            forest = spanning_forest(q)
+            if not forest.free_connex():
+                return _REJECTED
+            ench = bin2graph.encode_forest(q, forest, self._symbols)
+            vmap_inv = self.vmap_inv
+            tr = Translation(qhat=ench.qhat, decode=lambda t: bin2graph.decode_answer(t, ench, vmap_inv))
+        else:
+            try:
+                ghd = compute_fc1ghd(q)
+            except NotFreeConnex:
+                return _REJECTED
+            enc2 = arb2bin.encode_query(q, ghd, self.schema)
+            # q2 is free-connex acyclic by construction
+            ench = bin2graph.encode_forest(enc2.q2, spanning_forest(enc2.q2), self._symbols)
+            vmap_inv, node_proj = self.vmap_inv, self.node_proj
+
+            def decode(t: tuple[int, ...]) -> tuple[int, ...]:
+                mid = bin2graph.decode_answer(t, ench, vmap_inv)
+                return arb2bin.decode_answer(mid, enc2, node_proj)
+
+            tr = Translation(qhat=ench.qhat, decode=decode)
+        try:
+            comps = evaluator.components(tr.qhat, self.cindex)
+        except (NotTree, FreeNotConnected):
+            # only a graph-stage query gets here: the other stages checked q
+            return _REJECTED
+        return CompiledQuery(free_connex=True, translation=tr, components=comps)
+
+    def _accepted(self, q: ConjunctiveQuery, error: type[Exception], message: str) -> CompiledQuery:
+        compiled = self.compile(q)
+        if not compiled.free_connex:
+            raise error(message)
+        return compiled
 
     def translate(self, q: ConjunctiveQuery) -> Translation:
-        if self.stage == "graph":
-            return Translation(qhat=q, decode=lambda t: t)
-        if self.stage == "binary":
-            ench = bin2graph.encode_query(q, self.schema)
-            vmap_inv = self.vmap_inv
-            return Translation(
-                qhat=ench.qhat,
-                decode=lambda t: bin2graph.decode_answer(t, ench, vmap_inv),
-            )
-        sigma2, _ = arb2bin.binary_schema_for(self.schema)
-        ghd = compute_fc1ghd(q)
-        enc2 = arb2bin.encode_query(q, ghd, self.schema)
-        ench = bin2graph.encode_query(enc2.q2, sigma2)
-        vmap_inv = self.vmap_inv
-        node_proj = self.node_proj
-
-        def decode(t: tuple[int, ...]) -> tuple[int, ...]:
-            mid = bin2graph.decode_answer(t, ench, vmap_inv)
-            return arb2bin.decode_answer(mid, enc2, node_proj)
-
-        return Translation(qhat=ench.qhat, decode=decode)
+        """The graph-stage query of q and its answer decoder."""
+        return self._accepted(q, NotFreeConnex, "translation requires a free-connex acyclic query").translation
 
     # -- evaluation ------------------------------------------------------------
 
     def eval_bool(self, q: ConjunctiveQuery, ops: OpCounter | None = None) -> bool:
         if not q.is_boolean():
             raise TaskMismatch("bool task is only allowed for Boolean queries")
-        if not is_acyclic(q):
-            raise NotAcyclic("bool task requires an acyclic query")
-        tr = self.translate(q)
-        return evaluator.eval_bool(tr.qhat, self.cindex, ops)
+        compiled = self._accepted(q, NotAcyclic, "bool task requires an acyclic query")
+        return evaluator.count_components(compiled.components, self.cindex, ops) > 0
 
     def count(self, q: ConjunctiveQuery, ops: OpCounter | None = None) -> int:
-        if not is_free_connex_acyclic(q):
-            raise NotFreeConnex("count task requires a free-connex acyclic query")
-        tr = self.translate(q)
-        return evaluator.count_answers(tr.qhat, self.cindex, ops)
+        compiled = self._accepted(q, NotFreeConnex, "count task requires a free-connex acyclic query")
+        return evaluator.count_components(compiled.components, self.cindex, ops)
 
     def enumerate(
         self,
@@ -146,10 +234,10 @@ class DatabaseIndex:
         ops: OpCounter | None = None,
         steps: OpCounter | None = None,
     ) -> Iterator[tuple[int, ...]]:
-        if not is_free_connex_acyclic(q):
-            raise NotFreeConnex("enum task requires a free-connex acyclic query")
-        tr = self.translate(q)
-        for t in evaluator.enumerate_answers(tr.qhat, self.cindex, ops, steps):
+        compiled = self._accepted(q, NotFreeConnex, "enum task requires a free-connex acyclic query")
+        tr = compiled.translation
+        plan = evaluator.prepare_components(compiled.components, len(tr.qhat.head), self.cindex, ops)
+        for t in evaluator.enumerate_prepared(plan, steps):
             yield tr.decode(t)
 
     def evaluate(self, q: ConjunctiveQuery, task: str):
@@ -173,7 +261,6 @@ class DatabaseIndex:
         write_section(lines, "SCHEMA", [f"{n}\t{ar}" for n, ar in self.schema.symbols])
         write_section(lines, "CONSTANTS", self.pool.names())
         write_section(lines, "VMAP", [f"{c}\t{n}" for c, n in sorted(self.vmap.items())])
-        write_section(lines, "GADGET", [f"{n}\t{a}\t{b}" for (a, b), n in sorted(self.gadget_node.items())])
         write_section(lines, "PROJ", [f"{n}\t{' '.join(map(str, p))}" for n, p in sorted(self.node_proj.items())])
         write_section(lines, "TUPLES", [f"{n}\t{' '.join(map(str, p))}" for n, p in sorted(self.node_tuple.items())])
         lines.extend(cindex_mod.write_sections(self.cindex))
@@ -206,7 +293,6 @@ class DatabaseIndex:
                 raise ParseError(f"[SCHEMA] {e}") from None
             names = [name for (name,) in reader.rows("CONSTANTS", 1)]
             vmap = {int(c): int(n) for c, n in reader.rows("VMAP", 2)}
-            gadget_node = {(int(a), int(b)): int(n) for n, a, b in reader.rows("GADGET", 3)}
             node_proj = {int(n): tuple(map(int, p.split())) for n, p in reader.rows("PROJ", 2)}
             node_tuple = {int(n): tuple(map(int, p.split())) for n, p in reader.rows("TUPLES", 2)}
         ci = cindex_mod.read_sections(reader, graph_size)
@@ -217,7 +303,7 @@ class DatabaseIndex:
             pool.intern(name)
         if len(pool) != len(names):
             raise ParseError("[CONSTANTS] lists a constant twice")
-        idx = cls(schema, pool, stage, ci, source_size, vmap, gadget_node, node_proj, node_tuple)
+        idx = cls(schema, pool, stage, ci, source_size, vmap, node_proj=node_proj, node_tuple=node_tuple)
         idx._check_maps()
         return idx
 
@@ -235,9 +321,7 @@ class DatabaseIndex:
             raise ParseError(f"[SCHEMA] cannot be indexed in the {self.stage} stage")
         gschema, v_label = self.schema, None
         if self.stage != "graph":
-            binary = self.schema if self.stage == "binary" else arb2bin.binary_schema_for(self.schema)[0]
-            symbols = bin2graph.graph_symbols_for(binary)
-            gschema, v_label = symbols.schema(), symbols.v_label
+            gschema, v_label = self._symbols.schema(), self._symbols.v_label
         universe, loop_label = loop_encoding_labels(gschema)
         if (graph.label_universe, graph.loop_label, graph.edge_label) != (universe, loop_label, gschema.edge_symbol()):
             raise ParseError(f"[LABELS] does not match the {self.stage}-stage graph of [SCHEMA]")
@@ -252,8 +336,6 @@ class DatabaseIndex:
         if not all(c in sources for c in vmap):
             raise ParseError("[VMAP] maps an id that is not a constant (binary stage) "
                              "or a node of [PROJ] or [TUPLES] (full stage)")
-        if not all(a in vmap and b in vmap and n in graph.vl for (a, b), n in self.gadget_node.items()):
-            raise ParseError("[GADGET] names an unmapped pair or a node that is not a vertex")
         if not all(n in vmap and all(c in constants for c in t)
                    for table in (self.node_proj, self.node_tuple) for n, t in table.items()):
             raise ParseError("[PROJ] or [TUPLES] names an unmapped node or an id that is not a constant")

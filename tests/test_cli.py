@@ -56,6 +56,21 @@ def test_query_count_and_limit(movie_files, capsys):
     assert out.splitlines() == ["LM,PS"]  # truncated: no EOE line
 
 
+def test_query_negative_limit_is_a_usage_error(movie_files, capsys):
+    f = movie_files
+    run(capsys, "index", "--db", str(f["db"]), "--schema", str(f["schema"]), "--out", str(f["idx"]))
+    for limit in ("-1", "-2"):
+        code, out, err = run(
+            capsys, "query", "--idx", str(f["idx"]), "--query", str(f["query"]), "--task", "enum", "--limit", limit
+        )
+        assert code == 1 and not out
+        assert f"argument --limit: must be 0 or more, not {limit}" in err
+    code, out, _ = run(
+        capsys, "query", "--idx", str(f["idx"]), "--query", str(f["query"]), "--task", "enum", "--limit", "0"
+    )
+    assert code == 0 and not out  # truncated before the first answer: no EOE line
+
+
 def test_query_bool_task(movie_files, tmp_path, capsys):
     f = movie_files
     run(capsys, "index", "--db", str(f["db"]), "--schema", str(f["schema"]), "--out", str(f["idx"]))

@@ -141,11 +141,11 @@ def test_color_tuple_membership_and_disjointness():
     plan = prepare(q, idx)
     (comp,) = plan.components
     # the color patterns come from the baseline engine on the color database,
-    # for the component query with its head in the enumeration order
-    name = comp.query.var_name
+    # for the query (its one component) with its head in the enumeration order
+    name = q.var_name
     reordered = cq(
         [name(v) for v in comp.free_order],
-        [(a.symbol, [name(v) for v in a.args]) for a in comp.query.atoms],
+        [(a.symbol, [name(v) for v in a.args]) for a in q.atoms],
     )
     color_answers = engine.answers(reordered, idx.d_col)
     k = len(comp.free_order)

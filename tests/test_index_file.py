@@ -1,4 +1,4 @@
-"""The v2 index file: what it stores, and that a damaged file ends in a data
+"""The v3 index file: what it stores, and that a damaged file ends in a data
 error (exit 2 with a message) rather than a traceback or a wrong answer."""
 import itertools
 
@@ -21,7 +21,6 @@ GRAPH_QUERIES = {"count": "Ans(x,y) :- E(x,y), E(y,z).\n", "enum": "Ans(x) :- E(
 # tab-separated fields that hold ids, per section
 ID_FIELDS = {
     "VMAP": (0, 1),
-    "GADGET": (0, 1, 2),
     "PROJ": (0, 1),
     "TUPLES": (0, 1),
     "VERTICES": (0, 2),
@@ -102,9 +101,9 @@ def query(tmp_path, lines, task, capsys):
 
 def test_saved_index_stores_only_graph_and_classes(saved_index):
     _, lines = saved_index
-    assert lines[0] == FORMAT_HEADER == "colorindex-file v2"
+    assert lines[0] == FORMAT_HEADER == "colorindex-file v3"
     assert list(sections(lines))[-3:] == ["LABELS", "VERTICES", "CLASSES"]
-    assert not {"COLORS", "NBR", "DEG", "DCOL"} & set(sections(lines))
+    assert not {"COLORS", "NBR", "DEG", "DCOL", "GADGET"} & set(sections(lines))
 
 
 def test_unchanged_file_answers(saved_index, capsys):
@@ -121,6 +120,7 @@ def test_every_mutation_is_a_data_error(saved_index, capsys):
     mutants = list(header_mutants(lines)) + ids
     mutants.append(("unstable coloring", unstable_swap(lines)))
     mutants.append(("v1 header", ["colorindex-file v1"] + lines[1:]))
+    mutants.append(("v2 header", ["colorindex-file v2"] + lines[1:]))
     missed = []
     for (what, mutant), task in itertools.product(mutants, ("count", "enum")):
         code, out, err = query(tmp_path, mutant, task, capsys)
@@ -133,8 +133,9 @@ def test_mutation_messages(saved_index, capsys):
     tmp_path, lines = saved_index
     _, _, err = query(tmp_path, unstable_swap(lines), "count", capsys)
     assert "unstable coloring" in err
-    _, _, err = query(tmp_path, ["colorindex-file v1"] + lines[1:], "count", capsys)
-    assert "'colorindex-file v1'" in err and "rebuilt with `colorindex index`" in err
+    for old in ("v1", "v2"):
+        _, _, err = query(tmp_path, [f"colorindex-file {old}"] + lines[1:], "count", capsys)
+        assert f"'colorindex-file {old}'" in err and "rebuilt with `colorindex index`" in err
 
 
 def _read(lines):

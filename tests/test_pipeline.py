@@ -1,8 +1,14 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
 
-from colorindex.errors import AsymmetricEdgeRelation, NotFreeConnex, TaskMismatch
+from colorindex import pipeline
+from colorindex.errors import (
+    ArityMismatch, AsymmetricEdgeRelation, NotAcyclic, NotFreeConnex, TaskMismatch, UnknownSymbol,
+)
 from colorindex.generators import (
     BINARY_SCHEMA,
     TERNARY_SCHEMA,
@@ -11,12 +17,14 @@ from colorindex.generators import (
     random_graph_db,
     random_relational_db,
 )
-from colorindex.model import Schema, validate_database
+from colorindex.instrument import OpCounter
+from colorindex.model import Schema, cq, validate_database
 from colorindex.oracle import brute_answers
-from colorindex.pipeline import DatabaseIndex, choose_stage, eval_pipeline
+from colorindex.pipeline import COMPILED_LIMIT, DatabaseIndex, choose_stage, eval_pipeline
 from colorindex.textio import parse_query
 
 from conftest import displayed
+from test_evaluator import instances
 
 
 def test_stage_selection():
@@ -129,3 +137,126 @@ def test_graph_with_labels_and_loops_direct():
         expected = brute_answers(q, db)
         assert set(idx.enumerate(q)) == set(expected.answers.tuples)
         assert idx.count(q) == len(expected.answers)
+
+
+# --- compiled queries ---------------------------------------------------------
+
+def boolean(q):
+    return cq([], [(a.symbol, [q.var_name(v) for v in a.args]) for a in q.atoms])
+
+
+def stage_index(stage):
+    """A small index of each stage, and a query text that fits its schema."""
+    if stage == "graph":
+        return DatabaseIndex.build(cycle_db(6)), "Ans(x) :- E(x,y), E(y,z)."
+    if stage == "binary":
+        return DatabaseIndex.build(random_relational_db(BINARY_SCHEMA, 5, 8, seed=2)), "Ans(x) :- R(x,y), S(y,z)."
+    return DatabaseIndex.build(random_relational_db(TERNARY_SCHEMA, 4, 8, seed=1)), "Ans(x) :- T(x,y,z), R(z,w)."
+
+
+@pytest.mark.parametrize("stage", ["graph", "binary", "full"])
+def test_second_call_reruns_the_dynamic_program(stage):
+    idx, text = stage_index(stage)
+    assert idx.stage == stage
+    q = parse_query(text, idx.schema)
+    tasks = {
+        "bool": lambda ops: idx.eval_bool(boolean(q), ops),
+        "count": lambda ops: idx.count(q, ops),
+        "enum": lambda ops: sorted(idx.enumerate(q, ops)),  # ops counts the preprocessing
+    }
+    for task, run in tasks.items():
+        first, second = OpCounter(), OpCounter()
+        assert run(first) == run(second), task
+        assert first.n == second.n > 0, task
+    assert len(idx._compiled) == 2
+
+
+def test_compiled_map_keeps_the_newest_up_to_its_limit():
+    idx = DatabaseIndex.build(cycle_db(6))
+    queries = [cq(["x"], [("E", ["x", f"y{i}"])]) for i in range(COMPILED_LIMIT + 10)]
+    for q in queries:
+        assert idx.count(q) == 6
+        assert len(idx._compiled) <= COMPILED_LIMIT
+    assert list(idx._compiled) == [pipeline._query_key(q) for q in queries[-COMPILED_LIMIT:]]
+
+
+@pytest.mark.parametrize("stage", ["graph", "binary", "full"])
+def test_rejected_query_raises_on_every_call(stage):
+    idx, _ = stage_index(stage)
+    edge = "E" if stage == "graph" else "R"
+    cyclic = parse_query(f"Ans() :- {edge}(x,y), {edge}(y,z), {edge}(z,x).", idx.schema)
+    not_fc = parse_query(f"Ans(x,z) :- {edge}(x,y), {edge}(y,z).", idx.schema)
+    for _ in range(3):
+        with pytest.raises(NotAcyclic):
+            idx.eval_bool(cyclic)
+        for q in (cyclic, not_fc):
+            with pytest.raises(NotFreeConnex):
+                idx.count(q)
+            with pytest.raises(NotFreeConnex):
+                list(idx.enumerate(q))
+
+
+def test_query_checked_against_the_graph_schema():
+    idx = DatabaseIndex.build(cycle_db(6))
+    with pytest.raises(UnknownSymbol):
+        idx.count(cq(["x"], [("Q", ["x", "y"])]))
+    with pytest.raises(ArityMismatch):
+        idx.count(cq(["x"], [("E", ["x"])]))
+
+
+def test_query_checked_against_the_binary_schema():
+    idx = DatabaseIndex.build(random_relational_db(BINARY_SCHEMA, 5, 8, seed=2))
+    assert idx.stage == "binary"
+    with pytest.raises(UnknownSymbol):
+        idx.count(cq(["x", "y"], [("Q", ["x", "y"])]))
+    with pytest.raises(ArityMismatch):
+        list(idx.enumerate(cq(["x"], [("P", ["x", "y"])])))
+
+
+def test_query_checked_against_the_full_schema():
+    idx = DatabaseIndex.build(random_relational_db(TERNARY_SCHEMA, 4, 8, seed=1))
+    assert idx.stage == "full"
+    with pytest.raises(ArityMismatch):
+        idx.count(cq(["x"], [("R", ["x"])]))
+    with pytest.raises(UnknownSymbol):
+        idx.eval_bool(cq([], [("U", ["x"])]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_repeated_queries_match_oracle_property(instance):
+    db, q = instance
+    idx = DatabaseIndex.build(db)
+    expected = set(brute_answers(q, db).answers.tuples)
+    for _ in range(2):
+        got = list(idx.enumerate(q))
+        assert len(got) == len(set(got)) and set(got) == expected
+        assert idx.count(q) == len(expected)
+        assert idx.eval_bool(boolean(q)) == bool(expected)
+
+
+def test_threads_ask_the_same_stream(monkeypatch):
+    # more threads than cores, and a small map that they evict from while
+    # the others read
+    monkeypatch.setattr(pipeline, "COMPILED_LIMIT", 3)
+    db = random_relational_db(TERNARY_SCHEMA, 5, 10, seed=3)
+    idx = DatabaseIndex.build(db)
+    rng = random.Random(64)
+    queries = [random_fc_query(TERNARY_SCHEMA, rng) for _ in range(12)]
+    stream = queries * 3
+    expected = [sorted(brute_answers(q, db).answers.tuples) for q in stream]
+
+    def ask(_):
+        return [sorted(idx.enumerate(q)) for q in stream], [idx.count(q) for q in stream]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(ask, range(4), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4 and len(idx._compiled) <= pipeline.COMPILED_LIMIT
+    for answers, counts in results:
+        assert answers == expected
+        assert counts == [len(e) for e in expected]
