@@ -99,17 +99,15 @@ def encode_db(db: Database) -> GraphEncoding:
         for a, b in sorted(pairs)
     }
 
-    edges: set[tuple[int, int]] = set()
+    # each directed edge once: w_ab -> w_ba comes from (a, b) only
+    edges: list[tuple[int, int]] = []
     for (a, b), w_ab in gadget_node.items():
         va = vmap[a]
-        w_ba = gadget_node[(b, a)]
-        edges.add((va, w_ab))
-        edges.add((w_ab, va))
-        edges.add((w_ab, w_ba))
-        edges.add((w_ba, w_ab))
+        edges += ((va, w_ab), (w_ab, va), (w_ab, gadget_node[(b, a)]))
+    edges.sort()
 
     relations: dict[str, tuple[tuple[int, ...], ...]] = {}
-    relations[symbols.edge] = tuple(sorted(edges))
+    relations[symbols.edge] = tuple(edges)
     for u in symbols.unary:
         relations[u] = tuple(sorted((vmap[c],) for (c,) in db.rel(u)))
     for f in db.schema.binary_symbols():

@@ -16,7 +16,9 @@ from typing import Iterator
 
 from .errors import ParseError
 from .model import ConstantPool, Database, Schema
-from .refinement import Coloring, LabeledGraph, encode_loops, is_stable, refine, refines_labels
+from .refinement import (
+    Coloring, LabeledGraph, asymmetric_vertex, color_buckets, encode_loops, refine, refines_labels, unstable_witness,
+)
 
 
 @dataclass(frozen=True)
@@ -78,16 +80,12 @@ def build(db: Database) -> ColorIndex:
 
 
 def build_from_coloring(graph: LabeledGraph, coloring: Coloring, source_size: int) -> ColorIndex:
-    col = coloring.col
-    nbr: dict[int, dict[int, tuple[int, ...]]] = {}
-    for v in graph.vertices:
-        buckets: dict[int, list[int]] = {}
-        for u in graph.adj[v]:
-            buckets.setdefault(col[u], []).append(u)
-        nbr[v] = {c: tuple(sorted(us)) for c, us in sorted(buckets.items())}
+    """The tables and the color database of a stable coloring.  The loader
+    checks stability afterwards, on the neighbor tables built here."""
+    nbr = color_buckets(graph, coloring.col)
     # stability makes every member of a class see what its first member sees
     firsts = [members[0] for members in coloring.classes]
-    deg = tuple(tuple((cp, len(us)) for cp, us in nbr[v].items()) for v in firsts)
+    deg = tuple(tuple(sorted((cp, len(us)) for cp, us in nbr[v].items())) for v in firsts)
     label_colors: dict[str, list[int]] = {u: [] for u in graph.label_universe}
     for c, v in enumerate(firsts):
         for label in graph.vl[v]:
@@ -199,7 +197,7 @@ def write_sections(idx: ColorIndex) -> list[str]:
     lines: list[str] = []
     write_section(lines, "LABELS", [f"{g.loop_label}\t{g.edge_label}"] + list(g.label_universe))
     write_section(lines, "VERTICES", [
-        f"{v}\t{','.join(sorted(g.vl[v])) or '-'}\t{' '.join(map(str, sorted(g.adj[v])))}"
+        f"{v}\t{','.join(sorted(g.vl[v])) or '-'}\t{' '.join(map(str, g.adj[v]))}"
         for v in g.vertices
     ])
     write_section(lines, "CLASSES", [" ".join(map(str, members)) for members in idx.coloring.classes])
@@ -255,11 +253,12 @@ def read_sections(reader: SectionReader, source_size: int) -> ColorIndex:
     coloring = Coloring(col=col, classes=classes)
     if not refines_labels(graph, coloring):
         raise ParseError("a color class mixes vertices with different labels")
-    stable, witness = is_stable(graph, coloring)
-    if not stable:
+    ci = build_from_coloring(graph, coloring, source_size)
+    witness = unstable_witness(coloring, ci.nbr)
+    if witness is not None:
         raise ParseError("unstable coloring: vertices {} and {} share a color but not "
                          "their number of color-{} neighbors".format(*witness))
-    return build_from_coloring(graph, coloring, source_size)
+    return ci
 
 
 def _read_graph(reader: SectionReader) -> LabeledGraph:
@@ -284,18 +283,13 @@ def _read_graph(reader: SectionReader) -> LabeledGraph:
         vertices.append(v)
         vl[v] = label_sets[lab_s]
         adj[v] = tuple(map(int, nbr_s.split()))
-    # the reverse adjacency, filled in vertex order, equals the adjacency
-    # exactly when every edge has its reverse and every list is sorted
-    rev: dict[int, list[int]] = {v: [] for v in vertices}
+    try:
+        bad = asymmetric_vertex(vertices, adj)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
+    if bad is not None:
+        raise ParseError(f"the neighbors of vertex {bad} are unsorted or include an edge without its reverse")
     for v in vertices:
-        for u in adj[v]:
-            back = rev.get(u)
-            if back is None or (back and back[-1] == v):
-                raise ParseError(f"vertex {v} lists {u}, which is not a vertex or is listed twice")
-            back.append(v)
-    for v in vertices:
-        if tuple(rev[v]) != adj[v]:
-            raise ParseError(f"the neighbors of vertex {v} are unsorted or include an edge without its reverse")
         if (loop_label in vl[v]) != (v in adj[v]):
             raise ParseError(f"loop label {loop_label!r} disagrees with the loops at vertex {v}")
     return LabeledGraph(tuple(vertices), adj, vl, universe, loop_label, edge_label)

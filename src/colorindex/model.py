@@ -8,6 +8,7 @@ construction and safe for concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ArityMismatch, UnknownSymbol
 
@@ -45,11 +46,12 @@ class Schema:
     """A finite, non-empty set of relation symbols with fixed arities >= 1."""
 
     symbols: tuple[tuple[str, int], ...]
+    arities: dict[str, int] = field(init=False, repr=False, compare=False)  # name -> arity
 
     def __post_init__(self) -> None:
-        names = [n for n, _ in self.symbols]
-        if len(set(names)) != len(names):
-            raise UnknownSymbol(f"duplicate symbol names in schema: {names}")
+        object.__setattr__(self, "arities", dict(self.symbols))
+        if len(self.arities) != len(self.symbols):
+            raise UnknownSymbol(f"duplicate symbol names in schema: {[n for n, _ in self.symbols]}")
         for name, ar in self.symbols:
             if ar < 1:
                 raise ArityMismatch(f"symbol {name} has arity {ar}; arities must be >= 1")
@@ -59,13 +61,13 @@ class Schema:
         return Schema(tuple(symbols))
 
     def arity(self, name: str) -> int:
-        for n, ar in self.symbols:
-            if n == name:
-                return ar
-        raise UnknownSymbol(f"unknown relation symbol {name!r}")
+        ar = self.arities.get(name)
+        if ar is None:
+            raise UnknownSymbol(f"unknown relation symbol {name!r}")
+        return ar
 
     def __contains__(self, name: str) -> bool:
-        return any(n == name for n, _ in self.symbols)
+        return name in self.arities
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -96,7 +98,9 @@ class Schema:
 
 @dataclass(frozen=True)
 class Database:
-    """Relations over interned constants; duplicate-free within each relation."""
+    """Relations over interned constants; duplicate-free within each relation.
+    The set of a relation that `contains` looks in is built on its first
+    call; two readers that race to build it store equal sets."""
 
     schema: Schema
     relations: dict[str, tuple[tuple[int, ...], ...]]
@@ -107,8 +111,6 @@ class Database:
     def __post_init__(self) -> None:
         for name in self.schema.names:
             self.relations.setdefault(name, ())
-        for name, tuples in self.relations.items():
-            self._sets[name] = frozenset(tuples)
 
     def rel(self, name: str) -> tuple[tuple[int, ...], ...]:
         if name not in self.schema:
@@ -116,14 +118,17 @@ class Database:
         return self.relations[name]
 
     def contains(self, name: str, tup: tuple[int, ...]) -> bool:
-        return tup in self._sets[name]
+        tuples = self._sets.get(name)
+        if tuples is None:
+            tuples = self._sets[name] = frozenset(self.relations[name])
+        return tup in tuples
 
     @property
     def size(self) -> int:
         return sum(len(t) for t in self.relations.values())
 
     def active_domain(self) -> frozenset[int]:
-        return frozenset(c for tuples in self.relations.values() for t in tuples for c in t)
+        return frozenset(chain.from_iterable(chain.from_iterable(self.relations.values())))
 
     def display(self, cid: int) -> str:
         return self.pool.display(cid)

@@ -119,7 +119,6 @@ class DatabaseIndex:
         self.gadget_node = gadget_node or {}  # for `index --dump-maps`; not saved
         self.node_proj = node_proj or {}
         self.node_tuple = node_tuple or {}
-        self._arity = dict(schema.symbols)
         self._symbols = _stage_symbols(stage, schema)
         self._compiled: dict[tuple, CompiledQuery] = {}  # insertion order: oldest first
         self._lock = threading.Lock()
@@ -170,7 +169,7 @@ class DatabaseIndex:
 
     def _compile(self, q: ConjunctiveQuery) -> CompiledQuery:
         for a in q.atoms:
-            arity = self._arity.get(a.symbol)
+            arity = self.schema.arities.get(a.symbol)
             if arity is None:
                 raise UnknownSymbol(f"unknown relation symbol {a.symbol!r}")
             if arity != a.arity:

@@ -1,16 +1,36 @@
 """Loop encoding and the coarsest stable coloring of a node-labeled graph.
 
-`refine` is a Hopcroft-style partition refinement with a splitter worklist;
-same-colored vertices end up with equal neighbor counts in every color class,
-and the partition is the coarsest one with that property refining the vertex
-labels.  A self-loop makes a vertex its own neighbor.
+`refine` is partition refinement with a splitter worklist, by the "all but
+the largest part" rule of Cardon & Crochemore (1982) and Paige & Tarjan
+(1987).  Popping a splitter class S, it counts each vertex's neighbors in S
+by scanning S's adjacency only.  In every class it touched, it moves the
+touched vertices out into one new class per hit count; the untouched rest
+keeps the class id, and when every member was touched, the largest group
+keeps it.  The new parts of a class that was still pending become splitters;
+otherwise every part but the largest does, since hits from the largest part
+are the old class's hits minus the others'.  A vertex's splitter is then at
+most half the size of its previous one, so every adjacency entry is scanned
+O(log n) times, and the refinement runs in O((n+m) log n) for n vertices and
+m adjacency entries.  Berkholz, Bonsma & Grohe (ESA 2013) show that bound is
+tight for color refinement.  The result is the coarsest partition refining
+the vertex labels in which same-colored vertices have equal neighbor counts
+in every color class.  A self-loop makes a vertex its own neighbor.
+
+Adjacency rows are ascending.  `encode_loops` and the index loader build and
+check them the same way, without sorting: the reverse of a relation, filled
+in vertex order, has ascending rows, and a relation is symmetric exactly when
+it equals its reverse.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .errors import AsymmetricEdgeRelation
+from .instrument import OpCounter
 from .model import Database, Schema
 
 
@@ -23,8 +43,8 @@ def fresh_name(base: str, taken: set[str]) -> str:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Undirected node-labeled graph; self-loops appear once in the adjacency
-    list of their vertex."""
+    """Undirected node-labeled graph; every adjacency row is ascending, and a
+    self-loop appears once in the row of its vertex."""
 
     vertices: tuple[int, ...]
     adj: dict[int, tuple[int, ...]]
@@ -50,32 +70,59 @@ def encode_loops(db: Database) -> LabeledGraph:
     present in the adjacency as well)."""
     schema = db.schema
     edge_sym = schema.edge_symbol()
-    etuples = set(db.rel(edge_sym))
-    for a, b in etuples:
-        if (b, a) not in etuples:
-            raise AsymmetricEdgeRelation(
-                f"{edge_sym}({db.display(a)},{db.display(b)}) present without its reverse"
-            )
     vertices = tuple(sorted(db.active_domain()))
+    out: dict[int, list[int]] = {v: [] for v in vertices}
+    for a, b in db.rel(edge_sym):
+        out[a].append(b)
+    adj = reverse_adjacency(vertices, out)
+    bad = asymmetric_vertex(vertices, adj)
+    if bad is not None:
+        # some edge at `bad` lacks its reverse; adj[bad] lists its in-neighbors
+        ins, outs = set(adj[bad]), set(out[bad])
+        a, b = (bad, min(outs - ins)) if outs - ins else (min(ins - outs), bad)
+        raise AsymmetricEdgeRelation(f"{edge_sym}({db.display(a)},{db.display(b)}) present without its reverse")
+    # bit i of a vertex's mask: it carries universe[i]; one frozenset per mask
     universe, loop_label = loop_encoding_labels(schema)
-    nbrs: dict[int, set[int]] = {v: set() for v in vertices}
-    for a, b in etuples:
-        nbrs[a].add(b)
-    labels: dict[int, set[str]] = {v: set() for v in vertices}
-    for u in schema.unary_symbols():
+    masks = dict.fromkeys(vertices, 0)
+    for i, u in enumerate(schema.unary_symbols()):
         for (v,) in db.rel(u):
-            labels[v].add(u)
+            masks[v] |= 1 << i
+    loop_bit = 1 << (len(universe) - 1)
     for v in vertices:
-        if v in nbrs[v]:
-            labels[v].add(loop_label)
+        if v in adj[v]:
+            masks[v] |= loop_bit
+    label_sets = {m: frozenset(u for i, u in enumerate(universe) if m >> i & 1) for m in set(masks.values())}
     return LabeledGraph(
         vertices=vertices,
-        adj={v: tuple(sorted(ns)) for v, ns in nbrs.items()},
-        vl={v: frozenset(ls) for v, ls in labels.items()},
+        adj=adj,
+        vl={v: label_sets[m] for v, m in masks.items()},
         label_universe=universe,
         loop_label=loop_label,
         edge_label=edge_sym,
     )
+
+
+def reverse_adjacency(vertices: Sequence[int], rows: dict[int, Iterable[int]]) -> dict[int, tuple[int, ...]]:
+    """The reverse of the relation whose row at v lists the u with (v, u),
+    filled in vertex order so that every reversed row is ascending.  Raises
+    ValueError at an entry that is not a vertex, or that repeats the entry
+    before it in its row."""
+    rev: dict[int, list[int]] = {v: [] for v in vertices}
+    for v in vertices:
+        for u in rows[v]:
+            back = rev.get(u)
+            if back is None or (back and back[-1] == v):
+                raise ValueError(f"vertex {v} lists {u}, which is not a vertex or is listed twice")
+            back.append(v)
+    return dict(zip(rev, map(tuple, rev.values())))
+
+
+def asymmetric_vertex(vertices: Sequence[int], adj: dict[int, tuple[int, ...]]) -> int | None:
+    """The first vertex whose row differs from its row in the reverse of adj,
+    or None.  None means adj is symmetric with ascending rows: the reverse
+    adjacency, filled in vertex order, is ascending."""
+    rev = reverse_adjacency(vertices, adj)
+    return next((v for v in vertices if rev[v] != adj[v]), None)
 
 
 @dataclass(frozen=True)
@@ -95,75 +142,128 @@ class Coloring:
         return frozenset(frozenset(c) for c in self.classes)
 
 
-def _canonicalize(groups: list[list[int]]) -> Coloring:
-    ordered = sorted((sorted(g) for g in groups), key=lambda g: g[0])
+def _canonicalize(groups: Iterable[Iterable[int]]) -> Coloring:
+    ordered = sorted(map(sorted, groups), key=itemgetter(0))
     col = {v: c for c, members in enumerate(ordered) for v in members}
-    return Coloring(col=col, classes=tuple(tuple(g) for g in ordered))
+    return Coloring(col=col, classes=tuple(map(tuple, ordered)))
 
 
-def refine(g: LabeledGraph) -> Coloring:
-    """Coarsest stable coloring refining the vertex labels."""
-    if not g.vertices:
-        return Coloring(col={}, classes=())
+def refine(g: LabeledGraph, ops: OpCounter | None = None) -> Coloring:
+    """Coarsest stable coloring refining the vertex labels.  ops ticks once
+    per vertex placed in its first class, per adjacency entry scanned, per
+    touched vertex grouped by its hit count and per vertex moved to a new
+    class."""
+    ops = ops if ops is not None else OpCounter()
+    adj = g.adj
     by_label: dict[frozenset[str], list[int]] = {}
     for v in g.vertices:
         by_label.setdefault(g.vl[v], []).append(v)
-    classes: list[set[int]] = [set(vs) for _, vs in sorted(by_label.items(), key=lambda kv: sorted(kv[1])[0])]
-    cls_of = {v: i for i, members in enumerate(classes) for v in members}
-    queue: deque[int] = deque(range(len(classes)))
-    queued = set(queue)
+    classes: list[set[int]] = [set(vs) for vs in by_label.values()]
+    cls_of = {v: c for c, members in enumerate(classes) for v in members}
+    ops.tick(len(cls_of))
+    queue = deque(range(len(classes)))
+    pending = [True] * len(classes)
 
     while queue:
         s = queue.popleft()
-        queued.discard(s)
-        hits: Counter[int] = Counter()
-        for u in sorted(classes[s]):
-            for v in g.adj[u]:
-                hits[v] += 1
-        affected: dict[int, list[int]] = {}
+        pending[s] = False
+        splitter = classes[s]
+        hits: dict[int, int]
+        if len(splitter) == 1:  # rows repeat no entry
+            hits = dict.fromkeys(adj[next(iter(splitter))], 1)
+        else:
+            hits = Counter(chain.from_iterable(map(adj.__getitem__, splitter)))
+        touched: dict[int, list[int]] = {}
         for v in hits:
-            affected.setdefault(cls_of[v], []).append(v)
-        for ci in sorted(affected):
-            members = classes[ci]
+            c = cls_of[v]
+            vs = touched.get(c)
+            if vs is None:
+                touched[c] = [v]
+            else:
+                vs.append(v)
+        ops.tick(sum(hits.values()))
+        for c, vs in touched.items():
+            members = classes[c]
             if len(members) == 1:
                 continue
-            by_count: dict[int, set[int]] = {}
-            for v in members:
-                by_count.setdefault(hits.get(v, 0), set()).add(v)
-            if len(by_count) == 1:
-                continue
-            # largest part keeps the old index; enqueue the rest (all parts
-            # when the split class was itself still pending as a splitter)
-            parts = sorted(by_count.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-            old_pending = ci in queued
-            classes[ci] = parts[0][1]
-            new_ids = []
-            for _, part in parts[1:]:
-                new_ids.append(len(classes))
+            ops.tick(len(vs))
+            by_count: dict[int, list[int]] = {}
+            for v in vs:
+                by_count.setdefault(hits[v], []).append(v)
+            parts = list(by_count.values())
+            if len(members) == len(vs):
+                if len(parts) == 1:
+                    continue
+                # every member was hit: the largest part keeps the class id
+                largest = max(parts, key=len)
+                parts = [p for p in parts if p is not largest]
+            # the untouched rest (or the largest part) stays in c; the parts move out
+            ids = [c]
+            for part in parts:
+                new = len(classes)
+                members.difference_update(part)
+                classes.append(set(part))
                 for v in part:
-                    cls_of[v] = len(classes)
-                classes.append(part)
-            enqueue = new_ids + ([ci] if old_pending else [])
-            for c in enqueue:
-                if c not in queued:
-                    queue.append(c)
-                    queued.add(c)
-    return _canonicalize([list(c) for c in classes])
+                    cls_of[v] = new
+                pending.append(False)
+                ids.append(new)
+                ops.tick(len(part))
+            # c's new parts are splitters if c was one; otherwise every part
+            # but the largest, whose hits are c's old hits minus the others'
+            if pending[c]:
+                del ids[0]
+            else:
+                ids.remove(max(ids, key=lambda i: len(classes[i])))
+            for i in ids:
+                queue.append(i)
+                pending[i] = True
+    return _canonicalize(classes)
+
+
+def color_buckets(g: LabeledGraph, col: dict[int, int]) -> dict[int, dict[int, tuple[int, ...]]]:
+    """For each vertex, its neighbors grouped by color; each group keeps the
+    ascending order of the adjacency."""
+    nbr: dict[int, dict[int, tuple[int, ...]]] = {}
+    for v in g.vertices:
+        buckets: dict[int, list[int]] = {}
+        for u in g.adj[v]:
+            c = col[u]
+            bucket = buckets.get(c)
+            if bucket is None:
+                buckets[c] = [u]
+            else:
+                bucket.append(u)
+        nbr[v] = dict(zip(buckets, map(tuple, buckets.values())))
+    return nbr
+
+
+def unstable_witness(coloring: Coloring, nbr: dict[int, dict[int, tuple[int, ...]]]) -> tuple[int, int, int] | None:
+    """A witness (v, w, c) that the coloring is not stable, given the color
+    buckets of every vertex: v is the first member of a class, w another
+    member, and c the least color of which they have different numbers of
+    neighbors.  None when every member's bucket sizes equal its first
+    member's."""
+    for members in coloring.classes:
+        if len(members) == 1:
+            continue
+        ref = members[0]
+        ref_sizes = _sizes(nbr[ref])
+        for w in members[1:]:
+            sizes = _sizes(nbr[w])
+            if sizes != ref_sizes:
+                return ref, w, min(c for c in sizes.keys() | ref_sizes.keys() if sizes.get(c) != ref_sizes.get(c))
+    return None
+
+
+def _sizes(buckets: dict[int, tuple[int, ...]]) -> dict[int, int]:
+    return dict(zip(buckets, map(len, buckets.values())))
 
 
 def is_stable(g: LabeledGraph, coloring: Coloring) -> tuple[bool, tuple[int, int, int] | None]:
     """Check stability; on failure return a witness (v, w, c) of same-colored
     vertices with different counts of c-colored neighbors."""
-    col = coloring.col.__getitem__
-    for members in coloring.classes:
-        ref_v = members[0]
-        ref_colors = sorted(map(col, g.adj[ref_v]))
-        for w in members[1:]:
-            if sorted(map(col, g.adj[w])) != ref_colors:
-                ref_sig, sig = Counter(ref_colors), Counter(map(col, g.adj[w]))
-                c = min(c for c in set(sig) | set(ref_sig) if sig[c] != ref_sig[c])
-                return False, (ref_v, w, c)
-    return True, None
+    witness = unstable_witness(coloring, color_buckets(g, coloring.col))
+    return witness is None, witness
 
 
 def refines_labels(g: LabeledGraph, coloring: Coloring) -> bool:

@@ -151,6 +151,9 @@ def test_loader_rejects_inconsistent_graphs():
         "without its reverse": lines[:v0] + [f"{v0_id}\t{labels}\t{nbrs} 2"] + lines[v0 + 1:],
         "undeclared label": lines[:v0] + [f"{v0_id}\tNope\t{nbrs}"] + lines[v0 + 1:],
         "unsorted": lines[:v0 + 1] + [lines[v0 + 1].replace("0 2", "2 0")] + lines[v0 + 2:],
+        "listed twice": lines[:v0] + [f"{v0_id}\t{labels}\t{nbrs} {nbrs}",
+                                      lines[v0 + 1].replace("0 2", "0 0 2")] + lines[v0 + 2:],
+        "not a vertex": lines[:v0] + [f"{v0_id}\t{labels}\t{nbrs} 7"] + lines[v0 + 1:],
         "does not partition": lines[:-1] + [lines[-1] + " 1"],
         "bad number": lines[:v0] + [f"v\t{labels}\t{nbrs}"] + lines[v0 + 1:],
     }

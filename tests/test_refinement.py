@@ -1,15 +1,23 @@
 import itertools
+import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from colorindex.bin2graph import encode_db
 from colorindex.errors import AsymmetricEdgeRelation
 from colorindex.generators import (
+    BINARY_SCHEMA,
     complete_binary_tree_db,
     cycle_db,
     path_db,
     random_graph_db,
+    random_relational_db,
 )
+from colorindex.instrument import OpCounter
 from colorindex.model import Schema, validate_database
 from colorindex.oracle import naive_refine
 from colorindex.refinement import Coloring, encode_loops, is_stable, refine, refines_labels
@@ -34,6 +42,24 @@ def test_encode_loops_asymmetric_rejected():
     db = validate_database(schema, {"E": [("a", "b")]})
     with pytest.raises(AsymmetricEdgeRelation):
         encode_loops(db)
+
+
+@pytest.mark.parametrize("edges, missing", [
+    ([("a", "b")], "E(a,b)"),
+    ([("c", "a"), ("a", "b"), ("b", "a")], "E(c,a)"),
+    ([("a", "a"), ("b", "c"), ("c", "b"), ("a", "c")], "E(a,c)"),
+])
+def test_encode_loops_names_an_edge_without_its_reverse(edges, missing):
+    db = validate_database(Schema.of(("E", 2)), {"E": edges})
+    with pytest.raises(AsymmetricEdgeRelation, match=rf"{re.escape(missing)} present without its reverse"):
+        encode_loops(db)
+
+
+def test_encode_loops_rows_ascending_from_unsorted_relation():
+    # path_db interns v0, v1, v2, ... but lists its edges in string order
+    g = encode_loops(path_db(12))
+    assert all(list(g.adj[v]) == sorted(g.adj[v]) for v in g.vertices)
+    assert sum(map(len, g.adj.values())) == 2 * 11
 
 
 def test_refine_path_two_colors():
@@ -111,3 +137,65 @@ def test_merging_any_two_classes_breaks_stability():
             )
             ok, _ = is_stable(g, merged)
             assert not ok or not refines_labels(g, merged)
+
+
+@pytest.mark.parametrize("make, size", [
+    *((path_db, n) for n in (1000, 4000, 16000)),
+    *((complete_binary_tree_db, h) for h in (10, 11, 12, 13)),
+    *((cycle_db, n) for n in (1000, 4000, 16000)),
+])
+def test_refine_ops_within_n_plus_m_log_n(make, size):
+    g = encode_loops(make(size))
+    n, m = len(g.vertices), sum(len(g.adj[v]) for v in g.vertices)
+    ops = OpCounter()
+    refine(g, ops)
+    assert n <= ops.n <= 2 * (n + m) * math.log2(n + 1)
+
+
+def _replicas(db, copies, bridges, symmetric, rng):
+    """copies renamed copies of db, plus `bridges` random edges between
+    copies (with their reverses when symmetric): many equal colors, and some
+    classes that split only partly."""
+    raw = {name: [tuple(f"{db.display(c)}_{i}" for c in t) for i in range(copies) for t in tuples]
+           for name, tuples in db.relations.items()}
+    edge = db.schema.binary_symbols()[0]
+    names = sorted({c for t in raw[edge] for c in t})
+    for _ in range(bridges if names else 0):
+        a, b = rng.choice(names), rng.choice(names)
+        raw[edge] += [(a, b), (b, a)] if symmetric else [(a, b)]
+    return validate_database(db.schema, raw)
+
+
+@st.composite
+def labeled_graphs(draw):
+    """Random labeled graphs with loops, 30-300 vertices before bridging."""
+    k = draw(st.integers(3, 30))
+    base = random_graph_db(k, draw(st.floats(0.5, 4.0)) / k, seed=draw(st.integers(0, 10**9)),
+                           num_labels=draw(st.integers(0, 2)), loop_p=draw(st.sampled_from([0.0, 0.1, 0.3])))
+    size = max(1, len(base.active_domain()))
+    copies = draw(st.integers(-(-30 // size), max(-(-30 // size), 300 // size)))
+    return _replicas(base, copies, draw(st.integers(0, 3)), True, random.Random(draw(st.integers(0, 10**9))))
+
+
+@st.composite
+def gadget_graphs(draw):
+    """bin2graph encodings of random binary databases, replicated the same way."""
+    base = random_relational_db(BINARY_SCHEMA, draw(st.integers(2, 12)), draw(st.integers(1, 20)),
+                                seed=draw(st.integers(0, 10**9)))
+    copies = draw(st.integers(1, 6))
+    db = _replicas(base, copies, draw(st.integers(0, 3)), False, random.Random(draw(st.integers(0, 10**9))))
+    return encode_db(db).dhat
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_graphs())
+def test_refine_matches_naive_oracle_on_larger_graphs(db):
+    g = encode_loops(db)
+    assert refine(g).partition() == naive_refine(g).partition()
+
+
+@settings(max_examples=100, deadline=None)
+@given(gadget_graphs())
+def test_refine_matches_naive_oracle_on_gadget_graphs(dhat):
+    g = encode_loops(dhat)
+    assert refine(g).partition() == naive_refine(g).partition()
