@@ -5,7 +5,7 @@ query only preprocesses against the color database.  Loops in queries
 (edge atoms with a repeated variable) are rewritten onto the loop label.
 """
 from colorindex import DatabaseIndex, Schema, parse_query, validate_database
-from colorindex.index import neighbors_by_color, stats
+from colorindex.index import stats
 
 schema = Schema.of(("E", 2), ("Blue", 1), ("Red", 1))
 db = validate_database(
@@ -33,7 +33,7 @@ for c, members in enumerate(ci.coloring.classes):
 
 v = members[0]
 print(f"neighbors of {db.display(v)} by color:",
-      {c: [db.display(u) for u in neighbors_by_color(ci, v, c)] for c in range(ci.colors)})
+      {c: [db.display(u) for u in ci.nbr[v].get(c, ())] for c in range(ci.colors)})
 
 queries = [
     "Ans(x) :- E(x,y), Blue(y).",

@@ -18,10 +18,17 @@ print(f"source: {db.size} ternary tuples")
 benc = encode_db(db)
 print(f"binary encoding: {len(benc.tuple_node)} tuple nodes, "
       f"{len(benc.proj_node)} projection nodes, schema of {len(benc.sigma2.symbols)} symbols")
+
+
+def shown(t):
+    return ",".join(db.display(c) for c in t)
+
+
+# the nodes have ids only; the maps say which tuple or projection each is
 for t, node in benc.tuple_node.items():
-    print("  tuple node:", benc.db2.display(node))
-arity1 = [p for p in benc.proj_node if len(p) == 1]
-print(f"  projections of arity 1: {sorted(benc.db2.display(benc.proj_node[p]) for p in arity1)}")
+    print(f"  tuple node {node}: w({shown(t)})")
+arity1 = sorted(f"v({shown(p)})" for p in benc.proj_node if len(p) == 1)
+print(f"  projections of arity 1: {arity1}")
 
 # translate a query whose free variables no single atom covers
 q = cq(["x", "z"], [("T", ["x", "y", "z"]), ("T", ["x", "x", "z"])])

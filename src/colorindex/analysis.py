@@ -1,37 +1,22 @@
-"""Structural analysis of conjunctive queries: Gaifman graph, hypergraph,
-acyclicity tests, free-connex width-1 decompositions, connected components,
-and the rooted variable order used by evaluation.
+"""Structural analysis of conjunctive queries: the hypergraph and its
+acyclicity tests, the spanning forest of the Gaifman graph (the one search
+that query components, variable orders and graph translations are read
+from), and free-connex width-1 generalized hypertree decompositions with
+their one breadth-first walk.
 """
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .errors import BadGHD, FreeNotConnected, NotFreeConnex, NotTree
-from .model import Atom, ConjunctiveQuery, cq
-
-
-@dataclass(frozen=True)
-class GaifmanGraph:
-    vertices: frozenset[int]
-    edges: frozenset[frozenset[int]]
+from .errors import BadGHD, NotFreeConnex
+from .model import Atom, ConjunctiveQuery
 
 
 @dataclass(frozen=True)
 class Hypergraph:
     vertices: frozenset[int]
     hyperedges: tuple[frozenset[int], ...]  # deduplicated, first-occurrence order
-
-
-def gaifman(q: ConjunctiveQuery) -> GaifmanGraph:
-    edges: set[frozenset[int]] = set()
-    for a in q.atoms:
-        vs = a.args
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                if vs[i] != vs[j]:
-                    edges.add(frozenset((vs[i], vs[j])))
-    return GaifmanGraph(vertices=q.vars(), edges=frozenset(edges))
 
 
 def hypergraph(q: ConjunctiveQuery) -> Hypergraph:
@@ -95,12 +80,6 @@ def is_free_connex_acyclic(q: ConjunctiveQuery) -> bool:
     if not free or free in hs:
         return True
     return join_tree(hs + [free]) is not None
-
-
-def is_free_connex_binary(q: ConjunctiveQuery) -> bool:
-    """Binary-schema characterization: G(Q) a forest and, per connected
-    component, the induced free part connected or empty."""
-    return spanning_forest(q).free_connex()
 
 
 @dataclass(frozen=True)
@@ -198,32 +177,9 @@ class FcGHD:
     def nodes(self) -> range:
         return range(len(self.bag))
 
-    def parents(self) -> dict[int, int]:
-        """Parent map when rooting the tree at self.root (root absent)."""
-        parent: dict[int, int] = {}
-        seen = {self.root}
-        queue = deque([self.root])
-        while queue:
-            t = queue.popleft()
-            for u in self.adj[t]:
-                if u not in seen:
-                    seen.add(u)
-                    parent[u] = t
-                    queue.append(u)
-        return parent
-
-    def bfs_order(self) -> list[int]:
-        order = []
-        seen = {self.root}
-        queue = deque([self.root])
-        while queue:
-            t = queue.popleft()
-            order.append(t)
-            for u in self.adj[t]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return order
+    def bfs(self) -> tuple[list[int], dict[int, int]]:
+        """tree_bfs from self.root."""
+        return tree_bfs(self.adj, self.root)
 
     def to_dot(self) -> str:
         q = self.query
@@ -240,19 +196,17 @@ class FcGHD:
         return "\n".join(lines)
 
 
-def _bfs_first_node_with_bag(ghd_adj: dict[int, list[int]], bags: list[frozenset[int]],
-                             root: int, target: frozenset[int]) -> int | None:
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        t = queue.popleft()
-        if bags[t] == target:
-            return t
-        for u in ghd_adj[t]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return None
+def tree_bfs(adj: dict[int, list[int]], root: int) -> tuple[list[int], dict[int, int]]:
+    """The one breadth-first walk of a tree from root, neighbors in adjacency
+    order: the nodes in visiting order, and each node's parent but the
+    root's."""
+    order, parent = [root], {}
+    for t in order:  # grows while it is walked: a FIFO queue
+        for u in adj[t]:
+            if u != root and u not in parent:
+                parent[u] = t
+                order.append(u)
+    return order, parent
 
 
 def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
@@ -340,13 +294,16 @@ def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
     root = min(witness) if witness else 0
 
     # completion: a dedicated node per atom with bag == vars(atom), attached to
-    # the first BFS node carrying that bag
+    # the first BFS node carrying that bag; a node added here is a leaf under
+    # a node with its bag, so the first node of every bag stays first
+    first_with_bag: dict[frozenset[int], int] = {}
+    for t in tree_bfs(adj, root)[0]:
+        first_with_bag.setdefault(bags[t], t)
     atom_node: dict[int, int] = {}
     taken: set[int] = set()
     for ai, atom in enumerate(q.atoms):
         vs = atom.var_set()
-        host = _bfs_first_node_with_bag(adj, bags, root, vs)
-        assert host is not None
+        host = first_with_bag[vs]
         if host not in taken and covers[host] == atom:
             atom_node[ai] = host
             taken.add(host)
@@ -460,94 +417,3 @@ def check_fc1ghd(H: FcGHD) -> list[str]:
         if not (H.bag[a] <= H.bag[b] or H.bag[b] <= H.bag[a]):
             problems.append(f"edge ({a},{b}) violates bag containment")
     return problems
-
-
-def connected_components(q: ConjunctiveQuery) -> list[tuple[ConjunctiveQuery, tuple[int, ...]]]:
-    """Split q along the connected components of its Gaifman graph.
-
-    Returns (component query, original head positions covered by its head).
-    Concatenating component heads and permuting by those positions restores
-    the original head.  Components carrying head variables come first, in
-    order of their earliest head position; Boolean components follow, ordered
-    by smallest variable.
-    """
-    out: list[tuple[ConjunctiveQuery, tuple[int, ...]]] = []
-    for tree in spanning_forest(q).trees:
-        comp = set(tree)
-        head_positions = tuple(i for i, v in enumerate(q.head) if v in comp)
-        head_names = [q.var_name(q.head[i]) for i in head_positions]
-        atom_specs = [
-            (a.symbol, [q.var_name(v) for v in a.args])
-            for a in q.atoms
-            if a.args[0] in comp
-        ]
-        out.append((cq(head_names, atom_specs), head_positions))
-    # stable: Boolean components keep their order by smallest variable
-    out.sort(key=lambda part: part[1][0] if part[1] else len(q.head))
-    return out
-
-
-@dataclass(frozen=True)
-class VariableOrder:
-    """Rooted breadth-first order over the variables of a connected query
-    whose Gaifman graph is a tree: free variables precede quantified ones and
-    ancestors precede descendants."""
-
-    order: tuple[int, ...]
-    parent: dict[int, int]
-    children: dict[int, tuple[int, ...]]
-    labels: dict[int, frozenset[str]]
-    root: int
-    free: frozenset[int]  # the free variables, order[:len(free)]
-
-
-def variable_orders(q: ConjunctiveQuery, loop_label: str | None = None) -> list[VariableOrder]:
-    """One variable order per tree of spanning_forest(q), in its order.
-
-    A variable's labels are the unary symbols on it.  A binary atom f(x, x)
-    adds loop_label to x instead (the loop rewrite; without a loop label it
-    raises ValueError).  Raises NotTree when G(Q) has a cycle, and
-    FreeNotConnected when the free variables of a component do not induce a
-    connected subgraph.
-    """
-    labels: dict[int, set[str]] = {v: set() for a in q.atoms for v in a.args}
-    for a in q.atoms:
-        if a.arity == 1:
-            labels[a.args[0]].add(a.symbol)
-        elif a.arity == 2 and a.args[0] == a.args[1]:
-            if loop_label is None:
-                raise ValueError("query contains self-loop atoms; rewrite loops first")
-            labels[a.args[0]].add(loop_label)
-    forest = spanning_forest(q)
-    if not forest.acyclic:
-        raise NotTree("Gaifman graph has a cycle")
-    if not forest.free_connected():
-        raise FreeNotConnected("free variables do not induce a connected subgraph")
-    orders: list[VariableOrder] = []
-    free, parent = forest.free, forest.parent
-    for tree in forest.trees:
-        # the free variables form a subtree at the root, so taking them
-        # first keeps every ancestor before its descendants
-        order = tuple(v for v in tree if v in free) + tuple(v for v in tree if v not in free)
-        children: dict[int, list[int]] = {v: [] for v in tree}
-        for v in tree[1:]:
-            children[parent[v]].append(v)
-        orders.append(VariableOrder(
-            order=order,
-            parent={v: parent[v] for v in tree[1:]},
-            children={v: tuple(c) for v, c in children.items()},
-            labels={v: frozenset(labels[v]) for v in tree},
-            root=tree[0],
-            free=free.intersection(tree),
-        ))
-    return orders
-
-
-def variable_order(q: ConjunctiveQuery) -> VariableOrder:
-    """The variable order of a connected query without self-loop atoms:
-    a BFS from the root (lowest-id free variable when free(Q) is non-empty,
-    else lowest-id variable) with the free variables taken first."""
-    orders = variable_orders(q)
-    if len(orders) != 1:
-        raise NotTree("Gaifman graph is disconnected")
-    return orders[0]

@@ -9,6 +9,9 @@ comparable.  Query translation runs over a complete fc-1-GHD with bag
 containment on every edge: one node variable per GHD node, one extra tuple
 variable per atom node, head variables taken from the witness nodes with
 non-empty bags.
+
+The nodes are numbered by counting, tuple nodes first, and have no names:
+the maps `node_tuple` and `node_proj` say what each one stands for.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 from .analysis import FcGHD
 from .errors import BadGHD, MalformedAnswer
-from .model import ConjunctiveQuery, ConstantPool, Database, Schema, cq
+from .model import ConjunctiveQuery, Database, Schema, cq
 
 
 def binary_schema_for(schema: Schema) -> tuple[Schema, int]:
@@ -55,25 +58,22 @@ class BinaryEncoding:
 def encode_db(db: Database) -> BinaryEncoding:
     schema = db.schema
     sigma2, k = binary_schema_for(schema)
-    pool2 = ConstantPool()
 
-    # tuple nodes, deduplicated across relations, in relation order
+    # tuple nodes, deduplicated across relations, in relation order; then the
+    # projection nodes in order of first appearance, numbered on from there
     tuple_node: dict[tuple[int, ...], int] = {}
-    tuple_order: list[tuple[int, ...]] = []
     for name in schema.names:
         for t in db.rel(name):
-            if t not in tuple_node:
-                tuple_node[t] = pool2.intern("w(" + ",".join(db.display(c) for c in t) + ")")
-                tuple_order.append(t)
+            tuple_node.setdefault(t, len(tuple_node))
 
     proj_node: dict[tuple[int, ...], int] = {}
     projections_by_tuple: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for t in tuple_order:
+    for t in tuple_node:
         projs = sorted(projections_of(t), key=lambda p: (len(p), p))
         projections_by_tuple[t] = projs
         for p in projs:
             if p not in proj_node:
-                proj_node[p] = pool2.intern("v(" + ",".join(db.display(c) for c in p) + ")")
+                proj_node[p] = len(tuple_node) + len(proj_node)
 
     relations: dict[str, set[tuple[int, ...]]] = {name: set() for name in sigma2.names}
     for name in schema.names:
@@ -81,8 +81,7 @@ def encode_db(db: Database) -> BinaryEncoding:
             relations[f"U_{name}"].add((tuple_node[t],))
     for p, node in proj_node.items():
         relations[f"A{len(p)}"].add((node,))
-    for t in tuple_order:
-        wt = tuple_node[t]
+    for t, wt in tuple_node.items():
         for p in projections_by_tuple[t]:
             vp = proj_node[p]
             for i in range(1, len(t) + 1):
@@ -104,11 +103,7 @@ def encode_db(db: Database) -> BinaryEncoding:
                         if p[i - 1] == q_tuple[j - 1]:
                             relations[f"F{i}_{j}"].add((vp, vq))
                             relations[f"F{j}_{i}"].add((vq, vp))
-    db2 = Database(
-        schema=sigma2,
-        relations={name: tuple(sorted(ts)) for name, ts in relations.items()},
-        pool=pool2,
-    )
+    db2 = Database(schema=sigma2, relations={name: tuple(sorted(ts)) for name, ts in relations.items()})
     return BinaryEncoding(
         db2=db2,
         sigma2=sigma2,
@@ -142,7 +137,7 @@ def encode_query(q: ConjunctiveQuery, ghd: FcGHD, schema: Schema) -> QueryEncodi
     bag_tuple = [tuple(sorted(ghd.bag[t])) for t in ghd.nodes]
     node_of_atom = dict(ghd.atom_node)
     atom_of_node = {t: ai for ai, t in node_of_atom.items()}
-    parent = ghd.parents()
+    _, parent = ghd.bfs()
 
     # an empty-bag witness node decodes no variable, and its one value (the
     # empty projection) leaves the count unchanged: it stays quantified

@@ -8,6 +8,10 @@ unary relations and the V / W membership labels complete the graph.  Queries
 are translated by subdividing each oriented Gaifman edge with two gadget
 variables and labeling them accordingly; answers decode by projecting onto
 the original head prefix.
+
+The nodes are numbered by counting, the value nodes of the active domain in
+id order first, then the gadget nodes in pair order; `to_dot` names them
+from the node maps.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 from .analysis import SpanningForest, spanning_forest
 from .errors import NotBinarySchema, NotFreeConnex
-from .model import ConjunctiveQuery, ConstantPool, Database, Schema, cq
+from .model import ConjunctiveQuery, Database, Schema, cq
 from .refinement import fresh_name
 
 
@@ -66,15 +70,21 @@ class GraphEncoding:
     vmap_inv: dict[int, int]
     gadget_node: dict[tuple[int, int], int]  # source pair -> W node
     node_gadget: dict[int, tuple[int, int]]
+    source: Database
 
     def to_dot(self) -> str:
-        db = self.dhat
+        """The graph in DOT: a value node shows its constant, a gadget node
+        w(a,b) its pair."""
+        show = self.source.display
         lines = ["graph encoded {"]
         seen = set()
-        for v in sorted(db.active_domain()):
-            shape = "box" if v in self.node_gadget else "circle"
-            lines.append(f'  n{v} [label="{db.display(v)}", shape={shape}];')
-        for a, b in db.rel(self.symbols.edge):
+        for v in sorted(self.dhat.active_domain()):
+            if v in self.node_gadget:
+                a, b = self.node_gadget[v]
+                lines.append(f'  n{v} [label="w({show(a)},{show(b)})", shape=box];')
+            else:
+                lines.append(f'  n{v} [label="{show(self.vmap_inv[v])}", shape=circle];')
+        for a, b in self.dhat.rel(self.symbols.edge):
             if (b, a) not in seen:
                 seen.add((a, b))
                 lines.append(f"  n{a} -- n{b};")
@@ -85,19 +95,14 @@ class GraphEncoding:
 def encode_db(db: Database) -> GraphEncoding:
     symbols = graph_symbols_for(db.schema)
     sigma_hat = symbols.schema()
-    pool = ConstantPool()
-    adom = sorted(db.active_domain())
-    vmap = {c: pool.intern(db.display(c)) for c in adom}
+    vmap = {c: i for i, c in enumerate(sorted(db.active_domain()))}
 
     pairs: set[tuple[int, int]] = set()
     for f in db.schema.binary_symbols():
         for a, b in db.rel(f):
             pairs.add((a, b))
             pairs.add((b, a))
-    gadget_node = {
-        (a, b): pool.intern(f"w({db.display(a)},{db.display(b)})")
-        for a, b in sorted(pairs)
-    }
+    gadget_node = {pair: len(vmap) + i for i, pair in enumerate(sorted(pairs))}
 
     # each directed edge once: w_ab -> w_ba comes from (a, b) only
     edges: list[tuple[int, int]] = []
@@ -112,17 +117,17 @@ def encode_db(db: Database) -> GraphEncoding:
         relations[u] = tuple(sorted((vmap[c],) for (c,) in db.rel(u)))
     for f in db.schema.binary_symbols():
         relations[symbols.u_label[f]] = tuple(sorted((gadget_node[(a, b)],) for a, b in db.rel(f)))
-    relations[symbols.v_label] = tuple(sorted((vmap[c],) for c in adom))
-    relations[symbols.w_label] = tuple(sorted((w,) for w in gadget_node.values()))
+    relations[symbols.v_label] = tuple((n,) for n in vmap.values())
+    relations[symbols.w_label] = tuple((w,) for w in gadget_node.values())
 
-    dhat = Database(schema=sigma_hat, relations=relations, pool=pool)
     return GraphEncoding(
-        dhat=dhat,
+        dhat=Database(schema=sigma_hat, relations=relations),
         symbols=symbols,
         vmap=vmap,
         vmap_inv={n: c for c, n in vmap.items()},
         gadget_node=gadget_node,
         node_gadget={n: p for p, n in gadget_node.items()},
+        source=db,
     )
 
 

@@ -82,8 +82,7 @@ def preprocess(q: ConjunctiveQuery, db: Database, ops: OpCounter | None = None) 
     node_vars = [tuple(sorted(b)) for b in ghd.bag]
     node_rel = [_match_atom(db, ghd.cover[t], node_vars[t], ops) for t in ghd.nodes]
 
-    order = ghd.bfs_order()
-    parent = ghd.parents()
+    order, parent = ghd.bfs()
     # leaves -> root
     for t in reversed(order):
         if t in parent:

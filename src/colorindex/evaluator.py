@@ -1,14 +1,14 @@
-"""Indexed evaluation of fc-ACQs over node-labeled graphs: rewrite self-loop
-atoms to the loop label, decompose into connected components, order variables
-by a free-first BFS, and answer bool / enum / count tasks against the color
-index.
+"""Indexed evaluation of fc-ACQs over node-labeled graphs: split a query
+into the connected components of its Gaifman graph, one `Component` each
+with its variables in a free-first BFS order and self-loop atoms read as the
+loop label, and answer bool / enum / count tasks against the color index.
 
-`components` is the per-query compile step: the loop rewrite, the component
-split and the variable orders, read from one spanning forest of the query.
-Its result is immutable and depends only on the query and the index's edge
-and loop labels, so a caller may keep it and pass it to `count_components`
-and `prepare_components` again (`pipeline.DatabaseIndex` does). The dynamic
-program runs on every call; no row, count or answer is kept.
+`components` is the per-query compile step: one pass over the one spanning
+forest of the query makes every `Component`. Its result is immutable and
+depends only on the query and the index's edge and loop labels, so a caller
+may keep it and pass it to `count_components` and `prepare_components` again
+(`pipeline.DatabaseIndex` does). The dynamic program runs on every call; no
+row, count or answer is kept.
 
 All three tasks run one counting dynamic program per component over the
 color tables, in O(|Q| * |D_col|). Its rows are sparse, {color: count} with
@@ -25,79 +25,92 @@ free variables.
 The translated queries are over a graph schema, where a query is acyclic
 exactly when its Gaifman graph is a forest, and free-connex acyclic when in
 addition each component's free variables induce a connected subgraph. Those
-are the checks `variable_orders` makes, so no separate acyclicity pass runs.
+are the checks `components` makes, so no separate acyclicity pass runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .analysis import VariableOrder, variable_orders
+from .analysis import spanning_forest
 from .errors import ArityMismatch, FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree, UnknownSymbol
 from .index import ColorIndex
 from .instrument import OpCounter
-from .model import ConjunctiveQuery, cq
+from .model import ConjunctiveQuery
 
 Row = dict[int, int]  # color -> non-zero count; absent colors count 0
 
 
 @dataclass(frozen=True)
-class LoopFreeQuery:
-    """Original query with every reflexive edge atom replaced by the loop
-    label; the Gaifman graph is unchanged."""
-
-    q_l: ConjunctiveQuery
-    original: ConjunctiveQuery
-    rewritten_atoms: int
-
-
-def rewrite_loops(q: ConjunctiveQuery, edge_symbol: str, loop_label: str) -> LoopFreeQuery:
-    atoms: list[tuple[str, list[str]]] = []
-    rewritten = 0
-    for a in q.atoms:
-        if a.symbol == edge_symbol and a.arity == 2 and a.args[0] == a.args[1]:
-            atoms.append((loop_label, [q.var_name(a.args[0])]))
-            rewritten += 1
-        else:
-            atoms.append((a.symbol, [q.var_name(v) for v in a.args]))
-    q_l = cq([q.var_name(v) for v in q.head], atoms)
-    return LoopFreeQuery(q_l=q_l, original=q, rewritten_atoms=rewritten)
-
-
-@dataclass(frozen=True)
 class Component:
-    """One connected component of a graph query after the loop rewrite, with
-    its variable order and the head positions its free variables fill."""
+    """One connected component of a graph query: one tree of its spanning
+    forest, with the variables in a free-first BFS order, their labels, and
+    the head positions its free variables fill."""
 
-    vo: VariableOrder
-    free_order: tuple[int, ...]  # the free variables in BFS order, a prefix of vo.order
+    order: tuple[int, ...]  # the free variables first; ancestors precede descendants
+    free: frozenset[int]  # the free variables, order[:len(free)]
+    children: dict[int, tuple[int, ...]]
+    # the unary symbols on a variable, and the loop label for an atom E(x, x)
+    labels: dict[int, frozenset[str]]
     head_positions: tuple[int, ...]  # ascending
     sel: tuple[int, ...]  # per head position, the index of its variable in free_order
     parent_pos: tuple[int, ...]  # per free variable, the index of its parent in free_order
 
+    @property
+    def root(self) -> int:
+        return self.order[0]
+
+    @property
+    def free_order(self) -> tuple[int, ...]:
+        return self.order[: len(self.free)]
+
 
 def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
-    """The loop rewrite and component split of a query over the index's
-    graph schema, in one pass over the one spanning forest: components with
-    head variables first, by their earliest head position, then the Boolean
-    ones by smallest variable.  Raises UnknownSymbol for a binary atom other
-    than the edge label, ArityMismatch for a wider atom, and NotTree or
-    FreeNotConnected when q is not acyclic or not free-connex acyclic (see
-    the module docstring)."""
+    """The components of a query over the index's graph schema, in one pass
+    over the one spanning forest: components with head variables first, by
+    their earliest head position, then the Boolean ones by smallest variable.
+    A tree is rooted at its lowest-id free variable, else at its lowest-id
+    variable, and its free variables precede the quantified ones.  An edge
+    atom E(x, x) becomes the loop label on x.  Raises UnknownSymbol for a
+    binary atom other than the edge label, ArityMismatch for a wider atom,
+    NotTree when the Gaifman graph has a cycle, and FreeNotConnected when
+    the free variables of a component do not induce a connected subgraph
+    (see the module docstring)."""
+    labels: dict[int, set[str]] = {v: set() for a in q.atoms for v in a.args}
     for a in q.atoms:
         if a.arity > 2:
             raise ArityMismatch(f"{a.symbol} has arity {a.arity}; a graph query has arities 1 and 2")
-        if a.arity == 2 and a.symbol != idx.edge_label:
+        if a.arity == 1:
+            labels[a.args[0]].add(a.symbol)
+        elif a.symbol != idx.edge_label:
             raise UnknownSymbol(f"{a.symbol!r} is not the edge label {idx.edge_label!r} of the index")
+        elif a.args[0] == a.args[1]:
+            labels[a.args[0]].add(idx.loop_label)
+    forest = spanning_forest(q)
+    if not forest.acyclic:
+        raise NotTree("Gaifman graph has a cycle")
+    if not forest.free_connected():
+        raise FreeNotConnected("free variables do not induce a connected subgraph")
+    free, parent = forest.free, forest.parent
     position = {v: i for i, v in enumerate(q.head)}
     out: list[Component] = []
-    for vo in variable_orders(q, idx.loop_label):
-        free_order = vo.order[: len(vo.free)]
+    for tree in forest.trees:
+        # the free variables form a subtree at the root, so taking them
+        # first keeps every ancestor before its descendants
+        free_order = tuple(v for v in tree if v in free)
+        index = {v: i for i, v in enumerate(free_order)}
+        children: dict[int, list[int]] = {v: [] for v in tree}
+        for v in tree[1:]:
+            children[parent[v]].append(v)
         head_positions = tuple(sorted(position[v] for v in free_order))
         out.append(Component(
-            vo=vo, free_order=free_order, head_positions=head_positions,
-            sel=tuple(free_order.index(q.head[i]) for i in head_positions),
-            parent_pos=(0,) + tuple(free_order.index(vo.parent[x]) for x in free_order[1:])))
+            order=free_order + tuple(v for v in tree if v not in free),
+            free=frozenset(free_order),
+            children={v: tuple(c) for v, c in children.items()},
+            labels={v: frozenset(labels[v]) for v in tree},
+            head_positions=head_positions,
+            sel=tuple(index[q.head[i]] for i in head_positions),
+            parent_pos=(0,) + tuple(index[parent[x]] for x in free_order[1:])))
     out.sort(key=lambda c: c.head_positions[0] if c.head_positions else len(q.head))
     return tuple(out)
 
@@ -145,11 +158,10 @@ def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex
     f1: dict[frozenset[str], Row] = {}
     plan = EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=False)
     for comp in comps:
-        vo = comp.vo
-        rows = _dp_rows(vo, idx, f1, ops)
-        if not rows[vo.root]:
+        rows = _dp_rows(comp, idx, f1, ops)
+        if not rows[comp.root]:
             return EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=True)
-        if not vo.free:
+        if not comp.free:
             continue
         alive = [rows[x] for x in comp.free_order]
         tables: list[dict[int, list[int]]] = []
@@ -242,7 +254,7 @@ def enumerate_answers(q: ConjunctiveQuery, idx: ColorIndex,
     return enumerate_prepared(prepare(q, idx, ops), steps)
 
 
-def _dp_rows(vo: VariableOrder, idx: ColorIndex, f1: dict[frozenset[str], Row],
+def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
              ops: OpCounter) -> dict[int, Row]:
     """The counting dynamic program of one connected component, on sparse
     rows that hold only the non-zero entries.
@@ -256,12 +268,12 @@ def _dp_rows(vo: VariableOrder, idx: ColorIndex, f1: dict[frozenset[str], Row],
     of one query, one per label set. Rows are never changed after they are
     made.
     """
-    order, root = vo.order, vo.root
-    deg, label_colors, free = idx.deg, idx.label_colors, vo.free
+    order, root, children = comp.order, comp.root, comp.children
+    deg, label_colors, free = idx.deg, idx.label_colors, comp.free
     classes = idx.coloring.classes
 
     def label_row(x: int) -> Row:
-        labels = vo.labels[x]
+        labels = comp.labels[x]
         if labels not in f1:
             if labels:
                 # the colors of every label: walk the smallest set, probe the rest
@@ -296,7 +308,7 @@ def _dp_rows(vo: VariableOrder, idx: ColorIndex, f1: dict[frozenset[str], Row],
     g: dict[int, Row] = {}
     for x in reversed(order):
         row = label_row(x)
-        for y in vo.children[x]:
+        for y in children[x]:
             row = times(row, g[y])
         f_down[x] = row
         if x != root:
@@ -314,7 +326,7 @@ def _dp_rows(vo: VariableOrder, idx: ColorIndex, f1: dict[frozenset[str], Row],
     for x in reversed(order[: len(free)]):
         ops.tick(len(f_down[x]))
         row = dict.fromkeys(f_down[x], 1)
-        for y in vo.children[x]:
+        for y in children[x]:
             if y in free:
                 row = times(row, g_prime[y])
         f_prime[x] = row
@@ -338,9 +350,8 @@ def count_components(comps: tuple[Component, ...], idx: ColorIndex, ops: OpCount
     classes = idx.coloring.classes
     total = 1
     for comp in comps:
-        vo = comp.vo
-        row = _dp_rows(vo, idx, f1, ops)[vo.root]
-        if not vo.free:
+        row = _dp_rows(comp, idx, f1, ops)[comp.root]
+        if not comp.free:
             total *= 1 if row else 0
         else:
             total *= sum(len(classes[c]) * n for c, n in row.items())

@@ -1,7 +1,7 @@
 """The color-index: loop-encoded graph, coarsest stable coloring, lookup
 tables for classes / per-color neighbor lists / per-color neighbor colors
-with their degrees / per-label colors, and the color database built over the
-colors.
+with their degrees / per-label colors, and the color database, which is
+derived from those tables on first use.
 
 The index is immutable after build and safe for unlimited concurrent readers;
 the evaluation phase serves many queries against one index.  It holds nothing
@@ -10,12 +10,13 @@ beside it, and every dynamic program reads these tables afresh.
 """
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ParseError
-from .model import ConstantPool, Database, Schema
+from .model import Database, Schema
 from .refinement import (
     Coloring, LabeledGraph, asymmetric_vertex, color_buckets, encode_loops, refine, refines_labels, unstable_witness,
 )
@@ -29,7 +30,6 @@ class ColorIndex:
     # deg[c]: (c', numN(c, c')) for each neighbor color c' of color c, c' ascending
     deg: tuple[tuple[tuple[int, int], ...], ...]
     label_colors: dict[str, frozenset[int]]  # label -> the colors that carry it
-    d_col: Database
     source_size: int
 
     @property
@@ -60,28 +60,34 @@ class ColorIndex:
         labels = sum(len(self.graph.vl[v]) for v in self.graph.vertices)
         return directed + labels
 
+    @functools.cached_property
+    def d_col(self) -> Database:
+        """The color database, derived from the tables on first use: each
+        label's colors in ascending order, and the color pairs (c, c') with
+        numN(c, c') > 0.  No query reads it; two readers that race to
+        build it store equal databases."""
+        edge_label = self.edge_label
+        schema = Schema(tuple((u, 1) for u in self.graph.label_universe) + ((edge_label, 2),))
+        relations = {u: tuple((c,) for c in sorted(cs)) for u, cs in self.label_colors.items()}
+        relations[edge_label] = tuple((c, cp) for c, row in enumerate(self.deg) for cp, _ in row)
+        return Database(schema=schema, relations=relations)
+
     @property
     def d_col_size(self) -> int:
-        return self.d_col.size
-
-
-def neighbors_by_color(idx: ColorIndex, v: int, c: int) -> tuple[int, ...]:
-    """The c-colored neighbors of v (v itself included when it has a loop and
-    col(v) = c)."""
-    return idx.nbr[v].get(c, ())
+        return sum(map(len, self.label_colors.values())) + sum(map(len, self.deg))
 
 
 def build(db: Database) -> ColorIndex:
     """Index a node-labeled-graph database: encode loops, refine, and build
-    the lookup tables plus the color database."""
+    the lookup tables."""
     graph = encode_loops(db)
     coloring = refine(graph)
     return build_from_coloring(graph, coloring, source_size=db.size)
 
 
 def build_from_coloring(graph: LabeledGraph, coloring: Coloring, source_size: int) -> ColorIndex:
-    """The tables and the color database of a stable coloring.  The loader
-    checks stability afterwards, on the neighbor tables built here."""
+    """The tables of a stable coloring.  The loader checks stability
+    afterwards, on the neighbor tables built here."""
     nbr = color_buckets(graph, coloring.col)
     # stability makes every member of a class see what its first member sees
     firsts = [members[0] for members in coloring.classes]
@@ -96,21 +102,8 @@ def build_from_coloring(graph: LabeledGraph, coloring: Coloring, source_size: in
         nbr=nbr,
         deg=deg,
         label_colors={u: frozenset(cs) for u, cs in label_colors.items()},
-        d_col=_build_color_db(graph, len(firsts), deg, label_colors),
         source_size=source_size,
     )
-
-
-def _build_color_db(graph: LabeledGraph, ncolors: int, deg: tuple[tuple[tuple[int, int], ...], ...],
-                    label_colors: dict[str, list[int]]) -> Database:
-    edge_label = graph.edge_label
-    schema = Schema(tuple((u, 1) for u in graph.label_universe) + ((edge_label, 2),))
-    pool = ConstantPool()
-    for c in range(ncolors):
-        pool.intern(f"c{c}")
-    relations = {u: tuple((c,) for c in cs) for u, cs in label_colors.items()}
-    relations[edge_label] = tuple((c, cp) for c, row in enumerate(deg) for cp, _ in row)
-    return Database(schema=schema, relations=relations, pool=pool)
 
 
 @dataclass(frozen=True)
@@ -293,8 +286,3 @@ def _read_graph(reader: SectionReader) -> LabeledGraph:
         if (loop_label in vl[v]) != (v in adj[v]):
             raise ParseError(f"loop label {loop_label!r} disagrees with the loops at vertex {v}")
     return LabeledGraph(tuple(vertices), adj, vl, universe, loop_label, edge_label)
-
-
-def dump_coloring(idx: ColorIndex, display) -> str:
-    """Optional coloring dump: one `vertex<TAB>color` line per vertex."""
-    return "\n".join(f"{display(v)}\t{idx.color_of(v)}" for v in idx.graph.vertices)

@@ -99,12 +99,14 @@ class Schema:
 @dataclass(frozen=True)
 class Database:
     """Relations over interned constants; duplicate-free within each relation.
-    The set of a relation that `contains` looks in is built on its first
-    call; two readers that race to build it store equal sets."""
+    A database without a pool, such as a reduction's output, shows each
+    constant by its id.  The set of a relation that `contains` looks in is
+    built on its first call; two readers that race to build it store equal
+    sets."""
 
     schema: Schema
     relations: dict[str, tuple[tuple[int, ...], ...]]
-    pool: ConstantPool
+    pool: ConstantPool | None = None
     dropped_duplicates: int = 0
     _sets: dict[str, frozenset[tuple[int, ...]]] = field(default_factory=dict, repr=False, compare=False)
 
@@ -131,7 +133,7 @@ class Database:
         return frozenset(chain.from_iterable(chain.from_iterable(self.relations.values())))
 
     def display(self, cid: int) -> str:
-        return self.pool.display(cid)
+        return str(cid) if self.pool is None else self.pool.display(cid)
 
 
 def validate_database(

@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 from . import arb2bin, bin2graph, evaluator, index as cindex_mod
 from .analysis import compute_fc1ghd, spanning_forest
 from .errors import (
-    ArityMismatch, AsymmetricEdgeRelation, FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree, ParseError,
+    ArityMismatch, FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree, ParseError,
     TaskMismatch, UnknownSymbol,
 )
 from .index import ColorIndex, SectionReader, write_section
@@ -130,8 +130,7 @@ class DatabaseIndex:
         if stage == "auto":
             stage = choose_stage(db)
         if stage == "graph":
-            if not _edge_symmetric(db):
-                raise AsymmetricEdgeRelation("direct graph indexing needs a symmetric edge relation")
+            # encode_loops rejects an asymmetric edge relation
             return cls(db.schema, db.pool, "graph", cindex_mod.build(db), db.size)
         if stage == "binary":
             genc = bin2graph.encode_db(db)
@@ -239,15 +238,6 @@ class DatabaseIndex:
         for t in evaluator.enumerate_prepared(plan, steps):
             yield tr.decode(t)
 
-    def evaluate(self, q: ConjunctiveQuery, task: str):
-        if task == "bool":
-            return self.eval_bool(q)
-        if task == "count":
-            return self.count(q)
-        if task == "enum":
-            return self.enumerate(q)
-        raise TaskMismatch(f"unknown task {task!r}")
-
     def display_tuple(self, t: tuple[int, ...]) -> tuple[str, ...]:
         return tuple(self.pool.display(c) for c in t)
 
@@ -338,9 +328,3 @@ class DatabaseIndex:
         if not all(n in vmap and all(c in constants for c in t)
                    for table in (self.node_proj, self.node_tuple) for n, t in table.items()):
             raise ParseError("[PROJ] or [TUPLES] names an unmapped node or an id that is not a constant")
-
-
-def eval_pipeline(q: ConjunctiveQuery, db: Database, task: str):
-    """Build an index for the database (skipping unneeded stages) and solve
-    the task; enum yields tuples of source constant ids."""
-    return DatabaseIndex.build(db).evaluate(q, task)

@@ -2,22 +2,22 @@ import random
 
 import pytest
 
+from colorindex import index as cidx
 from colorindex.analysis import (
     check_fc1ghd,
     compute_fc1ghd,
-    connected_components,
-    gaifman,
     is_acyclic,
     is_free_connex_acyclic,
-    is_free_connex_binary,
     spanning_forest,
-    variable_order,
 )
 from colorindex.errors import FreeNotConnected, NotFreeConnex, NotTree
-from colorindex.generators import BINARY_SCHEMA, TERNARY_SCHEMA, random_fc_query
-from colorindex.model import cq
+from colorindex.evaluator import components
+from colorindex.generators import BINARY_SCHEMA, TERNARY_SCHEMA, cycle_db, random_fc_query, random_graph_db
+from colorindex.model import Schema, cq
 from colorindex.oracle import brute_answers
-from colorindex.generators import random_relational_db
+
+# an index over the graph schema E/2: components() reads its edge and loop labels
+GRAPH_INDEX = cidx.build(cycle_db(3))
 
 TERNARY_FC = cq(
     ["x", "y", "z"],
@@ -30,19 +30,27 @@ TERNARY_FC = cq(
 )
 
 
-def edge_names(q, g):
-    return {frozenset({q.var_name(a), q.var_name(b)}) for e in g.edges for a, b in [tuple(e)]}
+def edge_names(q, forest):
+    return {frozenset({q.var_name(a), q.var_name(b)}) for a, b in forest.edges()}
+
+
+def on_graph(q):
+    """q with every binary symbol renamed to the edge label E: the same
+    Gaifman graph, over the graph schema of GRAPH_INDEX."""
+    return cq([q.var_name(v) for v in q.head],
+              [("E" if a.arity == 2 else a.symbol, [q.var_name(v) for v in a.args]) for a in q.atoms])
 
 
 def test_gaifman_unary_only():
     q = cq(["x"], [("U", ["x"])])
-    g = gaifman(q)
-    assert len(g.vertices) == 1 and not g.edges
+    forest = spanning_forest(q)
+    assert forest.trees == ((q.head[0],),) and not forest.edges()
 
 
 def test_gaifman_movie_query(movie_query):
-    g = gaifman(movie_query)
-    assert edge_names(movie_query, g) == {frozenset({"x", "y1"}), frozenset({"x", "y2"})}
+    forest = spanning_forest(movie_query)
+    assert forest.acyclic
+    assert edge_names(movie_query, forest) == {frozenset({"x", "y1"}), frozenset({"x", "y2"})}
 
 
 def test_gaifman_naive_ternary_encoding_has_cycle():
@@ -88,7 +96,7 @@ def test_binary_characterization_agrees_with_general():
         used = sorted({v for _, a in atoms for v in a})
         head = rng.sample(used, rng.randint(0, len(used)))
         q = cq(head, atoms)
-        assert is_free_connex_binary(q) == is_free_connex_acyclic(q)
+        assert spanning_forest(q).free_connex() == is_free_connex_acyclic(q)
 
 
 def test_fc1ghd_single_atom():
@@ -151,41 +159,43 @@ def test_fc1ghd_dot_export(movie_query):
 
 
 def test_components_connected_query(movie_query):
-    comps = connected_components(movie_query)
+    comps = components(on_graph(movie_query), GRAPH_INDEX)
     assert len(comps) == 1
-    assert comps[0][1] == (0, 1)
+    assert comps[0].head_positions == (0, 1)
 
 
 def test_components_two_parts():
-    q = cq(["x", "u"], [("R", ["x", "y"]), ("S", ["u", "v"])])
-    comps = connected_components(q)
+    q = cq(["x", "u"], [("E", ["x", "y"]), ("E", ["u", "v"])])
+    comps = components(q, GRAPH_INDEX)
     assert len(comps) == 2
-    heads = [[c.var_name(v) for v in c.head] for c, _ in comps]
+    heads = [[q.var_name(v) for v in c.free_order] for c in comps]
     assert heads == [["x"], ["u"]]
+    assert [c.head_positions for c in comps] == [(0,), (1,)]
 
 
 def test_components_boolean():
-    q = cq([], [("R", ["x", "y"]), ("S", ["u", "v"])])
-    comps = connected_components(q)
+    q = cq([], [("E", ["x", "y"]), ("E", ["u", "v"])])
+    comps = components(q, GRAPH_INDEX)
     assert len(comps) == 2
-    assert all(c.is_boolean() for c, _ in comps)
+    assert all(not c.free and not c.head_positions for c in comps)
 
 
 def test_components_product_equals_oracle():
+    # the answers of the components, each placed at its head positions,
+    # multiply out to the answers of the query
     rng = random.Random(99)
-    schema = BINARY_SCHEMA
     for _ in range(50):
-        db = random_relational_db(schema, rng.randint(2, 5), rng.randint(1, 5), seed=rng.randrange(10**6))
-        q = random_fc_query(schema, rng)
-        comps = connected_components(q)
+        db = random_graph_db(rng.randint(2, 5), rng.random(), seed=rng.randrange(10**6),
+                             num_labels=rng.randint(0, 2), loop_p=0.3)
+        q = random_fc_query(db.schema, rng)
+        comps = components(q, cidx.build(db))
         expected = set(brute_answers(q, db).answers.tuples)
         partials = []
-        for comp, positions in comps:
-            if comp.is_boolean():
-                ok = bool(brute_answers(comp, db).answers.tuples)
-                partials.append(([()] if ok else [], positions))
-            else:
-                partials.append((sorted(brute_answers(comp, db).answers.tuples), positions))
+        for c in comps:
+            assert [c.free_order[j] for j in c.sel] == [q.head[i] for i in c.head_positions]
+            part = cq([q.var_name(q.head[i]) for i in c.head_positions],
+                      [(a.symbol, [q.var_name(v) for v in a.args]) for a in q.atoms if a.args[0] in c.order])
+            partials.append((sorted(brute_answers(part, db).answers.tuples), c.head_positions))
         out_width = len(q.head)
         results = set()
 
@@ -200,65 +210,70 @@ def test_components_product_equals_oracle():
             for t in partials[i][0]:
                 build(i + 1, acc + [t])
 
-        if all(p[0] for p in partials) or expected:
-            build(0, [])
+        build(0, [])
         assert results == expected
+
+
+def _check_order(c):
+    """Every variable after the root is the child of one variable before it,
+    and parent_pos points at the parent of each free variable."""
+    pos = {v: i for i, v in enumerate(c.order)}
+    assert sorted(v for cs in c.children.values() for v in cs) == sorted(c.order[1:])
+    for v, cs in c.children.items():
+        assert all(pos[v] < pos[u] for u in cs)
+    for i, x in enumerate(c.free_order[1:], 1):
+        assert x in c.children[c.free_order[c.parent_pos[i]]]
 
 
 def test_variable_order_single_edge():
     q = cq(["x"], [("E", ["x", "y"])])
-    vo = variable_order(q)
-    assert [q.var_name(v) for v in vo.order] == ["x", "y"]
-    assert vo.parent[vo.order[1]] == vo.order[0]
+    (c,) = components(q, GRAPH_INDEX)
+    assert [q.var_name(v) for v in c.order] == ["x", "y"]
+    assert c.children[c.order[0]] == (c.order[1],)
 
 
 def test_variable_order_movie_query(movie_query):
-    vo = variable_order(movie_query)
-    assert [movie_query.var_name(v) for v in vo.order] == ["x", "y1", "y2"]
-    assert vo.root == movie_query.head[0]
+    q = on_graph(movie_query)
+    (c,) = components(q, GRAPH_INDEX)
+    assert [q.var_name(v) for v in c.order] == ["x", "y1", "y2"]
+    assert c.root == q.head[0]
+    _check_order(c)
 
 
 def test_variable_order_boolean_path():
     q = cq([], [("E", ["x", "y"]), ("E", ["y", "z"])])
-    vo = variable_order(q)
-    seen = set()
-    for v in vo.order:
-        if v in vo.parent:
-            assert vo.parent[v] in seen
-        seen.add(v)
+    (c,) = components(q, GRAPH_INDEX)
+    assert c.root == min(q.vars()) and not c.free
+    _check_order(c)
 
 
 def test_variable_order_labels():
     q = cq(["x"], [("E", ["x", "y"]), ("P", ["x"]), ("Q", ["x"]), ("P", ["y"])])
-    vo = variable_order(q)
+    (c,) = components(q, GRAPH_INDEX)
     x, y = q.head[0], next(v for v in q.vars() if v != q.head[0])
-    assert vo.labels[x] == {"P", "Q"}
-    assert vo.labels[y] == {"P"}
+    assert c.labels[x] == {"P", "Q"}
+    assert c.labels[y] == {"P"}
 
 
 def test_variable_order_not_tree():
     q = cq([], [("E", ["x", "y"]), ("E", ["y", "z"]), ("E", ["z", "x"])])
     with pytest.raises(NotTree):
-        variable_order(q)
+        components(q, GRAPH_INDEX)
 
 
 def test_variable_order_free_not_connected():
     q = cq(["x", "z"], [("E", ["x", "y"]), ("E", ["y", "z"])])
     with pytest.raises(FreeNotConnected):
-        variable_order(q)
+        components(q, GRAPH_INDEX)
 
 
 def test_variable_order_free_before_quantified():
     rng = random.Random(123)
+    schema = Schema.of(("E", 2), ("P", 1))
     for _ in range(200):
-        q = random_fc_query(BINARY_SCHEMA, rng, max_atoms=4, max_vars=5)
-        for comp, _ in connected_components(q):
-            if any(a.arity == 2 and a.args[0] == a.args[1] for a in comp.atoms):
-                continue  # needs loop rewriting first
-            vo = variable_order(comp)
-            free = comp.free()
-            k = len(free)
-            assert set(vo.order[:k]) == free
-            for v in vo.order:
-                if v in vo.parent:
-                    assert vo.order.index(vo.parent[v]) < vo.order.index(v)
+        q = random_fc_query(schema, rng, max_atoms=4, max_vars=5)
+        comps = components(q, GRAPH_INDEX)
+        assert frozenset().union(*(c.free for c in comps)) == q.free()
+        for c in comps:
+            assert set(c.order[: len(c.free)]) == c.free
+            _check_order(c)

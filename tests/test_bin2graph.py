@@ -154,6 +154,11 @@ def test_dot_export(movie_db):
     enc = encode_db(movie_db)
     dot = enc.to_dot()
     assert dot.startswith("graph") and dot.rstrip().endswith("}")
+    # names come from the node maps: value nodes by constant, gadgets by pair
+    ps, lm = 0, 1  # interned first, by P(PS,LM)
+    assert (movie_db.display(ps), movie_db.display(lm)) == ("PS", "LM")
+    assert f'n{enc.vmap[ps]} [label="PS", shape=circle]' in dot
+    assert f'n{enc.gadget_node[(ps, lm)]} [label="w(PS,LM)", shape=box]' in dot
 
 
 def test_movie_graph_has_no_loops(movie_db):

@@ -107,6 +107,17 @@ def test_malformed_db_is_data_error_with_line(movie_files, tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_forced_graph_stage_on_two_binary_relations_is_data_error(tmp_path, capsys):
+    schema, db, out = tmp_path / "two.schema", tmp_path / "two.db", tmp_path / "two.idx"
+    schema.write_text("R/2\nS/2\n")
+    db.write_text("R(a,b).\nR(b,a).\nS(b,c).\n")
+    code, _, err = run(capsys, "index", "--db", str(db), "--schema", str(schema), "--out", str(out),
+                       "--stage", "graph")
+    assert code == 2
+    assert err.startswith("data error:")
+    assert not out.exists()
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "query", "--task", "enum")[0] == 1
     assert run(capsys, "nonsense")[0] == 1

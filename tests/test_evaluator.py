@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from colorindex import index as cidx
 from colorindex.errors import NotAcyclic, NotFreeConnex
 from colorindex.evaluator import (
+    components,
     count_answers,
     enumerate_answers,
     enumerate_prepared,
     eval_bool,
     prepare,
-    rewrite_loops,
 )
 from colorindex.generators import cycle_db, random_graph_db, star_db
 from colorindex.instrument import OpCounter
@@ -27,17 +27,19 @@ def build(db):
 
 
 def test_rewrite_loop_atom():
+    # an edge atom E(x, x) is read as the loop label on x
+    idx = build(cycle_db(3))
     q = cq(["x"], [("E", ["x", "x"])])
-    lfq = rewrite_loops(q, "E", "L")
-    assert lfq.rewritten_atoms == 1
-    assert [(a.symbol, a.arity) for a in lfq.q_l.atoms] == [("L", 1)]
+    (comp,) = components(q, idx)
+    assert comp.order == (0,) and not comp.children[0]
+    assert comp.labels == {0: frozenset({idx.loop_label})}
 
 
 def test_rewrite_keeps_loop_free_query():
+    idx = build(cycle_db(3))
     q = cq(["x"], [("E", ["x", "y"]), ("P", ["x"])])
-    lfq = rewrite_loops(q, "E", "L")
-    assert lfq.rewritten_atoms == 0
-    assert [a.symbol for a in lfq.q_l.atoms] == ["E", "P"]
+    (comp,) = components(q, idx)
+    assert comp.labels == {0: frozenset({"P"}), 1: frozenset()}
 
 
 def test_rewrite_mixed_matches_oracle():
@@ -210,9 +212,11 @@ def test_boolean_three_way_agreement():
             },
             pool=db.pool,
         )
-        lfq = rewrite_loops(q, idx.edge_label, idx.loop_label)
+        # the loop rewrite: E(x, x) becomes the loop label on x
+        q_l = cq([], [(idx.loop_label, [q.var_name(a.args[0])]) if a.arity == 2 and a.args[0] == a.args[1]
+                      else (a.symbol, [q.var_name(v) for v in a.args]) for a in q.atoms])
         via_index = eval_bool(q, idx)
-        via_d_l = engine.bool_eval(lfq.q_l, d_l)
+        via_d_l = engine.bool_eval(q_l, d_l)
         via_oracle = bool(brute_answers(q, db).answers.tuples)
         assert via_index == via_d_l == via_oracle
 

@@ -4,22 +4,25 @@ import pytest
 
 from colorindex.errors import AsymmetricEdgeRelation
 from colorindex.generators import (
+    BINARY_SCHEMA,
+    TERNARY_SCHEMA,
     complete_binary_tree_db,
     cycle_db,
     path_db,
     random_graph_db,
+    random_relational_db,
 )
 from colorindex.index import (
     build,
     check_colorindex,
-    dump_coloring,
-    neighbors_by_color,
     read_sections,
     stats,
     write_sections,
     SectionReader,
 )
-from colorindex.model import Schema, validate_database
+from colorindex.model import Schema, cq, validate_database
+from colorindex.pipeline import DatabaseIndex
+from colorindex.textio import parse_query
 
 
 def test_build_cycle6():
@@ -58,9 +61,9 @@ def test_build_asymmetric_rejected():
 def test_neighbors_by_color():
     idx = build(cycle_db(6))
     for v in idx.graph.vertices:
-        ns = neighbors_by_color(idx, v, 0)
+        ns = idx.nbr[v].get(0, ())
         assert len(ns) == 2
-    assert neighbors_by_color(idx, idx.graph.vertices[0], 99) == ()
+    assert idx.nbr[idx.graph.vertices[0]].get(99, ()) == ()
 
 
 def test_neighbors_by_color_loop_includes_self():
@@ -68,7 +71,7 @@ def test_neighbors_by_color_loop_includes_self():
     db = validate_database(schema, {"E": [("a", "a")]})
     idx = build(db)
     (v,) = idx.graph.vertices
-    assert v in neighbors_by_color(idx, v, idx.color_of(v))
+    assert v in idx.nbr[v].get(idx.color_of(v), ())
 
 
 def test_stats_cycle100():
@@ -122,8 +125,31 @@ def test_serialization_round_trip_bit_identical():
         assert idx2.coloring.partition() == idx.coloring.partition()
 
 
-def test_dump_coloring_format():
-    idx = build(path_db(3))
-    lines = dump_coloring(idx, display=str).splitlines()
-    assert len(lines) == 3
-    assert all("\t" in ln for ln in lines)
+
+def _served(idx, text):
+    q = parse_query(text, idx.schema)
+    qb = cq([], [(a.symbol, [q.var_name(v) for v in a.args]) for a in q.atoms])
+    return idx.eval_bool(qb), idx.count(q), sorted(idx.enumerate(q))
+
+
+def test_loaded_index_serves_without_the_color_database():
+    db = random_relational_db(TERNARY_SCHEMA, 5, 8, seed=3)
+    built = DatabaseIndex.build(db)
+    idx = DatabaseIndex.load_text(built.save_text())
+    text = "Ans(x) :- T(x,y,z), R(z,w)."
+    served = _served(idx, text)
+    assert served == _served(built, text) and served[1] > 0
+    assert "d_col" not in idx.cindex.__dict__ and "d_col" not in built.cindex.__dict__
+
+
+@pytest.mark.parametrize("stage,db", [
+    ("graph", random_graph_db(9, 0.4, seed=2, num_labels=2, loop_p=0.3)),
+    ("binary", random_relational_db(BINARY_SCHEMA, 6, 10, seed=2)),
+    ("full", random_relational_db(TERNARY_SCHEMA, 4, 6, seed=2)),
+])
+def test_d_col_size_from_the_tables(stage, db):
+    idx = DatabaseIndex.build(db)
+    assert idx.stage == stage
+    ci = idx.cindex
+    assert ci.d_col_size == ci.d_col.size > 0
+    assert check_colorindex(ci) == []

@@ -20,7 +20,7 @@ from colorindex.generators import (
 from colorindex.instrument import OpCounter
 from colorindex.model import Schema, cq, validate_database
 from colorindex.oracle import brute_answers
-from colorindex.pipeline import COMPILED_LIMIT, DatabaseIndex, choose_stage, eval_pipeline
+from colorindex.pipeline import COMPILED_LIMIT, DatabaseIndex, choose_stage
 from colorindex.textio import parse_query
 
 from conftest import displayed
@@ -58,10 +58,30 @@ def test_movie_full_pipeline(movie_db, movie_query, movie_schema):
     assert idx.eval_bool(qb)
 
 
-def test_eval_pipeline_convenience(movie_db, movie_query):
-    got = set(eval_pipeline(movie_query, movie_db, "enum"))
+def test_auto_stage_build_serves_movie(movie_db, movie_query):
+    idx = DatabaseIndex.build(movie_db)
+    got = set(idx.enumerate(movie_query))
     assert got == set(brute_answers(movie_query, movie_db).answers.tuples)
-    assert eval_pipeline(movie_query, movie_db, "count") == 2
+    assert idx.count(movie_query) == 2
+
+
+@pytest.mark.parametrize("schema,raw,text", [
+    # a constant named like the gadget node of the pair (a, b)
+    (Schema.of(("R", 2), ("S", 2)), {"R": [("a", "b")], "S": [("w(a,b)", "c")]}, "Ans(x,y) :- R(x,y)."),
+    # the projection (a, b) of one tuple and the constant "a,b" of another,
+    # in both tuple orders
+    (Schema.of(("T", 3)), {"T": [("a", "b", "z"), ("a,b", "x", "y")]}, "Ans(x) :- T(x,y,z)."),
+    (Schema.of(("T", 3)), {"T": [("a,b", "x", "y"), ("a", "b", "z")]}, "Ans(x) :- T(x,y,z)."),
+], ids=["gadget-name", "projection-name", "projection-name-first"])
+def test_reduction_nodes_do_not_collide_by_name(schema, raw, text):
+    db = validate_database(schema, raw)
+    idx = DatabaseIndex.build(db)
+    assert idx.stage == ("binary" if schema.is_binary() else "full")
+    q = parse_query(text, schema)
+    expected = brute_answers(q, db).answers.tuples
+    got = list(idx.enumerate(q))
+    assert len(got) == len(set(got)) == idx.count(q) == len(expected)
+    assert set(got) == expected
 
 
 def test_bool_task_mismatch(movie_db, movie_query):

@@ -1,0 +1,22 @@
+"""`perfbench/scaling.py` runs against the package as it is: its prepare
+table has seven rows, and each stays within the paper's O(|Q| * |D_col|)
+preprocessing bound at no more than 8 ops per color-database tuple (7.01 is
+the largest when this test was written)."""
+import importlib.util
+from pathlib import Path
+
+SCALING = Path(__file__).resolve().parent.parent / "perfbench" / "scaling.py"
+OPS_PER_D_COL_TUPLE = 8
+
+
+def test_scaling_prepare_table(capsys):
+    spec = importlib.util.spec_from_file_location("perfbench_scaling", SCALING)
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    scaling.prepare_table()
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].startswith("| input | query | D_col | prepare_ops |")
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in table[2:]]
+    assert len(rows) == 7
+    for label, _, d_col, ops, _ in rows:
+        assert int(ops) <= OPS_PER_D_COL_TUPLE * int(d_col), label
