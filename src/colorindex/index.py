@@ -1,7 +1,23 @@
 """The color-index: loop-encoded graph, coarsest stable coloring, lookup
 tables for classes / per-color neighbor lists / per-color neighbor colors
-with their degrees / per-label colors, and the color database, which is
-derived from those tables on first use.
+with their degrees / per-label colors, and two views derived from those
+tables on first use: the color database, and the typed color edges that
+binary- and full-stage queries run on.
+
+A binary- or full-stage index is built on `bin2graph`'s gadget graph: each
+ordered pair (a, b) of related values is a gadget vertex w_ab, linked
+a - w_ab - w_ba - b, with a self-looped w_aa for a pair (a, a).  Such an
+index carries the stage's gadget symbols, and queries over the binary
+schema run on its value (`V`) colors directly.  Stability gives every
+gadget color cw one partner color p(cw), the color of its gadget neighbor
+(cw itself for a self-looped gadget), and one value color.  So an entry
+(cw, n) of deg[c], for a value color c, is a *typed edge*: each vertex of
+color c has n gadgets of color cw, each leading to one value of color
+dest[cw], the value color next to p(cw).  The gadget's labels say which
+relations hold forward, its partner's labels which hold backward, and a
+self-looped gadget is the pair (a, a).  The reverse of the typed edge
+(c, cw, dest[cw]) is (dest[cw], p(cw), c).  A graph-stage index is the
+one-type case: deg[c] entries lead to their own color.
 
 The index is immutable after build and safe for unlimited concurrent readers;
 the evaluation phase serves many queries against one index.  It holds nothing
@@ -13,13 +29,25 @@ from __future__ import annotations
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
+from .bin2graph import GraphSymbols
 from .errors import ParseError
 from .model import Database, Schema
 from .refinement import (
     Coloring, LabeledGraph, asymmetric_vertex, color_buckets, encode_loops, refine, refines_labels, unstable_witness,
 )
+
+
+@dataclass(frozen=True)
+class TypedEdges:
+    """The typed color edges of an index (see the module docstring)."""
+
+    partner: Sequence[int] | None  # per gadget color, p(cw); None on the graph stage
+    dest: Sequence[int]  # per gadget color, the value color it leads to; c itself otherwise
+    # per relation label, the gadget colors whose partners carry it: the
+    # typed edges along which the relation holds backward
+    back: dict[str, frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -31,6 +59,7 @@ class ColorIndex:
     deg: tuple[tuple[tuple[int, int], ...], ...]
     label_colors: dict[str, frozenset[int]]  # label -> the colors that carry it
     source_size: int
+    symbols: GraphSymbols | None = None  # the gadget symbols of a binary- or full-stage index
 
     @property
     def colors(self) -> int:
@@ -71,6 +100,32 @@ class ColorIndex:
         relations = {u: tuple((c,) for c in sorted(cs)) for u, cs in self.label_colors.items()}
         relations[edge_label] = tuple((c, cp) for c, row in enumerate(self.deg) for cp, _ in row)
         return Database(schema=schema, relations=relations)
+
+    @functools.cached_property
+    def typed(self) -> TypedEdges:
+        """The typed color edges, derived from the tables on first use in
+        O(colors).  Raises ParseError when a gadget class does not have one
+        value neighbor and one gadget neighbor, or a relation label is off
+        the gadgets, which only a tampered index file brings about."""
+        dest = range(self.colors)
+        if self.symbols is None:
+            return TypedEdges(partner=None, dest=dest, back={})
+        gadgets, values = self.label_colors[self.symbols.w_label], self.label_colors[self.symbols.v_label]
+        partner, own = list(dest), list(dest)
+        for cw in gadgets:
+            row = self.deg[cw]
+            if len(row) == 2 and row[0][1] == row[1][1] == 1:
+                (c, _), (p, _) = row if row[0][0] in values else row[::-1]
+                if c in values and p in gadgets:
+                    own[cw], partner[cw] = c, p
+                    continue
+            raise ParseError(f"gadget vertex {self.coloring.classes[cw][0]} does not have "
+                             "one value neighbor and one gadget neighbor")
+        labels = self.symbols.u_label.values()
+        if not all(self.label_colors[u] <= gadgets for u in labels):
+            raise ParseError("a relation label is on a vertex that is not a gadget")
+        back = {u: frozenset(map(partner.__getitem__, self.label_colors[u])) for u in labels}
+        return TypedEdges(partner=partner, dest=[own[p] for p in partner], back=back)
 
     @property
     def d_col_size(self) -> int:

@@ -5,23 +5,28 @@ constants.  Indexes serialize to a versioned, deterministic text format.
 
 Serving compiles a query once per index: `DatabaseIndex.compile` checks it
 against the schema and for free-connex acyclicity, translates it to the
-graph stage, and splits it into components with their variable orders, all
-in one `CompiledQuery`.  The index keeps the last COMPILED_LIMIT of them,
-keyed by the parsed query; the oldest goes first.  Only compile results are
-kept: bool, count and enum run the dynamic program and the enumeration
-preprocessing on every call.  An index is safe for concurrent readers: a
+query the evaluator runs, and splits that into components with their
+variable orders and typed edges, all in one `CompiledQuery`.  The
+translation is the identity on the graph and binary stages, where the
+query runs on the index's color edges and typed color edges, and
+`arb2bin`'s q2 on the full stage; `bin2graph`'s gadget translation of
+queries is not on the serving path.  The index keeps the last
+COMPILED_LIMIT compiled queries, keyed by the parsed query; the oldest goes
+first.  Only compile results are kept: bool, count and enum run the dynamic
+program and the enumeration preprocessing on every call.  An index is safe for concurrent readers: a
 `CompiledQuery` is immutable, a lock guards each look-up and change of the
 map but not the compiling, and two threads that miss the map at once both
 compile the query and store equal results.
 """
 from __future__ import annotations
 
+import dataclasses
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import arb2bin, bin2graph, evaluator, index as cindex_mod
-from .analysis import compute_fc1ghd, spanning_forest
+from .analysis import compute_fc1ghd
 from .errors import (
     ArityMismatch, FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree, ParseError,
     TaskMismatch, UnknownSymbol,
@@ -54,6 +59,10 @@ def choose_stage(db: Database) -> str:
 
 @dataclass(frozen=True)
 class Translation:
+    """The query the evaluator runs (the source query on the graph and
+    binary stages, `arb2bin`'s q2 on the full stage) and the decoder from
+    its answers, over the index's vertices, to source constants."""
+
     qhat: ConjunctiveQuery
     decode: Callable[[tuple[int, ...]], tuple[int, ...]]
 
@@ -64,7 +73,7 @@ class CompiledQuery:
     acyclic (for a Boolean query: not acyclic), that is all it records."""
 
     free_connex: bool
-    translation: Translation | None = None  # to the graph stage, with the answer decoder
+    translation: Translation | None = None  # the query that runs, with the answer decoder
     components: tuple[evaluator.Component, ...] = ()  # of translation.qhat
 
 
@@ -120,6 +129,9 @@ class DatabaseIndex:
         self.node_proj = node_proj or {}
         self.node_tuple = node_tuple or {}
         self._symbols = _stage_symbols(stage, schema)
+        if cindex.symbols != self._symbols:
+            # the typed color edges read the stage's gadget symbols
+            self.cindex = dataclasses.replace(cindex, symbols=self._symbols)
         self._compiled: dict[tuple, CompiledQuery] = {}  # insertion order: oldest first
         self._lock = threading.Lock()
 
@@ -173,34 +185,28 @@ class DatabaseIndex:
                 raise UnknownSymbol(f"unknown relation symbol {a.symbol!r}")
             if arity != a.arity:
                 raise ArityMismatch(f"{a.symbol} expects {arity} arguments, got {a.arity}")
+        source_of = self.vmap_inv.__getitem__
         if self.stage == "graph":
             tr = Translation(qhat=q, decode=_identity)
         elif self.stage == "binary":
-            forest = spanning_forest(q)
-            if not forest.free_connex():
-                return _REJECTED
-            ench = bin2graph.encode_forest(q, forest, self._symbols)
-            vmap_inv = self.vmap_inv
-            tr = Translation(qhat=ench.qhat, decode=lambda t: bin2graph.decode_answer(t, ench, vmap_inv))
+            tr = Translation(qhat=q, decode=lambda t: tuple(map(source_of, t)))
         else:
             try:
                 ghd = compute_fc1ghd(q)
             except NotFreeConnex:
                 return _REJECTED
             enc2 = arb2bin.encode_query(q, ghd, self.schema)
-            # q2 is free-connex acyclic by construction
-            ench = bin2graph.encode_forest(enc2.q2, spanning_forest(enc2.q2), self._symbols)
-            vmap_inv, node_proj = self.vmap_inv, self.node_proj
+            node_proj = self.node_proj
 
             def decode(t: tuple[int, ...]) -> tuple[int, ...]:
-                mid = bin2graph.decode_answer(t, ench, vmap_inv)
-                return arb2bin.decode_answer(mid, enc2, node_proj)
+                return arb2bin.decode_answer(tuple(map(source_of, t)), enc2, node_proj)
 
-            tr = Translation(qhat=ench.qhat, decode=decode)
+            tr = Translation(qhat=enc2.q2, decode=decode)
         try:
             comps = evaluator.components(tr.qhat, self.cindex)
         except (NotTree, FreeNotConnected):
-            # only a graph-stage query gets here: the other stages checked q
+            # q2 is free-connex acyclic by construction: only a graph- or
+            # binary-stage query gets here
             return _REJECTED
         return CompiledQuery(free_connex=True, translation=tr, components=comps)
 
@@ -211,7 +217,9 @@ class DatabaseIndex:
         return compiled
 
     def translate(self, q: ConjunctiveQuery) -> Translation:
-        """The graph-stage query of q and its answer decoder."""
+        """The query the evaluator runs for q, and its answer decoder: q
+        itself on the graph and binary stages, `arb2bin`'s q2 on the full
+        stage."""
         return self._accepted(q, NotFreeConnex, "translation requires a free-connex acyclic query").translation
 
     # -- evaluation ------------------------------------------------------------
