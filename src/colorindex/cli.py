@@ -3,15 +3,18 @@ tasks, cross-check the indexed path against the baseline engine and the
 brute-force oracle, and emit size / preprocessing benchmarks.
 
 Exit codes: 0 ok, 1 usage, 2 data error (including a failed check), 3 task
-error.
+error.  A reader that closes stdout early, as `head` does, cuts the output of
+`query` the way `--limit` does, with exit code 0.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import random
 import sys
 import time
+from contextlib import closing
 
 from . import engine, evaluator, generators, oracle
 from .errors import (
@@ -82,23 +85,22 @@ def cmd_index(args) -> int:
 def cmd_query(args) -> int:
     idx = DatabaseIndex.load(args.idx)
     q = parse_query(_read(args.query), idx.schema)
-    if args.task == "bool":
-        print("yes" if idx.eval_bool(q) else "no")
-    elif args.task == "count":
-        print(idx.count(q))
-    else:
-        stream = idx.enumerate(q)
-        if args.limit is not None:
-            emitted = 0
-            for t in itertools.islice(stream, args.limit + 1):
-                if emitted == args.limit:
-                    return 0  # truncated: no end-of-enumeration marker
-                print(_format_answer(idx, t))
-                emitted += 1
+    try:
+        if args.task == "bool":
+            print("yes" if idx.eval_bool(q) else "no")
+        elif args.task == "count":
+            print(idx.count(q))
         else:
-            for t in stream:
-                print(_format_answer(idx, t))
-        print("EOE")
+            with closing(idx.enumerate(q)) as stream:
+                for t in itertools.islice(stream, args.limit):
+                    print(_format_answer(idx, t))
+                if next(stream, None) is None:  # answers are tuples, never None
+                    print("EOE")  # not when --limit cut the stream
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: the output is cut as by --limit, and
+        # what is still buffered goes to the null device at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -25,13 +25,24 @@ color tables, in O(|Q| * |D_col|).  Its rows are sparse, {color: count}
 with only the non-zero entries, so the work is spent on the colors that can
 still match: a label row intersects the label's color sets, a product walks
 the smaller row, and a lift walks the per-color neighbor lists (`deg`) of
-the child row's colors only, keeping the allowed typed edges.  Enumeration
-keeps the rows of the free variables: a color is alive at a free variable
-when it has an entry, and tables from each alive parent color to its
-allowed edges toward alive child colors stream color tuples whose every
-prefix extends.  Each color tuple expands into vertex tuples through the
-class and neighbor tables, a typed edge in two more look-ups (gadget,
-partner, value), with delay proportional to the number of free variables.
+the child row's colors only, keeping the allowed typed edges.
+
+Enumeration keeps the rows of the free variables: a color is alive at a
+free variable when it has an entry, and each free variable after a root
+gets a table from its parent's alive colors to its allowed edges toward
+alive colors.  One depth-first iterator stack then walks vertices, with
+one level per free variable of every non-Boolean component in turn, so a
+product of components is just more levels.  A root level draws the
+members of its alive root colors.  A later level, for the vertex u drawn
+at its parent's level, draws the bucket nbr[u][cw] of each table entry cw
+of u's color; on a typed edge each gadget drawn reaches its value in two
+more look-ups (gadget, partner, value).  A step is one draw, the one that
+finds a bucket spent included, or one bucket opened.  Every table entry
+opens a non-empty bucket: its edge is in deg[col[u]], and stability gives
+every vertex of a color the same neighbor counts.  Every alive color has
+at least one entry, and every prefix extends.  So each draw is O(1) work,
+no level runs dry before it yields, and consecutive answers are O(|free
+variables|) steps apart.
 
 A query is acyclic here exactly when its Gaifman graph is a forest, since
 every atom has arity at most 2, and free-connex acyclic when in addition
@@ -41,7 +52,8 @@ checks `components` makes, so no separate acyclicity pass runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from operator import itemgetter
+from typing import Iterator
 
 from .analysis import spanning_forest
 from .errors import ArityMismatch, FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree, UnknownSymbol
@@ -192,13 +204,20 @@ def eval_bool(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None
 
 @dataclass
 class EnumPlan:
+    """What enumeration reads: the free variables of the non-Boolean
+    components, in order, are the levels of one iterator stack."""
+
     idx: ColorIndex
     width: int  # of the query head
     components: list[Component]  # the non-Boolean ones
-    roots: list[list[int]]  # per component, the alive colors of its root
+    # per component, the alive colors of its root: its root level opens
+    # their classes
+    roots: list[list[int]]
     # per component and free variable after the root: alive parent color ->
     # the gadget colors of its allowed typed edges toward alive colors (on
-    # the graph stage, those alive colors)
+    # the graph stage, those alive colors).  The level of that variable, for
+    # a vertex u of its parent's level, opens the bucket nbr[u][cw] of each
+    # entry cw of u's color; every one is non-empty.
     tables: list[list[dict[int, list[int]]]]
     empty: bool  # some component has no answer
 
@@ -237,84 +256,83 @@ def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex
     return plan
 
 
-def _walk(first: Iterable, k: int, child: Callable[[int, list], Iterable],
-          steps: OpCounter) -> Iterator[tuple]:
-    """Depth-first over k levels with an explicit iterator stack: level 0
-    draws from first, level d from child(d, values of the levels above).
-    One step per draw; when no level but the last can run dry, consecutive
-    outputs are O(k) steps apart."""
-    vals: list = [None] * k
-    iters = [iter(first)]
-    while iters:
-        d = len(iters) - 1
-        steps.tick()
-        v = next(iters[-1], None)  # values are never None
-        if v is None:
-            iters.pop()
-            continue
-        vals[d] = v
-        if d + 1 == k:
-            yield tuple(vals)
-        else:
-            iters.append(iter(child(d + 1, vals)))
-
-
-def _expand(idx: ColorIndex, cbar: tuple[int, ...], parent_pos: tuple[int, ...],
-            steps: OpCounter) -> Iterator[tuple[int, ...]]:
-    """Expand one color tuple, a root color and then one typed edge's
-    gadget color per free variable, into all vertex tuples of that pattern.
-    A gadget w_ab of color cw reaches b through its partner, of color
-    p(cw), and the partner's value neighbor, of color dest[cw].
-
-    Every neighbor set encountered is non-empty by stability of the coloring;
-    an empty one indicates a broken index and raises instead of filtering.
-    """
-    nbr, partner, dest = idx.nbr, idx.typed.partner, idx.typed.dest
-
-    def bucket(d: int, vals: list) -> Iterable[int]:
-        cw = cbar[d]
-        found = nbr[vals[parent_pos[d]]].get(cw)
-        if not found:
-            raise AssertionError("empty neighbor set during expansion (stability violated)")
-        if partner is None:
-            return found
-        pw, c = partner[cw], dest[cw]
-        return (nbr[nbr[w][pw][0]][c][0] for w in found)
-
-    return _walk(idx.coloring.classes[cbar[0]], len(cbar), bucket, steps)
-
-
-def _component_stream(comp: Component, roots: list[int], tables: list[dict[int, list[int]]],
-                      idx: ColorIndex, steps: OpCounter) -> Iterator[tuple[int, ...]]:
-    parent_pos, dest = comp.parent_pos, idx.typed.dest
-    colors = _walk(roots, len(comp.free_order),
-                   lambda d, vals: tables[d - 1][dest[vals[parent_pos[d]]]], steps)
-    for cbar in colors:
-        yield from _expand(idx, cbar, parent_pos, steps)
-
-
 def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterator[tuple[int, ...]]:
-    """Stream the answers of the prepared query, each exactly once, assembled
-    in the original head order."""
+    """Stream the answers of the prepared query, each exactly once, as
+    vertex tuples in the original head order, from one iterator stack over
+    vertices (see the module docstring).  Steps are counted in a local and
+    added to `steps` before each answer and at the end.  A missing or empty
+    bucket means a broken index, and raises instead of being skipped."""
     steps = steps if steps is not None else OpCounter()
     if plan.empty:
         return
-    comps, idx = plan.components, plan.idx
-    if not comps:
-        steps.tick()
+    if not plan.components:
+        steps.n += 1
         yield ()
         return
-
-    def stream(d: int, _=None) -> Iterator[tuple[int, ...]]:
-        return _component_stream(comps[d], plan.roots[d], plan.tables[d], idx, steps)
-
-    parts = _walk(stream(0), len(comps), stream, steps)
-    for current in parts:
-        out = [0] * plan.width
-        for comp, ctup in zip(comps, current):
-            for pos, j in zip(comp.head_positions, comp.sel):
-                out[pos] = ctup[j]
-        yield tuple(out)
+    idx = plan.idx
+    nbr, col, classes = idx.nbr, idx.coloring.col, idx.coloring.classes
+    partner, dest = idx.typed.partner, idx.typed.dest
+    parent: list[int] = []  # per level, its parent level; -1 at a component root
+    source: list = []  # per level, the alive root colors at a root, else the table
+    heads = [0] * plan.width  # per head position, its level
+    for comp, roots, tables in zip(plan.components, plan.roots, plan.tables):
+        base = len(parent)
+        parent += [-1] + [base + p for p in comp.parent_pos[1:]]
+        source += [roots] + tables
+        for pos, j in zip(comp.head_positions, comp.sel):
+            heads[pos] = base + j
+    # a head in level order, as every one-level head is, is the value list itself
+    answer = tuple if heads == sorted(heads) else itemgetter(*heads)
+    hops = [partner is not None and p >= 0 for p in parent]
+    last = len(parent) - 1
+    vals = [0] * (last + 1)
+    entries: list[Iterator[int]] = [iter(source[0])] + [iter(())] * last
+    bucket: list[Iterator[int]] = [iter(())] * (last + 1)
+    around: list[dict[int, tuple[int, ...]]] = [{}] * (last + 1)  # the parent vertex's buckets
+    via = [0] * (last + 1)  # at a typed level, the partner color of the open entry
+    to = [0] * (last + 1)  # and the value color it leads to
+    n = d = 0
+    while True:
+        # open the next bucket of level d, or back up when it has none
+        cw = next(entries[d], None)
+        if cw is None:
+            if d == 0:
+                break
+            d -= 1
+        else:
+            n += 1
+            if parent[d] < 0:
+                found = classes[cw]
+            else:
+                found = around[d].get(cw)
+                if hops[d]:
+                    via[d], to[d] = partner[cw], dest[cw]
+            if not found:
+                raise AssertionError(f"an empty or missing bucket of color {cw} (stability violated)")
+            bucket[d] = iter(found)
+        # draw from level d: answer at the last level, else go down
+        while True:
+            v = next(bucket[d], None)  # vertices are never None
+            n += 1
+            if v is None:
+                break
+            if hops[d]:
+                v = nbr[nbr[v][via[d]][0]][to[d]][0]
+            vals[d] = v
+            if d < last:
+                d += 1
+                p = parent[d]
+                if p < 0:
+                    entries[d] = iter(source[d])
+                else:
+                    u = vals[p]
+                    around[d] = nbr[u]
+                    entries[d] = iter(source[d][col[u]])
+                break
+            steps.n += n
+            n = 0
+            yield answer(vals)
+    steps.n += n
 
 
 def enumerate_answers(q: ConjunctiveQuery, idx: ColorIndex,

@@ -243,8 +243,7 @@ class DatabaseIndex:
         compiled = self._accepted(q, NotFreeConnex, "enum task requires a free-connex acyclic query")
         tr = compiled.translation
         plan = evaluator.prepare_components(compiled.components, len(tr.qhat.head), self.cindex, ops)
-        for t in evaluator.enumerate_prepared(plan, steps):
-            yield tr.decode(t)
+        yield from map(tr.decode, evaluator.enumerate_prepared(plan, steps))
 
     def display_tuple(self, t: tuple[int, ...]) -> tuple[str, ...]:
         return tuple(self.pool.display(c) for c in t)

@@ -196,3 +196,57 @@ def test_query_results_match_after_reload(movie_files, capsys):
     assert code == 0
     code, out2, _ = run(capsys, "query", "--idx", str(f["idx"]), "--query", str(f["query"]), "--task", "enum")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_query_into_a_closed_pipe_exits_quietly(tmp_path, capsys, buffered):
+    # `colorindex query --task enum ... | head -1`: the reader leaves after
+    # one line, and the answers still pending fill more than a pipe buffer
+    import os
+    import subprocess
+    import sys
+
+    import colorindex
+
+    schema = tmp_path / "graph.schema"
+    schema.write_text("E/2\n")
+    db = tmp_path / "c3000.db"
+    lines = []
+    for i in range(3000):
+        a, b = f"v{i}", f"v{(i + 1) % 3000}"
+        lines += [f"E({a},{b}).", f"E({b},{a})."]
+    db.write_text("\n".join(lines) + "\n")
+    query = tmp_path / "q.cq"
+    query.write_text("Ans(x1,x2,x3) :- E(x1,x2), E(x2,x3).\n")
+    idx = tmp_path / "c.idx"
+    assert run(capsys, "index", "--db", str(db), "--schema", str(schema), "--out", str(idx))[0] == 0
+
+    src = os.path.dirname(os.path.dirname(colorindex.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+
+    def query_cli(index, task):
+        return subprocess.Popen(
+            [sys.executable, "-m", "colorindex.cli", "query", "--idx", str(index), "--query", str(query),
+             "--task", task], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+    proc = query_cli(idx, "enum")
+    assert proc.stdout.readline() == b"v0,v1,v0\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+    # a reader gone before the one-line count is written
+    proc = query_cli(idx, "count")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+    # an unreadable index file is still a data error
+    proc = query_cli(tmp_path / "missing.idx", "enum")
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2 and out == b"" and b"data error" in err

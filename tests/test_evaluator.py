@@ -377,3 +377,63 @@ def test_count_and_bool_match_oracle_property(instance):
     assert count_answers(idx.translate(q).qhat, idx.cindex) == len(expected)
     q_bool = cq([], [(a.symbol, [q.var_name(v) for v in a.args]) for a in q.atoms])
     assert eval_bool(idx.translate(q_bool).qhat, idx.cindex) == bool(expected)
+
+
+@pytest.mark.parametrize("stage", ["graph", "binary"])
+@pytest.mark.parametrize("broken", ["missing", "empty"])
+def test_enumeration_raises_on_a_broken_neighbor_table(stage, broken):
+    # every table entry opens a non-empty bucket of a stable coloring; a
+    # table that lost one is a broken index, and enumeration must not skip
+    # it and yield fewer answers
+    from colorindex.generators import BINARY_SCHEMA
+    from colorindex.pipeline import DatabaseIndex
+
+    if stage == "graph":
+        db = cycle_db(6)
+        q = parse_query("Ans(x,y) :- E(x,y).", db.schema)
+    else:
+        db = validate_database(BINARY_SCHEMA, {"R": [("a", "b"), ("b", "c")]})
+        q = parse_query("Ans(x,y) :- R(x,y).", BINARY_SCHEMA)
+    idx = DatabaseIndex.build(db)
+    assert idx.stage == stage
+    assert len(list(idx.enumerate(q))) == idx.count(q) > 0
+    ci = idx.cindex
+    v = ci.graph.vertices[0] if stage == "graph" else idx.vmap[db.pool.intern("a")]
+    c = next(iter(ci.nbr[v]))
+    if broken == "missing":
+        del ci.nbr[v][c]
+    else:
+        ci.nbr[v][c] = ()
+    with pytest.raises(AssertionError, match="stability violated"):
+        list(idx.enumerate(q))
+
+
+def test_counting_steps_is_not_a_second_code_path():
+    from colorindex.generators import BINARY_SCHEMA, random_relational_db
+    from colorindex.pipeline import DatabaseIndex
+
+    db = random_relational_db(BINARY_SCHEMA, 8, 16, seed=3)
+    idx = DatabaseIndex.build(db)
+    q = parse_query("Ans(x,y,z) :- R(x,y), S(y,z).", BINARY_SCHEMA)
+    plain = list(idx.enumerate(q))
+    assert plain and plain == list(idx.enumerate(q, steps=OpCounter()))
+
+
+def test_step_count_on_a_cycle_is_pinned():
+    # one color, so one bucket per level: a step is a draw (one that finds
+    # the bucket spent included) or a bucket opened.  Each x1 costs its
+    # draw, a bucket of two x2 (open, 2 draws, spent) and per x2 a bucket
+    # of two x3: 1 + 4 + 2 * 4 = 13
+    from colorindex.pipeline import DatabaseIndex
+
+    db = cycle_db(400)
+    idx = DatabaseIndex.build(db)
+    q = parse_query("Ans(x1,x2,x3) :- E(x1,x2), E(x2,x3).", db.schema)
+    steps = OpCounter()
+    gaps, last = [], 0
+    for _ in idx.enumerate(q, steps=steps):
+        gaps.append(steps.n - last)
+        last = steps.n
+    assert len(gaps) == 1600
+    assert steps.n == 5202  # the root bucket: open, 400 * 13, spent
+    assert max(gaps[1:]) == 7
