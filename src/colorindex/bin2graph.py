@@ -13,9 +13,10 @@ which subdivides each oriented Gaifman edge with two gadget variables and
 labels them, and `decode_answer`, which projects onto the original head
 prefix, state the reduction on queries, which criterion 7 checks.
 
-The nodes are numbered by counting, the value nodes of the active domain in
-id order first, then the gadget nodes in pair order; `to_dot` names them
-from the node maps.
+A value node is its source id: a constant id on the binary stage, an
+`arb2bin` node id on the full stage.  The gadget nodes are numbered on from
+the largest of them, in pair order, so `vmap` and `vmap_inv` are identity
+maps and an answer over the value nodes needs no decoding.
 """
 from __future__ import annotations
 
@@ -70,8 +71,8 @@ def graph_symbols_for(schema: Schema) -> GraphSymbols:
 class GraphEncoding:
     dhat: Database
     symbols: GraphSymbols
-    vmap: dict[int, int]  # source constant -> V node
-    vmap_inv: dict[int, int]
+    vmap: dict[int, int]  # source constant -> V node: the identity
+    vmap_inv: dict[int, int]  # the same identity map
     gadget_node: dict[tuple[int, int], int]  # source pair -> W node
     node_gadget: dict[int, tuple[int, int]]
     source: Database
@@ -87,7 +88,7 @@ class GraphEncoding:
                 a, b = self.node_gadget[v]
                 lines.append(f'  n{v} [label="w({show(a)},{show(b)})", shape=box];')
             else:
-                lines.append(f'  n{v} [label="{show(self.vmap_inv[v])}", shape=circle];')
+                lines.append(f'  n{v} [label="{show(v)}", shape=circle];')
         for a, b in self.dhat.rel(self.symbols.edge):
             if (b, a) not in seen:
                 seen.add((a, b))
@@ -99,36 +100,37 @@ class GraphEncoding:
 def encode_db(db: Database) -> GraphEncoding:
     symbols = graph_symbols_for(db.schema)
     sigma_hat = symbols.schema()
-    vmap = {c: i for i, c in enumerate(sorted(db.active_domain()))}
+    values = sorted(db.active_domain())
 
     pairs: set[tuple[int, int]] = set()
     for f in db.schema.binary_symbols():
         for a, b in db.rel(f):
             pairs.add((a, b))
             pairs.add((b, a))
-    gadget_node = {pair: len(vmap) + i for i, pair in enumerate(sorted(pairs))}
+    first = values[-1] + 1 if values else 0
+    gadget_node = {pair: first + i for i, pair in enumerate(sorted(pairs))}
 
     # each directed edge once: w_ab -> w_ba comes from (a, b) only
     edges: list[tuple[int, int]] = []
     for (a, b), w_ab in gadget_node.items():
-        va = vmap[a]
-        edges += ((va, w_ab), (w_ab, va), (w_ab, gadget_node[(b, a)]))
+        edges += ((a, w_ab), (w_ab, a), (w_ab, gadget_node[(b, a)]))
     edges.sort()
 
     relations: dict[str, tuple[tuple[int, ...], ...]] = {}
     relations[symbols.edge] = tuple(edges)
     for u in symbols.unary:
-        relations[u] = tuple(sorted((vmap[c],) for (c,) in db.rel(u)))
+        relations[u] = tuple(sorted(db.rel(u)))
     for f in db.schema.binary_symbols():
         relations[symbols.u_label[f]] = tuple(sorted((gadget_node[(a, b)],) for a, b in db.rel(f)))
-    relations[symbols.v_label] = tuple((n,) for n in vmap.values())
+    relations[symbols.v_label] = tuple((v,) for v in values)
     relations[symbols.w_label] = tuple((w,) for w in gadget_node.values())
 
+    identity = dict(zip(values, values))
     return GraphEncoding(
         dhat=Database(schema=sigma_hat, relations=relations),
         symbols=symbols,
-        vmap=vmap,
-        vmap_inv={n: c for c, n in vmap.items()},
+        vmap=identity,
+        vmap_inv=identity,
         gadget_node=gadget_node,
         node_gadget={n: p for p, n in gadget_node.items()},
         source=db,

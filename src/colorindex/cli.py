@@ -29,7 +29,7 @@ from .index import stats
 from .instrument import OpCounter
 from .model import ConjunctiveQuery, Database
 from .pipeline import TASKS, DatabaseIndex
-from .textio import parse_database, parse_query, parse_schema
+from .textio import parse_database, parse_query, parse_schema, read_text
 
 USAGE_ERROR, DATA_ERROR, TASK_ERROR = 1, 2, 3
 
@@ -41,22 +41,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_db(db_path: str, schema_path: str) -> Database:
-    schema = parse_schema(_read(schema_path))
-    return parse_database(_read(db_path), schema)
-
-
-def _format_answer(idx_or_db, tup: tuple[int, ...]) -> str:
-    if not tup:
-        return "()"
-    if isinstance(idx_or_db, DatabaseIndex):
-        return ",".join(idx_or_db.pool.display(c) for c in tup)
-    return ",".join(idx_or_db.display(c) for c in tup)
+    schema = parse_schema(read_text(schema_path))
+    return parse_database(read_text(db_path), schema)
 
 
 def cmd_index(args) -> int:
@@ -84,7 +71,7 @@ def cmd_index(args) -> int:
 
 def cmd_query(args) -> int:
     idx = DatabaseIndex.load(args.idx)
-    q = parse_query(_read(args.query), idx.schema)
+    q = parse_query(read_text(args.query), idx.schema)
     try:
         if args.task == "bool":
             print("yes" if idx.eval_bool(q) else "no")
@@ -93,7 +80,7 @@ def cmd_query(args) -> int:
         else:
             with closing(idx.enumerate(q)) as stream:
                 for t in itertools.islice(stream, args.limit):
-                    print(_format_answer(idx, t))
+                    print(",".join(idx.display_tuple(t)) or "()")
                 if next(stream, None) is None:  # answers are tuples, never None
                     print("EOE")  # not when --limit cut the stream
         sys.stdout.flush()
@@ -135,13 +122,13 @@ def _check_once(db: Database, q: ConjunctiveQuery, task: str) -> tuple[bool, str
 
 
 def cmd_check(args) -> int:
-    schema = parse_schema(_read(args.schema))
+    schema = parse_schema(read_text(args.schema))
     if args.n is None:
         if not args.db or not args.query:
             print("check: --db and --query are required without --n", file=sys.stderr)
             return USAGE_ERROR
-        db = parse_database(_read(args.db), schema)
-        q = parse_query(_read(args.query), schema)
+        db = parse_database(read_text(args.db), schema)
+        q = parse_query(read_text(args.query), schema)
         ok, diff = _check_once(db, q, args.task)
         print("PASS" if ok else f"FAIL {diff}")
         return 0 if ok else DATA_ERROR
@@ -162,32 +149,29 @@ def cmd_check(args) -> int:
     return 0
 
 
-_FAMILIES = ("cycle", "tree", "star", "random-graph", "random-relational")
-
-
-def _family_db(family: str, size: int, seed: int) -> Database:
-    if family == "cycle":
-        return generators.cycle_db(size)
-    if family == "tree":
-        return generators.complete_binary_tree_db(size)
-    if family == "star":
-        return generators.star_db(size)
-    if family == "random-graph":
-        return generators.random_graph_db(size, p=0.5, seed=seed)
-    return generators.random_relational_db(
-        generators.TERNARY_SCHEMA, n_constants=size, n_tuples=2 * size, seed=seed
-    )
+# family -> its smallest size, and its database of a size and a seed
+_FAMILIES = {
+    "cycle": (3, lambda n, seed: generators.cycle_db(n)),
+    "tree": (1, lambda n, seed: generators.complete_binary_tree_db(n)),
+    "star": (1, lambda n, seed: generators.star_db(n)),
+    "random-graph": (1, lambda n, seed: generators.random_graph_db(n, p=0.5, seed=seed)),
+    "random-relational": (1, lambda n, seed: generators.random_relational_db(
+        generators.TERNARY_SCHEMA, n_constants=n, n_tuples=2 * n, seed=seed)),
+}
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    least, family_db = _FAMILIES[args.family]
+    if min(args.sizes) < least:
+        print(f"bench: --family {args.family} needs sizes of {least} or more", file=sys.stderr)
+        return USAGE_ERROR
     print("family,size,db_size,colors,dcol_size,ratio,index_ms,indexed_pre_ops,baseline_pre_ops,indexed_ms,baseline_ms")
-    for size in sizes:
-        db = _family_db(args.family, size, args.seed)
+    for size in args.sizes:
+        db = family_db(size, args.seed)
         t0 = time.perf_counter()
         idx = DatabaseIndex.build(db)
         t1 = time.perf_counter()
-        q = parse_query(_read(args.query), db.schema)
+        q = parse_query(read_text(args.query), db.schema)
         tr = idx.translate(q)
         ops_i = OpCounter()
         t2 = time.perf_counter()
@@ -205,7 +189,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _limit(text: str) -> int:
+def _count(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
@@ -231,7 +215,7 @@ def build_parser() -> _Parser:
     pq.add_argument("--idx", required=True)
     pq.add_argument("--query", required=True)
     pq.add_argument("--task", required=True, choices=TASKS)
-    pq.add_argument("--limit", type=_limit, default=None, help="print at most this many answers")
+    pq.add_argument("--limit", type=_count, default=None, help="print at most this many answers")
     pq.set_defaults(func=cmd_query)
 
     pc = sub.add_parser("check", help="cross-check indexed path, baseline, and oracle")
@@ -240,12 +224,12 @@ def build_parser() -> _Parser:
     pc.add_argument("--query")
     pc.add_argument("--task", default="all", choices=TASKS + ("all",))
     pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--n", type=int, default=None, help="number of random instances")
+    pc.add_argument("--n", type=_count, default=None, help="number of random instances")
     pc.set_defaults(func=cmd_check)
 
     pb = sub.add_parser("bench", help="size and preprocessing-cost table (CSV)")
     pb.add_argument("--family", required=True, choices=_FAMILIES)
-    pb.add_argument("--sizes", required=True, help="comma-separated sizes")
+    pb.add_argument("--sizes", required=True, type=lambda text: [_count(s) for s in text.split(",")], help="comma-separated sizes")
     pb.add_argument("--query", required=True)
     pb.add_argument("--seed", type=int, default=0)
     pb.set_defaults(func=cmd_bench)

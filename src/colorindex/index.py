@@ -6,9 +6,11 @@ binary- and full-stage queries run on.
 
 A binary- or full-stage index is built on `bin2graph`'s gadget graph: each
 ordered pair (a, b) of related values is a gadget vertex w_ab, linked
-a - w_ab - w_ba - b, with a self-looped w_aa for a pair (a, a).  Such an
-index carries the stage's gadget symbols, and queries over the binary
-schema run on its value (`V`) colors directly.  Stability gives every
+a - w_ab - w_ba - b, with a self-looped w_aa for a pair (a, a).  A value
+vertex is its source id (a constant, or an `arb2bin` node on the full stage),
+and the gadgets are numbered on from the largest one.  Such an index
+carries the stage's gadget symbols, and queries over the binary schema run
+on its value (`V`) colors directly.  Stability gives every
 gadget color cw one partner color p(cw), the color of its gadget neighbor
 (cw itself for a self-looped gadget), and one value color.  So an entry
 (cw, n) of deg[c], for a value color c, is a *typed edge*: each vertex of

@@ -1,7 +1,9 @@
 """End-to-end orchestration: stage the input database down to a node-labeled
 graph (skipping stages the schema does not need), build the color index, and
-serve bool / count / enum queries with answers decoded back to the source
-constants.  Indexes serialize to a versioned, deterministic text format.
+serve bool / count / enum queries with answers as source constants.  Indexes
+serialize to a versioned, deterministic text format.  A value vertex is its
+source id, so graph- and binary-stage answers need no decoding; a full-stage
+answer reads its constants off `arb2bin`'s projection nodes (`node_proj`).
 
 Serving compiles a query once per index: `DatabaseIndex.compile` checks it
 against the schema and for free-connex acyclicity, translates it to the
@@ -28,29 +30,24 @@ from typing import Callable, Iterator
 from . import arb2bin, bin2graph, evaluator, index as cindex_mod
 from .analysis import compute_fc1ghd
 from .errors import (
-    ArityMismatch, FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree, ParseError,
+    ArityMismatch, AsymmetricEdgeRelation, FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree, ParseError,
     TaskMismatch, UnknownSymbol,
 )
 from .index import ColorIndex, SectionReader, write_section
 from .instrument import OpCounter
 from .model import ConjunctiveQuery, ConstantPool, Database, Schema
-from .refinement import loop_encoding_labels
+from .refinement import asymmetric_vertex, edge_adjacency, loop_encoding_labels
+from .textio import read_text
 
-FORMAT_HEADER = "colorindex-file v3"
+FORMAT_HEADER = "colorindex-file v4"
 COMPILED_LIMIT = 64  # compiled queries kept per index
 
 TASKS = ("bool", "count", "enum")
 
 
-def _edge_symmetric(db: Database) -> bool:
-    if not db.schema.is_graph_schema():
-        return False
-    tuples = set(db.rel(db.schema.edge_symbol()))
-    return all((b, a) in tuples for a, b in tuples)
-
-
 def choose_stage(db: Database) -> str:
-    if _edge_symmetric(db):
+    """The stage that `DatabaseIndex.build` picks for db."""
+    if db.schema.is_graph_schema() and asymmetric_vertex(*edge_adjacency(db)) is None:
         return "graph"
     if db.schema.is_binary():
         return "binary"
@@ -102,9 +99,10 @@ def _identity(t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class DatabaseIndex:
-    """A built index: reduction maps (when staged) plus the color index of
-    the final node-labeled graph, and a bounded map of compiled queries.
-    Safe for concurrent readers (see the module docstring)."""
+    """A built index: the color index of the final node-labeled graph, the
+    projection nodes of a full-stage index, and a bounded map of compiled
+    queries.  Safe for concurrent readers (see the module docstring).  `vmap`
+    must be the identity; `gadget_node` and `node_tuple` are not saved."""
 
     def __init__(
         self,
@@ -123,9 +121,9 @@ class DatabaseIndex:
         self.stage = stage
         self.cindex = cindex
         self.source_size = source_size
-        self.vmap = vmap or {}
-        self.vmap_inv = {n: c for c, n in self.vmap.items()}
-        self.gadget_node = gadget_node or {}  # for `index --dump-maps`; not saved
+        if vmap and any(c != n for c, n in vmap.items()):
+            raise ValueError("value vertices are numbered by their source ids: vmap must be the identity")
+        self.gadget_node = gadget_node or {}
         self.node_proj = node_proj or {}
         self.node_tuple = node_tuple or {}
         self._symbols = _stage_symbols(stage, schema)
@@ -139,6 +137,11 @@ class DatabaseIndex:
 
     @classmethod
     def build(cls, db: Database, stage: str = "auto") -> "DatabaseIndex":
+        if stage == "auto" and db.schema.is_graph_schema():
+            try:  # encode_loops checks the edge relation's symmetry: once per build
+                return cls(db.schema, db.pool, "graph", cindex_mod.build(db), db.size)
+            except AsymmetricEdgeRelation:
+                stage = "binary"  # a graph schema is binary
         if stage == "auto":
             stage = choose_stage(db)
         if stage == "graph":
@@ -147,18 +150,14 @@ class DatabaseIndex:
         if stage == "binary":
             genc = bin2graph.encode_db(db)
             ci = cindex_mod.build(genc.dhat)
-            return cls(
-                db.schema, db.pool, "binary", ci, db.size,
-                vmap=genc.vmap, gadget_node=genc.gadget_node,
-            )
+            return cls(db.schema, db.pool, "binary", ci, db.size, gadget_node=genc.gadget_node)
         if stage == "full":
             benc = arb2bin.encode_db(db)
             genc = bin2graph.encode_db(benc.db2)
             ci = cindex_mod.build(genc.dhat)
             return cls(
                 db.schema, db.pool, "full", ci, db.size,
-                vmap=genc.vmap, gadget_node=genc.gadget_node,
-                node_proj=benc.node_proj, node_tuple=benc.node_tuple,
+                gadget_node=genc.gadget_node, node_proj=benc.node_proj, node_tuple=benc.node_tuple,
             )
         raise ValueError(f"unknown stage {stage!r}")
 
@@ -185,23 +184,15 @@ class DatabaseIndex:
                 raise UnknownSymbol(f"unknown relation symbol {a.symbol!r}")
             if arity != a.arity:
                 raise ArityMismatch(f"{a.symbol} expects {arity} arguments, got {a.arity}")
-        source_of = self.vmap_inv.__getitem__
-        if self.stage == "graph":
+        if self.stage != "full":
             tr = Translation(qhat=q, decode=_identity)
-        elif self.stage == "binary":
-            tr = Translation(qhat=q, decode=lambda t: tuple(map(source_of, t)))
         else:
             try:
                 ghd = compute_fc1ghd(q)
             except NotFreeConnex:
                 return _REJECTED
             enc2 = arb2bin.encode_query(q, ghd, self.schema)
-            node_proj = self.node_proj
-
-            def decode(t: tuple[int, ...]) -> tuple[int, ...]:
-                return arb2bin.decode_answer(tuple(map(source_of, t)), enc2, node_proj)
-
-            tr = Translation(qhat=enc2.q2, decode=decode)
+            tr = Translation(qhat=enc2.q2, decode=lambda t: arb2bin.decode_answer(t, enc2, self.node_proj))
         try:
             comps = evaluator.components(tr.qhat, self.cindex)
         except (NotTree, FreeNotConnected):
@@ -243,7 +234,8 @@ class DatabaseIndex:
         compiled = self._accepted(q, NotFreeConnex, "enum task requires a free-connex acyclic query")
         tr = compiled.translation
         plan = evaluator.prepare_components(compiled.components, len(tr.qhat.head), self.cindex, ops)
-        yield from map(tr.decode, evaluator.enumerate_prepared(plan, steps))
+        answers = evaluator.enumerate_prepared(plan, steps)
+        yield from answers if tr.decode is _identity else map(tr.decode, answers)
 
     def display_tuple(self, t: tuple[int, ...]) -> tuple[str, ...]:
         return tuple(self.pool.display(c) for c in t)
@@ -256,9 +248,7 @@ class DatabaseIndex:
                                       f"graph_size\t{self.cindex.source_size}"])
         write_section(lines, "SCHEMA", [f"{n}\t{ar}" for n, ar in self.schema.symbols])
         write_section(lines, "CONSTANTS", self.pool.names())
-        write_section(lines, "VMAP", [f"{c}\t{n}" for c, n in sorted(self.vmap.items())])
         write_section(lines, "PROJ", [f"{n}\t{' '.join(map(str, p))}" for n, p in sorted(self.node_proj.items())])
-        write_section(lines, "TUPLES", [f"{n}\t{' '.join(map(str, p))}" for n, p in sorted(self.node_tuple.items())])
         lines.extend(cindex_mod.write_sections(self.cindex))
         return "\n".join(lines) + "\n"
 
@@ -288,9 +278,7 @@ class DatabaseIndex:
             except (UnknownSymbol, ArityMismatch) as e:
                 raise ParseError(f"[SCHEMA] {e}") from None
             names = [name for (name,) in reader.rows("CONSTANTS", 1)]
-            vmap = {int(c): int(n) for c, n in reader.rows("VMAP", 2)}
             node_proj = {int(n): tuple(map(int, p.split())) for n, p in reader.rows("PROJ", 2)}
-            node_tuple = {int(n): tuple(map(int, p.split())) for n, p in reader.rows("TUPLES", 2)}
         ci = cindex_mod.read_sections(reader, graph_size)
         if reader.pos != len(lines):
             raise ParseError("unexpected line after the last section", line=reader.pos + 1)
@@ -299,19 +287,19 @@ class DatabaseIndex:
             pool.intern(name)
         if len(pool) != len(names):
             raise ParseError("[CONSTANTS] lists a constant twice")
-        idx = cls(schema, pool, stage, ci, source_size, vmap, node_proj=node_proj, node_tuple=node_tuple)
-        idx._check_maps()
+        idx = cls(schema, pool, stage, ci, source_size, node_proj=node_proj)
+        idx._check_labels()
         return idx
 
     @classmethod
     def load(cls, path: str) -> "DatabaseIndex":
-        with open(path, encoding="utf-8") as fh:
-            return cls.load_text(fh.read())
+        return cls.load_text(read_text(path))
 
-    def _check_maps(self) -> None:
-        """Check the labels and reduction maps of a loaded index against its
-        schema and graph, so that every answer decodes to a constant."""
-        graph, vmap, constants = self.cindex.graph, self.vmap, range(len(self.pool))
+    def _check_labels(self) -> None:
+        """Check the labels and projection nodes of a loaded index against
+        its schema and graph, so that every answer is a constant or reads
+        its constants off a projection node of its arity."""
+        graph, constants = self.cindex.graph, range(len(self.pool))
         fits = {"graph": self.schema.is_graph_schema(), "binary": self.schema.is_binary(), "full": True}
         if not self.schema.symbols or not fits[self.stage]:
             raise ParseError(f"[SCHEMA] cannot be indexed in the {self.stage} stage")
@@ -321,17 +309,17 @@ class DatabaseIndex:
         universe, loop_label = loop_encoding_labels(gschema)
         if (graph.label_universe, graph.loop_label, graph.edge_label) != (universe, loop_label, gschema.edge_symbol()):
             raise ParseError(f"[LABELS] does not match the {self.stage}-stage graph of [SCHEMA]")
-        if v_label is None:
-            if not all(v in constants for v in graph.vertices):
-                raise ParseError("a graph-stage vertex is not a constant id")
+        values = [v for v in graph.vertices if v_label is None or v_label in graph.vl[v]]
+        if self.stage != "full":
+            if not all(v in constants for v in values):
+                raise ParseError(f"a {self.stage}-stage value vertex is not a constant id")
             return
-        v_nodes = {v for v in graph.vertices if v_label in graph.vl[v]}
-        if len(vmap) != len(v_nodes) or set(vmap.values()) != v_nodes:
-            raise ParseError(f"[VMAP] does not map one to one onto the {v_label!r}-labeled vertices")
-        sources = constants if self.stage == "binary" else self.node_proj.keys() | self.node_tuple.keys()
-        if not all(c in sources for c in vmap):
-            raise ParseError("[VMAP] maps an id that is not a constant (binary stage) "
-                             "or a node of [PROJ] or [TUPLES] (full stage)")
-        if not all(n in vmap and all(c in constants for c in t)
-                   for table in (self.node_proj, self.node_tuple) for n, t in table.items()):
-            raise ParseError("[PROJ] or [TUPLES] names an unmapped node or an id that is not a constant")
+        # arb2bin labels a projection node of arity i with A<i>
+        a_labels = frozenset(f"A{i}" for i in range(self.schema.max_arity + 1))
+        arity_labels = {v: graph.vl[v] & a_labels for v in values}
+        if {v for v, labels in arity_labels.items() if labels} != self.node_proj.keys():
+            raise ParseError(f"[PROJ] does not list exactly the {v_label!r}-labeled vertices with an A<i> label")
+        if any(arity_labels[v] != {f"A{len(p)}"} for v, p in self.node_proj.items()):
+            raise ParseError("a projection of [PROJ] does not have the arity of its A<i> label")
+        if not all(c in constants for p in self.node_proj.values() for c in p):
+            raise ParseError("[PROJ] names an id that is not a constant")

@@ -70,15 +70,11 @@ def encode_loops(db: Database) -> LabeledGraph:
     present in the adjacency as well)."""
     schema = db.schema
     edge_sym = schema.edge_symbol()
-    vertices = tuple(sorted(db.active_domain()))
-    out: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in db.rel(edge_sym):
-        out[a].append(b)
-    adj = reverse_adjacency(vertices, out)
+    vertices, adj = edge_adjacency(db)
     bad = asymmetric_vertex(vertices, adj)
     if bad is not None:
         # some edge at `bad` lacks its reverse; adj[bad] lists its in-neighbors
-        ins, outs = set(adj[bad]), set(out[bad])
+        ins, outs = set(adj[bad]), {b for a, b in db.rel(edge_sym) if a == bad}
         a, b = (bad, min(outs - ins)) if outs - ins else (min(ins - outs), bad)
         raise AsymmetricEdgeRelation(f"{edge_sym}({db.display(a)},{db.display(b)}) present without its reverse")
     # bit i of a vertex's mask: it carries universe[i]; one frozenset per mask
@@ -100,6 +96,16 @@ def encode_loops(db: Database) -> LabeledGraph:
         loop_label=loop_label,
         edge_label=edge_sym,
     )
+
+
+def edge_adjacency(db: Database) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
+    """The vertices of a graph-schema database, ascending, and the reverse of
+    its edge relation; `asymmetric_vertex` finds where the two differ."""
+    vertices = tuple(sorted(db.active_domain()))
+    out: dict[int, list[int]] = {v: [] for v in vertices}
+    for a, b in db.rel(db.schema.edge_symbol()):
+        out[a].append(b)
+    return vertices, reverse_adjacency(vertices, out)
 
 
 def reverse_adjacency(vertices: Sequence[int], rows: dict[int, Iterable[int]]) -> dict[int, tuple[int, ...]]:

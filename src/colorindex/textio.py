@@ -19,6 +19,15 @@ _RULE_RE = re.compile(r"^([A-Za-z_]\w*)\s*\(([^()]*)\)\s*:-\s*(.*?)\s*\.?$", re.
 _BODY_ATOM_RE = re.compile(r"([A-Za-z_]\w*)\s*\(([^()]*)\)")
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file.  Other bytes raise ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path} is not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
 def _strip(line: str) -> str:
     if "#" in line:
         line = line[: line.index("#")]

@@ -6,8 +6,9 @@ from colorindex.analysis import is_free_connex_acyclic
 from colorindex.bin2graph import decode_answer, encode_db, encode_query, graph_symbols_for
 from colorindex.errors import NotBinarySchema, NotFreeConnex
 from colorindex.generators import BINARY_SCHEMA, random_fc_query, random_relational_db
-from colorindex.model import Schema, cq, validate_database
+from colorindex.model import ConstantPool, Schema, cq, validate_database
 from colorindex.oracle import brute_answers
+from colorindex.pipeline import DatabaseIndex
 from colorindex.textio import parse_query
 
 
@@ -55,6 +56,23 @@ def test_loop_tuple_gadget():
     edges = set(enc.dhat.rel(enc.symbols.edge))
     assert edges == {(a_node, w_aa), (w_aa, a_node), (w_aa, w_aa)}
     assert enc.dhat.rel(enc.symbols.u_label["F"]) == ((w_aa,),)
+
+
+def test_value_nodes_are_source_ids():
+    # a pool shared with other data: the active domain is {1, 3}
+    pool = ConstantPool()
+    for name in ("x", "a", "y", "b"):
+        pool.intern(name)
+    db = validate_database(Schema.of(("F", 2)), {"F": [("a", "b")]}, pool=pool)
+    enc = encode_db(db)
+    assert enc.vmap == enc.vmap_inv == {1: 1, 3: 3}
+    assert enc.gadget_node == {(1, 3): 4, (3, 1): 5}
+    assert enc.dhat.rel(enc.symbols.v_label) == ((1,), (3,))
+    idx = DatabaseIndex.build(db)
+    assert not hasattr(idx, "vmap") and idx.cindex.graph.vertices == (1, 3, 4, 5)
+    DatabaseIndex(db.schema, pool, "binary", idx.cindex, db.size, vmap=enc.vmap)
+    with pytest.raises(ValueError, match="identity"):
+        DatabaseIndex(db.schema, pool, "binary", idx.cindex, db.size, vmap={1: 0, 3: 1})
 
 
 def test_single_directed_tuple_creates_both_gadgets():

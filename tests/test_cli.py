@@ -78,6 +78,8 @@ def test_query_bool_task(movie_files, tmp_path, capsys):
     qb.write_text("Ans() :- A(x,y1), A(x,y2), P(y2,x).\n")
     code, out, _ = run(capsys, "query", "--idx", str(f["idx"]), "--query", str(qb), "--task", "bool")
     assert code == 0 and out.strip() == "yes"
+    code, out, _ = run(capsys, "query", "--idx", str(f["idx"]), "--query", str(qb), "--task", "enum")
+    assert code == 0 and out.splitlines() == ["()", "EOE"]  # the one empty answer
 
 
 def test_bool_on_non_boolean_is_task_error(movie_files, capsys):
@@ -116,6 +118,35 @@ def test_forced_graph_stage_on_two_binary_relations_is_data_error(tmp_path, caps
     assert code == 2
     assert err.startswith("data error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["db", "schema", "query", "idx"])
+def test_non_utf8_file_is_a_data_error(movie_files, tmp_path, capsys, kind):
+    f = movie_files
+    run(capsys, "index", "--db", str(f["db"]), "--schema", str(f["schema"]), "--out", str(f["idx"]))
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff\xfe")
+    paths = {k: str(bad if k == kind else f[k]) for k in f}
+    if kind in ("db", "schema"):
+        argv = ["index", "--db", paths["db"], "--schema", paths["schema"], "--out", str(tmp_path / "x.idx")]
+    else:
+        argv = ["query", "--idx", paths["idx"], "--query", paths["query"], "--task", "count"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"data error: {bad} is not UTF-8 text: invalid start byte at byte 0\n"
+
+
+def test_bad_numbers_are_usage_errors(movie_files, capsys):
+    q = movie_files["query"]
+    for argv, message in [
+        (["bench", "--family", "cycle", "--sizes", "3,abc", "--query", str(q)], "not a whole number: 'abc'"),
+        (["bench", "--family", "cycle", "--sizes", "3,0", "--query", str(q)], "cycle needs sizes of 3 or more"),
+        (["bench", "--family", "tree", "--sizes", "0", "--query", str(q)], "tree needs sizes of 1 or more"),
+        (["check", "--schema", str(movie_files["schema"]), "--n", "-1"], "argument --n: must be 0 or more, not -1"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and message in err
+        assert "Traceback" not in err and not out
 
 
 def test_usage_error_exit_code(capsys):

@@ -398,7 +398,7 @@ def test_enumeration_raises_on_a_broken_neighbor_table(stage, broken):
     assert idx.stage == stage
     assert len(list(idx.enumerate(q))) == idx.count(q) > 0
     ci = idx.cindex
-    v = ci.graph.vertices[0] if stage == "graph" else idx.vmap[db.pool.intern("a")]
+    v = ci.graph.vertices[0] if stage == "graph" else db.pool.intern("a")
     c = next(iter(ci.nbr[v]))
     if broken == "missing":
         del ci.nbr[v][c]

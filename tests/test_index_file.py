@@ -1,6 +1,10 @@
-"""The v3 index file: what it stores, and that a damaged file ends in a data
+"""The v4 index file: what it stores, and that a damaged file ends in a data
 error (exit 2 with a message) rather than a traceback or a wrong answer."""
+import hashlib
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ from colorindex.generators import path_db
 from colorindex.index import SectionReader, build, read_sections, write_sections
 from colorindex.pipeline import FORMAT_HEADER, DatabaseIndex
 from colorindex.refinement import Coloring, is_stable, refines_labels
+from colorindex.textio import parse_database, parse_schema
 
 from test_cli import MOVIE_DB, MOVIE_SCHEMA, Q47
 
@@ -20,9 +25,7 @@ GRAPH_QUERIES = {"count": "Ans(x,y) :- E(x,y), E(y,z).\n", "enum": "Ans(x) :- E(
 
 # tab-separated fields that hold ids, per section
 ID_FIELDS = {
-    "VMAP": (0, 1),
     "PROJ": (0, 1),
-    "TUPLES": (0, 1),
     "VERTICES": (0, 2),
     "CLASSES": (0,),
 }
@@ -74,7 +77,7 @@ def unstable_swap(lines):
     raise AssertionError("no swap makes the coloring unstable")
 
 
-@pytest.fixture(params=["graph", "movie"])
+@pytest.fixture(params=["graph", "binary", "movie"])
 def saved_index(request, tmp_path, capsys):
     schema, db, queries = (
         (GRAPH_SCHEMA, GRAPH_DB, GRAPH_QUERIES) if request.param == "graph"
@@ -85,7 +88,7 @@ def saved_index(request, tmp_path, capsys):
     for task, text in queries.items():
         (tmp_path / f"{task}.cq").write_text(text)
     out = tmp_path / "x.idx"
-    stage = ["--stage", "full"] if request.param == "movie" else []
+    stage = {"graph": [], "binary": ["--stage", "binary"], "movie": ["--stage", "full"]}[request.param]
     assert main(["index", "--db", str(tmp_path / "d"), "--schema", str(tmp_path / "s"), "--out", str(out), *stage]) == 0
     capsys.readouterr()
     return tmp_path, out.read_text().splitlines()
@@ -101,9 +104,8 @@ def query(tmp_path, lines, task, capsys):
 
 def test_saved_index_stores_only_graph_and_classes(saved_index):
     _, lines = saved_index
-    assert lines[0] == FORMAT_HEADER == "colorindex-file v3"
-    assert list(sections(lines))[-3:] == ["LABELS", "VERTICES", "CLASSES"]
-    assert not {"COLORS", "NBR", "DEG", "DCOL", "GADGET"} & set(sections(lines))
+    assert lines[0] == FORMAT_HEADER == "colorindex-file v4"
+    assert list(sections(lines)) == ["META", "SCHEMA", "CONSTANTS", "PROJ", "LABELS", "VERTICES", "CLASSES"]
 
 
 def test_unchanged_file_answers(saved_index, capsys):
@@ -121,6 +123,7 @@ def test_every_mutation_is_a_data_error(saved_index, capsys):
     mutants.append(("unstable coloring", unstable_swap(lines)))
     mutants.append(("v1 header", ["colorindex-file v1"] + lines[1:]))
     mutants.append(("v2 header", ["colorindex-file v2"] + lines[1:]))
+    mutants.append(("v3 header", ["colorindex-file v3"] + lines[1:]))
     missed = []
     for (what, mutant), task in itertools.product(mutants, ("count", "enum")):
         code, out, err = query(tmp_path, mutant, task, capsys)
@@ -133,7 +136,7 @@ def test_mutation_messages(saved_index, capsys):
     tmp_path, lines = saved_index
     _, _, err = query(tmp_path, unstable_swap(lines), "count", capsys)
     assert "unstable coloring" in err
-    for old in ("v1", "v2"):
+    for old in ("v1", "v2", "v3"):
         _, _, err = query(tmp_path, [f"colorindex-file {old}"] + lines[1:], "count", capsys)
         assert f"'colorindex-file {old}'" in err and "rebuilt with `colorindex index`" in err
 
@@ -178,3 +181,55 @@ def test_loader_rejects_schema_and_label_mismatches():
         assert mutant != text
         with pytest.raises(ParseError, match=message):
             DatabaseIndex.load_text(mutant)
+
+
+def _replace_rows(text, name, edit):
+    """text with the rows of section [name] replaced by edit(rows)."""
+    lines = text.splitlines()
+    i, count = sections(lines)[name]
+    rows = edit(lines[i + 1 : i + 1 + count])
+    return "\n".join(lines[:i] + [f"[{name} {len(rows)}]"] + rows + lines[i + 1 + count :]) + "\n"
+
+
+def test_loader_checks_value_vertices(movie_db):
+    # a value vertex is its source id: a constant id on the binary stage,
+    # and on the full stage a node whose A<i> label makes it a projection
+    # node of arity i
+    binary = DatabaseIndex.build(movie_db, stage="binary").save_text()
+    full = DatabaseIndex.build(movie_db, stage="full").save_text()
+    cases = {
+        "binary-stage value vertex is not a constant id": _replace_rows(binary, "CONSTANTS", lambda rows: rows[:-1]),
+        "does not list exactly": [
+            _replace_rows(full, "PROJ", lambda rows: rows[1:]),
+            # arb2bin numbers the tuple nodes first: node 0 is R(...), not a projection
+            _replace_rows(full, "PROJ", lambda rows: ["0\t" + rows[0].split("\t")[1]] + rows[1:]),
+        ],
+        "arity of its A<i> label": _replace_rows(full, "PROJ", lambda rows: rows[:-1] + [rows[-1] + " 0"]),
+        "not a constant": _replace_rows(full, "PROJ", lambda rows: rows[:-1] + [rows[-1][:-1] + OUT_OF_RANGE]),
+    }
+    for message, mutants in cases.items():
+        for mutant in mutants if isinstance(mutants, list) else [mutants]:
+            assert mutant not in (binary, full)
+            with pytest.raises(ParseError, match=message):
+                DatabaseIndex.load_text(mutant)
+
+
+# sha1 prefixes of the saved seed-1 benchmark inputs: a change to the file
+# format, or to any vertex id or color class, must update them on purpose
+PINNED = {
+    "relational-replicas": "6159aac8a07e",
+    "ternary-random": "b9a0201e797a",
+    "graph-symmetric": "2ab8f07319f6",
+}
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def test_saved_benchmark_inputs_are_pinned(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    for name, prefix in PINNED.items():
+        wl = workloads.make(name, 1)
+        text = DatabaseIndex.build(parse_database(wl.db_text, parse_schema(wl.schema_text))).save_text()
+        assert hashlib.sha1(text.encode()).hexdigest()[:12] == prefix, name

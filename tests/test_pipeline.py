@@ -35,6 +35,26 @@ def test_stage_selection():
     assert choose_stage(tern) == "full"
 
 
+def test_automatic_build_checks_symmetry_once(monkeypatch):
+    # choose_stage and encode_loops share the check; a build makes it once
+    from colorindex import refinement
+
+    calls = []
+
+    def counted(vertices, adj):
+        calls.append(len(vertices))
+        return real(vertices, adj)
+
+    real = refinement.asymmetric_vertex
+    monkeypatch.setattr(refinement, "asymmetric_vertex", counted)
+    monkeypatch.setattr(pipeline, "asymmetric_vertex", counted)
+    asym = validate_database(Schema.of(("E", 2)), {"E": [("a", "b")]})
+    # vertices checked: the cycle's 5; the 2 of asym, then its gadget graph's 4
+    for db, stage, checked in ((cycle_db(5), "graph", [5]), (asym, "binary", [2, 4])):
+        calls.clear()
+        assert DatabaseIndex.build(db).stage == stage and calls == checked
+
+
 def test_forced_graph_on_asymmetric_rejected():
     asym = validate_database(Schema.of(("E", 2)), {"E": [("a", "b")]})
     with pytest.raises(AsymmetricEdgeRelation):

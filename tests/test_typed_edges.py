@@ -4,19 +4,23 @@ restricts x to the values with a self-looped gadget, and the query that
 runs is the source query (binary stage) or arb2bin's q2 (full stage), never
 bin2graph's gadget translation."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from colorindex import arb2bin, bin2graph, evaluator
+from colorindex import arb2bin, bin2graph, evaluator, pipeline
 from colorindex.analysis import compute_fc1ghd
 from colorindex.cli import main
 from colorindex.errors import ParseError
 from colorindex.generators import BINARY_SCHEMA, TERNARY_SCHEMA, cycle_db, random_relational_db
 from colorindex.index import build_from_coloring
 from colorindex.instrument import OpCounter
-from colorindex.model import cq, validate_database
+from colorindex.model import ConstantPool, cq, validate_database
 from colorindex.oracle import brute_answers
 from colorindex.pipeline import DatabaseIndex
 from colorindex.refinement import LabeledGraph, refine
 from colorindex.textio import parse_query
+
+from test_evaluator import fc_queries
 
 # R and S disagree on most pairs, in both directions, and R has loops on
 # some values only: a typed edge that drops its backward labels, or a
@@ -108,10 +112,41 @@ def test_two_variables_on_one_constant(stage):
     assert idx.count(parse_query("Ans(x,y) :- R(x,y), S(y,x).", BINARY_SCHEMA)) == 0
 
 
+@st.composite
+def shared_pool_instances(draw):
+    """A binary database whose pool also holds constants of other databases,
+    interned before and between its own, and a query over it: the active
+    domain has gaps, and its ids do not start at 0."""
+    pool = ConstantPool()
+    own = [f"a{i}" for i in range(draw(st.integers(2, 4)))]
+    for name in [f"u{i}" for i in range(draw(st.integers(1, 3)))]:
+        pool.intern(name)
+    for name in draw(st.permutations(own + [f"w{i}" for i in range(draw(st.integers(0, 3)))])):
+        pool.intern(name)
+    rows = st.lists(st.tuples(st.sampled_from(own), st.sampled_from(own)), min_size=1, max_size=5)
+    raw = {"R": draw(rows), "S": draw(rows), "P": [(c,) for c in draw(st.lists(st.sampled_from(own), max_size=3))]}
+    return validate_database(BINARY_SCHEMA, raw, pool=pool), draw(fc_queries(BINARY_SCHEMA))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_pool_instances())
+def test_binary_stage_on_a_shared_pool_matches_oracle(instance):
+    # a value vertex is its constant id, so the answers need no decoding
+    db, q = instance
+    idx = DatabaseIndex.build(db)
+    assert idx.stage == "binary" and min(db.active_domain()) > 0
+    _check_all_tasks(idx, db, q)
+    text = idx.save_text()
+    loaded = DatabaseIndex.load_text(text)
+    assert loaded.save_text() == text
+    _check_all_tasks(loaded, db, q)
+
+
 def test_qhat_is_the_source_query_or_q2():
     binary = DatabaseIndex.build(validate_database(BINARY_SCHEMA, BINARY_RAW))
     q = parse_query("Ans(x,y) :- R(x,y), S(y,x), P(x).", BINARY_SCHEMA)
     assert binary.stage == "binary" and binary.translate(q).qhat is q
+    assert binary.translate(q).decode is pipeline._identity  # answers are the constants
     full = DatabaseIndex.build(validate_database(TERNARY_SCHEMA, TERNARY_RAW))
     q = parse_query("Ans(y) :- T(x,x,y), R(y,x).", TERNARY_SCHEMA)
     assert full.stage == "full"
@@ -169,7 +204,7 @@ def test_malformed_gadget_graph_is_a_data_error(tamper, tmp_path, capsys):
     db = validate_database(BINARY_SCHEMA, {"R": [("a", "b")], "P": [("a",)]})
     good = DatabaseIndex.build(db)
     g = good.cindex.graph
-    a, w_ba = good.vmap[db.pool.intern("a")], good.gadget_node[(db.pool.intern("b"), db.pool.intern("a"))]
+    a, w_ba = db.pool.intern("a"), good.gadget_node[(db.pool.intern("b"), db.pool.intern("a"))]
     adj, vl = dict(g.adj), dict(g.vl)
     if tamper == "second value neighbor":
         adj[a], adj[w_ba] = tuple(sorted(adj[a] + (w_ba,))), tuple(sorted(adj[w_ba] + (a,)))
@@ -177,7 +212,7 @@ def test_malformed_gadget_graph_is_a_data_error(tamper, tmp_path, capsys):
         vl[a] = vl[a] | {good.cindex.symbols.u_label["S"]}
     bad = LabeledGraph(g.vertices, adj, vl, g.label_universe, g.loop_label, g.edge_label)
     ci = build_from_coloring(bad, refine(bad), good.cindex.source_size)
-    text = DatabaseIndex(good.schema, good.pool, "binary", ci, good.source_size, vmap=good.vmap).save_text()
+    text = DatabaseIndex(good.schema, good.pool, "binary", ci, good.source_size).save_text()
     with pytest.raises(ParseError, match="gadget"):
         DatabaseIndex.load_text(text).count(parse_query("Ans(x) :- R(x,y).", BINARY_SCHEMA))
     (tmp_path / "bad.idx").write_text(text)
