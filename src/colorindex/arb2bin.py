@@ -3,12 +3,26 @@
 A database maps to one node per tuple plus one node per projection of a
 tuple (subtuples selected by pairwise-distinct positions, the empty tuple
 included).  Unary relations tag tuple nodes with their relation symbol and
-projection nodes with their arity; binary relations record position equality
-between tuples and projections, and between projections whose entry sets are
-comparable.  Query translation runs over a complete fc-1-GHD with bag
-containment on every edge: one node variable per GHD node, one extra tuple
-variable per atom node, head variables taken from the witness nodes with
-non-empty bags.
+projection nodes with their arity.  Binary relations record equal entries,
+`E<i>_<j>(w, v)` when position i of tuple w equals position j of projection
+v and `F<i>_<j>` likewise between projections, but only on the pairs a
+translated query can match:
+
+- E links a tuple to its projections over all of its values;
+- F links a projection p to each sub-selection p[S] at increasing positions
+  S, S = all positions included, in both directions.
+
+Query translation runs over a complete fc-1-GHD with bag containment on
+every edge: one node variable per GHD node, one extra tuple variable per
+atom node, head variables taken from the witness nodes with non-empty bags.
+A source homomorphism g answers the translated query by binding each node
+variable to the projection g(bag), the bag's variables taken in id order,
+and each tuple variable to its atom's image.  An atom node's bag is
+exactly its atom's variables, so g(bag) has the values of that tuple; along
+a containment edge the smaller bag's projection is the larger one's at
+increasing positions.  So the facts kept, a subset of all equal-entry
+facts, hold every fact such a witness uses, and the answers and their
+decoding are the same as over all of them.
 
 The nodes are numbered by counting, tuple nodes first, and have no names:
 the maps `node_tuple` and `node_proj` say what each one stands for.
@@ -81,28 +95,30 @@ def encode_db(db: Database) -> BinaryEncoding:
             relations[f"U_{name}"].add((tuple_node[t],))
     for p, node in proj_node.items():
         relations[f"A{len(p)}"].add((node,))
+    positions = range(1, k + 1)
+    e_rel = [[relations[f"E{i}_{j}"] for j in positions] for i in positions]
+    f_rel = [[relations[f"F{i}_{j}"] for j in positions] for i in positions]
+    # E: a tuple and its projections over all of its values
     for t, wt in tuple_node.items():
+        values = set(t)
         for p in projections_by_tuple[t]:
+            if set(p) != values:
+                continue
             vp = proj_node[p]
-            for i in range(1, len(t) + 1):
-                for j in range(1, len(p) + 1):
-                    if t[i - 1] == p[j - 1]:
-                        relations[f"E{i}_{j}"].add((wt, vp))
-    # F: enumerate, per projection, the candidate subtuples over its entry set
+            for i, x in enumerate(t):
+                for j, y in enumerate(p):
+                    if x == y:
+                        e_rel[i][j].add((wt, vp))
+    # F: a projection and its order-preserving sub-selections, both ways
     for p, vp in proj_node.items():
-        values = sorted(set(p))
-        if not values:
-            continue
-        for m in range(1, k + 1):
-            for q_tuple in itertools.product(values, repeat=m):
-                vq = proj_node.get(q_tuple)
-                if vq is None:
-                    continue
-                for i in range(1, len(p) + 1):
-                    for j in range(1, m + 1):
-                        if p[i - 1] == q_tuple[j - 1]:
-                            relations[f"F{i}_{j}"].add((vp, vq))
-                            relations[f"F{j}_{i}"].add((vq, vp))
+        for m in range(1, len(p) + 1):
+            for sel in itertools.combinations(range(len(p)), m):
+                vq = proj_node[tuple(p[s] for s in sel)]
+                for i, x in enumerate(p):
+                    for j, s in enumerate(sel):
+                        if x == p[s]:
+                            f_rel[i][j].add((vp, vq))
+                            f_rel[j][i].add((vq, vp))
     db2 = Database(schema=sigma2, relations={name: tuple(sorted(ts)) for name, ts in relations.items()})
     return BinaryEncoding(
         db2=db2,
@@ -118,11 +134,9 @@ def encode_db(db: Database) -> BinaryEncoding:
 @dataclass(frozen=True)
 class QueryEncoding2:
     q2: ConjunctiveQuery
-    ghd: FcGHD
-    head_nodes: tuple[int, ...]  # witness nodes with non-empty bags, in head order of q2
-    decode_node: dict[int, int]  # free source variable -> witness node
-    decode_pos: dict[int, int]  # free source variable -> 1-based bag position
-    source: ConjunctiveQuery
+    # per head variable of the source query: the q2 head position of its
+    # witness node, that node's bag size, and its 0-based place in the bag
+    decode_plan: tuple[tuple[int, int, int], ...]
 
 
 def encode_query(q: ConjunctiveQuery, ghd: FcGHD, schema: Schema) -> QueryEncoding2:
@@ -162,20 +176,12 @@ def encode_query(q: ConjunctiveQuery, ghd: FcGHD, schema: Schema) -> QueryEncodi
                         atoms.append((f"F{i}_{j}", [f"v{t}", f"v{p}"]))
     q2 = cq(head_names, atoms)
 
-    decode_node: dict[int, int] = {}
-    decode_pos: dict[int, int] = {}
-    for y in sorted(q.free()):
+    head_index = {t: i for i, t in enumerate(head_nodes)}
+    decode_plan = []
+    for y in q.head:
         t_y = min(t for t in ghd.witness if y in ghd.bag[t])
-        decode_node[y] = t_y
-        decode_pos[y] = bag_tuple[t_y].index(y) + 1
-    return QueryEncoding2(
-        q2=q2,
-        ghd=ghd,
-        head_nodes=head_nodes,
-        decode_node=decode_node,
-        decode_pos=decode_pos,
-        source=q,
-    )
+        decode_plan.append((head_index[t_y], len(bag_tuple[t_y]), bag_tuple[t_y].index(y)))
+    return QueryEncoding2(q2=q2, decode_plan=tuple(decode_plan))
 
 
 def decode_answer(
@@ -186,18 +192,13 @@ def decode_answer(
     """Map an answer of the translated query back to source constants: for
     each free source variable read the projection node of its witness node
     and take the recorded position."""
-    q = enc_q.source
-    index_of = {t: i for i, t in enumerate(enc_q.head_nodes)}
     out: list[int] = []
-    for y in q.head:
-        t_y = enc_q.decode_node[y]
-        component = answer[index_of[t_y]]
+    for slot, size, pos in enc_q.decode_plan:
+        component = answer[slot]
         proj = node_proj.get(component)
         if proj is None:
             raise MalformedAnswer(f"answer component {component} is not a projection node")
-        if len(proj) != len(enc_q.ghd.bag[t_y]):
-            raise MalformedAnswer(
-                f"projection node arity {len(proj)} does not match bag size {len(enc_q.ghd.bag[t_y])}"
-            )
-        out.append(proj[enc_q.decode_pos[y] - 1])
+        if len(proj) != size:
+            raise MalformedAnswer(f"projection node arity {len(proj)} does not match bag size {size}")
+        out.append(proj[pos])
     return tuple(out)

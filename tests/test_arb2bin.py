@@ -63,7 +63,7 @@ def test_encode_pair_tuple():
     assert len(enc.proj_node) == 5
     w = enc.tuple_node[(0, 1)]
     e11 = set(enc.db2.rel("E1_1"))
-    assert e11 == {(w, enc.proj_node[(0,)]), (w, enc.proj_node[(0, 1)])}
+    assert e11 == {(w, enc.proj_node[(0, 1)])}
 
 
 def test_encode_empty_db():
@@ -73,16 +73,37 @@ def test_encode_empty_db():
     assert not enc.tuple_node and not enc.proj_node
 
 
+def _is_sub_selection(q, p):
+    """q is p at some increasing positions."""
+    rest = iter(p)
+    return all(x in rest for x in q)
+
+
 def test_f_relation_side_condition():
-    db = random_relational_db(TERNARY_SCHEMA, 4, 3, seed=9)
-    enc = encode_db(db)
-    for i in range(1, enc.k + 1):
-        for j in range(1, enc.k + 1):
-            for vp, vq in enc.db2.rel(f"F{i}_{j}"):
-                p, q = enc.node_proj[vp], enc.node_proj[vq]
-                assert i <= len(p) and j <= len(q)
-                assert p[i - 1] == q[j - 1]
-                assert set(p) <= set(q) or set(q) <= set(p)
+    """E links a tuple to its projections over all of its values, and F a
+    projection to its order-preserving sub-selections, both ways: every such
+    fact is there, with each pair of equal entries, and no other."""
+    for seed in (9, 10):
+        enc = encode_db(random_relational_db(TERNARY_SCHEMA, 4, 3, seed=seed))
+        want = set()
+        for t, wt in enc.tuple_node.items():
+            for p in projections_of(t):
+                if set(p) == set(t):
+                    want |= {
+                        (f"E{i}_{j}", (wt, enc.proj_node[p]))
+                        for i, x in enumerate(t, 1)
+                        for j, y in enumerate(p, 1)
+                        if x == y
+                    }
+        for p, vp in enc.proj_node.items():
+            for q, vq in enc.proj_node.items():
+                if q and _is_sub_selection(q, p):
+                    for i, x in enumerate(p, 1):
+                        for j, y in enumerate(q, 1):
+                            if x == y:
+                                want |= {(f"F{i}_{j}", (vp, vq)), (f"F{j}_{i}", (vq, vp))}
+        have = {(name, fact) for name in enc.sigma2.names if name[0] in "EF" for fact in enc.db2.rel(name)}
+        assert have == want
 
 
 def test_encode_boolean_single_atom_query():

@@ -218,7 +218,7 @@ def test_loader_checks_value_vertices(movie_db):
 # format, or to any vertex id or color class, must update them on purpose
 PINNED = {
     "relational-replicas": "6159aac8a07e",
-    "ternary-random": "b9a0201e797a",
+    "ternary-random": "094fc350f141",
     "graph-symmetric": "2ab8f07319f6",
 }
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
