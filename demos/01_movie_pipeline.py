@@ -22,7 +22,9 @@ idx = DatabaseIndex.build(db, stage="full")
 print(f"staging: {idx.stage}")
 print(f"  tuple/projection nodes after the binary reduction: {len(idx.node_tuple)}/{len(idx.node_proj)}")
 print(f"  gadget nodes in the graph encoding: {len(idx.gadget_node)}")
-print(f"  colors in the index: {idx.cindex.colors}; color database size: {idx.cindex.d_col_size}")
+ci = idx.cindex
+print(f"  typed index: {len(ci.graph.vertices)} values, {ci.coloring.num_colors} value colors, "
+      f"{len(ci.edges.rev)} edge colors; color database size: {ci.d_col_size}")
 
 # characters x and y1 such that some actor x... plays two characters, one of
 # them y1 -- the classic self-join pattern

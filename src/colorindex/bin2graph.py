@@ -7,8 +7,9 @@ nodes carry one label per binary relation containing their pair; original
 unary relations and the V / W membership labels complete the graph.
 
 `encode_db` is the build's reduction: binary- and full-stage indexes are
-built on its graph.  Queries do not pass through it when they are served;
-they run on the index's typed color edges (see `index`).  `encode_query`,
+refined on its graph and then keep only its value nodes, with one edge
+color per gadget color (`index.project`).  Queries do not pass through it
+when they are served; they run on those edge colors.  `encode_query`,
 which subdivides each oriented Gaifman edge with two gadget variables and
 labels them, and `decode_answer`, which projects onto the original head
 prefix, state the reduction on queries, which criterion 7 checks.

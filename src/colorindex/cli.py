@@ -52,13 +52,20 @@ def cmd_index(args) -> int:
     idx.save(args.out)
     ci = idx.cindex
     # the compression: colors per vertex of the indexed graph, color-database
-    # tuples per input tuple (above 1, the index is larger than the data)
+    # tuples per input tuple (above 1, the index is larger than the data).  A
+    # typed index counts as the gadget graph it was projected from: |V| its
+    # values and entries, |C| its value and edge colors
     dcol_ratio = ci.d_col_size / db.size if db.size else 0.0
     print(
-        f"stage={idx.stage} |D|={db.size} |D_L|={ci.labeled_size} "
+        f"stage={idx.stage} |D|={db.size} |D_L|={ci.labeled_size} |V|={ci.vertex_count} "
         f"|C|={ci.colors} |D_col|={ci.d_col_size} "
         f"colors/|V|={stats(ci).color_ratio:.3g} |D_col|/|D|={dcol_ratio:.3g}"
     )
+    if ci.edges is not None:
+        entries = ci.vertex_count - len(ci.graph.vertices)
+        print(f"typed index: |V| = {len(ci.graph.vertices)} values + {entries} entries, "
+              f"|C| = {ci.coloring.num_colors} value + {len(ci.edges.rev)} edge colors, "
+              f"|D_L| = entries + value labels, |D_col| = label facts + (c, e, c') facts")
     if args.dump_maps:
         for node, t in sorted(idx.node_tuple.items()):
             print(f"w\t{node}\t{' '.join(db.display(c) for c in t)}")

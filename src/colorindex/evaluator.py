@@ -5,16 +5,15 @@ color index.
 
 On the graph stage a query is over the graph schema: an edge atom E(x, y)
 is a color edge, and E(x, x) is the loop label on x.  On the binary and
-full stages a query is over the binary schema and runs on the index's typed
-color edges (`index.ColorIndex.typed`): every variable takes a value color
-(the implicit `V` label), all binary atoms on one variable pair merge into
-one typed edge, whose allowed gadget colors must carry the labels of the
-atoms read forward and whose partners must carry those read backward, and
-an atom R(x, x) restricts x to the value colors next to a self-looped
-gadget that carries R's label.
+full stages a query is over the binary schema and runs on the typed index
+(`index.EdgeColors`): every variable takes a value color, all binary atoms
+on one variable pair merge into one typed edge, whose allowed edge colors
+must carry the relations of the atoms read forward and whose reverses must
+carry those read backward, and an atom R(x, x) restricts x to the value
+colors at which a loop edge color that carries R starts.
 
 `components` is the per-query compile step: one pass over the one spanning
-forest of the query makes every `Component`, with the allowed gadget colors
+forest of the query makes every `Component`, with the allowed edge colors
 of each typed edge.  Its result is immutable and depends only on the query
 and the index, so a caller may keep it and pass it to `count_components`
 and `prepare_components` again (`pipeline.DatabaseIndex` does).  The
@@ -25,7 +24,7 @@ color tables, in O(|Q| * |D_col|).  Its rows are sparse, {color: count}
 with only the non-zero entries, so the work is spent on the colors that can
 still match: a label row intersects the label's color sets, a product walks
 the smaller row, and a lift walks the per-color neighbor lists (`deg`) of
-the child row's colors only, keeping the allowed typed edges.
+the child row's colors only, keeping the allowed edge colors.
 
 Enumeration keeps the rows of the free variables: a color is alive at a
 free variable when it has an entry, and each free variable after a root
@@ -34,10 +33,10 @@ alive colors.  One depth-first iterator stack then walks vertices, with
 one level per free variable of every non-Boolean component in turn, so a
 product of components is just more levels.  A root level draws the
 members of its alive root colors.  A later level, for the vertex u drawn
-at its parent's level, draws the bucket nbr[u][cw] of each table entry cw
-of u's color; on a typed edge each gadget drawn reaches its value in two
-more look-ups (gadget, partner, value).  A step is one draw, the one that
-finds a bucket spent included, or one bucket opened.  Every table entry
+at its parent's level, draws the bucket nbr[u][k] of each table entry k of
+u's color: a neighbor color, or an edge color whose bucket lists the far
+values.  A step is one draw, the one that finds a bucket spent included,
+or one bucket opened.  Every table entry
 opens a non-empty bucket: its edge is in deg[col[u]], and stability gives
 every vertex of a color the same neighbor counts.  Every alive color has
 at least one entry, and every prefix extends.  So each draw is O(1) work,
@@ -68,19 +67,19 @@ Row = dict[int, int]  # color -> non-zero count; absent colors count 0
 class Component:
     """One connected component of a query: one tree of its spanning forest,
     with the variables in a free-first BFS order, their labels, the allowed
-    gadget colors of each tree edge, and the head positions its free
+    edge colors of each tree edge, and the head positions its free
     variables fill."""
 
     order: tuple[int, ...]  # the free variables first; ancestors precede descendants
     free: frozenset[int]  # the free variables, order[:len(free)]
     children: dict[int, tuple[int, ...]]
     # the unary symbols on a variable, with the loop label for a graph-stage
-    # atom E(x, x) and the V label on the other stages
+    # atom E(x, x)
     labels: dict[int, frozenset[str]]
     # per variable with an atom R(x, x) on the binary or full stage: the
     # value colors it may take
     loops: dict[int, frozenset[int]]
-    # per variable but the root: the gadget colors allowed from its parent's
+    # per variable but the root: the edge colors allowed from its parent's
     # vertex toward its own (down) and back (up); None on the graph stage
     down: dict[int, frozenset[int] | None]
     up: dict[int, frozenset[int] | None]
@@ -113,10 +112,10 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
     ArityMismatch for a wider atom, NotTree when the Gaifman graph has a
     cycle, and FreeNotConnected when the free variables of a component do
     not induce a connected subgraph (see the module docstring)."""
-    symbols = idx.symbols
+    edges = idx.edges
     labels: dict[int, set[str]] = {v: set() for a in q.atoms for v in a.args}
     loop_labels: dict[int, set[str]] = {}
-    pairs: dict[tuple[int, int], set[str]] = {}  # (x, y) -> labels of the gadgets from x toward y
+    pairs: dict[tuple[int, int], set[str]] = {}  # (x, y) -> the relations read from x toward y
     for a in q.atoms:
         if a.arity > 2:
             raise ArityMismatch(f"{a.symbol} has arity {a.arity}; an indexed query has arities 1 and 2")
@@ -124,16 +123,15 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
             labels[a.args[0]].add(a.symbol)
             continue
         x, y = a.args
-        if symbols is None:
+        if edges is None:
             if a.symbol != idx.edge_label:
                 raise UnknownSymbol(f"{a.symbol!r} is not the edge label {idx.edge_label!r} of the index")
             if x == y:
                 labels[x].add(idx.loop_label)
             continue
-        u = symbols.u_label.get(a.symbol)
-        if u is None:
+        if a.symbol not in edges.relations:
             raise UnknownSymbol(f"{a.symbol!r} is not a binary relation of the index")
-        (loop_labels.setdefault(x, set()) if x == y else pairs.setdefault((x, y), set())).add(u)
+        (loop_labels.setdefault(x, set()) if x == y else pairs.setdefault((x, y), set())).add(a.symbol)
     forest = spanning_forest(q)
     if not forest.acyclic:
         raise NotTree("Gaifman graph has a cycle")
@@ -143,21 +141,19 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
     down: dict[int, frozenset[int] | None] = {}
     up: dict[int, frozenset[int] | None] = {}
     loops: dict[int, frozenset[int]] = {}
-    if symbols is None:
+    if edges is None:
         down = up = dict.fromkeys(forest.parent)
     else:
-        label_colors, back, dest = idx.label_colors, idx.typed.back, idx.typed.dest
-        for v in labels:
-            labels[v].add(symbols.v_label)
-        for x, us in loop_labels.items():
-            looped = _meet([label_colors[idx.loop_label]] + [label_colors[u] for u in us])
-            loops[x] = frozenset(dest[cw] for cw in looped)
+        with_label, back, src = edges.with_label, edges.back, edges.src
+        for x, rs in loop_labels.items():
+            looped = _meet([with_label.get(idx.loop_label, frozenset())] + [with_label[r] for r in rs])
+            loops[x] = frozenset(src[e] for e in looped)
         for y, x in forest.parent.items():
-            # the labels of the atoms read from x to y are on the gadget
-            # w_xy, those of the atoms read from y to x on its partner w_yx
+            # the relations read from x to y label the edge colors from x's
+            # value toward y's, those read from y to x their reverses
             xy, yx = pairs.get((x, y), ()), pairs.get((y, x), ())
-            down[y] = _meet([label_colors[u] for u in xy] + [back[u] for u in yx])
-            up[y] = _meet([back[u] for u in xy] + [label_colors[u] for u in yx])
+            down[y] = _meet([with_label[r] for r in xy] + [back[r] for r in yx])
+            up[y] = _meet([back[r] for r in xy] + [with_label[r] for r in yx])
 
     free, parent = forest.free, forest.parent
     position = {v: i for i, v in enumerate(q.head)}
@@ -214,10 +210,10 @@ class EnumPlan:
     # their classes
     roots: list[list[int]]
     # per component and free variable after the root: alive parent color ->
-    # the gadget colors of its allowed typed edges toward alive colors (on
-    # the graph stage, those alive colors).  The level of that variable, for
-    # a vertex u of its parent's level, opens the bucket nbr[u][cw] of each
-    # entry cw of u's color; every one is non-empty.
+    # its allowed edge colors toward alive colors (on the graph stage, those
+    # alive colors).  The level of that variable, for a vertex u of its
+    # parent's level, opens the bucket nbr[u][k] of each entry k of u's
+    # color; every one is non-empty.
     tables: list[list[dict[int, list[int]]]]
     empty: bool  # some component has no answer
 
@@ -233,7 +229,7 @@ def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex
     """prepare() on the components of a query whose head has width
     variables."""
     ops = ops if ops is not None else OpCounter()
-    deg, dest = idx.deg, idx.typed.dest
+    deg, dest = idx.deg, idx.dest
     f1: dict[frozenset[str], Row] = {}
     plan = EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=False)
     for comp in comps:
@@ -248,7 +244,7 @@ def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex
             up, down = alive[comp.parent_pos[i]], alive[i]
             allowed = comp.down[comp.free_order[i]]
             ops.tick(sum(len(deg[c]) for c in up))
-            tables.append({c: [cw for cw, _ in deg[c] if dest[cw] in down and (allowed is None or cw in allowed)]
+            tables.append({c: [k for k, _ in deg[c] if dest[k] in down and (allowed is None or k in allowed)]
                            for c in up})
         plan.components.append(comp)
         plan.roots.append(list(alive[0]))
@@ -271,7 +267,6 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
         return
     idx = plan.idx
     nbr, col, classes = idx.nbr, idx.coloring.col, idx.coloring.classes
-    partner, dest = idx.typed.partner, idx.typed.dest
     parent: list[int] = []  # per level, its parent level; -1 at a component root
     source: list = []  # per level, the alive root colors at a root, else the table
     heads = [0] * plan.width  # per head position, its level
@@ -283,32 +278,24 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
             heads[pos] = base + j
     # a head in level order, as every one-level head is, is the value list itself
     answer = tuple if heads == sorted(heads) else itemgetter(*heads)
-    hops = [partner is not None and p >= 0 for p in parent]
     last = len(parent) - 1
     vals = [0] * (last + 1)
     entries: list[Iterator[int]] = [iter(source[0])] + [iter(())] * last
     bucket: list[Iterator[int]] = [iter(())] * (last + 1)
     around: list[dict[int, tuple[int, ...]]] = [{}] * (last + 1)  # the parent vertex's buckets
-    via = [0] * (last + 1)  # at a typed level, the partner color of the open entry
-    to = [0] * (last + 1)  # and the value color it leads to
     n = d = 0
     while True:
         # open the next bucket of level d, or back up when it has none
-        cw = next(entries[d], None)
-        if cw is None:
+        k = next(entries[d], None)
+        if k is None:
             if d == 0:
                 break
             d -= 1
         else:
             n += 1
-            if parent[d] < 0:
-                found = classes[cw]
-            else:
-                found = around[d].get(cw)
-                if hops[d]:
-                    via[d], to[d] = partner[cw], dest[cw]
+            found = classes[k] if parent[d] < 0 else around[d].get(k)
             if not found:
-                raise AssertionError(f"an empty or missing bucket of color {cw} (stability violated)")
+                raise AssertionError(f"an empty or missing bucket of color {k} (stability violated)")
             bucket[d] = iter(found)
         # draw from level d: answer at the last level, else go down
         while True:
@@ -316,8 +303,6 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
             n += 1
             if v is None:
                 break
-            if hops[d]:
-                v = nbr[nbr[v][via[d]][0]][to[d]][0]
             vals[d] = v
             if d < last:
                 d += 1
@@ -357,7 +342,7 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
     """
     order, root, children = comp.order, comp.root, comp.children
     deg, label_colors, free = idx.deg, idx.label_colors, comp.free
-    classes, dest = idx.coloring.classes, idx.typed.dest
+    classes, dest = idx.coloring.classes, idx.dest
 
     def label_row(x: int) -> Row:
         labels = comp.labels[x]
@@ -368,8 +353,8 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
                 ops.tick(len(first))
                 f1[labels] = dict.fromkeys(first.intersection(*rest), 1)
             else:
-                ops.tick(idx.colors)
-                f1[labels] = dict.fromkeys(range(idx.colors), 1)
+                ops.tick(len(classes))
+                f1[labels] = dict.fromkeys(range(len(classes)), 1)
         row = f1[labels]
         only = comp.loops.get(x)
         if only is not None:
@@ -384,11 +369,12 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
         return {c: n * b[c] for c, n in a.items() if c in b}
 
     def lift(row: Row, allowed: frozenset[int] | None) -> Row:
-        # g[c] = sum over the allowed typed edges (c, cw, c') of
-        # numN(c, cw) * row[c'], walked from the colors c' of the row along
-        # the reverse edges (c', cw', c), allowed when p(cw') is: the edges
-        # between two classes number |C_c| * numN(c, cw) = |C_c'| * numN(c', cw'),
-        # so the division is exact.  On the graph stage cw is c'.
+        # g[c] = sum over the allowed edge colors e from c to c' of
+        # numN(c, e) * row[c'], walked from the colors c' of the row along
+        # the reverses e' = rev[e], which `allowed` holds exactly when e is
+        # allowed: the entries between two classes number
+        # |C_c| * numN(c, e) = |C_c'| * numN(c', e'), so the division is
+        # exact.  On the graph stage e is c'.
         total: Row = {}
         for cp, r in row.items():
             w = r * len(classes[cp])
@@ -398,9 +384,9 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
                 for c, n in edges:
                     total[c] = total.get(c, 0) + w * n
             else:
-                for cw, n in edges:
-                    if cw in allowed:
-                        c = dest[cw]
+                for e, n in edges:
+                    if e in allowed:
+                        c = dest[e]
                         total[c] = total.get(c, 0) + w * n
         return {c: t // len(classes[c]) for c, t in total.items()}
 

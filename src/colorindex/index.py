@@ -1,25 +1,25 @@
-"""The color-index: loop-encoded graph, coarsest stable coloring, lookup
-tables for classes / per-color neighbor lists / per-color neighbor colors
-with their degrees / per-label colors, and two views derived from those
-tables on first use: the color database, and the typed color edges that
-binary- and full-stage queries run on.
+"""The color-index: a coarsest stable coloring with its lookup tables
+(classes, per-vertex neighbor buckets, per-color neighbor counts, per-label
+colors) and the color database, derived from those tables on first use.
 
-A binary- or full-stage index is built on `bin2graph`'s gadget graph: each
-ordered pair (a, b) of related values is a gadget vertex w_ab, linked
-a - w_ab - w_ba - b, with a self-looped w_aa for a pair (a, a).  A value
-vertex is its source id (a constant, or an `arb2bin` node on the full stage),
-and the gadgets are numbered on from the largest one.  Such an index
-carries the stage's gadget symbols, and queries over the binary schema run
-on its value (`V`) colors directly.  Stability gives every
-gadget color cw one partner color p(cw), the color of its gadget neighbor
-(cw itself for a self-looped gadget), and one value color.  So an entry
-(cw, n) of deg[c], for a value color c, is a *typed edge*: each vertex of
-color c has n gadgets of color cw, each leading to one value of color
-dest[cw], the value color next to p(cw).  The gadget's labels say which
-relations hold forward, its partner's labels which hold backward, and a
-self-looped gadget is the pair (a, a).  The reverse of the typed edge
-(c, cw, dest[cw]) is (dest[cw], p(cw), c).  A graph-stage index is the
-one-type case: deg[c] entries lead to their own color.
+A graph-stage index is built on the loop-encoded graph.  A bucket
+nbr[v][c'] lists v's neighbors of color c', and deg[c] holds (c', numN(c,
+c')) for each color c' that a vertex of color c sees.
+
+A binary- or full-stage index is *typed*.  Refinement runs on `bin2graph`'s
+gadget graph: each ordered pair (a, b) of related values is a gadget vertex
+w_ab, linked a - w_ab - w_ba - b, with a self-looped w_aa for a pair (a, a).
+`project` then keeps the value vertices, each its source id (a constant, or
+an `arb2bin` node on the full stage), and their classes as the colors.  Each
+gadget color becomes an *edge color* e, and the gadget w_vu of color e
+becomes the entry (v, u, e).  Stability gives e one value color src[e] that
+its entries start at, and one reverse rev[e], the color of the partners
+w_uv; so its entries end at one value color dst[e] = src[rev[e]].  A
+self-looped gadget is a loop entry (v, v, e) with rev[e] = e.  The labels of
+e are the relations that hold from v to u, with the loop label on a loop,
+and those of rev[e] the relations that hold back.  nbr[v][e] lists the far
+values of v's e-entries, and deg[c] holds (e, numN(c, e)).  The graph stage
+is the one-type case: there the key of a bucket is the color it leads to.
 
 The index is immutable after build and safe for unlimited concurrent readers;
 the evaluation phase serves many queries against one index.  It holds nothing
@@ -30,42 +30,70 @@ from __future__ import annotations
 
 import functools
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Sequence
 
 from .bin2graph import GraphSymbols
 from .errors import ParseError
 from .model import Database, Schema
 from .refinement import (
-    Coloring, LabeledGraph, asymmetric_vertex, color_buckets, encode_loops, refine, refines_labels, unstable_witness,
+    Coloring, LabeledGraph, asymmetric_vertex, color_buckets, encode_loops, fresh_name, refine, refines_labels,
+    unstable_witness,
 )
 
 
 @dataclass(frozen=True)
-class TypedEdges:
-    """The typed color edges of an index (see the module docstring)."""
+class EdgeColors:
+    """The edge colors of a typed index (see the module docstring), with the
+    look-ups by label made once."""
 
-    partner: Sequence[int] | None  # per gadget color, p(cw); None on the graph stage
-    dest: Sequence[int]  # per gadget color, the value color it leads to; c itself otherwise
-    # per relation label, the gadget colors whose partners carry it: the
-    # typed edges along which the relation holds backward
-    back: dict[str, frozenset[int]]
+    relations: tuple[str, ...]  # the relation labels
+    labels: tuple[frozenset[str], ...]  # per edge color: its relation labels, and the loop label on a loop
+    rev: tuple[int, ...]  # per edge color e: the edge color of the reverse of each e-entry
+    src: tuple[int, ...]  # per edge color: the value color its entries start at
+    # derived: per edge color, the value color its entries end at; per
+    # label, the edge colors that carry it, and their reverses
+    dst: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    with_label: dict[str, frozenset[int]] = field(init=False, repr=False, compare=False)
+    back: dict[str, frozenset[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        with_label: dict[str, list[int]] = {r: [] for r in self.relations}
+        for e, labels in enumerate(self.labels):
+            for label in labels:
+                with_label.setdefault(label, []).append(e)
+        rev = self.rev
+        object.__setattr__(self, "dst", tuple(self.src[r] for r in rev))
+        object.__setattr__(self, "with_label", {u: frozenset(es) for u, es in with_label.items()})
+        object.__setattr__(self, "back", {u: frozenset(rev[e] for e in es) for u, es in with_label.items()})
 
 
 @dataclass(frozen=True)
 class ColorIndex:
+    # typed: the value vertices, each row listing the far values of its entries
     graph: LabeledGraph
     coloring: Coloring
+    # nbr[v][k]: v's neighbors of color k, or on a typed index the far values
+    # of v's k-entries; ascending
     nbr: dict[int, dict[int, tuple[int, ...]]]
-    # deg[c]: (c', numN(c, c')) for each neighbor color c' of color c, c' ascending
+    # deg[c]: (k, numN(c, k)) for each key k of the buckets of a color-c vertex, k ascending
     deg: tuple[tuple[tuple[int, int], ...], ...]
-    label_colors: dict[str, frozenset[int]]  # label -> the colors that carry it
-    source_size: int
-    symbols: GraphSymbols | None = None  # the gadget symbols of a binary- or full-stage index
+    label_colors: dict[str, frozenset[int]]  # vertex label -> the colors that carry it
+    source_size: int  # of the database the coloring was refined on
+    edges: EdgeColors | None = None  # the edge colors of a typed index
 
     @property
     def colors(self) -> int:
-        return self.coloring.num_colors
+        """The colors of the index: on a typed index its value colors and
+        its edge colors, as many as the coloring it was projected from."""
+        return self.coloring.num_colors + (0 if self.edges is None else len(self.edges.rev))
+
+    @property
+    def vertex_count(self) -> int:
+        """The vertices of the index: on a typed index its values and its
+        entries, as many as the graph it was projected from."""
+        n = len(self.graph.vertices)
+        return n if self.edges is None else n + sum(map(len, self.graph.adj.values()))
 
     def color_of(self, v: int) -> int:
         return self.coloring.col[v]
@@ -73,8 +101,13 @@ class ColorIndex:
     def n_c(self, c: int) -> int:
         return len(self.coloring.classes[c])
 
-    def num_n(self, c: int, cprime: int) -> int:
-        return next((n for cp, n in self.deg[c] if cp == cprime), 0)
+    def num_n(self, c: int, key: int) -> int:
+        return next((n for k, n in self.deg[c] if k == key), 0)
+
+    @property
+    def dest(self) -> Sequence[int]:
+        """Per key of the deg rows, the color its entries lead to."""
+        return range(self.coloring.num_colors) if self.edges is None else self.edges.dst
 
     @property
     def edge_label(self) -> str:
@@ -86,7 +119,8 @@ class ColorIndex:
 
     @property
     def labeled_size(self) -> int:
-        """Size of the loop-encoded database: edge tuples plus unary tuples."""
+        """Size of the indexed graph as a database: one tuple per directed
+        edge (per entry on a typed index) and one per vertex label."""
         directed = sum(len(self.graph.adj[v]) for v in self.graph.vertices)
         labels = sum(len(self.graph.vl[v]) for v in self.graph.vertices)
         return directed + labels
@@ -94,44 +128,26 @@ class ColorIndex:
     @functools.cached_property
     def d_col(self) -> Database:
         """The color database, derived from the tables on first use: each
-        label's colors in ascending order, and the color pairs (c, c') with
-        numN(c, c') > 0.  No query reads it; two readers that race to
-        build it store equal databases."""
-        edge_label = self.edge_label
-        schema = Schema(tuple((u, 1) for u in self.graph.label_universe) + ((edge_label, 2),))
+        vertex label's colors in ascending order, and the color edges: the
+        pairs (c, c') with numN(c, c') > 0, or on a typed index the triples
+        (c, e, dst[e]) with numN(c, e) > 0, each edge label then holding its
+        edge colors.  No query reads it; two readers that race to build it
+        store equal databases."""
+        g, edges = self.graph, self.edges
         relations = {u: tuple((c,) for c in sorted(cs)) for u, cs in self.label_colors.items()}
-        relations[edge_label] = tuple((c, cp) for c, row in enumerate(self.deg) for cp, _ in row)
+        if edges is None:
+            relations[g.edge_label] = tuple((c, cp) for c, row in enumerate(self.deg) for cp, _ in row)
+        else:
+            relations.update({u: tuple((e,) for e in sorted(es)) for u, es in edges.with_label.items()})
+            relations[g.edge_label] = tuple((c, e, edges.dst[e]) for c, row in enumerate(self.deg) for e, _ in row)
+        arity = 2 if edges is None else 3
+        schema = Schema(tuple((u, 1) for u in g.label_universe) + ((g.edge_label, arity),))
         return Database(schema=schema, relations=relations)
-
-    @functools.cached_property
-    def typed(self) -> TypedEdges:
-        """The typed color edges, derived from the tables on first use in
-        O(colors).  Raises ParseError when a gadget class does not have one
-        value neighbor and one gadget neighbor, or a relation label is off
-        the gadgets, which only a tampered index file brings about."""
-        dest = range(self.colors)
-        if self.symbols is None:
-            return TypedEdges(partner=None, dest=dest, back={})
-        gadgets, values = self.label_colors[self.symbols.w_label], self.label_colors[self.symbols.v_label]
-        partner, own = list(dest), list(dest)
-        for cw in gadgets:
-            row = self.deg[cw]
-            if len(row) == 2 and row[0][1] == row[1][1] == 1:
-                (c, _), (p, _) = row if row[0][0] in values else row[::-1]
-                if c in values and p in gadgets:
-                    own[cw], partner[cw] = c, p
-                    continue
-            raise ParseError(f"gadget vertex {self.coloring.classes[cw][0]} does not have "
-                             "one value neighbor and one gadget neighbor")
-        labels = self.symbols.u_label.values()
-        if not all(self.label_colors[u] <= gadgets for u in labels):
-            raise ParseError("a relation label is on a vertex that is not a gadget")
-        back = {u: frozenset(map(partner.__getitem__, self.label_colors[u])) for u in labels}
-        return TypedEdges(partner=partner, dest=[own[p] for p in partner], back=back)
 
     @property
     def d_col_size(self) -> int:
-        return sum(map(len, self.label_colors.values())) + sum(map(len, self.deg))
+        size = sum(map(len, self.label_colors.values())) + sum(map(len, self.deg))
+        return size if self.edges is None else size + sum(map(len, self.edges.labels))
 
 
 def build(db: Database) -> ColorIndex:
@@ -142,25 +158,122 @@ def build(db: Database) -> ColorIndex:
     return build_from_coloring(graph, coloring, source_size=db.size)
 
 
+def build_typed(db: Database, symbols: GraphSymbols) -> ColorIndex:
+    """Index `bin2graph`'s graph of a binary database: encode loops, refine,
+    and project the coloring onto the value vertices."""
+    graph = encode_loops(db)
+    return project(graph, refine(graph), symbols, db.size)
+
+
 def build_from_coloring(graph: LabeledGraph, coloring: Coloring, source_size: int) -> ColorIndex:
-    """The tables of a stable coloring.  The loader checks stability
-    afterwards, on the neighbor tables built here."""
-    nbr = color_buckets(graph, coloring.col)
+    """The tables of a stable coloring of a loop-encoded graph."""
+    return _tables(graph, coloring, color_buckets(graph, coloring.col), source_size)
+
+
+def _tables(graph: LabeledGraph, coloring: Coloring, nbr: dict[int, dict[int, tuple[int, ...]]],
+            source_size: int, edges: EdgeColors | None = None) -> ColorIndex:
     # stability makes every member of a class see what its first member sees
     firsts = [members[0] for members in coloring.classes]
-    deg = tuple(tuple(sorted((cp, len(us)) for cp, us in nbr[v].items())) for v in firsts)
-    label_colors: dict[str, list[int]] = {u: [] for u in graph.label_universe}
+    deg = tuple(tuple(sorted((k, len(us)) for k, us in nbr[v].items())) for v in firsts)
+    edge_labels = () if edges is None else (*edges.relations, graph.loop_label)
+    label_colors: dict[str, list[int]] = {u: [] for u in graph.label_universe if u not in edge_labels}
     for c, v in enumerate(firsts):
         for label in graph.vl[v]:
             label_colors[label].append(c)
-    return ColorIndex(
-        graph=graph,
-        coloring=coloring,
-        nbr=nbr,
-        deg=deg,
-        label_colors={u: frozenset(cs) for u, cs in label_colors.items()},
-        source_size=source_size,
-    )
+    return ColorIndex(graph=graph, coloring=coloring, nbr=nbr, deg=deg,
+                      label_colors={u: frozenset(cs) for u, cs in label_colors.items()},
+                      source_size=source_size, edges=edges)
+
+
+def typed_labels(symbols: GraphSymbols) -> tuple[tuple[str, ...], str]:
+    """The label universe of a typed index over a binary schema, and its
+    loop label: the unary symbols label values, and the binary symbols and
+    a fresh loop label label edge colors."""
+    relations = tuple(symbols.u_label)
+    loop_label = fresh_name("L", set(symbols.unary) | set(relations))
+    return symbols.unary + relations + (loop_label,), loop_label
+
+
+def _entry_buckets(adj: dict[int, Sequence[int]],
+                   ecol: dict[int, Sequence[int]]) -> dict[int, dict[int, tuple[int, ...]]]:
+    """For each value, the far values of its entries grouped by edge color,
+    given its row of far values (adj) and their edge colors (ecol)."""
+    nbr: dict[int, dict[int, tuple[int, ...]]] = {}
+    for v, row in adj.items():
+        buckets: dict[int, list[int]] = {}
+        for u, e in zip(row, ecol[v]):
+            bucket = buckets.get(e)
+            if bucket is None:
+                buckets[e] = [u]
+            else:
+                bucket.append(u)
+        nbr[v] = dict(zip(buckets, map(tuple, buckets.values())))
+    return nbr
+
+
+def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols, source_size: int) -> ColorIndex:
+    """The typed index of a stable coloring of `bin2graph`'s graph that
+    refines its labels (see the module docstring), with the graph's
+    symbols.  Value and edge colors are numbered in class order.  Raises
+    ValueError when the graph is not a gadget graph or the coloring does not
+    give each gadget color one start color and one reverse."""
+    universe, loop_label = typed_labels(symbols)
+    v_label, w_label, adj, vl = symbols.v_label, symbols.w_label, graph.adj, graph.vl
+    relation = {u: f for f, u in symbols.u_label.items()}
+    relation[graph.loop_label] = loop_label
+    # a class's id among the value classes, or among the gadget classes
+    rank: list[int] = []
+    value_classes: list[tuple[int, ...]] = []
+    gadget_classes = 0
+    for members in coloring.classes:
+        if v_label in vl[members[0]]:
+            rank.append(len(value_classes))
+            value_classes.append(members)
+        else:
+            rank.append(gadget_classes)
+            gadget_classes += 1
+    values = tuple(v for v in graph.vertices if v_label in vl[v])
+    owner: dict[int, int] = {}  # gadget -> its value neighbor
+    for v in values:
+        for w in adj[v]:
+            if w in owner or v_label in vl[w]:
+                raise ValueError(f"vertex {w} is a value or the gadget of two values")
+            owner[w] = v
+    if len(owner) != len(graph.vertices) - len(values):
+        raise ValueError("a gadget vertex has no value neighbor")
+    col = coloring.col
+    labels: list[frozenset[str] | None] = [None] * gadget_classes
+    rev, src = [-1] * gadget_classes, [-1] * gadget_classes
+    far: dict[int, tuple[int, ...]] = {}
+    ecol: dict[int, tuple[int, ...]] = {}
+    value_labels: dict[frozenset[str], frozenset[str]] = {}
+    for v in values:
+        c = rank[col[v]]
+        row = []
+        for w in adj[v]:
+            pair = adj[w]  # (v, w's partner), or (v, w) for a self-looped gadget
+            partner = pair[-1] if pair[0] == v else pair[0]
+            e, r = rank[col[w]], rank[col[partner]]
+            if labels[e] is None:
+                if not vl[w] - {w_label} <= relation.keys():
+                    raise ValueError(f"gadget vertex {w} carries a value label")
+                labels[e] = frozenset(relation[u] for u in vl[w] - {w_label})
+                rev[e], src[e] = r, c
+            if (len(pair) != 2 or partner not in owner or rev[e] != r or src[e] != c
+                    or (partner == w) != (loop_label in labels[e])):
+                raise ValueError(f"gadget vertex {w} does not link one value to one gadget as its class does")
+            row.append((owner[partner], e))
+        row.sort()
+        far[v] = tuple(u for u, _ in row)
+        ecol[v] = tuple(e for _, e in row)
+        if vl[v] not in value_labels:
+            value_labels[vl[v]] = vl[v] - {v_label}
+            if not value_labels[vl[v]] <= set(symbols.unary):
+                raise ValueError(f"value vertex {v} carries a gadget label")
+    typed = LabeledGraph(values, far, {v: value_labels[vl[v]] for v in values}, universe, loop_label, symbols.edge)
+    edges = EdgeColors(relations=tuple(symbols.u_label), labels=tuple(labels), rev=tuple(rev), src=tuple(src))
+    value_coloring = Coloring(col={v: rank[col[v]] for v in values}, classes=tuple(value_classes))
+    return _tables(typed, value_coloring, _entry_buckets(far, ecol), source_size, edges)
 
 
 @dataclass(frozen=True)
@@ -173,7 +286,7 @@ class IndexStats:
 
 
 def stats(idx: ColorIndex) -> IndexStats:
-    n = len(idx.graph.vertices)
+    n = idx.vertex_count
     return IndexStats(
         source_size=idx.source_size,
         labeled_size=idx.labeled_size,
@@ -186,70 +299,110 @@ def stats(idx: ColorIndex) -> IndexStats:
 def check_colorindex(idx: ColorIndex) -> list[str]:
     """Consistency suite: numN well-definedness via stability, class sizes,
     degree sums, the per-label color sets, and the color-database
-    definition."""
+    definition.  On a typed index the buckets are checked per edge color,
+    with the end colors of every entry and its flip (u, v, rev[e])."""
     problems: list[str] = []
-    g = idx.graph
+    g, edges = idx.graph, idx.edges
     col = idx.coloring.col
+    # the bucket key of each entry (v, u): col[u], or on a typed index the
+    # edge color that nbr files it under
+    key: dict[tuple[int, int], int] = {}
+    for v in g.vertices:
+        if edges is None:
+            key.update({(v, u): col[u] for u in g.adj[v]})
+        else:
+            key.update({(v, u): e for e, us in idx.nbr[v].items() for u in us})
     for c, members in enumerate(idx.coloring.classes):
         for v in members:
             if col[v] != c:
                 problems.append(f"class table disagrees with col at vertex {v}")
-            per_color: dict[int, int] = {}
+            per_key: dict[int | None, int] = {}
             for u in g.adj[v]:
-                per_color[col[u]] = per_color.get(col[u], 0) + 1
-            for cprime, n in per_color.items():
-                if idx.num_n(c, cprime) != n:
-                    problems.append(f"numN({c},{cprime}) not well-defined at vertex {v}")
-                if idx.nbr[v].get(cprime, ()) != tuple(sorted(u for u in g.adj[v] if col[u] == cprime)):
-                    problems.append(f"N({v},{cprime}) table incorrect")
-            if sum(per_color.values()) != len(g.adj[v]):
+                k = key.get((v, u))
+                per_key[k] = per_key.get(k, 0) + 1
+            for k, n in per_key.items():
+                if idx.num_n(c, k) != n:
+                    problems.append(f"numN({c},{k}) not well-defined at vertex {v}")
+                if idx.nbr[v].get(k, ()) != tuple(u for u in g.adj[v] if key.get((v, u)) == k):
+                    problems.append(f"N({v},{k}) table incorrect")
+            if sum(per_key.values()) != len(g.adj[v]) or len(idx.deg[c]) != len(per_key):
                 problems.append(f"degree mismatch at {v}")
-    if sum(idx.n_c(c) for c in range(idx.colors)) != len(g.vertices):
+    if sum(map(len, idx.coloring.classes)) != len(g.vertices):
         problems.append("class sizes do not sum to |V|")
+    if edges is not None:
+        for (v, u), e in key.items():
+            if (edges.src[e], edges.dst[e]) != (col[v], col[u]):
+                problems.append(f"entry ({v},{u}) of edge color {e} does not run from color {edges.src[e]} "
+                                f"to color {edges.dst[e]}")
+            if key.get((u, v)) != edges.rev[e]:
+                problems.append(f"entry ({v},{u}) of edge color {e} lacks its flip of edge color {edges.rev[e]}")
+            if (u == v) != (idx.loop_label in edges.labels[e]):
+                problems.append(f"loop label of edge color {e} disagrees with entry ({v},{u})")
+    facts = set(idx.d_col.rel(idx.edge_label))
     for c, row in enumerate(idx.deg):
-        for cp, n in row:
-            if n > 0 and not idx.d_col.contains(idx.edge_label, (c, cp)):
-                problems.append(f"color edge ({c},{cp}) missing from color database")
-    for c, cp in idx.d_col.rel(idx.edge_label):
-        if idx.num_n(c, cp) <= 0:
-            problems.append(f"color edge ({c},{cp}) has numN 0")
-        if not idx.d_col.contains(idx.edge_label, (cp, c)):
-            problems.append(f"color edge relation not symmetric at ({c},{cp})")
-        for v in idx.coloring.classes[c]:
-            if not any(col[u] == cp for u in g.adj[v]):
-                problems.append(f"vertex {v} of color {c} has no {cp}-neighbor")
-    for label in g.label_universe:
+        for k, n in row:
+            # (c, c') on the graph stage, (c, e, dst[e]) on a typed index
+            fact = (c, k) if edges is None else (c, k, edges.dst[k])
+            if n <= 0 or fact not in facts:
+                problems.append(f"color edge {fact} missing from color database")
+    if len(facts) != sum(map(len, idx.deg)):
+        problems.append("the color database has a color edge that no deg entry has")
+    for fact in facts:
+        flip = (fact[1], fact[0]) if edges is None else (fact[2], edges.rev[fact[1]], fact[0])
+        if flip not in facts:
+            problems.append(f"color edge relation not symmetric at {fact}")
+    vertex_labels = idx.label_colors.keys()
+    for label in vertex_labels:
         expected = sorted({col[v] for v in g.vertices if label in g.vl[v]})
         if list(idx.d_col.rel(label)) != [(c,) for c in expected]:
             problems.append(f"unary color relation {label} incorrect")
-        if idx.label_colors.get(label) != frozenset(expected):
+        if idx.label_colors[label] != frozenset(expected):
             problems.append(f"color set of label {label} incorrect")
-    if not idx.d_col.active_domain() <= set(range(idx.colors)):
-        problems.append("color database domain exceeds color set")
+    if edges is not None:
+        for label, es in edges.with_label.items():
+            if list(idx.d_col.rel(label)) != [(e,) for e in sorted(es)]:
+                problems.append(f"edge color relation {label} incorrect")
+    if vertex_labels | (edges.with_label.keys() if edges else set()) | {idx.loop_label} != set(g.label_universe):
+        problems.append("the labels do not cover the label universe")
+    if idx.d_col_size != idx.d_col.size:
+        problems.append(f"d_col_size {idx.d_col_size} is not the size {idx.d_col.size} of the color database")
     return problems
 
 
 # --- serialization -----------------------------------------------------------
 #
 # Line-oriented, versioned sections; every section header carries its row
-# count.  Only the loop-encoded graph and its coloring are written: the
-# neighbor tables, numN and the color database are derived on load by
-# build_from_coloring, as on build.  Writing is a pure function of the index,
-# so write -> read -> write is bit-identical.
+# count.  Only the indexed graph and its coloring are written: the neighbor
+# tables, numN and the color database are derived on load as on build.  A
+# graph-stage VERTICES row is `v, labels, neighbors`; a typed one is `v,
+# labels, far values, edge colors`, after one EDGE_COLORS row `labels, rev`
+# per edge color.  Writing is a pure function of the index, so write -> read
+# -> write is bit-identical.
 
 def write_section(lines: list[str], name: str, rows: list[str]) -> None:
     lines.append(f"[{name} {len(rows)}]")
     lines.extend(rows)
 
 
+def _labels_field(labels: frozenset[str]) -> str:
+    return ",".join(sorted(labels)) or "-"
+
+
 def write_sections(idx: ColorIndex) -> list[str]:
-    g = idx.graph
+    g, edges = idx.graph, idx.edges
     lines: list[str] = []
     write_section(lines, "LABELS", [f"{g.loop_label}\t{g.edge_label}"] + list(g.label_universe))
-    write_section(lines, "VERTICES", [
-        f"{v}\t{','.join(sorted(g.vl[v])) or '-'}\t{' '.join(map(str, g.adj[v]))}"
-        for v in g.vertices
-    ])
+    if edges is None:
+        rows = [f"{v}\t{_labels_field(g.vl[v])}\t{' '.join(map(str, g.adj[v]))}" for v in g.vertices]
+    else:
+        write_section(lines, "EDGE_COLORS", [f"{_labels_field(ls)}\t{r}" for ls, r in zip(edges.labels, edges.rev)])
+        rows = []
+        for v in g.vertices:
+            key = {u: e for e, us in idx.nbr[v].items() for u in us}
+            far = g.adj[v]
+            rows.append(f"{v}\t{_labels_field(g.vl[v])}\t{' '.join(map(str, far))}\t"
+                        f"{' '.join(str(key[u]) for u in far)}")
+    write_section(lines, "VERTICES", rows)
     write_section(lines, "CLASSES", [" ".join(map(str, members)) for members in idx.coloring.classes])
     return lines
 
@@ -290,12 +443,19 @@ class SectionReader:
             raise ParseError(f"bad number ({e})", line=self.line) from None
 
 
-def read_sections(reader: SectionReader, source_size: int) -> ColorIndex:
-    """Read LABELS, VERTICES and CLASSES, check that they describe an
-    undirected graph and a stable coloring of it, and derive the rest of the
-    index with build_from_coloring.  Any inconsistency raises ParseError."""
+def read_sections(reader: SectionReader, source_size: int, relations: tuple[str, ...] | None = None) -> ColorIndex:
+    """Read LABELS, the vertex rows and CLASSES of a graph-stage index, or of
+    a typed index with the given relation labels (then with EDGE_COLORS
+    before the vertex rows).  Check that they describe an undirected graph,
+    or symmetric typed entries whose edge colors each start at one value
+    color, and a stable coloring of it, and derive the rest of the index as
+    the build does.  Any inconsistency raises ParseError."""
     with reader.numbers():
-        graph = _read_graph(reader)
+        universe, loop_label, edge_label = _read_labels(reader)
+        if relations is None:
+            graph = _read_graph(reader, universe, loop_label, edge_label)
+        else:
+            graph, ecol, labels, rev = _read_typed(reader, universe, loop_label, edge_label, relations)
         classes = tuple(tuple(map(int, members.split())) for (members,) in reader.rows("CLASSES", 1))
     col = {v: c for c, members in enumerate(classes) for v in members}
     if not all(classes) or sum(map(len, classes)) != len(col) or col.keys() != graph.vl.keys():
@@ -303,22 +463,44 @@ def read_sections(reader: SectionReader, source_size: int) -> ColorIndex:
     coloring = Coloring(col=col, classes=classes)
     if not refines_labels(graph, coloring):
         raise ParseError("a color class mixes vertices with different labels")
-    ci = build_from_coloring(graph, coloring, source_size)
-    witness = unstable_witness(coloring, ci.nbr)
+    nbr = color_buckets(graph, col) if relations is None else _entry_buckets(graph.adj, ecol)
+    witness = unstable_witness(coloring, nbr)
     if witness is not None:
-        raise ParseError("unstable coloring: vertices {} and {} share a color but not "
-                         "their number of color-{} neighbors".format(*witness))
-    return ci
+        v, w, k = witness
+        kind = "color" if relations is None else "edge color"
+        raise ParseError(f"unstable coloring: vertices {v} and {w} share a color but not their number of "
+                         f"{kind}-{k} neighbors")
+    edges = None if relations is None else EdgeColors(relations, labels, rev, _start_colors(ecol, col, len(rev)))
+    return _tables(graph, coloring, nbr, source_size, edges)
 
 
-def _read_graph(reader: SectionReader) -> LabeledGraph:
+def _read_labels(reader: SectionReader) -> tuple[tuple[str, ...], str, str]:
     labels = list(reader.rows("LABELS", None))
     if not labels or len(labels[0]) != 2 or any(len(row) != 1 for row in labels[1:]):
         raise ParseError("[LABELS] holds `loop label<TAB>edge label`, then one label per row", line=reader.line)
     (loop_label, edge_label), universe = labels[0], tuple(row[0] for row in labels[1:])
-    if len(set(universe) | {edge_label}) != len(universe) + 1:
-        raise ParseError("[LABELS] names a label twice", line=reader.line)
-    label_sets = {"-": frozenset()}  # one frozenset per distinct label list
+    if len(set(universe) | {edge_label}) != len(universe) + 1 or loop_label not in universe:
+        raise ParseError("[LABELS] names a label twice, or not the loop label", line=reader.line)
+    return universe, loop_label, edge_label
+
+
+def _label_reader(reader: SectionReader, declared: set[str], what: str) -> Callable[[str], frozenset[str]]:
+    """The label set of a label field, one frozenset per distinct field.
+    Raises ParseError, at the row being read, for a label not declared."""
+    sets = {"-": frozenset()}
+
+    def read(field: str) -> frozenset[str]:
+        labels = sets.get(field)
+        if labels is None:
+            labels = sets[field] = frozenset(field.split(","))
+            if not labels <= declared:
+                raise ParseError(f"undeclared label, or {what}, in {field!r}", line=reader.line)
+        return labels
+    return read
+
+
+def _read_graph(reader: SectionReader, universe: tuple[str, ...], loop_label: str, edge_label: str) -> LabeledGraph:
+    read_labels = _label_reader(reader, set(universe), "no label")
     vertices: list[int] = []
     adj: dict[int, tuple[int, ...]] = {}
     vl: dict[int, frozenset[str]] = {}
@@ -326,12 +508,8 @@ def _read_graph(reader: SectionReader) -> LabeledGraph:
         v = int(v_s)
         if vertices and v <= vertices[-1]:
             raise ParseError(f"vertex {v} is out of order", line=reader.line)
-        if lab_s not in label_sets:
-            label_sets[lab_s] = frozenset(lab_s.split(","))
-            if not label_sets[lab_s] <= set(universe):
-                raise ParseError(f"undeclared label in {lab_s!r}", line=reader.line)
         vertices.append(v)
-        vl[v] = label_sets[lab_s]
+        vl[v] = read_labels(lab_s)
         adj[v] = tuple(map(int, nbr_s.split()))
     try:
         bad = asymmetric_vertex(vertices, adj)
@@ -343,3 +521,87 @@ def _read_graph(reader: SectionReader) -> LabeledGraph:
         if (loop_label in vl[v]) != (v in adj[v]):
             raise ParseError(f"loop label {loop_label!r} disagrees with the loops at vertex {v}")
     return LabeledGraph(tuple(vertices), adj, vl, universe, loop_label, edge_label)
+
+
+def _read_edge_colors(reader: SectionReader,
+                      edge_labels: set[str]) -> tuple[tuple[frozenset[str], ...], tuple[int, ...]]:
+    """The labels and reverses of the EDGE_COLORS rows; rev must be an
+    involution on the edge colors."""
+    read_labels = _label_reader(reader, edge_labels, "a value label")
+    labels, rev = [], []
+    for lab_s, rev_s in reader.rows("EDGE_COLORS", 2):
+        labels.append(read_labels(lab_s))
+        rev.append(int(rev_s))
+    if not all(0 <= r < len(rev) and rev[r] == e for e, r in enumerate(rev)):
+        raise ParseError("the reverses of [EDGE_COLORS] are not an involution on the edge colors")
+    return tuple(labels), tuple(rev)
+
+
+def _read_typed(reader: SectionReader, universe: tuple[str, ...], loop_label: str, edge_label: str,
+                relations: tuple[str, ...]) -> tuple[LabeledGraph, dict[int, list[int]], tuple[frozenset[str], ...],
+                                                     tuple[int, ...]]:
+    """The EDGE_COLORS and typed VERTICES rows: the graph of the values,
+    whose row at v lists the far values of v's entries, their edge colors,
+    and the labels and reverses of the edge colors.  Relation and loop
+    labels are on edge colors only."""
+    edge_labels = set(relations) | {loop_label}
+    if not edge_labels <= set(universe):
+        raise ParseError("[LABELS] does not declare the relation labels", line=reader.line)
+    labels, rev = _read_edge_colors(reader, edge_labels)
+    read_labels = _label_reader(reader, set(universe) - edge_labels, "a relation or loop label")
+    vertices: list[int] = []
+    far: dict[int, list[int]] = {}
+    ecol: dict[int, list[int]] = {}
+    vl: dict[int, frozenset[str]] = {}
+    for v_s, lab_s, far_s, ecol_s in reader.rows("VERTICES", 4):
+        v = int(v_s)
+        if vertices and v <= vertices[-1]:
+            raise ParseError(f"vertex {v} is out of order", line=reader.line)
+        vertices.append(v)
+        vl[v] = read_labels(lab_s)
+        far[v] = list(map(int, far_s.split()))
+        ecol[v] = list(map(int, ecol_s.split()))
+        if len(ecol[v]) != len(far[v]):
+            raise ParseError(f"vertex {v} does not list one edge color per far value", line=reader.line)
+    _check_entries(far, ecol, rev, {e for e, ls in enumerate(labels) if loop_label in ls})
+    adj = dict(zip(far, map(tuple, far.values())))
+    return LabeledGraph(tuple(vertices), adj, vl, universe, loop_label, edge_label), ecol, labels, rev
+
+
+def _check_entries(far: dict[int, list[int]], ecol: dict[int, list[int]], rev: tuple[int, ...],
+                   loops: set[int]) -> None:
+    """Check that every entry (v, u, e) has an edge color, that the rows are
+    ascending and their entries come in flips (u, v, rev[e]), and that the
+    loop edge colors sit exactly on the entries with u == v.  The reverse of
+    the entries, filled in vertex order, must be the entries themselves."""
+    back: dict[int, list[int]] = {v: [] for v in far}
+    back_e: dict[int, list[int]] = {v: [] for v in far}
+    for v, es in ecol.items():
+        if es and not (0 <= min(es) and max(es) < len(rev)):
+            raise ParseError(f"vertex {v} lists an edge color that [EDGE_COLORS] does not have")
+        for u, e in zip(far[v], es):
+            row = back.get(u)
+            if row is None or (row and row[-1] == v):
+                raise ParseError(f"vertex {v} lists {u}, which is not a vertex or is listed twice")
+            if (u == v) != (e in loops):
+                raise ParseError(f"the entry ({v},{u}) of edge color {e} breaks the loop label")
+            row.append(v)
+            back_e[u].append(rev[e])
+    for v in far:
+        if back[v] != far[v] or back_e[v] != ecol[v]:
+            raise ParseError(f"the entries of vertex {v} are unsorted or include one without its flip")
+
+
+def _start_colors(ecol: dict[int, list[int]], col: dict[int, int], edges: int) -> tuple[int, ...]:
+    """Per edge color, the one value color its entries start at."""
+    src = [-1] * edges
+    for v, es in ecol.items():
+        c = col[v]
+        for e in es:
+            if src[e] != c:
+                if src[e] >= 0:
+                    raise ParseError(f"edge color {e} starts at value colors {src[e]} and {c}")
+                src[e] = c
+    if -1 in src:
+        raise ParseError(f"edge color {src.index(-1)} is on no entry")
+    return tuple(src)

@@ -5,13 +5,19 @@ serialize to a versioned, deterministic text format.  A value vertex is its
 source id, so graph- and binary-stage answers need no decoding; a full-stage
 answer reads its constants off `arb2bin`'s projection nodes (`node_proj`).
 
+A binary- or full-stage build refines `bin2graph`'s gadget graph and keeps
+the typed index that `index.project` makes of it: the value vertices, their
+classes and the edge colors.  That index is what is saved, loaded and
+served; `DatabaseIndex` projects a gadget-graph `ColorIndex` it is given the
+same way.
+
 Serving compiles a query once per index: `DatabaseIndex.compile` checks it
 against the schema and for free-connex acyclicity, translates it to the
 query the evaluator runs, and splits that into components with their
-variable orders and typed edges, all in one `CompiledQuery`.  The
+variable orders and allowed edge colors, all in one `CompiledQuery`.  The
 translation is the identity on the graph and binary stages, where the
-query runs on the index's color edges and typed color edges, and
-`arb2bin`'s q2 on the full stage; `bin2graph`'s gadget translation of
+query runs on the index's color edges or edge colors, and `arb2bin`'s q2
+on the full stage; `bin2graph`'s gadget translation of
 queries is not on the serving path.  The index keeps the last
 COMPILED_LIMIT compiled queries, keyed by the parsed query; the oldest goes
 first.  Only compile results are kept: bool, count and enum run the dynamic
@@ -22,7 +28,6 @@ compile the query and store equal results.
 """
 from __future__ import annotations
 
-import dataclasses
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -39,7 +44,7 @@ from .model import ConjunctiveQuery, ConstantPool, Database, Schema
 from .refinement import asymmetric_vertex, edge_adjacency, loop_encoding_labels
 from .textio import read_text
 
-FORMAT_HEADER = "colorindex-file v4"
+FORMAT_HEADER = "colorindex-file v5"
 COMPILED_LIMIT = 64  # compiled queries kept per index
 
 TASKS = ("bool", "count", "enum")
@@ -78,9 +83,9 @@ _REJECTED = CompiledQuery(free_connex=False)
 
 
 def _stage_symbols(stage: str, schema: Schema) -> bin2graph.GraphSymbols | None:
-    """The graph symbols of the stage's binary schema, derived once per
-    index; None on the graph stage and for a schema that the stage cannot
-    index (the loader reports that)."""
+    """The graph symbols of the stage's binary schema; None on the graph
+    stage and for a schema that the stage cannot index (the loader rejects
+    that)."""
     if stage == "binary" and schema.is_binary():
         return bin2graph.graph_symbols_for(schema)
     if stage == "full" and schema.symbols:
@@ -99,10 +104,12 @@ def _identity(t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class DatabaseIndex:
-    """A built index: the color index of the final node-labeled graph, the
-    projection nodes of a full-stage index, and a bounded map of compiled
-    queries.  Safe for concurrent readers (see the module docstring).  `vmap`
-    must be the identity; `gadget_node` and `node_tuple` are not saved."""
+    """A built index: the color index (typed on the binary and full stages),
+    the projection nodes of a full-stage index, and a bounded map of
+    compiled queries.  Safe for concurrent readers (see the module
+    docstring).  A binary- or full-stage `cindex` on `bin2graph`'s graph is
+    projected to the typed index.  `vmap` must be the identity;
+    `gadget_node` and `node_tuple` are not saved."""
 
     def __init__(
         self,
@@ -127,9 +134,9 @@ class DatabaseIndex:
         self.node_proj = node_proj or {}
         self.node_tuple = node_tuple or {}
         self._symbols = _stage_symbols(stage, schema)
-        if cindex.symbols != self._symbols:
-            # the typed color edges read the stage's gadget symbols
-            self.cindex = dataclasses.replace(cindex, symbols=self._symbols)
+        if cindex.edges is None and self._symbols is not None:
+            # a binary- or full-stage index given on bin2graph's graph
+            self.cindex = cindex_mod.project(cindex.graph, cindex.coloring, self._symbols, cindex.source_size)
         self._compiled: dict[tuple, CompiledQuery] = {}  # insertion order: oldest first
         self._lock = threading.Lock()
 
@@ -149,12 +156,12 @@ class DatabaseIndex:
             return cls(db.schema, db.pool, "graph", cindex_mod.build(db), db.size)
         if stage == "binary":
             genc = bin2graph.encode_db(db)
-            ci = cindex_mod.build(genc.dhat)
+            ci = cindex_mod.build_typed(genc.dhat, genc.symbols)
             return cls(db.schema, db.pool, "binary", ci, db.size, gadget_node=genc.gadget_node)
         if stage == "full":
             benc = arb2bin.encode_db(db)
             genc = bin2graph.encode_db(benc.db2)
-            ci = cindex_mod.build(genc.dhat)
+            ci = cindex_mod.build_typed(genc.dhat, genc.symbols)
             return cls(
                 db.schema, db.pool, "full", ci, db.size,
                 gadget_node=genc.gadget_node, node_proj=benc.node_proj, node_tuple=benc.node_tuple,
@@ -277,9 +284,14 @@ class DatabaseIndex:
                 schema = Schema(tuple((n, int(ar)) for n, ar in reader.rows("SCHEMA", 2)))
             except (UnknownSymbol, ArityMismatch) as e:
                 raise ParseError(f"[SCHEMA] {e}") from None
+            fits = {"graph": schema.is_graph_schema(), "binary": schema.is_binary(), "full": True}
+            if not schema.symbols or not fits[stage]:
+                raise ParseError(f"[SCHEMA] cannot be indexed in the {stage} stage")
             names = [name for (name,) in reader.rows("CONSTANTS", 1)]
             node_proj = {int(n): tuple(map(int, p.split())) for n, p in reader.rows("PROJ", 2)}
-        ci = cindex_mod.read_sections(reader, graph_size)
+        symbols = _stage_symbols(stage, schema)
+        relations = None if symbols is None else tuple(symbols.u_label)
+        ci = cindex_mod.read_sections(reader, graph_size, relations)
         if reader.pos != len(lines):
             raise ParseError("unexpected line after the last section", line=reader.pos + 1)
         pool = ConstantPool()
@@ -300,16 +312,13 @@ class DatabaseIndex:
         its schema and graph, so that every answer is a constant or reads
         its constants off a projection node of its arity."""
         graph, constants = self.cindex.graph, range(len(self.pool))
-        fits = {"graph": self.schema.is_graph_schema(), "binary": self.schema.is_binary(), "full": True}
-        if not self.schema.symbols or not fits[self.stage]:
-            raise ParseError(f"[SCHEMA] cannot be indexed in the {self.stage} stage")
-        gschema, v_label = self.schema, None
-        if self.stage != "graph":
-            gschema, v_label = self._symbols.schema(), self._symbols.v_label
-        universe, loop_label = loop_encoding_labels(gschema)
-        if (graph.label_universe, graph.loop_label, graph.edge_label) != (universe, loop_label, gschema.edge_symbol()):
-            raise ParseError(f"[LABELS] does not match the {self.stage}-stage graph of [SCHEMA]")
-        values = [v for v in graph.vertices if v_label is None or v_label in graph.vl[v]]
+        if self._symbols is None:
+            (universe, loop_label), edge_label = loop_encoding_labels(self.schema), self.schema.edge_symbol()
+        else:
+            (universe, loop_label), edge_label = cindex_mod.typed_labels(self._symbols), self._symbols.edge
+        if (graph.label_universe, graph.loop_label, graph.edge_label) != (universe, loop_label, edge_label):
+            raise ParseError(f"[LABELS] does not match the {self.stage}-stage labels of [SCHEMA]")
+        values = graph.vertices
         if self.stage != "full":
             if not all(v in constants for v in values):
                 raise ParseError(f"a {self.stage}-stage value vertex is not a constant id")
@@ -318,7 +327,7 @@ class DatabaseIndex:
         a_labels = frozenset(f"A{i}" for i in range(self.schema.max_arity + 1))
         arity_labels = {v: graph.vl[v] & a_labels for v in values}
         if {v for v, labels in arity_labels.items() if labels} != self.node_proj.keys():
-            raise ParseError(f"[PROJ] does not list exactly the {v_label!r}-labeled vertices with an A<i> label")
+            raise ParseError("[PROJ] does not list exactly the value vertices with an A<i> label")
         if any(arity_labels[v] != {f"A{len(p)}"} for v, p in self.node_proj.items()):
             raise ParseError("a projection of [PROJ] does not have the arity of its A<i> label")
         if not all(c in constants for p in self.node_proj.values() for c in p):

@@ -69,7 +69,8 @@ def test_value_nodes_are_source_ids():
     assert enc.gadget_node == {(1, 3): 4, (3, 1): 5}
     assert enc.dhat.rel(enc.symbols.v_label) == ((1,), (3,))
     idx = DatabaseIndex.build(db)
-    assert not hasattr(idx, "vmap") and idx.cindex.graph.vertices == (1, 3, 4, 5)
+    # the index is typed: its vertices are the values, not the gadgets 4 and 5
+    assert not hasattr(idx, "vmap") and idx.cindex.graph.vertices == (1, 3)
     DatabaseIndex(db.schema, pool, "binary", idx.cindex, db.size, vmap=enc.vmap)
     with pytest.raises(ValueError, match="identity"):
         DatabaseIndex(db.schema, pool, "binary", idx.cindex, db.size, vmap={1: 0, 3: 1})

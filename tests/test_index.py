@@ -153,3 +153,21 @@ def test_d_col_size_from_the_tables(stage, db):
     ci = idx.cindex
     assert ci.d_col_size == ci.d_col.size > 0
     assert check_colorindex(ci) == []
+
+
+def test_check_colorindex_flags_typed_faults():
+    import dataclasses
+
+    from colorindex.index import EdgeColors
+
+    ci = DatabaseIndex.build(random_relational_db(BINARY_SCHEMA, 6, 10, seed=2)).cindex
+    assert ci.edges is not None and check_colorindex(ci) == []
+    e = ci.edges
+    flipped = EdgeColors(e.relations, e.labels, tuple(range(len(e.rev))), e.src)  # every edge color its own reverse
+    assert any("flip" in p for p in check_colorindex(dataclasses.replace(ci, edges=flipped)))
+    moved = EdgeColors(e.relations, e.labels, e.rev, tuple(reversed(e.src)))
+    assert any("does not run from" in p for p in check_colorindex(dataclasses.replace(ci, edges=moved)))
+    v = ci.graph.vertices[0]
+    k = next(iter(ci.nbr[v]))
+    nbr = {**ci.nbr, v: {**ci.nbr[v], k: ci.nbr[v][k][1:]}}
+    assert any("incorrect" in p or "numN" in p for p in check_colorindex(dataclasses.replace(ci, nbr=nbr)))

@@ -1,4 +1,4 @@
-"""The v4 index file: what it stores, and that a damaged file ends in a data
+"""The v5 index file: what it stores, and that a damaged file ends in a data
 error (exit 2 with a message) rather than a traceback or a wrong answer."""
 import hashlib
 import importlib.util
@@ -13,7 +13,7 @@ from colorindex.errors import ParseError
 from colorindex.generators import path_db
 from colorindex.index import SectionReader, build, read_sections, write_sections
 from colorindex.pipeline import FORMAT_HEADER, DatabaseIndex
-from colorindex.refinement import Coloring, is_stable, refines_labels
+from colorindex.refinement import Coloring, color_buckets, refines_labels, unstable_witness
 from colorindex.textio import parse_database, parse_schema
 
 from test_cli import MOVIE_DB, MOVIE_SCHEMA, Q47
@@ -23,10 +23,12 @@ GRAPH_SCHEMA = "E/2\nP/1\n"
 GRAPH_DB = "".join(f"E({x},{y}).\nE({y},{x}).\n" for x, y in zip("abcd", "bcde")) + "P(c).\nE(f,f).\nP(f).\n"
 GRAPH_QUERIES = {"count": "Ans(x,y) :- E(x,y), E(y,z).\n", "enum": "Ans(x) :- E(x,y), P(y).\n"}
 
-# tab-separated fields that hold ids, per section
+# tab-separated fields that hold ids, per section: a typed VERTICES row is
+# `v, labels, far values, edge colors`, an EDGE_COLORS row `labels, rev`
 ID_FIELDS = {
     "PROJ": (0, 1),
-    "VERTICES": (0, 2),
+    "EDGE_COLORS": (1,),
+    "VERTICES": (0, 2, 3),
     "CLASSES": (0,),
 }
 OUT_OF_RANGE = "999999"
@@ -52,7 +54,8 @@ def id_mutants(lines):
     for name, (i, count) in sections(lines).items():
         rows = range(i + 1, i + 1 + count)
         for field in ID_FIELDS.get(name, ()):
-            row = next((r for r in rows if all(f.strip() for f in lines[r].split("\t"))), None)
+            row = next((r for r in rows if len(lines[r].split("\t")) > field
+                        and all(f.strip() for f in lines[r].split("\t"))), None)
             if row is None:
                 continue
             fields = lines[row].split("\t")
@@ -62,15 +65,16 @@ def id_mutants(lines):
 
 def unstable_swap(lines):
     """Swap the first members of two same-labeled classes so that the
-    coloring is no longer stable."""
-    idx = DatabaseIndex.load_text("\n".join(lines) + "\n")
-    g, classes = idx.cindex.graph, [list(m) for m in idx.cindex.coloring.classes]
+    coloring is no longer stable: on a typed index, per edge color."""
+    ci = DatabaseIndex.load_text("\n".join(lines) + "\n").cindex
+    g, classes = ci.graph, [list(m) for m in ci.coloring.classes]
     for a, b in itertools.combinations(range(len(classes)), 2):
         swapped = [list(m) for m in classes]
         swapped[a][0], swapped[b][0] = swapped[b][0], swapped[a][0]
         swapped = tuple(tuple(sorted(m)) for m in swapped)
         coloring = Coloring(col={v: c for c, m in enumerate(swapped) for v in m}, classes=swapped)
-        if refines_labels(g, coloring) and not is_stable(g, coloring)[0]:
+        nbr = color_buckets(g, coloring.col) if ci.edges is None else ci.nbr
+        if refines_labels(g, coloring) and unstable_witness(coloring, nbr) is not None:
             i, _ = sections(lines)["CLASSES"]
             rows = [" ".join(map(str, m)) for m in swapped]
             return lines[: i + 1] + rows + lines[i + 1 + len(rows):]
@@ -103,9 +107,17 @@ def query(tmp_path, lines, task, capsys):
 
 
 def test_saved_index_stores_only_graph_and_classes(saved_index):
+    # a binary- or full-stage file holds the value rows and the edge colors,
+    # not bin2graph's gadget vertices
     _, lines = saved_index
-    assert lines[0] == FORMAT_HEADER == "colorindex-file v4"
-    assert list(sections(lines)) == ["META", "SCHEMA", "CONSTANTS", "PROJ", "LABELS", "VERTICES", "CLASSES"]
+    assert lines[0] == FORMAT_HEADER == "colorindex-file v5"
+    stage = lines[sections(lines)["META"][0] + 1].split("\t")[1]
+    typed = [] if stage == "graph" else ["EDGE_COLORS"]
+    assert list(sections(lines)) == ["META", "SCHEMA", "CONSTANTS", "PROJ", "LABELS", *typed, "VERTICES", "CLASSES"]
+    i, count = sections(lines)["VERTICES"]
+    assert {len(row.split("\t")) for row in lines[i + 1 : i + 1 + count]} == {3 if stage == "graph" else 4}
+    if stage == "binary":  # one row per constant of the movie database, and no gadget rows
+        assert count == sections(lines)["CONSTANTS"][1]
 
 
 def test_unchanged_file_answers(saved_index, capsys):
@@ -118,12 +130,16 @@ def test_unchanged_file_answers(saved_index, capsys):
 def test_every_mutation_is_a_data_error(saved_index, capsys):
     tmp_path, lines = saved_index
     ids = list(id_mutants(lines))
-    assert {what.split()[0] for what, _ in ids} >= {"[VERTICES]", "[CLASSES]"}
+    fields = {" ".join(what.split()[:3]) for what, _ in ids}
+    assert fields >= {"[VERTICES] field 0", "[VERTICES] field 2", "[CLASSES] field 0"}
+    if "EDGE_COLORS" in sections(lines):  # the edge colors of the entries, and their reverses
+        assert fields >= {"[VERTICES] field 3", "[EDGE_COLORS] field 1"}
     mutants = list(header_mutants(lines)) + ids
     mutants.append(("unstable coloring", unstable_swap(lines)))
     mutants.append(("v1 header", ["colorindex-file v1"] + lines[1:]))
     mutants.append(("v2 header", ["colorindex-file v2"] + lines[1:]))
     mutants.append(("v3 header", ["colorindex-file v3"] + lines[1:]))
+    mutants.append(("v4 header", ["colorindex-file v4"] + lines[1:]))
     missed = []
     for (what, mutant), task in itertools.product(mutants, ("count", "enum")):
         code, out, err = query(tmp_path, mutant, task, capsys)
@@ -136,7 +152,7 @@ def test_mutation_messages(saved_index, capsys):
     tmp_path, lines = saved_index
     _, _, err = query(tmp_path, unstable_swap(lines), "count", capsys)
     assert "unstable coloring" in err
-    for old in ("v1", "v2", "v3"):
+    for old in ("v1", "v2", "v3", "v4"):
         _, _, err = query(tmp_path, [f"colorindex-file {old}"] + lines[1:], "count", capsys)
         assert f"'colorindex-file {old}'" in err and "rebuilt with `colorindex index`" in err
 
@@ -217,9 +233,9 @@ def test_loader_checks_value_vertices(movie_db):
 # sha1 prefixes of the saved seed-1 benchmark inputs: a change to the file
 # format, or to any vertex id or color class, must update them on purpose
 PINNED = {
-    "relational-replicas": "6159aac8a07e",
-    "ternary-random": "094fc350f141",
-    "graph-symmetric": "2ab8f07319f6",
+    "relational-replicas": "1c46e87df523",
+    "ternary-random": "a04d37310e93",
+    "graph-symmetric": "9c23f08e4210",
 }
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 

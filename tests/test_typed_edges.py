@@ -1,7 +1,8 @@
-"""Binary- and full-stage queries run on the typed color edges of the gadget
-coloring: parallel and opposite atoms merge into one typed edge, R(x, x)
-restricts x to the values with a self-looped gadget, and the query that
-runs is the source query (binary stage) or arb2bin's q2 (full stage), never
+"""Binary- and full-stage indexes are typed: the value vertices of
+bin2graph's graph with their classes, and one edge color per gadget class.
+Queries run on them: parallel and opposite atoms merge into one typed edge,
+R(x, x) restricts x to the values with a loop entry, and the query that runs
+is the source query (binary stage) or arb2bin's q2 (full stage), never
 bin2graph's gadget translation."""
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,12 @@ from colorindex.analysis import compute_fc1ghd
 from colorindex.cli import main
 from colorindex.errors import ParseError
 from colorindex.generators import BINARY_SCHEMA, TERNARY_SCHEMA, cycle_db, random_relational_db
-from colorindex.index import build_from_coloring
+from colorindex.index import build_from_coloring, check_colorindex
 from colorindex.instrument import OpCounter
 from colorindex.model import ConstantPool, cq, validate_database
 from colorindex.oracle import brute_answers
 from colorindex.pipeline import DatabaseIndex
-from colorindex.refinement import LabeledGraph, refine
+from colorindex.refinement import LabeledGraph, encode_loops, refine
 from colorindex.textio import parse_query
 
 from test_evaluator import fc_queries
@@ -171,11 +172,18 @@ def test_serving_does_not_translate_through_gadgets(monkeypatch, schema, raw, te
 
 @pytest.mark.parametrize("schema,raw", [(BINARY_SCHEMA, BINARY_RAW), (TERNARY_SCHEMA, TERNARY_RAW)])
 def test_typed_view_derived_on_first_use(schema, raw):
-    idx = DatabaseIndex.load_text(DatabaseIndex.build(validate_database(schema, raw)).save_text())
-    assert "typed" not in idx.cindex.__dict__
+    # the typed tables are stored and loaded, not derived from gadget rows:
+    # the loaded index holds the values only, with the built edge colors,
+    # and serving derives no color database
+    db = validate_database(schema, raw)
+    built = DatabaseIndex.build(db)
+    idx = DatabaseIndex.load_text(built.save_text())
+    values = db if built.stage == "binary" else arb2bin.encode_db(db).db2
+    assert idx.cindex.graph.vertices == built.cindex.graph.vertices == tuple(sorted(values.active_domain()))
+    assert idx.cindex.edges is not None and idx.cindex.edges == built.cindex.edges
     text = "Ans(x) :- R(x,y), R(y,x)."
     assert idx.count(parse_query(text, schema)) > 0
-    assert "typed" in idx.cindex.__dict__ and "d_col" not in idx.cindex.__dict__
+    assert "d_col" not in idx.cindex.__dict__
 
 
 def test_graph_stage_prepare_ops_unchanged():
@@ -199,23 +207,114 @@ def test_count_ops_on_the_source_query():
 
 @pytest.mark.parametrize("tamper", ["second value neighbor", "relation label on a value"])
 def test_malformed_gadget_graph_is_a_data_error(tamper, tmp_path, capsys):
-    # the coloring of each tampered graph is stable, so the file loads, but
-    # the graph is not a gadget graph: its typed view refuses to serve it
+    # a gadget graph with a tampered value vertex: its projection refuses
+    # it.  The same tamper on a value row of the file is a data error.
     db = validate_database(BINARY_SCHEMA, {"R": [("a", "b")], "P": [("a",)]})
     good = DatabaseIndex.build(db)
-    g = good.cindex.graph
-    a, w_ba = db.pool.intern("a"), good.gadget_node[(db.pool.intern("b"), db.pool.intern("a"))]
+    genc = bin2graph.encode_db(db)
+    g = encode_loops(genc.dhat)
+    a, w_ba = db.pool.intern("a"), genc.gadget_node[(db.pool.intern("b"), db.pool.intern("a"))]
     adj, vl = dict(g.adj), dict(g.vl)
     if tamper == "second value neighbor":
         adj[a], adj[w_ba] = tuple(sorted(adj[a] + (w_ba,))), tuple(sorted(adj[w_ba] + (a,)))
     else:
-        vl[a] = vl[a] | {good.cindex.symbols.u_label["S"]}
+        vl[a] = vl[a] | {genc.symbols.u_label["S"]}
     bad = LabeledGraph(g.vertices, adj, vl, g.label_universe, g.loop_label, g.edge_label)
-    ci = build_from_coloring(bad, refine(bad), good.cindex.source_size)
-    text = DatabaseIndex(good.schema, good.pool, "binary", ci, good.source_size).save_text()
-    with pytest.raises(ParseError, match="gadget"):
-        DatabaseIndex.load_text(text).count(parse_query("Ans(x) :- R(x,y).", BINARY_SCHEMA))
+    ci = build_from_coloring(bad, refine(bad), genc.dhat.size)
+    with pytest.raises(ValueError, match="gadget"):
+        DatabaseIndex(good.schema, good.pool, "binary", ci, good.source_size)
+    # the value rows `0 P 1 0` (a: b along edge color 0) and `1 - 0 1`
+    text = good.save_text()
+    row_a, row_b = "0\tP\t1\t0\n", "1\t-\t0\t1\n"
+    assert row_a in text and row_b in text
+    if tamper == "second value neighbor":  # b reaches a along a's edge color, not its reverse
+        text, message = text.replace(row_b, "1\t-\t0\t0\n"), "without its flip"
+    else:
+        text, message = text.replace(row_a, "0\tP,R\t1\t0\n"), "relation or loop label"
+    with pytest.raises(ParseError, match=message):
+        DatabaseIndex.load_text(text)
     (tmp_path / "bad.idx").write_text(text)
     (tmp_path / "q.cq").write_text("Ans(x) :- R(x,y).\n")
     code = main(["query", "--idx", str(tmp_path / "bad.idx"), "--query", str(tmp_path / "q.cq"), "--task", "count"])
     assert code == 2 and capsys.readouterr().err.startswith("data error:")
+
+
+def test_loader_rejects_inconsistent_typed_rows():
+    # R(a,b), R(b,a), R(a,a), S(c,c): edge colors 0 (L,R; a's loop), 1 and 2
+    # (a to b and back) and 3 (L,S; c's loop)
+    db = validate_database(BINARY_SCHEMA, {"R": [("a", "b"), ("b", "a"), ("a", "a")], "S": [("c", "c")]})
+    text = DatabaseIndex.build(db).save_text()
+    edge_colors = "[EDGE_COLORS 4]\nL,R\t0\nR\t2\nR\t1\nL,S\t3\n"
+    rows = "[VERTICES 3]\n0\t-\t0 1\t0 1\n1\t-\t0\t2\n2\t-\t2\t3\n"
+    assert edge_colors in text and rows in text
+    cases = {
+        "not an involution": text.replace(edge_colors, edge_colors.replace("R\t2\nR\t1", "R\t2\nR\t2")),
+        "undeclared label, or a value label": text.replace(edge_colors, edge_colors.replace("R\t2", "P\t2")),
+        "breaks the loop label": text.replace(edge_colors, edge_colors.replace("L,R\t0", "R\t0")),
+        "one edge color per far value": text.replace(rows, rows.replace("0\t-\t0 1\t0 1", "0\t-\t0 1\t0")),
+        "edge color that \\[EDGE_COLORS\\] does not have": text.replace(rows, rows.replace("2\t3", "2\t4")),
+        "without its flip": text.replace(rows, rows.replace("1\t-\t0\t2", "1\t-\t0\t1")),
+        "not a vertex or is listed twice": text.replace(rows, rows.replace("2\t-\t2\t3", "2\t-\t2 2\t3 3")),
+        "out of order": text.replace(rows, rows.replace("1\t-", "7\t-")),
+        # a and b in one class: b has no loop entry of color 0
+        "unstable coloring": text.replace("[CLASSES 3]\n0\n1\n2", "[CLASSES 2]\n0 1\n2"),
+        # a's loop entry moved to c's loop color, whose entries then start at two colors
+        "starts at value colors": text.replace(rows, rows.replace("0\t-\t0 1\t0 1", "0\t-\t0 1\t3 1")
+                                               ).replace("L,R\t0", "R\t0"),
+        "on no entry": text.replace(edge_colors, edge_colors.replace("[EDGE_COLORS 4]", "[EDGE_COLORS 5]")
+                                    + "-\t4\n"),
+    }
+    for message, mutant in cases.items():
+        assert mutant != text, message
+        with pytest.raises(ParseError, match=message):
+            DatabaseIndex.load_text(mutant)
+
+
+def test_a_pair_whose_gadgets_share_a_color():
+    # w_ab and w_ba have one color: one edge color, its own reverse, no loop
+    db = validate_database(BINARY_SCHEMA, {"R": [("a", "b"), ("b", "a")]})
+    edges = DatabaseIndex.build(db).cindex.edges
+    assert edges.rev == (0,) and edges.labels == (frozenset({"R"}),)
+    assert DatabaseIndex.build(db).count(parse_query("Ans(x,y) :- R(x,y), R(y,x).", BINARY_SCHEMA)) == 2
+
+
+@st.composite
+def typed_instances(draw):
+    """A random binary database with loops, some of its relation R closed
+    under reversal so that the two gadgets of a pair can share a color, or a
+    random ternary database; and a query over it."""
+    if draw(st.booleans()):
+        return random_relational_db(TERNARY_SCHEMA, draw(st.integers(1, 4)), draw(st.integers(1, 6)),
+                                    seed=draw(st.integers(0, 10**6))), draw(fc_queries(TERNARY_SCHEMA))
+    names = [f"a{i}" for i in range(draw(st.integers(1, 6)))]
+    pairs = st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=8)
+    r, s = draw(pairs), draw(pairs)
+    if draw(st.booleans()):
+        r += [(b, a) for a, b in r]
+    raw = {"R": r, "S": s, "P": [(c,) for c in draw(st.lists(st.sampled_from(names), max_size=3))]}
+    if not r + s:
+        raw["R"] = [(names[0], names[0])]
+    return validate_database(BINARY_SCHEMA, raw), draw(fc_queries(BINARY_SCHEMA))
+
+
+@settings(max_examples=80, deadline=None)
+@given(typed_instances())
+def test_typed_index_is_the_projected_gadget_coloring(instance):
+    db, q = instance
+    idx = DatabaseIndex.build(db)
+    assert idx.stage in ("binary", "full")
+    # the value classes of bin2graph's graph, refined
+    bdb = db if idx.stage == "binary" else arb2bin.encode_db(db).db2
+    genc = bin2graph.encode_db(bdb)
+    gadget = refine(encode_loops(genc.dhat))
+    values = set(bdb.active_domain())
+    assert idx.cindex.coloring.partition() == {m for m in gadget.partition() if m <= values}
+    assert idx.cindex.colors == gadget.num_colors
+    text = idx.save_text()
+    loaded = DatabaseIndex.load_text(text)
+    assert loaded.save_text() == text
+    for served in (idx, loaded):
+        assert check_colorindex(served.cindex) == []
+        _check_all_tasks(served, db, q)
+
+
