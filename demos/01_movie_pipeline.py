@@ -21,9 +21,9 @@ print(f"database: {db.size} tuples over {len(db.active_domain())} constants")
 idx = DatabaseIndex.build(db, stage="full")
 print(f"staging: {idx.stage}")
 print(f"  tuple/projection nodes after the binary reduction: {len(idx.node_tuple)}/{len(idx.node_proj)}")
-print(f"  gadget nodes in the graph encoding: {len(idx.gadget_node)}")
 ci = idx.cindex
-print(f"  typed index: {len(ci.graph.vertices)} values, {ci.coloring.num_colors} value colors, "
+entries = ci.vertex_count - len(ci.graph.vertices)
+print(f"  typed index: {len(ci.graph.vertices)} values, {entries} entries, {ci.coloring.num_colors} value colors, "
       f"{len(ci.edges.rev)} edge colors; color database size: {ci.d_col_size}")
 
 # characters x and y1 such that some actor x... plays two characters, one of

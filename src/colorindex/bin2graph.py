@@ -8,7 +8,7 @@ unary relations and the V / W membership labels complete the graph.
 
 `encode_db` is the build's reduction: binary- and full-stage indexes are
 refined on its graph and then keep only its value nodes, with one edge
-color per gadget color (`index.project`).  Queries do not pass through it
+color per gadget color, read off its pair map `gadget_node` (`index.project`).  Queries do not pass through it
 when they are served; they run on those edge colors.  `encode_query`,
 which subdivides each oriented Gaifman edge with two gadget variables and
 labels them, and `decode_answer`, which projects onto the original head

@@ -71,8 +71,6 @@ def cmd_index(args) -> int:
             print(f"w\t{node}\t{' '.join(db.display(c) for c in t)}")
         for node, p in sorted(idx.node_proj.items()):
             print(f"v\t{node}\t{' '.join(db.display(c) for c in p)}")
-        for (a, b), node in sorted(idx.gadget_node.items()):
-            print(f"gadget\t{node}\t{a}\t{b}")
     return 0
 
 
@@ -156,29 +154,29 @@ def cmd_check(args) -> int:
     return 0
 
 
-# family -> its smallest size, and its database of a size and a seed
+# family -> its smallest size, its schema, and its database of a size and a seed
 _FAMILIES = {
-    "cycle": (3, lambda n, seed: generators.cycle_db(n)),
-    "tree": (1, lambda n, seed: generators.complete_binary_tree_db(n)),
-    "star": (1, lambda n, seed: generators.star_db(n)),
-    "random-graph": (1, lambda n, seed: generators.random_graph_db(n, p=0.5, seed=seed)),
-    "random-relational": (1, lambda n, seed: generators.random_relational_db(
+    "cycle": (3, generators.GRAPH_SCHEMA, lambda n, seed: generators.cycle_db(n)),
+    "tree": (1, generators.GRAPH_SCHEMA, lambda n, seed: generators.complete_binary_tree_db(n)),
+    "star": (1, generators.GRAPH_SCHEMA, lambda n, seed: generators.star_db(n)),
+    "random-graph": (1, generators.GRAPH_SCHEMA, lambda n, seed: generators.random_graph_db(n, p=0.5, seed=seed)),
+    "random-relational": (1, generators.TERNARY_SCHEMA, lambda n, seed: generators.random_relational_db(
         generators.TERNARY_SCHEMA, n_constants=n, n_tuples=2 * n, seed=seed)),
 }
 
 
 def cmd_bench(args) -> int:
-    least, family_db = _FAMILIES[args.family]
+    least, schema, family_db = _FAMILIES[args.family]
     if min(args.sizes) < least:
         print(f"bench: --family {args.family} needs sizes of {least} or more", file=sys.stderr)
         return USAGE_ERROR
+    q = parse_query(read_text(args.query), schema)
     print("family,size,db_size,colors,dcol_size,ratio,index_ms,indexed_pre_ops,baseline_pre_ops,indexed_ms,baseline_ms")
     for size in args.sizes:
         db = family_db(size, args.seed)
         t0 = time.perf_counter()
         idx = DatabaseIndex.build(db)
         t1 = time.perf_counter()
-        q = parse_query(read_text(args.query), db.schema)
         tr = idx.translate(q)
         ops_i = OpCounter()
         t2 = time.perf_counter()
@@ -215,7 +213,9 @@ def build_parser() -> _Parser:
     pi.add_argument("--schema", required=True)
     pi.add_argument("--out", required=True)
     pi.add_argument("--stage", default="auto", choices=("auto", "graph", "binary", "full"))
-    pi.add_argument("--dump-maps", action="store_true", help="print reduction node maps")
+    pi.add_argument("--dump-maps", action="store_true",
+                    help="print arb2bin's node maps of a full-stage index: `w node constants` per tuple "
+                         "node, `v node constants` per projection node")
     pi.set_defaults(func=cmd_index)
 
     pq = sub.add_parser("query", help="answer a query against a persisted index")

@@ -12,14 +12,15 @@ w_ab, linked a - w_ab - w_ba - b, with a self-looped w_aa for a pair (a, a).
 `project` then keeps the value vertices, each its source id (a constant, or
 an `arb2bin` node on the full stage), and their classes as the colors.  Each
 gadget color becomes an *edge color* e, and the gadget w_vu of color e
-becomes the entry (v, u, e).  Stability gives e one value color src[e] that
-its entries start at, and one reverse rev[e], the color of the partners
-w_uv; so its entries end at one value color dst[e] = src[rev[e]].  A
-self-looped gadget is a loop entry (v, v, e) with rev[e] = e.  The labels of
-e are the relations that hold from v to u, with the loop label on a loop,
-and those of rev[e] the relations that hold back.  nbr[v][e] lists the far
-values of v's e-entries, and deg[c] holds (e, numN(c, e)).  The graph stage
-is the one-type case: there the key of a bucket is the color it leads to.
+becomes the entry (v, u, e), read off `bin2graph`'s pair map (v, u) -> w_vu.
+Stability gives e one value color src[e] that its entries start at, and one
+reverse rev[e], the color of the partners w_uv; so its entries end at one
+value color dst[e] = src[rev[e]].  A self-looped gadget is a loop entry (v,
+v, e) with rev[e] = e.  The labels of e are the relations that hold from v
+to u, with the loop label on a loop, and those of rev[e] the relations that
+hold back.  nbr[v][e] lists the far values of v's e-entries, and deg[c]
+holds (e, numN(c, e)).  The graph stage is the one-type case: there the key
+of a bucket is the color it leads to.
 
 The index is immutable after build and safe for unlimited concurrent readers;
 the evaluation phase serves many queries against one index.  It holds nothing
@@ -33,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from .bin2graph import GraphSymbols
+from .bin2graph import GraphEncoding, GraphSymbols
 from .errors import ParseError
 from .model import Database, Schema
 from .refinement import (
@@ -158,11 +159,11 @@ def build(db: Database) -> ColorIndex:
     return build_from_coloring(graph, coloring, source_size=db.size)
 
 
-def build_typed(db: Database, symbols: GraphSymbols) -> ColorIndex:
+def build_typed(genc: GraphEncoding) -> ColorIndex:
     """Index `bin2graph`'s graph of a binary database: encode loops, refine,
-    and project the coloring onto the value vertices."""
-    graph = encode_loops(db)
-    return project(graph, refine(graph), symbols, db.size)
+    and project the coloring onto the value vertices with the pair map."""
+    graph = encode_loops(genc.dhat)
+    return project(graph, refine(graph), genc.symbols, genc.gadget_node, genc.dhat.size)
 
 
 def build_from_coloring(graph: LabeledGraph, coloring: Coloring, source_size: int) -> ColorIndex:
@@ -211,14 +212,20 @@ def _entry_buckets(adj: dict[int, Sequence[int]],
     return nbr
 
 
-def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols, source_size: int) -> ColorIndex:
+def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols,
+            gadget_node: dict[tuple[int, int], int], source_size: int) -> ColorIndex:
     """The typed index of a stable coloring of `bin2graph`'s graph that
-    refines its labels (see the module docstring), with the graph's
-    symbols.  Value and edge colors are numbered in class order.  Raises
-    ValueError when the graph is not a gadget graph or the coloring does not
-    give each gadget color one start color and one reverse."""
+    refines its labels (see the module docstring), read off the graph's
+    symbols and its pair map: the pair (v, u) with gadget w_vu is the entry
+    (v, u, e), where e is the color of w_vu, rev[e] that of w_uv and src[e]
+    that of v.  The map must list its pairs in ascending order, as
+    `bin2graph` numbers them: each row of far values then comes out
+    ascending.  Value and edge colors are numbered in class order.  Raises
+    ValueError when the map does not have one pair per gadget vertex, or
+    the coloring does not give each gadget color one reverse and one start
+    color."""
     universe, loop_label = typed_labels(symbols)
-    v_label, w_label, adj, vl = symbols.v_label, symbols.w_label, graph.adj, graph.vl
+    v_label, w_label, vl = symbols.v_label, symbols.w_label, graph.vl
     relation = {u: f for f, u in symbols.u_label.items()}
     relation[graph.loop_label] = loop_label
     # a class's id among the value classes, or among the gadget classes
@@ -233,47 +240,28 @@ def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols, sour
             rank.append(gadget_classes)
             gadget_classes += 1
     values = tuple(v for v in graph.vertices if v_label in vl[v])
-    owner: dict[int, int] = {}  # gadget -> its value neighbor
-    for v in values:
-        for w in adj[v]:
-            if w in owner or v_label in vl[w]:
-                raise ValueError(f"vertex {w} is a value or the gadget of two values")
-            owner[w] = v
-    if len(owner) != len(graph.vertices) - len(values):
-        raise ValueError("a gadget vertex has no value neighbor")
+    if len(gadget_node) != len(graph.vertices) - len(values):  # sizes only: two sets would add to the peak RSS
+        raise ValueError("the pair map does not have one pair per gadget vertex of the graph")
     col = coloring.col
     labels: list[frozenset[str] | None] = [None] * gadget_classes
     rev, src = [-1] * gadget_classes, [-1] * gadget_classes
-    far: dict[int, tuple[int, ...]] = {}
-    ecol: dict[int, tuple[int, ...]] = {}
-    value_labels: dict[frozenset[str], frozenset[str]] = {}
-    for v in values:
-        c = rank[col[v]]
-        row = []
-        for w in adj[v]:
-            pair = adj[w]  # (v, w's partner), or (v, w) for a self-looped gadget
-            partner = pair[-1] if pair[0] == v else pair[0]
-            e, r = rank[col[w]], rank[col[partner]]
-            if labels[e] is None:
-                if not vl[w] - {w_label} <= relation.keys():
-                    raise ValueError(f"gadget vertex {w} carries a value label")
-                labels[e] = frozenset(relation[u] for u in vl[w] - {w_label})
-                rev[e], src[e] = r, c
-            if (len(pair) != 2 or partner not in owner or rev[e] != r or src[e] != c
-                    or (partner == w) != (loop_label in labels[e])):
-                raise ValueError(f"gadget vertex {w} does not link one value to one gadget as its class does")
-            row.append((owner[partner], e))
-        row.sort()
-        far[v] = tuple(u for u, _ in row)
-        ecol[v] = tuple(e for _, e in row)
-        if vl[v] not in value_labels:
-            value_labels[vl[v]] = vl[v] - {v_label}
-            if not value_labels[vl[v]] <= set(symbols.unary):
-                raise ValueError(f"value vertex {v} carries a gadget label")
-    typed = LabeledGraph(values, far, {v: value_labels[vl[v]] for v in values}, universe, loop_label, symbols.edge)
+    far: dict[int, list[int]] = {v: [] for v in values}
+    ecol: dict[int, list[int]] = {v: [] for v in values}
+    for (v, u), w in gadget_node.items():
+        e, r, c = rank[col[w]], rank[col[gadget_node[(u, v)]]], rank[col[v]]
+        if labels[e] is None:
+            labels[e] = frozenset(relation[label] for label in vl[w] - {w_label})
+            rev[e], src[e] = r, c
+        elif rev[e] != r or src[e] != c:
+            raise ValueError(f"gadget color {e} has two reverses or two start colors")
+        far[v].append(u)
+        ecol[v].append(e)
+    value_labels = {ls: ls - {v_label} for ls in {vl[v] for v in values}}
+    adj = dict(zip(far, map(tuple, far.values())))
+    typed = LabeledGraph(values, adj, {v: value_labels[vl[v]] for v in values}, universe, loop_label, symbols.edge)
     edges = EdgeColors(relations=tuple(symbols.u_label), labels=tuple(labels), rev=tuple(rev), src=tuple(src))
     value_coloring = Coloring(col={v: rank[col[v]] for v in values}, classes=tuple(value_classes))
-    return _tables(typed, value_coloring, _entry_buckets(far, ecol), source_size, edges)
+    return _tables(typed, value_coloring, _entry_buckets(adj, ecol), source_size, edges)
 
 
 @dataclass(frozen=True)
@@ -372,12 +360,12 @@ def check_colorindex(idx: ColorIndex) -> list[str]:
 # --- serialization -----------------------------------------------------------
 #
 # Line-oriented, versioned sections; every section header carries its row
-# count.  Only the indexed graph and its coloring are written: the neighbor
-# tables, numN and the color database are derived on load as on build.  A
-# graph-stage VERTICES row is `v, labels, neighbors`; a typed one is `v,
-# labels, far values, edge colors`, after one EDGE_COLORS row `labels, rev`
-# per edge color.  Writing is a pure function of the index, so write -> read
-# -> write is bit-identical.
+# count.  Only the indexed graph and its coloring are written: the labels
+# come from the schema, and the neighbor tables, numN and the color database
+# are derived on load as on build.  A graph-stage VERTICES row is `v, labels,
+# neighbors`; a typed one is `v, labels, far values, edge colors`, after one
+# EDGE_COLORS row `labels, rev` per edge color.  Writing is a pure function of
+# the index, so write -> read -> write is bit-identical.
 
 def write_section(lines: list[str], name: str, rows: list[str]) -> None:
     lines.append(f"[{name} {len(rows)}]")
@@ -391,7 +379,6 @@ def _labels_field(labels: frozenset[str]) -> str:
 def write_sections(idx: ColorIndex) -> list[str]:
     g, edges = idx.graph, idx.edges
     lines: list[str] = []
-    write_section(lines, "LABELS", [f"{g.loop_label}\t{g.edge_label}"] + list(g.label_universe))
     if edges is None:
         rows = [f"{v}\t{_labels_field(g.vl[v])}\t{' '.join(map(str, g.adj[v]))}" for v in g.vertices]
     else:
@@ -443,15 +430,18 @@ class SectionReader:
             raise ParseError(f"bad number ({e})", line=self.line) from None
 
 
-def read_sections(reader: SectionReader, source_size: int, relations: tuple[str, ...] | None = None) -> ColorIndex:
-    """Read LABELS, the vertex rows and CLASSES of a graph-stage index, or of
-    a typed index with the given relation labels (then with EDGE_COLORS
-    before the vertex rows).  Check that they describe an undirected graph,
-    or symmetric typed entries whose edge colors each start at one value
-    color, and a stable coloring of it, and derive the rest of the index as
-    the build does.  Any inconsistency raises ParseError."""
+def read_sections(reader: SectionReader, source_size: int, labels: tuple[tuple[str, ...], str, str],
+                  relations: tuple[str, ...] | None = None) -> ColorIndex:
+    """Read the vertex rows and CLASSES of a graph-stage index, or of a typed
+    index with the given relation labels (then with EDGE_COLORS before the
+    vertex rows).  The file stores no labels: `labels` is the label
+    universe, loop label and edge label that its schema and stage give.
+    Check that the rows describe an undirected graph, or symmetric typed
+    entries whose edge colors each start at one value color, and a stable
+    coloring of it, and derive the rest of the index as the build does.  Any
+    inconsistency raises ParseError."""
+    universe, loop_label, edge_label = labels
     with reader.numbers():
-        universe, loop_label, edge_label = _read_labels(reader)
         if relations is None:
             graph = _read_graph(reader, universe, loop_label, edge_label)
         else:
@@ -472,16 +462,6 @@ def read_sections(reader: SectionReader, source_size: int, relations: tuple[str,
                          f"{kind}-{k} neighbors")
     edges = None if relations is None else EdgeColors(relations, labels, rev, _start_colors(ecol, col, len(rev)))
     return _tables(graph, coloring, nbr, source_size, edges)
-
-
-def _read_labels(reader: SectionReader) -> tuple[tuple[str, ...], str, str]:
-    labels = list(reader.rows("LABELS", None))
-    if not labels or len(labels[0]) != 2 or any(len(row) != 1 for row in labels[1:]):
-        raise ParseError("[LABELS] holds `loop label<TAB>edge label`, then one label per row", line=reader.line)
-    (loop_label, edge_label), universe = labels[0], tuple(row[0] for row in labels[1:])
-    if len(set(universe) | {edge_label}) != len(universe) + 1 or loop_label not in universe:
-        raise ParseError("[LABELS] names a label twice, or not the loop label", line=reader.line)
-    return universe, loop_label, edge_label
 
 
 def _label_reader(reader: SectionReader, declared: set[str], what: str) -> Callable[[str], frozenset[str]]:
@@ -545,8 +525,6 @@ def _read_typed(reader: SectionReader, universe: tuple[str, ...], loop_label: st
     and the labels and reverses of the edge colors.  Relation and loop
     labels are on edge colors only."""
     edge_labels = set(relations) | {loop_label}
-    if not edge_labels <= set(universe):
-        raise ParseError("[LABELS] does not declare the relation labels", line=reader.line)
     labels, rev = _read_edge_colors(reader, edge_labels)
     read_labels = _label_reader(reader, set(universe) - edge_labels, "a relation or loop label")
     vertices: list[int] = []

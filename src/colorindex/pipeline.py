@@ -6,10 +6,11 @@ source id, so graph- and binary-stage answers need no decoding; a full-stage
 answer reads its constants off `arb2bin`'s projection nodes (`node_proj`).
 
 A binary- or full-stage build refines `bin2graph`'s gadget graph and keeps
-the typed index that `index.project` makes of it: the value vertices, their
-classes and the edge colors.  That index is what is saved, loaded and
-served; `DatabaseIndex` projects a gadget-graph `ColorIndex` it is given the
-same way.
+the typed index that `index.project` reads off it with `bin2graph`'s pair
+map: the value vertices, their classes and the edge colors.  That index is
+what is saved, loaded and served; `DatabaseIndex` projects a gadget-graph
+`ColorIndex` it is given with its pair map the same way.  The file stores no
+labels: the loader derives them from the schema and the stage.
 
 Serving compiles a query once per index: `DatabaseIndex.compile` checks it
 against the schema and for free-connex acyclicity, translates it to the
@@ -44,7 +45,7 @@ from .model import ConjunctiveQuery, ConstantPool, Database, Schema
 from .refinement import asymmetric_vertex, edge_adjacency, loop_encoding_labels
 from .textio import read_text
 
-FORMAT_HEADER = "colorindex-file v5"
+FORMAT_HEADER = "colorindex-file v6"
 COMPILED_LIMIT = 64  # compiled queries kept per index
 
 TASKS = ("bool", "count", "enum")
@@ -108,8 +109,9 @@ class DatabaseIndex:
     the projection nodes of a full-stage index, and a bounded map of
     compiled queries.  Safe for concurrent readers (see the module
     docstring).  A binary- or full-stage `cindex` on `bin2graph`'s graph is
-    projected to the typed index.  `vmap` must be the identity;
-    `gadget_node` and `node_tuple` are not saved."""
+    projected to the typed index with the graph's pair map `gadget_node`,
+    which is required then and not kept.  `vmap` must be the identity;
+    `node_tuple` is not saved."""
 
     def __init__(
         self,
@@ -130,13 +132,14 @@ class DatabaseIndex:
         self.source_size = source_size
         if vmap and any(c != n for c, n in vmap.items()):
             raise ValueError("value vertices are numbered by their source ids: vmap must be the identity")
-        self.gadget_node = gadget_node or {}
         self.node_proj = node_proj or {}
         self.node_tuple = node_tuple or {}
-        self._symbols = _stage_symbols(stage, schema)
-        if cindex.edges is None and self._symbols is not None:
+        symbols = None if cindex.edges is not None else _stage_symbols(stage, schema)
+        if symbols is not None:
             # a binary- or full-stage index given on bin2graph's graph
-            self.cindex = cindex_mod.project(cindex.graph, cindex.coloring, self._symbols, cindex.source_size)
+            if gadget_node is None:
+                raise ValueError(f"a {stage}-stage index on bin2graph's graph needs its pair map gadget_node")
+            self.cindex = cindex_mod.project(cindex.graph, cindex.coloring, symbols, gadget_node, cindex.source_size)
         self._compiled: dict[tuple, CompiledQuery] = {}  # insertion order: oldest first
         self._lock = threading.Lock()
 
@@ -155,17 +158,12 @@ class DatabaseIndex:
             # encode_loops rejects an asymmetric edge relation
             return cls(db.schema, db.pool, "graph", cindex_mod.build(db), db.size)
         if stage == "binary":
-            genc = bin2graph.encode_db(db)
-            ci = cindex_mod.build_typed(genc.dhat, genc.symbols)
-            return cls(db.schema, db.pool, "binary", ci, db.size, gadget_node=genc.gadget_node)
+            ci = cindex_mod.build_typed(bin2graph.encode_db(db))
+            return cls(db.schema, db.pool, "binary", ci, db.size)
         if stage == "full":
             benc = arb2bin.encode_db(db)
-            genc = bin2graph.encode_db(benc.db2)
-            ci = cindex_mod.build_typed(genc.dhat, genc.symbols)
-            return cls(
-                db.schema, db.pool, "full", ci, db.size,
-                gadget_node=genc.gadget_node, node_proj=benc.node_proj, node_tuple=benc.node_tuple,
-            )
+            ci = cindex_mod.build_typed(bin2graph.encode_db(benc.db2))
+            return cls(db.schema, db.pool, "full", ci, db.size, node_proj=benc.node_proj, node_tuple=benc.node_tuple)
         raise ValueError(f"unknown stage {stage!r}")
 
     # -- compiling queries -----------------------------------------------------
@@ -290,8 +288,12 @@ class DatabaseIndex:
             names = [name for (name,) in reader.rows("CONSTANTS", 1)]
             node_proj = {int(n): tuple(map(int, p.split())) for n, p in reader.rows("PROJ", 2)}
         symbols = _stage_symbols(stage, schema)
-        relations = None if symbols is None else tuple(symbols.u_label)
-        ci = cindex_mod.read_sections(reader, graph_size, relations)
+        # the labels the build gives: (label universe, loop label, edge label)
+        if symbols is None:
+            labels, relations = (*loop_encoding_labels(schema), schema.edge_symbol()), None
+        else:
+            labels, relations = (*cindex_mod.typed_labels(symbols), symbols.edge), tuple(symbols.u_label)
+        ci = cindex_mod.read_sections(reader, graph_size, labels, relations)
         if reader.pos != len(lines):
             raise ParseError("unexpected line after the last section", line=reader.pos + 1)
         pool = ConstantPool()
@@ -300,24 +302,18 @@ class DatabaseIndex:
         if len(pool) != len(names):
             raise ParseError("[CONSTANTS] lists a constant twice")
         idx = cls(schema, pool, stage, ci, source_size, node_proj=node_proj)
-        idx._check_labels()
+        idx._check_values()
         return idx
 
     @classmethod
     def load(cls, path: str) -> "DatabaseIndex":
         return cls.load_text(read_text(path))
 
-    def _check_labels(self) -> None:
-        """Check the labels and projection nodes of a loaded index against
-        its schema and graph, so that every answer is a constant or reads
-        its constants off a projection node of its arity."""
+    def _check_values(self) -> None:
+        """Check the value vertices and projection nodes of a loaded index
+        against its constants and graph, so that every answer is a constant
+        or reads its constants off a projection node of its arity."""
         graph, constants = self.cindex.graph, range(len(self.pool))
-        if self._symbols is None:
-            (universe, loop_label), edge_label = loop_encoding_labels(self.schema), self.schema.edge_symbol()
-        else:
-            (universe, loop_label), edge_label = cindex_mod.typed_labels(self._symbols), self._symbols.edge
-        if (graph.label_universe, graph.loop_label, graph.edge_label) != (universe, loop_label, edge_label):
-            raise ParseError(f"[LABELS] does not match the {self.stage}-stage labels of [SCHEMA]")
         values = graph.vertices
         if self.stage != "full":
             if not all(v in constants for v in values):

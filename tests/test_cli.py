@@ -1,6 +1,7 @@
 import pytest
 
 from colorindex.cli import main
+from colorindex.pipeline import DatabaseIndex
 
 MOVIE_SCHEMA = "P/2\nA/2\nM/2\nS/2\n"
 MOVIE_DB = """# movies and actors
@@ -180,6 +181,42 @@ def test_bench_csv(tmp_path, capsys):
     assert lines[0].startswith("family,size,db_size,colors")
     assert len(lines) == 3
     assert lines[1].startswith("cycle,20,40,1,1,")
+
+
+@pytest.mark.parametrize("family,text", [
+    ("cycle", "Ans(x) :- T(x,y,z).\n"),
+    ("random-relational", "Ans(x) :- E(x,y).\n"),
+], ids=["cycle", "random-relational"])
+def test_bench_query_off_the_family_schema_is_a_data_error(tmp_path, capsys, family, text):
+    # the query is parsed once, against the family's schema, before the
+    # header and the first build
+    q = tmp_path / "q.cq"
+    q.write_text(text)
+    code, out, err = run(capsys, "bench", "--family", family, "--sizes", "3,4", "--query", str(q))
+    assert (code, out) == (2, "") and err.startswith("data error: unknown relation symbol")
+
+
+# arb2bin's nodes of the movie database: its tuple nodes in order, then its
+# projection nodes, each with its constants
+MOVIE_TUPLE_NODES = ["PS LM", "PS MM", "LM PS", "MM PS", "LM Dr.S", "MM Dr.S", "LM 18m", "MM 34m"]
+MOVIE_PROJECTION_NODES = [
+    "", "PS", "LM", "PS LM", "LM PS", "MM", "PS MM", "MM PS", "Dr.S", "LM Dr.S", "Dr.S LM", "MM Dr.S", "Dr.S MM",
+    "18m", "LM 18m", "18m LM", "34m", "MM 34m", "34m MM",
+]
+
+
+def test_dump_maps_prints_the_node_maps_of_arb2bin(movie_files, capsys):
+    # one `w` row per tuple node and one `v` row per projection node: the
+    # value vertices of the saved and served index, and no other rows
+    f = movie_files
+    code, out, _ = run(capsys, "index", "--db", str(f["db"]), "--schema", str(f["schema"]), "--out", str(f["idx"]),
+                       "--stage", "full", "--dump-maps")
+    assert code == 0
+    tuples = len(MOVIE_TUPLE_NODES)
+    expected = [f"w\t{node}\t{c}" for node, c in enumerate(MOVIE_TUPLE_NODES)]
+    expected += [f"v\t{node}\t{c}" for node, c in enumerate(MOVIE_PROJECTION_NODES, tuples)]
+    assert out.splitlines()[2:] == expected
+    assert DatabaseIndex.load(str(f["idx"])).cindex.graph.vertices == tuple(range(len(expected)))
 
 
 def test_index_stats_on_cycle(tmp_path, capsys):

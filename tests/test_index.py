@@ -119,7 +119,8 @@ def test_serialization_round_trip_bit_identical():
     for db in (cycle_db(8), path_db(5), complete_binary_tree_db(4)):
         idx = build(db)
         text = "\n".join(write_sections(idx))
-        idx2 = read_sections(SectionReader(text.splitlines()), idx.source_size)
+        labels = (idx.graph.label_universe, idx.loop_label, idx.edge_label)  # the file does not store them
+        idx2 = read_sections(SectionReader(text.splitlines()), idx.source_size, labels)
         assert "\n".join(write_sections(idx2)) == text
         assert idx2.deg == idx.deg
         assert idx2.coloring.partition() == idx.coloring.partition()

@@ -1,4 +1,4 @@
-"""The v5 index file: what it stores, and that a damaged file ends in a data
+"""The v6 index file: what it stores, and that a damaged file ends in a data
 error (exit 2 with a message) rather than a traceback or a wrong answer."""
 import hashlib
 import importlib.util
@@ -110,10 +110,10 @@ def test_saved_index_stores_only_graph_and_classes(saved_index):
     # a binary- or full-stage file holds the value rows and the edge colors,
     # not bin2graph's gadget vertices
     _, lines = saved_index
-    assert lines[0] == FORMAT_HEADER == "colorindex-file v5"
+    assert lines[0] == FORMAT_HEADER == "colorindex-file v6"
     stage = lines[sections(lines)["META"][0] + 1].split("\t")[1]
     typed = [] if stage == "graph" else ["EDGE_COLORS"]
-    assert list(sections(lines)) == ["META", "SCHEMA", "CONSTANTS", "PROJ", "LABELS", *typed, "VERTICES", "CLASSES"]
+    assert list(sections(lines)) == ["META", "SCHEMA", "CONSTANTS", "PROJ", *typed, "VERTICES", "CLASSES"]
     i, count = sections(lines)["VERTICES"]
     assert {len(row.split("\t")) for row in lines[i + 1 : i + 1 + count]} == {3 if stage == "graph" else 4}
     if stage == "binary":  # one row per constant of the movie database, and no gadget rows
@@ -140,6 +140,7 @@ def test_every_mutation_is_a_data_error(saved_index, capsys):
     mutants.append(("v2 header", ["colorindex-file v2"] + lines[1:]))
     mutants.append(("v3 header", ["colorindex-file v3"] + lines[1:]))
     mutants.append(("v4 header", ["colorindex-file v4"] + lines[1:]))
+    mutants.append(("v5 header", ["colorindex-file v5"] + lines[1:]))
     missed = []
     for (what, mutant), task in itertools.product(mutants, ("count", "enum")):
         code, out, err = query(tmp_path, mutant, task, capsys)
@@ -152,13 +153,13 @@ def test_mutation_messages(saved_index, capsys):
     tmp_path, lines = saved_index
     _, _, err = query(tmp_path, unstable_swap(lines), "count", capsys)
     assert "unstable coloring" in err
-    for old in ("v1", "v2", "v3", "v4"):
+    for old in ("v1", "v2", "v3", "v4", "v5"):
         _, _, err = query(tmp_path, [f"colorindex-file {old}"] + lines[1:], "count", capsys)
         assert f"'colorindex-file {old}'" in err and "rebuilt with `colorindex index`" in err
 
 
 def _read(lines):
-    return read_sections(SectionReader(lines), 0)
+    return read_sections(SectionReader(lines), 0, (("L",), "L", "E"))
 
 
 def test_loader_rejects_inconsistent_graphs():
@@ -189,12 +190,17 @@ def test_loader_rejects_schema_and_label_mismatches():
         "duplicate symbol": text.replace("[SCHEMA 1]\nE\t2", "[SCHEMA 2]\nE\t2\nE\t2"),
         "cannot be indexed in the graph stage": text.replace("E\t2", "E\t3"),
         "lists a constant twice": text.replace("v1\n", "v0\n"),
-        "names a label twice": text.replace("[LABELS 2]\nL\tE\nL", "[LABELS 3]\nL\tE\nL\nL"),
-        "does not match": text.replace("[LABELS 2]\nL\tE\nL", "[LABELS 2]\nK\tE\nK"),
         "not a constant id": text.replace("[CONSTANTS 3]\nv0\nv1\nv2", "[CONSTANTS 2]\nv0\nv1"),
     }
+    # the labels come from [SCHEMA]: a schema that does not declare the
+    # labels of the rows, or that makes the loop label another name
+    labeled = DatabaseIndex.build(parse_database(GRAPH_DB, parse_schema(GRAPH_SCHEMA))).save_text()
+    schema = "[SCHEMA 2]\nE\t2\nP\t1\n"
+    assert schema in labeled and "\n5\tL,P\t5\n" in labeled
+    cases["undeclared label"] = labeled.replace(schema, "[SCHEMA 2]\nE\t2\nL\t1\n")
+    cases["disagrees with the loops"] = labeled.replace(schema, "[SCHEMA 3]\nE\t2\nP\t1\nL\t1\n")
     for message, mutant in cases.items():
-        assert mutant != text
+        assert mutant not in (text, labeled)
         with pytest.raises(ParseError, match=message):
             DatabaseIndex.load_text(mutant)
 
@@ -233,9 +239,9 @@ def test_loader_checks_value_vertices(movie_db):
 # sha1 prefixes of the saved seed-1 benchmark inputs: a change to the file
 # format, or to any vertex id or color class, must update them on purpose
 PINNED = {
-    "relational-replicas": "1c46e87df523",
-    "ternary-random": "a04d37310e93",
-    "graph-symmetric": "9c23f08e4210",
+    "relational-replicas": "6b44ee1df4d4",
+    "ternary-random": "e6d87e32cce4",
+    "graph-symmetric": "dfa7fb18b181",
 }
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 

@@ -18,7 +18,7 @@ from colorindex.instrument import OpCounter
 from colorindex.model import ConstantPool, cq, validate_database
 from colorindex.oracle import brute_answers
 from colorindex.pipeline import DatabaseIndex
-from colorindex.refinement import LabeledGraph, encode_loops, refine
+from colorindex.refinement import Coloring, encode_loops, refine
 from colorindex.textio import parse_query
 
 from test_evaluator import fc_queries
@@ -207,22 +207,31 @@ def test_count_ops_on_the_source_query():
 
 @pytest.mark.parametrize("tamper", ["second value neighbor", "relation label on a value"])
 def test_malformed_gadget_graph_is_a_data_error(tamper, tmp_path, capsys):
-    # a gadget graph with a tampered value vertex: its projection refuses
-    # it.  The same tamper on a value row of the file is a data error.
+    # the projection of a gadget graph reads its entries off bin2graph's
+    # pair map: it refuses a gadget graph without the map or with a map that
+    # lacks a pair, and a coloring that gives one gadget color two start
+    # colors.  A tampered value row of the file is a data error.
     db = validate_database(BINARY_SCHEMA, {"R": [("a", "b")], "P": [("a",)]})
     good = DatabaseIndex.build(db)
     genc = bin2graph.encode_db(db)
     g = encode_loops(genc.dhat)
-    a, w_ba = db.pool.intern("a"), genc.gadget_node[(db.pool.intern("b"), db.pool.intern("a"))]
-    adj, vl = dict(g.adj), dict(g.vl)
-    if tamper == "second value neighbor":
-        adj[a], adj[w_ba] = tuple(sorted(adj[a] + (w_ba,))), tuple(sorted(adj[w_ba] + (a,)))
-    else:
-        vl[a] = vl[a] | {genc.symbols.u_label["S"]}
-    bad = LabeledGraph(g.vertices, adj, vl, g.label_universe, g.loop_label, g.edge_label)
-    ci = build_from_coloring(bad, refine(bad), genc.dhat.size)
-    with pytest.raises(ValueError, match="gadget"):
+    coloring = refine(g)
+    ci = build_from_coloring(g, coloring, genc.dhat.size)
+    with pytest.raises(ValueError, match="pair map"):
         DatabaseIndex(good.schema, good.pool, "binary", ci, good.source_size)
+    short = dict(list(genc.gadget_node.items())[1:])
+    with pytest.raises(ValueError, match="one pair per gadget vertex"):
+        DatabaseIndex(good.schema, good.pool, "binary", ci, good.source_size, gadget_node=short)
+    # w_ab and w_ba in one class: its entries start at a (labeled P) and at b
+    a, b = db.pool.intern("a"), db.pool.intern("b")
+    gadgets = {coloring.col[genc.gadget_node[(a, b)]], coloring.col[genc.gadget_node[(b, a)]]}
+    assert coloring.col[a] != coloring.col[b] and len(gadgets) == 2
+    classes = [m for c, m in enumerate(coloring.classes) if c not in gadgets]
+    classes.append(tuple(sorted(v for c in gadgets for v in coloring.classes[c])))
+    merged = Coloring(col={v: c for c, m in enumerate(classes) for v in m}, classes=tuple(classes))
+    ci = build_from_coloring(g, merged, genc.dhat.size)
+    with pytest.raises(ValueError, match="two start colors"):
+        DatabaseIndex(good.schema, good.pool, "binary", ci, good.source_size, gadget_node=genc.gadget_node)
     # the value rows `0 P 1 0` (a: b along edge color 0) and `1 - 0 1`
     text = good.save_text()
     row_a, row_b = "0\tP\t1\t0\n", "1\t-\t0\t1\n"
