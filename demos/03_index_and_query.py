@@ -5,7 +5,6 @@ query only preprocesses against the color database.  Loops in queries
 (edge atoms with a repeated variable) are rewritten onto the loop label.
 """
 from colorindex import DatabaseIndex, Schema, parse_query, validate_database
-from colorindex.index import stats
 
 schema = Schema.of(("E", 2), ("Blue", 1), ("Red", 1))
 db = validate_database(
@@ -24,9 +23,8 @@ db = validate_database(
 )
 idx = DatabaseIndex.build(db)
 ci = idx.cindex
-st = stats(ci)
-print(f"|D|={st.source_size} |D_L|={st.labeled_size} |C|={st.num_colors} "
-      f"|D_col|={st.d_col_size} ratio={st.color_ratio:.2f}")
+print(f"|D|={ci.source_size} |D_L|={ci.labeled_size} |C|={ci.colors} "
+      f"|D_col|={ci.d_col_size} ratio={ci.color_ratio:.2f}")
 for c, members in enumerate(ci.coloring.classes):
     shown = ",".join(db.display(v) for v in members)
     print(f"  color {c}: {{{shown}}} labels={sorted(ci.graph.vl[members[0]])}")

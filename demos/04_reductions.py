@@ -17,7 +17,7 @@ print(f"source: {db.size} ternary tuples")
 
 benc = encode_db(db)
 print(f"binary encoding: {len(benc.tuple_node)} tuple nodes, "
-      f"{len(benc.proj_node)} projection nodes, schema of {len(benc.sigma2.symbols)} symbols")
+      f"{len(benc.proj_node)} projection nodes, schema of {len(benc.db2.schema.symbols)} symbols")
 
 
 def shown(t):

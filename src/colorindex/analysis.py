@@ -1,4 +1,4 @@
-"""Structural analysis of conjunctive queries: the hypergraph and its
+"""Structural analysis of conjunctive queries: the hyperedges and their
 acyclicity tests, the spanning forest of the Gaifman graph (the one search
 that query components, variable orders and graph translations are read
 from), and free-connex width-1 generalized hypertree decompositions with
@@ -6,26 +6,18 @@ their one breadth-first walk.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import BadGHD, NotFreeConnex
 from .model import Atom, ConjunctiveQuery
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    vertices: frozenset[int]
-    hyperedges: tuple[frozenset[int], ...]  # deduplicated, first-occurrence order
-
-
-def hypergraph(q: ConjunctiveQuery) -> Hypergraph:
-    seen: list[frozenset[int]] = []
-    for a in q.atoms:
-        vs = a.var_set()
-        if vs not in seen:
-            seen.append(vs)
-    return Hypergraph(vertices=q.vars(), hyperedges=tuple(seen))
+def hyperedges(q: ConjunctiveQuery) -> list[frozenset[int]]:
+    """The variable sets of q's atoms, deduplicated, in first-occurrence
+    order."""
+    return list(dict.fromkeys(a.var_set() for a in q.atoms))
 
 
 def join_tree(hyperedges: list[frozenset[int]]) -> list[tuple[int, int]] | None:
@@ -69,11 +61,11 @@ def join_tree(hyperedges: list[frozenset[int]]) -> list[tuple[int, int]] | None:
 
 
 def is_acyclic(q: ConjunctiveQuery) -> bool:
-    return join_tree(list(hypergraph(q).hyperedges)) is not None
+    return join_tree(hyperedges(q)) is not None
 
 
 def is_free_connex_acyclic(q: ConjunctiveQuery) -> bool:
-    hs = list(hypergraph(q).hyperedges)
+    hs = hyperedges(q)
     if join_tree(hs) is None:
         return False
     free = q.free()
@@ -216,7 +208,7 @@ def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
 
     Raises NotFreeConnex when the query admits no such decomposition.
     """
-    hs = list(hypergraph(q).hyperedges)
+    hs = hyperedges(q)
     tree_edges = join_tree(hs)
     if tree_edges is None:
         raise NotFreeConnex("query hypergraph is not alpha-acyclic")
@@ -350,18 +342,21 @@ def check_fc1ghd(H: FcGHD) -> list[str]:
     violations (empty when valid)."""
     q = H.query
     problems: list[str] = []
+
+    def reached(start: int, inside: Callable[[int], bool]) -> set[int]:
+        # the nodes reachable from start along H.adj through nodes inside
+        seen, todo = {start}, [start]
+        while todo:
+            for u in H.adj[todo.pop()]:
+                if u not in seen and inside(u):
+                    seen.add(u)
+                    todo.append(u)
+        return seen
+
     n = len(H.bag)
     if len(H.edges) != n - 1:
         problems.append(f"not a tree: {n} nodes, {len(H.edges)} edges")
-    seen = {0} if n else set()
-    queue = deque(seen)
-    while queue:
-        t = queue.popleft()
-        for u in H.adj[t]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if len(seen) != n:
+    if n and len(reached(0, lambda u: True)) != n:
         problems.append("tree is disconnected")
     for t in H.nodes:
         if not H.bag[t] <= H.cover[t].var_set():
@@ -377,16 +372,7 @@ def check_fc1ghd(H: FcGHD) -> list[str]:
         if not holders:
             problems.append(f"variable {v} in no bag")
             continue
-        reach = {holders[0]}
-        queue = deque(reach)
-        while queue:
-            t = queue.popleft()
-            for u in H.adj[t]:
-                if u in reach or v not in H.bag[u]:
-                    continue
-                reach.add(u)
-                queue.append(u)
-        if reach != set(holders):
+        if reached(holders[0], lambda u: v in H.bag[u]) != set(holders):
             problems.append(f"path condition fails for variable {v}")
     free = q.free()
     if free:
@@ -396,16 +382,7 @@ def check_fc1ghd(H: FcGHD) -> list[str]:
             union = frozenset().union(*(H.bag[t] for t in H.witness))
             if union != free:
                 problems.append("witness bags do not union to free(Q)")
-            w0 = min(H.witness)
-            reach = {w0}
-            queue = deque(reach)
-            while queue:
-                t = queue.popleft()
-                for u in H.adj[t]:
-                    if u in H.witness and u not in reach:
-                        reach.add(u)
-                        queue.append(u)
-            if reach != set(H.witness):
+            if reached(min(H.witness), H.witness.__contains__) != H.witness:
                 problems.append("witness is not connected")
             if len(H.witness) >= 2 * len(free):
                 problems.append(f"|W|={len(H.witness)} >= 2*|free|={2 * len(free)}")

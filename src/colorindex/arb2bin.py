@@ -60,9 +60,7 @@ def projections_of(t: tuple[int, ...]) -> set[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class BinaryEncoding:
-    db2: Database
-    sigma2: Schema
-    k: int
+    db2: Database  # over binary_schema_for(db.schema)
     tuple_node: dict[tuple[int, ...], int]
     proj_node: dict[tuple[int, ...], int]
     node_tuple: dict[int, tuple[int, ...]]
@@ -122,8 +120,6 @@ def encode_db(db: Database) -> BinaryEncoding:
     db2 = Database(schema=sigma2, relations={name: tuple(sorted(ts)) for name, ts in relations.items()})
     return BinaryEncoding(
         db2=db2,
-        sigma2=sigma2,
-        k=k,
         tuple_node=tuple_node,
         proj_node=proj_node,
         node_tuple={n: t for t, n in tuple_node.items()},

@@ -16,8 +16,13 @@ prefix, state the reduction on queries, which criterion 7 checks.
 
 A value node is its source id: a constant id on the binary stage, an
 `arb2bin` node id on the full stage.  The gadget nodes are numbered on from
-the largest of them, in pair order, so `vmap` and `vmap_inv` are identity
-maps and an answer over the value nodes needs no decoding.
+the largest of them, in pair order, so an answer over the value nodes needs
+no decoding.  `GraphEncoding` stores only the pair map; the identity maps
+`vmap` and `vmap_inv` and the inverse `node_gadget` are derived on read,
+since no build step reads them.  Only the values and the pairs are sorted,
+the pairs because their order numbers the gadgets; the order of the tuples
+of a relation is not read (`encode_loops` builds ascending rows from any
+order).
 """
 from __future__ import annotations
 
@@ -72,11 +77,24 @@ def graph_symbols_for(schema: Schema) -> GraphSymbols:
 class GraphEncoding:
     dhat: Database
     symbols: GraphSymbols
-    vmap: dict[int, int]  # source constant -> V node: the identity
-    vmap_inv: dict[int, int]  # the same identity map
     gadget_node: dict[tuple[int, int], int]  # source pair -> W node
-    node_gadget: dict[int, tuple[int, int]]
     source: Database
+
+    @property
+    def vmap(self) -> dict[int, int]:
+        """Source constant -> V node: the identity on the source's values."""
+        values = sorted(self.source.active_domain())
+        return dict(zip(values, values))
+
+    @property
+    def vmap_inv(self) -> dict[int, int]:
+        """V node -> source constant: the same identity map."""
+        return self.vmap
+
+    @property
+    def node_gadget(self) -> dict[int, tuple[int, int]]:
+        """W node -> source pair: the inverse of the pair map."""
+        return {n: p for p, n in self.gadget_node.items()}
 
     def to_dot(self) -> str:
         """The graph in DOT: a value node shows its constant, a gadget node
@@ -84,13 +102,14 @@ class GraphEncoding:
         show = self.source.display
         lines = ["graph encoded {"]
         seen = set()
+        node_gadget = self.node_gadget
         for v in sorted(self.dhat.active_domain()):
-            if v in self.node_gadget:
-                a, b = self.node_gadget[v]
+            if v in node_gadget:
+                a, b = node_gadget[v]
                 lines.append(f'  n{v} [label="w({show(a)},{show(b)})", shape=box];')
             else:
                 lines.append(f'  n{v} [label="{show(v)}", shape=circle];')
-        for a, b in self.dhat.rel(self.symbols.edge):
+        for a, b in sorted(self.dhat.rel(self.symbols.edge)):
             if (b, a) not in seen:
                 seen.add((a, b))
                 lines.append(f"  n{a} -- n{b};")
@@ -115,27 +134,17 @@ def encode_db(db: Database) -> GraphEncoding:
     edges: list[tuple[int, int]] = []
     for (a, b), w_ab in gadget_node.items():
         edges += ((a, w_ab), (w_ab, a), (w_ab, gadget_node[(b, a)]))
-    edges.sort()
 
     relations: dict[str, tuple[tuple[int, ...], ...]] = {}
     relations[symbols.edge] = tuple(edges)
     for u in symbols.unary:
-        relations[u] = tuple(sorted(db.rel(u)))
+        relations[u] = db.rel(u)
     for f in db.schema.binary_symbols():
-        relations[symbols.u_label[f]] = tuple(sorted((gadget_node[(a, b)],) for a, b in db.rel(f)))
+        relations[symbols.u_label[f]] = tuple((gadget_node[(a, b)],) for a, b in db.rel(f))
     relations[symbols.v_label] = tuple((v,) for v in values)
     relations[symbols.w_label] = tuple((w,) for w in gadget_node.values())
-
-    identity = dict(zip(values, values))
-    return GraphEncoding(
-        dhat=Database(schema=sigma_hat, relations=relations),
-        symbols=symbols,
-        vmap=identity,
-        vmap_inv=identity,
-        gadget_node=gadget_node,
-        node_gadget={n: p for p, n in gadget_node.items()},
-        source=db,
-    )
+    return GraphEncoding(dhat=Database(schema=sigma_hat, relations=relations), symbols=symbols,
+                         gadget_node=gadget_node, source=db)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .errors import (
     ParseError,
     TaskMismatch,
 )
-from .index import stats
 from .instrument import OpCounter
 from .model import ConjunctiveQuery, Database
 from .pipeline import TASKS, DatabaseIndex
@@ -59,7 +58,7 @@ def cmd_index(args) -> int:
     print(
         f"stage={idx.stage} |D|={db.size} |D_L|={ci.labeled_size} |V|={ci.vertex_count} "
         f"|C|={ci.colors} |D_col|={ci.d_col_size} "
-        f"colors/|V|={stats(ci).color_ratio:.3g} |D_col|/|D|={dcol_ratio:.3g}"
+        f"colors/|V|={ci.color_ratio:.3g} |D_col|/|D|={dcol_ratio:.3g}"
     )
     if ci.edges is not None:
         entries = ci.vertex_count - len(ci.graph.vertices)
@@ -67,8 +66,13 @@ def cmd_index(args) -> int:
               f"|C| = {ci.coloring.num_colors} value + {len(ci.edges.rev)} edge colors, "
               f"|D_L| = entries + value labels, |D_col| = label facts + (c, e, c') facts")
     if args.dump_maps:
+        # a tuple node stands for every relation that holds its tuple
+        holders: dict[tuple[int, ...], list[str]] = {}
+        for name in db.schema.names:
+            for t in db.rel(name):
+                holders.setdefault(t, []).append(name)
         for node, t in sorted(idx.node_tuple.items()):
-            print(f"w\t{node}\t{' '.join(db.display(c) for c in t)}")
+            print(f"w\t{node}\t{','.join(holders[t])}\t{' '.join(db.display(c) for c in t)}")
         for node, p in sorted(idx.node_proj.items()):
             print(f"v\t{node}\t{' '.join(db.display(c) for c in p)}")
     return 0
@@ -214,8 +218,9 @@ def build_parser() -> _Parser:
     pi.add_argument("--out", required=True)
     pi.add_argument("--stage", default="auto", choices=("auto", "graph", "binary", "full"))
     pi.add_argument("--dump-maps", action="store_true",
-                    help="print arb2bin's node maps of a full-stage index: `w node constants` per tuple "
-                         "node, `v node constants` per projection node")
+                    help="print arb2bin's node maps of a full-stage index: `w node relations constants` "
+                         "per tuple node, its relations comma-joined in schema order, and "
+                         "`v node constants` per projection node")
     pi.set_defaults(func=cmd_index)
 
     pq = sub.add_parser("query", help="answer a query against a persisted index")

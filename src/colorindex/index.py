@@ -96,6 +96,13 @@ class ColorIndex:
         n = len(self.graph.vertices)
         return n if self.edges is None else n + sum(map(len, self.graph.adj.values()))
 
+    @property
+    def color_ratio(self) -> float:
+        """Colors per vertex: the compression of the coloring, 0 on an empty
+        graph."""
+        n = self.vertex_count
+        return self.colors / n if n else 0.0
+
     def color_of(self, v: int) -> int:
         return self.coloring.col[v]
 
@@ -262,26 +269,6 @@ def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols,
     edges = EdgeColors(relations=tuple(symbols.u_label), labels=tuple(labels), rev=tuple(rev), src=tuple(src))
     value_coloring = Coloring(col={v: rank[col[v]] for v in values}, classes=tuple(value_classes))
     return _tables(typed, value_coloring, _entry_buckets(adj, ecol), source_size, edges)
-
-
-@dataclass(frozen=True)
-class IndexStats:
-    source_size: int
-    labeled_size: int
-    num_colors: int
-    d_col_size: int
-    color_ratio: float
-
-
-def stats(idx: ColorIndex) -> IndexStats:
-    n = idx.vertex_count
-    return IndexStats(
-        source_size=idx.source_size,
-        labeled_size=idx.labeled_size,
-        num_colors=idx.colors,
-        d_col_size=idx.d_col_size,
-        color_ratio=idx.colors / n if n else 0.0,
-    )
 
 
 def check_colorindex(idx: ColorIndex) -> list[str]:

@@ -100,15 +100,12 @@ class Schema:
 class Database:
     """Relations over interned constants; duplicate-free within each relation.
     A database without a pool, such as a reduction's output, shows each
-    constant by its id.  The set of a relation that `contains` looks in is
-    built on its first call; two readers that race to build it store equal
-    sets."""
+    constant by its id."""
 
     schema: Schema
     relations: dict[str, tuple[tuple[int, ...], ...]]
     pool: ConstantPool | None = None
     dropped_duplicates: int = 0
-    _sets: dict[str, frozenset[tuple[int, ...]]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in self.schema.names:
@@ -118,12 +115,6 @@ class Database:
         if name not in self.schema:
             raise UnknownSymbol(f"unknown relation symbol {name!r}")
         return self.relations[name]
-
-    def contains(self, name: str, tup: tuple[int, ...]) -> bool:
-        tuples = self._sets.get(name)
-        if tuples is None:
-            tuples = self._sets[name] = frozenset(self.relations[name])
-        return tup in tuples
 
     @property
     def size(self) -> int:

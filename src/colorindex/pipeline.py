@@ -15,10 +15,11 @@ labels: the loader derives them from the schema and the stage.
 Serving compiles a query once per index: `DatabaseIndex.compile` checks it
 against the schema and for free-connex acyclicity, translates it to the
 query the evaluator runs, and splits that into components with their
-variable orders and allowed edge colors, all in one `CompiledQuery`.  The
-translation is the identity on the graph and binary stages, where the
-query runs on the index's color edges or edge colors, and `arb2bin`'s q2
-on the full stage; `bin2graph`'s gadget translation of
+variable orders and allowed edge colors, all in one `CompiledQuery` with
+the decoder of its answers; a rejected query compiles to one without a
+translated query.  The translation is the identity on the graph and binary
+stages, where the query runs on the index's color edges or edge colors,
+and `arb2bin`'s q2 on the full stage; `bin2graph`'s gadget translation of
 queries is not on the serving path.  The index keeps the last
 COMPILED_LIMIT compiled queries, keyed by the parsed query; the oldest goes
 first.  Only compile results are kept: bool, count and enum run the dynamic
@@ -61,26 +62,20 @@ def choose_stage(db: Database) -> str:
 
 
 @dataclass(frozen=True)
-class Translation:
-    """The query the evaluator runs (the source query on the graph and
-    binary stages, `arb2bin`'s q2 on the full stage) and the decoder from
-    its answers, over the index's vertices, to source constants."""
-
-    qhat: ConjunctiveQuery
-    decode: Callable[[tuple[int, ...]], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
 class CompiledQuery:
-    """A query compiled against one index.  When it is not free-connex
-    acyclic (for a Boolean query: not acyclic), that is all it records."""
+    """A query compiled against one index: the query the evaluator runs (the
+    source query on the graph and binary stages, `arb2bin`'s q2 on the full
+    stage), the decoder from its answers, over the index's vertices, to
+    source constants, and its components.  A query that is not free-connex
+    acyclic (for a Boolean query: not acyclic) compiles to one whose qhat is
+    None."""
 
-    free_connex: bool
-    translation: Translation | None = None  # the query that runs, with the answer decoder
-    components: tuple[evaluator.Component, ...] = ()  # of translation.qhat
+    qhat: ConjunctiveQuery | None
+    decode: Callable[[tuple[int, ...]], tuple[int, ...]] | None = None
+    components: tuple[evaluator.Component, ...] = ()  # of qhat
 
 
-_REJECTED = CompiledQuery(free_connex=False)
+_REJECTED = CompiledQuery(qhat=None)
 
 
 def _stage_symbols(stage: str, schema: Schema) -> bin2graph.GraphSymbols | None:
@@ -190,33 +185,34 @@ class DatabaseIndex:
             if arity != a.arity:
                 raise ArityMismatch(f"{a.symbol} expects {arity} arguments, got {a.arity}")
         if self.stage != "full":
-            tr = Translation(qhat=q, decode=_identity)
+            qhat, decode = q, _identity
         else:
             try:
                 ghd = compute_fc1ghd(q)
             except NotFreeConnex:
                 return _REJECTED
             enc2 = arb2bin.encode_query(q, ghd, self.schema)
-            tr = Translation(qhat=enc2.q2, decode=lambda t: arb2bin.decode_answer(t, enc2, self.node_proj))
+            qhat, decode = enc2.q2, lambda t: arb2bin.decode_answer(t, enc2, self.node_proj)
         try:
-            comps = evaluator.components(tr.qhat, self.cindex)
+            comps = evaluator.components(qhat, self.cindex)
         except (NotTree, FreeNotConnected):
             # q2 is free-connex acyclic by construction: only a graph- or
             # binary-stage query gets here
             return _REJECTED
-        return CompiledQuery(free_connex=True, translation=tr, components=comps)
+        return CompiledQuery(qhat=qhat, decode=decode, components=comps)
 
     def _accepted(self, q: ConjunctiveQuery, error: type[Exception], message: str) -> CompiledQuery:
         compiled = self.compile(q)
-        if not compiled.free_connex:
+        if compiled.qhat is None:
             raise error(message)
         return compiled
 
-    def translate(self, q: ConjunctiveQuery) -> Translation:
-        """The query the evaluator runs for q, and its answer decoder: q
-        itself on the graph and binary stages, `arb2bin`'s q2 on the full
-        stage."""
-        return self._accepted(q, NotFreeConnex, "translation requires a free-connex acyclic query").translation
+    def translate(self, q: ConjunctiveQuery) -> CompiledQuery:
+        """The compiled form of a free-connex acyclic q: its qhat is the
+        query the evaluator runs (q itself on the graph and binary stages,
+        `arb2bin`'s q2 on the full stage) and its decode the answer
+        decoder."""
+        return self._accepted(q, NotFreeConnex, "translation requires a free-connex acyclic query")
 
     # -- evaluation ------------------------------------------------------------
 
@@ -237,10 +233,9 @@ class DatabaseIndex:
         steps: OpCounter | None = None,
     ) -> Iterator[tuple[int, ...]]:
         compiled = self._accepted(q, NotFreeConnex, "enum task requires a free-connex acyclic query")
-        tr = compiled.translation
-        plan = evaluator.prepare_components(compiled.components, len(tr.qhat.head), self.cindex, ops)
+        plan = evaluator.prepare_components(compiled.components, len(compiled.qhat.head), self.cindex, ops)
         answers = evaluator.enumerate_prepared(plan, steps)
-        yield from answers if tr.decode is _identity else map(tr.decode, answers)
+        yield from answers if compiled.decode is _identity else map(compiled.decode, answers)
 
     def display_tuple(self, t: tuple[int, ...]) -> tuple[str, ...]:
         return tuple(self.pool.display(c) for c in t)

@@ -102,7 +102,7 @@ def test_f_relation_side_condition():
                         for j, y in enumerate(q, 1):
                             if x == y:
                                 want |= {(f"F{i}_{j}", (vp, vq)), (f"F{j}_{i}", (vq, vp))}
-        have = {(name, fact) for name in enc.sigma2.names if name[0] in "EF" for fact in enc.db2.rel(name)}
+        have = {(name, fact) for name in enc.db2.schema.names if name[0] in "EF" for fact in enc.db2.rel(name)}
         assert have == want
 
 

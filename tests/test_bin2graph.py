@@ -6,9 +6,11 @@ from colorindex.analysis import is_free_connex_acyclic
 from colorindex.bin2graph import decode_answer, encode_db, encode_query, graph_symbols_for
 from colorindex.errors import NotBinarySchema, NotFreeConnex
 from colorindex.generators import BINARY_SCHEMA, random_fc_query, random_relational_db
-from colorindex.model import ConstantPool, Schema, cq, validate_database
+from colorindex.index import project
+from colorindex.model import ConstantPool, Database, Schema, cq, validate_database
 from colorindex.oracle import brute_answers
 from colorindex.pipeline import DatabaseIndex
+from colorindex.refinement import encode_loops, refine
 from colorindex.textio import parse_query
 
 
@@ -189,3 +191,23 @@ def test_movie_graph_has_no_loops(movie_db):
     g = encode_loops(enc.dhat)
     assert all(g.loop_label not in g.vl[v] for v in g.vertices)
     assert all(not g.has_loop(v) for v in g.vertices)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_build_does_not_read_the_order_of_a_relation(movie_db, seed):
+    # encode_db sorts only the values and the pairs: loop encoding,
+    # refinement and the projection must give the same index for any order
+    # of the tuples of every relation of its graph
+    db = movie_db if seed is None else random_relational_db(BINARY_SCHEMA, 8, 12, seed=seed)
+    enc = encode_db(db)
+    rng = random.Random(seed)
+    shuffled = Database(schema=enc.dhat.schema,
+                        relations={name: tuple(rng.sample(ts, len(ts))) for name, ts in enc.dhat.relations.items()})
+    assert shuffled.relations != enc.dhat.relations
+    graph, shuffled_graph = encode_loops(enc.dhat), encode_loops(shuffled)
+    assert shuffled_graph == graph
+    coloring = refine(shuffled_graph)
+    assert coloring == refine(graph)
+    typed = project(shuffled_graph, coloring, enc.symbols, enc.gadget_node, enc.dhat.size)
+    got = DatabaseIndex(db.schema, db.pool, "binary", typed, db.size).save_text()
+    assert got == DatabaseIndex.build(db, stage="binary").save_text()

@@ -16,7 +16,6 @@ from colorindex.index import (
     build,
     check_colorindex,
     read_sections,
-    stats,
     write_sections,
     SectionReader,
 )
@@ -75,15 +74,15 @@ def test_neighbors_by_color_loop_includes_self():
 
 
 def test_stats_cycle100():
-    st = stats(build(cycle_db(100)))
-    assert st.source_size == 200
-    assert st.num_colors == 1
-    assert st.d_col_size == 1
-    assert st.color_ratio == 0.01
+    idx = build(cycle_db(100))
+    assert idx.source_size == 200
+    assert idx.colors == 1
+    assert idx.d_col_size == 1
+    assert idx.color_ratio == 0.01
 
 
 def test_stats_tree_h6():
-    assert stats(build(complete_binary_tree_db(6))).num_colors == 7
+    assert build(complete_binary_tree_db(6)).colors == 7
 
 
 def test_stats_random_graph_mostly_discrete():
