@@ -30,8 +30,10 @@ for c, members in enumerate(ci.coloring.classes):
     print(f"  color {c}: {{{shown}}} labels={sorted(ci.graph.vl[members[0]])}")
 
 v = members[0]
+# v's row is in bucket order: bucket c, its neighbors of color c, is a slice
+# whose offsets all vertices of v's color share
 print(f"neighbors of {db.display(v)} by color:",
-      {c: [db.display(u) for u in ci.nbr[v].get(c, ())] for c in range(ci.colors)})
+      {c: [db.display(u) for u in ci.graph.adj[v][s]] for c, s in ci.buckets[ci.color_of(v)].items()})
 
 queries = [
     "Ans(x) :- E(x,y), Blue(y).",

@@ -248,8 +248,8 @@ def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
             # with free(Q) form an alpha-acyclic hypergraph; a join tree of the
             # maximal intersections becomes the witness, each piece covered by
             # the corresponding neighbor's atom.
-            nbrs = sorted(adj[f_node])
-            inter = [(u, bags[u] & free) for u in nbrs]
+            neighbors = sorted(adj[f_node])
+            inter = [(u, bags[u] & free) for u in neighbors]
             distinct = sorted({b for _, b in inter}, key=lambda s: (len(s), sorted(s)))
             maximal = [b for b in distinct if not any(b < other for other in distinct)]
             owner = {b: next(u for u, bu in inter if bu == b) for b in maximal}

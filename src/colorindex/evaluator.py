@@ -33,15 +33,15 @@ alive colors.  One depth-first iterator stack then walks vertices, with
 one level per free variable of every non-Boolean component in turn, so a
 product of components is just more levels.  A root level draws the
 members of its alive root colors.  A later level, for the vertex u drawn
-at its parent's level, draws the bucket nbr[u][k] of each table entry k of
-u's color: a neighbor color, or an edge color whose bucket lists the far
-values.  A step is one draw, the one that finds a bucket spent included,
-or one bucket opened.  Every table entry
-opens a non-empty bucket: its edge is in deg[col[u]], and stability gives
-every vertex of a color the same neighbor counts.  Every alive color has
-at least one entry, and every prefix extends.  So each draw is O(1) work,
-no level runs dry before it yields, and consecutive answers are O(|free
-variables|) steps apart.
+at its parent's level, draws the bucket adj[u][s] of each table entry s of
+u's color: the slice of u's row that holds the bucket of a neighbor color,
+or of an edge color whose bucket lists the far values.  A step is one draw,
+the one that finds a bucket spent included, or one bucket opened.  Every
+table entry opens a non-empty bucket: its key is in deg[col[u]], and
+stability gives every vertex of a color the same bucket sizes.  Every alive
+color has at least one entry, and every prefix extends.  So each draw is
+O(1) work, no level runs dry before it yields, and consecutive answers are
+O(|free variables|) steps apart.
 
 A query is acyclic here exactly when its Gaifman graph is a forest, since
 every atom has arity at most 2, and free-connex acyclic when in addition
@@ -210,11 +210,11 @@ class EnumPlan:
     # their classes
     roots: list[list[int]]
     # per component and free variable after the root: alive parent color ->
-    # its allowed edge colors toward alive colors (on the graph stage, those
-    # alive colors).  The level of that variable, for a vertex u of its
-    # parent's level, opens the bucket nbr[u][k] of each entry k of u's
-    # color; every one is non-empty.
-    tables: list[list[dict[int, list[int]]]]
+    # the slices of the buckets of its allowed edge colors toward alive
+    # colors (on the graph stage, of those alive colors).  The level of that
+    # variable, for a vertex u of its parent's level, opens the bucket
+    # adj[u][s] of each entry s of u's color; every one is non-empty.
+    tables: list[list[dict[int, list[slice]]]]
     empty: bool  # some component has no answer
 
 
@@ -229,7 +229,7 @@ def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex
     """prepare() on the components of a query whose head has width
     variables."""
     ops = ops if ops is not None else OpCounter()
-    deg, dest = idx.deg, idx.dest
+    buckets, dest = idx.buckets, idx.dest
     f1: dict[frozenset[str], Row] = {}
     plan = EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=False)
     for comp in comps:
@@ -239,13 +239,13 @@ def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex
         if not comp.free:
             continue
         alive = [rows[x] for x in comp.free_order]
-        tables: list[dict[int, list[int]]] = []
+        tables: list[dict[int, list[slice]]] = []
         for i in range(1, len(alive)):
             up, down = alive[comp.parent_pos[i]], alive[i]
             allowed = comp.down[comp.free_order[i]]
-            ops.tick(sum(len(deg[c]) for c in up))
-            tables.append({c: [k for k, _ in deg[c] if dest[k] in down and (allowed is None or k in allowed)]
-                           for c in up})
+            ops.tick(sum(len(buckets[c]) for c in up))
+            tables.append({c: [s for k, s in buckets[c].items()
+                               if dest[k] in down and (allowed is None or k in allowed)] for c in up})
         plan.components.append(comp)
         plan.roots.append(list(alive[0]))
         plan.tables.append(tables)
@@ -256,8 +256,8 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
     """Stream the answers of the prepared query, each exactly once, as
     vertex tuples in the original head order, from one iterator stack over
     vertices (see the module docstring).  Steps are counted in a local and
-    added to `steps` before each answer and at the end.  A missing or empty
-    bucket means a broken index, and raises instead of being skipped."""
+    added to `steps` before each answer and at the end.  An empty bucket
+    means a broken index, and raises instead of being skipped."""
     steps = steps if steps is not None else OpCounter()
     if plan.empty:
         return
@@ -266,7 +266,7 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
         yield ()
         return
     idx = plan.idx
-    nbr, col, classes = idx.nbr, idx.coloring.col, idx.coloring.classes
+    adj, col, classes = idx.graph.adj, idx.coloring.col, idx.coloring.classes
     parent: list[int] = []  # per level, its parent level; -1 at a component root
     source: list = []  # per level, the alive root colors at a root, else the table
     heads = [0] * plan.width  # per head position, its level
@@ -282,7 +282,7 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
     vals = [0] * (last + 1)
     entries: list[Iterator[int]] = [iter(source[0])] + [iter(())] * last
     bucket: list[Iterator[int]] = [iter(())] * (last + 1)
-    around: list[dict[int, tuple[int, ...]]] = [{}] * (last + 1)  # the parent vertex's buckets
+    around: list[tuple[int, ...]] = [()] * (last + 1)  # the parent vertex's row
     n = d = 0
     while True:
         # open the next bucket of level d, or back up when it has none
@@ -293,9 +293,9 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
             d -= 1
         else:
             n += 1
-            found = classes[k] if parent[d] < 0 else around[d].get(k)
+            found = classes[k] if parent[d] < 0 else around[d][k]
             if not found:
-                raise AssertionError(f"an empty or missing bucket of color {k} (stability violated)")
+                raise AssertionError(f"an empty bucket {k} at level {d} (stability violated)")
             bucket[d] = iter(found)
         # draw from level d: answer at the last level, else go down
         while True:
@@ -311,7 +311,7 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
                     entries[d] = iter(source[d])
                 else:
                     u = vals[p]
-                    around[d] = nbr[u]
+                    around[d] = adj[u]
                     entries[d] = iter(source[d][col[u]])
                 break
             steps.n += n

@@ -1,10 +1,10 @@
 """The color-index: a coarsest stable coloring with its lookup tables
-(classes, per-vertex neighbor buckets, per-color neighbor counts, per-label
-colors) and the color database, derived from those tables on first use.
+(classes, per-color bucket sizes and offsets, per-label colors) and the
+color database, derived from those tables on first use.
 
-A graph-stage index is built on the loop-encoded graph.  A bucket
-nbr[v][c'] lists v's neighbors of color c', and deg[c] holds (c', numN(c,
-c')) for each color c' that a vertex of color c sees.
+A graph-stage index is built on the loop-encoded graph.  The key of an
+adjacency entry (v, u) is the color of u, and deg[c] holds (k, numN(c, k))
+for each key k that a vertex of color c sees, k ascending.
 
 A binary- or full-stage index is *typed*.  Refinement runs on `bin2graph`'s
 gadget graph: each ordered pair (a, b) of related values is a gadget vertex
@@ -18,9 +18,15 @@ reverse rev[e], the color of the partners w_uv; so its entries end at one
 value color dst[e] = src[rev[e]].  A self-looped gadget is a loop entry (v,
 v, e) with rev[e] = e.  The labels of e are the relations that hold from v
 to u, with the loop label on a loop, and those of rev[e] the relations that
-hold back.  nbr[v][e] lists the far values of v's e-entries, and deg[c]
-holds (e, numN(c, e)).  The graph stage is the one-type case: there the key
-of a bucket is the color it leads to.
+hold back.  The key of an entry is its edge color, and deg[c] holds (e,
+numN(c, e)).  The graph stage is the one-type case: there the key of an
+entry is the color it leads to.
+
+Every vertex keeps one adjacency row, `graph.adj[v]`, in *bucket order*: by
+key in deg order, then ascending.  Stability gives every vertex of color c
+the same bucket sizes deg[c], so bucket k of v is the slice buckets[c][k] of
+v's row, at offsets that depend on c only.  A typed row lists far values;
+the edge color of an entry is the bucket it sits in.
 
 The index is immutable after build and safe for unlimited concurrent readers;
 the evaluation phase serves many queries against one index.  It holds nothing
@@ -30,15 +36,17 @@ beside it, and every dynamic program reads these tables afresh.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 from .bin2graph import GraphEncoding, GraphSymbols
 from .errors import ParseError
 from .model import Database, Schema
 from .refinement import (
-    Coloring, LabeledGraph, asymmetric_vertex, color_buckets, encode_loops, fresh_name, refine, refines_labels,
+    Coloring, LabeledGraph, asymmetric_vertex, encode_loops, fresh_name, refine, refines_labels, reverse_adjacency,
     unstable_witness,
 )
 
@@ -71,14 +79,15 @@ class EdgeColors:
 
 @dataclass(frozen=True)
 class ColorIndex:
-    # typed: the value vertices, each row listing the far values of its entries
+    # every row of graph.adj in bucket order; typed: the value vertices, each
+    # row listing the far values of its entries
     graph: LabeledGraph
     coloring: Coloring
-    # nbr[v][k]: v's neighbors of color k, or on a typed index the far values
-    # of v's k-entries; ascending
-    nbr: dict[int, dict[int, tuple[int, ...]]]
     # deg[c]: (k, numN(c, k)) for each key k of the buckets of a color-c vertex, k ascending
     deg: tuple[tuple[tuple[int, int], ...], ...]
+    # buckets[c][k]: the slice of a color-c vertex's row that holds its bucket
+    # k, in deg order; derived from deg
+    buckets: tuple[dict[int, slice], ...]
     label_colors: dict[str, frozenset[int]]  # vertex label -> the colors that carry it
     source_size: int  # of the database the coloring was refined on
     edges: EdgeColors | None = None  # the edge colors of a typed index
@@ -174,21 +183,40 @@ def build_typed(genc: GraphEncoding) -> ColorIndex:
 
 
 def build_from_coloring(graph: LabeledGraph, coloring: Coloring, source_size: int) -> ColorIndex:
-    """The tables of a stable coloring of a loop-encoded graph."""
-    return _tables(graph, coloring, color_buckets(graph, coloring.col), source_size)
+    """The tables of a stable coloring of a loop-encoded graph, whose rows
+    it puts in bucket order: the reverse of the symmetric adjacency, filled
+    in class order."""
+    adj = reverse_adjacency(tuple(chain.from_iterable(coloring.classes)), graph.adj)
+    col = coloring.col
+    deg = _deg(coloring.classes, lambda v: [col[u] for u in adj[v]])
+    return _tables(replace(graph, adj=adj), coloring, deg, source_size)
 
 
-def _tables(graph: LabeledGraph, coloring: Coloring, nbr: dict[int, dict[int, tuple[int, ...]]],
+def _deg(classes: Sequence[Sequence[int]], keys: Callable[[int], list[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The bucket sizes of each class, counted off its first member's keys
+    in bucket order: stability makes every member see what the first sees."""
+    return tuple(tuple(Counter(keys(members[0])).items()) for members in classes)
+
+
+def _offsets(row: tuple[tuple[int, int], ...], shared: dict[tuple[int, int], slice]) -> dict[int, slice]:
+    """The slice of each bucket of a row of the given bucket sizes, one
+    slice object per (start, stop) across the rows."""
+    out, start = {}, 0
+    for k, n in row:
+        out[k] = shared.setdefault((start, start + n), slice(start, start + n))
+        start += n
+    return out
+
+
+def _tables(graph: LabeledGraph, coloring: Coloring, deg: tuple[tuple[tuple[int, int], ...], ...],
             source_size: int, edges: EdgeColors | None = None) -> ColorIndex:
-    # stability makes every member of a class see what its first member sees
-    firsts = [members[0] for members in coloring.classes]
-    deg = tuple(tuple(sorted((k, len(us)) for k, us in nbr[v].items())) for v in firsts)
-    edge_labels = () if edges is None else (*edges.relations, graph.loop_label)
+    shared: dict[tuple[int, int], slice] = {}
+    edge_labels = set() if edges is None else {*edges.relations, graph.loop_label}
     label_colors: dict[str, list[int]] = {u: [] for u in graph.label_universe if u not in edge_labels}
-    for c, v in enumerate(firsts):
-        for label in graph.vl[v]:
+    for c, members in enumerate(coloring.classes):
+        for label in graph.vl[members[0]]:
             label_colors[label].append(c)
-    return ColorIndex(graph=graph, coloring=coloring, nbr=nbr, deg=deg,
+    return ColorIndex(graph=graph, coloring=coloring, deg=deg, buckets=tuple(_offsets(row, shared) for row in deg),
                       label_colors={u: frozenset(cs) for u, cs in label_colors.items()},
                       source_size=source_size, edges=edges)
 
@@ -202,23 +230,6 @@ def typed_labels(symbols: GraphSymbols) -> tuple[tuple[str, ...], str]:
     return symbols.unary + relations + (loop_label,), loop_label
 
 
-def _entry_buckets(adj: dict[int, Sequence[int]],
-                   ecol: dict[int, Sequence[int]]) -> dict[int, dict[int, tuple[int, ...]]]:
-    """For each value, the far values of its entries grouped by edge color,
-    given its row of far values (adj) and their edge colors (ecol)."""
-    nbr: dict[int, dict[int, tuple[int, ...]]] = {}
-    for v, row in adj.items():
-        buckets: dict[int, list[int]] = {}
-        for u, e in zip(row, ecol[v]):
-            bucket = buckets.get(e)
-            if bucket is None:
-                buckets[e] = [u]
-            else:
-                bucket.append(u)
-        nbr[v] = dict(zip(buckets, map(tuple, buckets.values())))
-    return nbr
-
-
 def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols,
             gadget_node: dict[tuple[int, int], int], source_size: int) -> ColorIndex:
     """The typed index of a stable coloring of `bin2graph`'s graph that
@@ -226,8 +237,10 @@ def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols,
     symbols and its pair map: the pair (v, u) with gadget w_vu is the entry
     (v, u, e), where e is the color of w_vu, rev[e] that of w_uv and src[e]
     that of v.  The map must list its pairs in ascending order, as
-    `bin2graph` numbers them: each row of far values then comes out
-    ascending.  Value and edge colors are numbered in class order.  Raises
+    `bin2graph` numbers them: the entries of each edge color, taken in that
+    order, then fill every row in bucket order.  numN(src[e], e) is the
+    number of e-entries over the size of class src[e].  Value and edge
+    colors are numbered in class order.  Raises
     ValueError when the map does not have one pair per gadget vertex, or
     the coloring does not give each gadget color one reverse and one start
     color."""
@@ -252,67 +265,70 @@ def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols,
     col = coloring.col
     labels: list[frozenset[str] | None] = [None] * gadget_classes
     rev, src = [-1] * gadget_classes, [-1] * gadget_classes
-    far: dict[int, list[int]] = {v: [] for v in values}
-    ecol: dict[int, list[int]] = {v: [] for v in values}
-    for (v, u), w in gadget_node.items():
+    entries: list[list[tuple[int, int]]] = [[] for _ in range(gadget_classes)]  # per edge color: its (v, u)
+    for pair, w in gadget_node.items():
+        v, u = pair
         e, r, c = rank[col[w]], rank[col[gadget_node[(u, v)]]], rank[col[v]]
         if labels[e] is None:
             labels[e] = frozenset(relation[label] for label in vl[w] - {w_label})
             rev[e], src[e] = r, c
         elif rev[e] != r or src[e] != c:
             raise ValueError(f"gadget color {e} has two reverses or two start colors")
-        far[v].append(u)
-        ecol[v].append(e)
+        entries[e].append(pair)
+    far: dict[int, list[int]] = {v: [] for v in values}
+    deg: list[list[tuple[int, int]]] = [[] for _ in value_classes]
+    for e, pairs in enumerate(entries):
+        for v, u in pairs:
+            far[v].append(u)
+        deg[src[e]].append((e, len(pairs) // len(value_classes[src[e]])))
     value_labels = {ls: ls - {v_label} for ls in {vl[v] for v in values}}
     adj = dict(zip(far, map(tuple, far.values())))
     typed = LabeledGraph(values, adj, {v: value_labels[vl[v]] for v in values}, universe, loop_label, symbols.edge)
     edges = EdgeColors(relations=tuple(symbols.u_label), labels=tuple(labels), rev=tuple(rev), src=tuple(src))
     value_coloring = Coloring(col={v: rank[col[v]] for v in values}, classes=tuple(value_classes))
-    return _tables(typed, value_coloring, _entry_buckets(adj, ecol), source_size, edges)
+    return _tables(typed, value_coloring, tuple(map(tuple, deg)), source_size, edges)
 
 
 def check_colorindex(idx: ColorIndex) -> list[str]:
-    """Consistency suite: numN well-definedness via stability, class sizes,
-    degree sums, the per-label color sets, and the color-database
-    definition.  On a typed index the buckets are checked per edge color,
-    with the end colors of every entry and its flip (u, v, rev[e])."""
+    """Consistency suite: the bucket offsets, numN well-definedness via
+    stability, class sizes, degree sums, the per-label color sets, and the
+    color-database definition.  Every entry (v, u) of bucket k must come
+    with its flip (u, v): of bucket col[v] on the graph stage, and of bucket
+    rev[k] on a typed index, where the end colors of every entry are checked
+    too."""
     problems: list[str] = []
     g, edges = idx.graph, idx.edges
     col = idx.coloring.col
-    # the bucket key of each entry (v, u): col[u], or on a typed index the
-    # edge color that nbr files it under
-    key: dict[tuple[int, int], int] = {}
-    for v in g.vertices:
-        if edges is None:
-            key.update({(v, u): col[u] for u in g.adj[v]})
-        else:
-            key.update({(v, u): e for e, us in idx.nbr[v].items() for u in us})
+    entries: set[tuple[int, int, int]] = set()  # (v, u, the key of its bucket)
     for c, members in enumerate(idx.coloring.classes):
+        if idx.buckets[c] != _offsets(idx.deg[c], {}):
+            problems.append(f"the bucket offsets of color {c} disagree with deg")
+        size = sum(n for _, n in idx.deg[c])
         for v in members:
             if col[v] != c:
                 problems.append(f"class table disagrees with col at vertex {v}")
-            per_key: dict[int | None, int] = {}
-            for u in g.adj[v]:
-                k = key.get((v, u))
-                per_key[k] = per_key.get(k, 0) + 1
-            for k, n in per_key.items():
-                if idx.num_n(c, k) != n:
-                    problems.append(f"numN({c},{k}) not well-defined at vertex {v}")
-                if idx.nbr[v].get(k, ()) != tuple(u for u in g.adj[v] if key.get((v, u)) == k):
-                    problems.append(f"N({v},{k}) table incorrect")
-            if sum(per_key.values()) != len(g.adj[v]) or len(idx.deg[c]) != len(per_key):
+            row = g.adj[v]
+            if len(row) != size or len(set(row)) != size:
                 problems.append(f"degree mismatch at {v}")
+            for k, s in idx.buckets[c].items():
+                bucket = row[s]
+                if any(a >= b for a, b in zip(bucket, bucket[1:])):
+                    problems.append(f"N({v},{k}) is not ascending")
+                if not bucket or (edges is None and any(col[u] != k for u in bucket)):
+                    problems.append(f"numN({c},{k}) not well-defined at vertex {v}")
+                entries.update((v, u, k) for u in bucket)
     if sum(map(len, idx.coloring.classes)) != len(g.vertices):
         problems.append("class sizes do not sum to |V|")
-    if edges is not None:
-        for (v, u), e in key.items():
-            if (edges.src[e], edges.dst[e]) != (col[v], col[u]):
-                problems.append(f"entry ({v},{u}) of edge color {e} does not run from color {edges.src[e]} "
-                                f"to color {edges.dst[e]}")
-            if key.get((u, v)) != edges.rev[e]:
-                problems.append(f"entry ({v},{u}) of edge color {e} lacks its flip of edge color {edges.rev[e]}")
-            if (u == v) != (idx.loop_label in edges.labels[e]):
-                problems.append(f"loop label of edge color {e} disagrees with entry ({v},{u})")
+    for v, u, k in entries:
+        if (u, v, col[v] if edges is None else edges.rev[k]) not in entries:
+            problems.append(f"entry ({v},{u}) of bucket {k} lacks its flip")
+        if edges is None:
+            continue
+        if (edges.src[k], edges.dst[k]) != (col[v], col[u]):
+            problems.append(f"entry ({v},{u}) of edge color {k} does not run from color {edges.src[k]} "
+                            f"to color {edges.dst[k]}")
+        if (u == v) != (idx.loop_label in edges.labels[k]):
+            problems.append(f"loop label of edge color {k} disagrees with entry ({v},{u})")
     facts = set(idx.d_col.rel(idx.edge_label))
     for c, row in enumerate(idx.deg):
         for k, n in row:
@@ -348,11 +364,12 @@ def check_colorindex(idx: ColorIndex) -> list[str]:
 #
 # Line-oriented, versioned sections; every section header carries its row
 # count.  Only the indexed graph and its coloring are written: the labels
-# come from the schema, and the neighbor tables, numN and the color database
+# come from the schema, and numN, the bucket offsets and the color database
 # are derived on load as on build.  A graph-stage VERTICES row is `v, labels,
 # neighbors`; a typed one is `v, labels, far values, edge colors`, after one
-# EDGE_COLORS row `labels, rev` per edge color.  Writing is a pure function of
-# the index, so write -> read -> write is bit-identical.
+# EDGE_COLORS row `labels, rev` per edge color.  Rows are in bucket order, so
+# the loader sorts nothing.  Writing is a pure function of the index, so
+# write -> read -> write is bit-identical.
 
 def write_section(lines: list[str], name: str, rows: list[str]) -> None:
     lines.append(f"[{name} {len(rows)}]")
@@ -364,19 +381,16 @@ def _labels_field(labels: frozenset[str]) -> str:
 
 
 def write_sections(idx: ColorIndex) -> list[str]:
-    g, edges = idx.graph, idx.edges
+    g, edges, col = idx.graph, idx.edges, idx.coloring.col
     lines: list[str] = []
-    if edges is None:
-        rows = [f"{v}\t{_labels_field(g.vl[v])}\t{' '.join(map(str, g.adj[v]))}" for v in g.vertices]
-    else:
+    # a typed row ends in the edge colors of its entries in bucket order,
+    # the same for every vertex of a color
+    tail = [""] * len(idx.deg)
+    if edges is not None:
         write_section(lines, "EDGE_COLORS", [f"{_labels_field(ls)}\t{r}" for ls, r in zip(edges.labels, edges.rev)])
-        rows = []
-        for v in g.vertices:
-            key = {u: e for e, us in idx.nbr[v].items() for u in us}
-            far = g.adj[v]
-            rows.append(f"{v}\t{_labels_field(g.vl[v])}\t{' '.join(map(str, far))}\t"
-                        f"{' '.join(str(key[u]) for u in far)}")
-    write_section(lines, "VERTICES", rows)
+        tail = ["\t" + " ".join(str(e) for e, n in row for _ in range(n)) for row in idx.deg]
+    write_section(lines, "VERTICES", [f"{v}\t{_labels_field(g.vl[v])}\t{' '.join(map(str, g.adj[v]))}{tail[col[v]]}"
+                                      for v in g.vertices])
     write_section(lines, "CLASSES", [" ".join(map(str, members)) for members in idx.coloring.classes])
     return lines
 
@@ -423,14 +437,15 @@ def read_sections(reader: SectionReader, source_size: int, labels: tuple[tuple[s
     index with the given relation labels (then with EDGE_COLORS before the
     vertex rows).  The file stores no labels: `labels` is the label
     universe, loop label and edge label that its schema and stage give.
-    Check that the rows describe an undirected graph, or symmetric typed
-    entries whose edge colors each start at one value color, and a stable
-    coloring of it, and derive the rest of the index as the build does.  Any
-    inconsistency raises ParseError."""
+    Check that the rows are in bucket order and describe an undirected
+    graph, or symmetric typed entries whose edge colors each start at one
+    value color, and that the coloring is stable: every member's keys equal
+    its class's first member's.  Derive the rest of the index as the build
+    does, sorting nothing.  Any inconsistency raises ParseError."""
     universe, loop_label, edge_label = labels
     with reader.numbers():
         if relations is None:
-            graph = _read_graph(reader, universe, loop_label, edge_label)
+            graph, ecol = _read_graph(reader, universe, loop_label, edge_label), None
         else:
             graph, ecol, labels, rev = _read_typed(reader, universe, loop_label, edge_label, relations)
         classes = tuple(tuple(map(int, members.split())) for (members,) in reader.rows("CLASSES", 1))
@@ -440,15 +455,24 @@ def read_sections(reader: SectionReader, source_size: int, labels: tuple[tuple[s
     coloring = Coloring(col=col, classes=classes)
     if not refines_labels(graph, coloring):
         raise ParseError("a color class mixes vertices with different labels")
-    nbr = color_buckets(graph, col) if relations is None else _entry_buckets(graph.adj, ecol)
-    witness = unstable_witness(coloring, nbr)
+    if ecol is None:
+        _check_rows(graph, classes)
+        keys: Callable[[int], list[int]] = lambda v: [col[u] for u in graph.adj[v]]
+    else:
+        keys = ecol.__getitem__
+    witness = unstable_witness(classes, keys)
     if witness is not None:
         v, w, k = witness
         kind = "color" if relations is None else "edge color"
         raise ParseError(f"unstable coloring: vertices {v} and {w} share a color but not their number of "
                          f"{kind}-{k} neighbors")
-    edges = None if relations is None else EdgeColors(relations, labels, rev, _start_colors(ecol, col, len(rev)))
-    return _tables(graph, coloring, nbr, source_size, edges)
+    deg = _deg(classes, keys)
+    if ecol is None:
+        return _tables(graph, coloring, deg, source_size)
+    edges = EdgeColors(relations, labels, rev, _start_colors(deg, len(rev)))
+    ci = _tables(graph, coloring, deg, source_size, edges)
+    _check_entries(ci, ecol)
+    return ci
 
 
 def _label_reader(reader: SectionReader, declared: set[str], what: str) -> Callable[[str], frozenset[str]]:
@@ -471,23 +495,29 @@ def _read_graph(reader: SectionReader, universe: tuple[str, ...], loop_label: st
     vertices: list[int] = []
     adj: dict[int, tuple[int, ...]] = {}
     vl: dict[int, frozenset[str]] = {}
-    for v_s, lab_s, nbr_s in reader.rows("VERTICES", 3):
+    for v_s, lab_s, row_s in reader.rows("VERTICES", 3):
         v = int(v_s)
         if vertices and v <= vertices[-1]:
             raise ParseError(f"vertex {v} is out of order", line=reader.line)
         vertices.append(v)
         vl[v] = read_labels(lab_s)
-        adj[v] = tuple(map(int, nbr_s.split()))
+        adj[v] = tuple(map(int, row_s.split()))
+        if (loop_label in vl[v]) != (v in adj[v]):
+            raise ParseError(f"loop label {loop_label!r} disagrees with the loops at vertex {v}", line=reader.line)
+    return LabeledGraph(tuple(vertices), adj, vl, universe, loop_label, edge_label)
+
+
+def _check_rows(graph: LabeledGraph, classes: tuple[tuple[int, ...], ...]) -> None:
+    """Check that the graph-stage rows are symmetric and in bucket order: the
+    reverse of the adjacency, filled in class order, must be the adjacency
+    itself."""
     try:
-        bad = asymmetric_vertex(vertices, adj)
+        bad = asymmetric_vertex(tuple(chain.from_iterable(classes)), graph.adj)
     except ValueError as e:
         raise ParseError(str(e)) from None
     if bad is not None:
-        raise ParseError(f"the neighbors of vertex {bad} are unsorted or include an edge without its reverse")
-    for v in vertices:
-        if (loop_label in vl[v]) != (v in adj[v]):
-            raise ParseError(f"loop label {loop_label!r} disagrees with the loops at vertex {v}")
-    return LabeledGraph(tuple(vertices), adj, vl, universe, loop_label, edge_label)
+        raise ParseError(f"the neighbors of vertex {bad} are not in bucket order or include an edge "
+                         "without its reverse")
 
 
 def _read_edge_colors(reader: SectionReader,
@@ -508,65 +538,75 @@ def _read_typed(reader: SectionReader, universe: tuple[str, ...], loop_label: st
                 relations: tuple[str, ...]) -> tuple[LabeledGraph, dict[int, list[int]], tuple[frozenset[str], ...],
                                                      tuple[int, ...]]:
     """The EDGE_COLORS and typed VERTICES rows: the graph of the values,
-    whose row at v lists the far values of v's entries, their edge colors,
-    and the labels and reverses of the edge colors.  Relation and loop
+    whose row at v lists the far values of v's entries, the edge colors of
+    those entries, one list per distinct field (the members of a class share
+    one), and the labels and reverses of the edge colors.  Relation and loop
     labels are on edge colors only."""
     edge_labels = set(relations) | {loop_label}
     labels, rev = _read_edge_colors(reader, edge_labels)
     read_labels = _label_reader(reader, set(universe) - edge_labels, "a relation or loop label")
     vertices: list[int] = []
-    far: dict[int, list[int]] = {}
+    adj: dict[int, tuple[int, ...]] = {}
     ecol: dict[int, list[int]] = {}
     vl: dict[int, frozenset[str]] = {}
+    fields: dict[str, list[int]] = {}
     for v_s, lab_s, far_s, ecol_s in reader.rows("VERTICES", 4):
         v = int(v_s)
         if vertices and v <= vertices[-1]:
             raise ParseError(f"vertex {v} is out of order", line=reader.line)
         vertices.append(v)
         vl[v] = read_labels(lab_s)
-        far[v] = list(map(int, far_s.split()))
-        ecol[v] = list(map(int, ecol_s.split()))
-        if len(ecol[v]) != len(far[v]):
+        adj[v] = far = tuple(map(int, far_s.split()))
+        es = fields.get(ecol_s)
+        if es is None:
+            es = fields[ecol_s] = list(map(int, ecol_s.split()))
+        ecol[v] = es
+        if len(es) != len(far):
             raise ParseError(f"vertex {v} does not list one edge color per far value", line=reader.line)
-    _check_entries(far, ecol, rev, {e for e, ls in enumerate(labels) if loop_label in ls})
-    adj = dict(zip(far, map(tuple, far.values())))
+        if len(set(far)) != len(far):
+            raise ParseError(f"vertex {v} lists a far value twice", line=reader.line)
     return LabeledGraph(tuple(vertices), adj, vl, universe, loop_label, edge_label), ecol, labels, rev
 
 
-def _check_entries(far: dict[int, list[int]], ecol: dict[int, list[int]], rev: tuple[int, ...],
-                   loops: set[int]) -> None:
-    """Check that every entry (v, u, e) has an edge color, that the rows are
-    ascending and their entries come in flips (u, v, rev[e]), and that the
-    loop edge colors sit exactly on the entries with u == v.  The reverse of
-    the entries, filled in vertex order, must be the entries themselves."""
-    back: dict[int, list[int]] = {v: [] for v in far}
-    back_e: dict[int, list[int]] = {v: [] for v in far}
-    for v, es in ecol.items():
-        if es and not (0 <= min(es) and max(es) < len(rev)):
-            raise ParseError(f"vertex {v} lists an edge color that [EDGE_COLORS] does not have")
-        for u, e in zip(far[v], es):
-            row = back.get(u)
-            if row is None or (row and row[-1] == v):
-                raise ParseError(f"vertex {v} lists {u}, which is not a vertex or is listed twice")
-            if (u == v) != (e in loops):
-                raise ParseError(f"the entry ({v},{u}) of edge color {e} breaks the loop label")
-            row.append(v)
-            back_e[u].append(rev[e])
-    for v in far:
-        if back[v] != far[v] or back_e[v] != ecol[v]:
-            raise ParseError(f"the entries of vertex {v} are unsorted or include one without its flip")
-
-
-def _start_colors(ecol: dict[int, list[int]], col: dict[int, int], edges: int) -> tuple[int, ...]:
-    """Per edge color, the one value color its entries start at."""
+def _start_colors(deg: tuple[tuple[tuple[int, int], ...], ...], edges: int) -> tuple[int, ...]:
+    """Per edge color, the one value color its entries start at: the color
+    whose deg row holds it."""
     src = [-1] * edges
-    for v, es in ecol.items():
-        c = col[v]
-        for e in es:
-            if src[e] != c:
-                if src[e] >= 0:
-                    raise ParseError(f"edge color {e} starts at value colors {src[e]} and {c}")
-                src[e] = c
+    for c, row in enumerate(deg):
+        for e, _ in row:
+            if not 0 <= e < edges:
+                raise ParseError(f"the vertices of value color {c} list an edge color that [EDGE_COLORS] "
+                                 "does not have")
+            if src[e] >= 0:
+                raise ParseError(f"edge color {e} starts at value colors {src[e]} and {c}")
+            src[e] = c
     if -1 in src:
         raise ParseError(f"edge color {src.index(-1)} is on no entry")
     return tuple(src)
+
+
+def _check_entries(ci: ColorIndex, ecol: dict[int, list[int]]) -> None:
+    """Check that the entries (v, u, e) of a typed index come in flips (u, v,
+    rev[e]), that every bucket is ascending, and that the loop edge colors
+    sit exactly on the entries with u == v.  The reverse of the entries,
+    filled edge color by edge color, each over the buckets of the members of
+    its start color in ascending order, lists every row in bucket order: it
+    must be the entries themselves."""
+    adj, classes, buckets = ci.graph.adj, ci.coloring.classes, ci.buckets
+    src, labels, loop_label = ci.edges.src, ci.edges.labels, ci.loop_label
+    back: dict[int, list[int]] = {v: [] for v in adj}
+    back_e: dict[int, list[int]] = {v: [] for v in adj}
+    for r, e in enumerate(ci.edges.rev):  # the entries of edge color r are the flips of those of e
+        s, loop = buckets[src[e]][e], loop_label in labels[e]
+        for v in classes[src[e]]:
+            for u in adj[v][s]:
+                row = back.get(u)
+                if row is None or (row and row[-1] == v):
+                    raise ParseError(f"vertex {v} lists {u}, which is not a vertex or is listed twice")
+                if (u == v) != loop:
+                    raise ParseError(f"the entry ({v},{u}) of edge color {e} breaks the loop label")
+                row.append(v)
+                back_e[u].append(r)
+    for v, row in adj.items():
+        if tuple(back[v]) != row or back_e[v] != ecol[v]:
+            raise ParseError(f"the entries of vertex {v} are not in bucket order or include one without its flip")

@@ -12,6 +12,12 @@ from itertools import chain
 
 from .errors import ArityMismatch, UnknownSymbol
 
+# The widest relation a schema may declare.  `arb2bin` makes a node and F
+# facts for the sub-selections of every tuple, so the full stage grows
+# exponentially in the arity: one fact of arity 6 indexes in seconds and a
+# few hundred MB, one of arity 7 not within 3 GB.
+MAX_ARITY = 6
+
 
 class ConstantPool:
     """Bijective interning of constant display strings to dense ids."""
@@ -43,7 +49,8 @@ class ConstantPool:
 
 @dataclass(frozen=True)
 class Schema:
-    """A finite, non-empty set of relation symbols with fixed arities >= 1."""
+    """A finite, non-empty set of relation symbols with fixed arities from 1
+    to MAX_ARITY."""
 
     symbols: tuple[tuple[str, int], ...]
     arities: dict[str, int] = field(init=False, repr=False, compare=False)  # name -> arity
@@ -53,8 +60,8 @@ class Schema:
         if len(self.arities) != len(self.symbols):
             raise UnknownSymbol(f"duplicate symbol names in schema: {[n for n, _ in self.symbols]}")
         for name, ar in self.symbols:
-            if ar < 1:
-                raise ArityMismatch(f"symbol {name} has arity {ar}; arities must be >= 1")
+            if not 1 <= ar <= MAX_ARITY:
+                raise ArityMismatch(f"symbol {name} has arity {ar}; arities must be from 1 to {MAX_ARITY}")
 
     @staticmethod
     def of(*symbols: tuple[str, int]) -> "Schema":
@@ -210,15 +217,6 @@ class ConjunctiveQuery:
 
     def is_full(self) -> bool:
         return not self.quant()
-
-    @property
-    def num_atoms(self) -> int:
-        return len(self.atoms)
-
-    @property
-    def weight(self) -> int:
-        """Head arity plus the sum of all atom arities."""
-        return len(self.head) + sum(a.arity for a in self.atoms)
 
     def var_name(self, v: int) -> str:
         return self.var_names[v]

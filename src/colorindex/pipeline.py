@@ -10,7 +10,9 @@ the typed index that `index.project` reads off it with `bin2graph`'s pair
 map: the value vertices, their classes and the edge colors.  That index is
 what is saved, loaded and served; `DatabaseIndex` projects a gadget-graph
 `ColorIndex` it is given with its pair map the same way.  The file stores no
-labels: the loader derives them from the schema and the stage.
+labels: the loader derives them from the schema and the stage.  It lists
+each vertex's adjacency row in bucket order, so the loader derives the
+bucket offsets from the degrees and sorts nothing.
 
 Serving compiles a query once per index: `DatabaseIndex.compile` checks it
 against the schema and for free-connex acyclicity, translates it to the
@@ -46,7 +48,7 @@ from .model import ConjunctiveQuery, ConstantPool, Database, Schema
 from .refinement import asymmetric_vertex, edge_adjacency, loop_encoding_labels
 from .textio import read_text
 
-FORMAT_HEADER = "colorindex-file v6"
+FORMAT_HEADER = "colorindex-file v7"
 COMPILED_LIMIT = 64  # compiled queries kept per index
 
 TASKS = ("bool", "count", "enum")

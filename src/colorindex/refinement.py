@@ -16,10 +16,12 @@ tight for color refinement.  The result is the coarsest partition refining
 the vertex labels in which same-colored vertices have equal neighbor counts
 in every color class.  A self-loop makes a vertex its own neighbor.
 
-Adjacency rows are ascending.  `encode_loops` and the index loader build and
-check them the same way, without sorting: the reverse of a relation, filled
-in vertex order, has ascending rows, and a relation is symmetric exactly when
-it equals its reverse.
+`encode_loops` makes ascending adjacency rows, and the color index keeps
+each row in bucket order: by color, then ascending.  Both are made and
+checked the same way, without sorting: the reverse of a relation, filled in
+a vertex order, lists each row in that order, and a relation is symmetric
+exactly when it equals its reverse.  Vertex order gives ascending rows, and
+class order (the classes by color, each ascending) gives bucket order.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import AsymmetricEdgeRelation
 from .instrument import OpCounter
@@ -43,8 +45,9 @@ def fresh_name(base: str, taken: set[str]) -> str:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Undirected node-labeled graph; every adjacency row is ascending, and a
-    self-loop appears once in the row of its vertex."""
+    """Undirected node-labeled graph; a self-loop appears once in the row of
+    its vertex.  Every adjacency row is ascending out of `encode_loops`, and
+    in bucket order in a color index (see `index.ColorIndex`)."""
 
     vertices: tuple[int, ...]
     adj: dict[int, tuple[int, ...]]
@@ -110,9 +113,9 @@ def edge_adjacency(db: Database) -> tuple[tuple[int, ...], dict[int, tuple[int, 
 
 def reverse_adjacency(vertices: Sequence[int], rows: dict[int, Iterable[int]]) -> dict[int, tuple[int, ...]]:
     """The reverse of the relation whose row at v lists the u with (v, u),
-    filled in vertex order so that every reversed row is ascending.  Raises
-    ValueError at an entry that is not a vertex, or that repeats the entry
-    before it in its row."""
+    filled in the order of `vertices`, so that every reversed row lists its
+    vertices in that order.  Raises ValueError at an entry that is not a
+    vertex, or that repeats the entry before it in its row."""
     rev: dict[int, list[int]] = {v: [] for v in vertices}
     for v in vertices:
         for u in rows[v]:
@@ -123,12 +126,13 @@ def reverse_adjacency(vertices: Sequence[int], rows: dict[int, Iterable[int]]) -
     return dict(zip(rev, map(tuple, rev.values())))
 
 
-def asymmetric_vertex(vertices: Sequence[int], adj: dict[int, tuple[int, ...]]) -> int | None:
-    """The first vertex whose row differs from its row in the reverse of adj,
-    or None.  None means adj is symmetric with ascending rows: the reverse
-    adjacency, filled in vertex order, is ascending."""
-    rev = reverse_adjacency(vertices, adj)
-    return next((v for v in vertices if rev[v] != adj[v]), None)
+def asymmetric_vertex(order: Sequence[int], adj: dict[int, tuple[int, ...]]) -> int | None:
+    """The first vertex of `order` whose row differs from its row in the
+    reverse of adj, filled in that order, or None.  None means adj is
+    symmetric and lists every row in that order: ascending for the vertices
+    in ascending order, in bucket order for the classes in color order."""
+    rev = reverse_adjacency(order, adj)
+    return next((v for v in order if rev[v] != adj[v]), None)
 
 
 @dataclass(frozen=True)
@@ -226,49 +230,31 @@ def refine(g: LabeledGraph, ops: OpCounter | None = None) -> Coloring:
     return _canonicalize(classes)
 
 
-def color_buckets(g: LabeledGraph, col: dict[int, int]) -> dict[int, dict[int, tuple[int, ...]]]:
-    """For each vertex, its neighbors grouped by color; each group keeps the
-    ascending order of the adjacency."""
-    nbr: dict[int, dict[int, tuple[int, ...]]] = {}
-    for v in g.vertices:
-        buckets: dict[int, list[int]] = {}
-        for u in g.adj[v]:
-            c = col[u]
-            bucket = buckets.get(c)
-            if bucket is None:
-                buckets[c] = [u]
-            else:
-                bucket.append(u)
-        nbr[v] = dict(zip(buckets, map(tuple, buckets.values())))
-    return nbr
-
-
-def unstable_witness(coloring: Coloring, nbr: dict[int, dict[int, tuple[int, ...]]]) -> tuple[int, int, int] | None:
-    """A witness (v, w, c) that the coloring is not stable, given the color
-    buckets of every vertex: v is the first member of a class, w another
-    member, and c the least color of which they have different numbers of
-    neighbors.  None when every member's bucket sizes equal its first
-    member's."""
-    for members in coloring.classes:
+def unstable_witness(classes: Sequence[Sequence[int]],
+                     keys: Callable[[int], list[int]]) -> tuple[int, int, int] | None:
+    """A witness (v, w, k) that a coloring is not stable, given each
+    vertex's bucket keys, one per adjacency entry, in bucket order: v is the
+    first member of a class, w another member whose keys differ, and k the
+    first key where they differ, which is the least key of which they have
+    different numbers of entries.  None when every member's keys equal its
+    first member's."""
+    for members in classes:
         if len(members) == 1:
             continue
-        ref = members[0]
-        ref_sizes = _sizes(nbr[ref])
+        ref = keys(members[0])
         for w in members[1:]:
-            sizes = _sizes(nbr[w])
-            if sizes != ref_sizes:
-                return ref, w, min(c for c in sizes.keys() | ref_sizes.keys() if sizes.get(c) != ref_sizes.get(c))
+            ks = keys(w)
+            if ks != ref:
+                i = next((i for i, (a, b) in enumerate(zip(ks, ref)) if a != b), min(len(ks), len(ref)))
+                return members[0], w, min(ks[i : i + 1] + ref[i : i + 1])
     return None
-
-
-def _sizes(buckets: dict[int, tuple[int, ...]]) -> dict[int, int]:
-    return dict(zip(buckets, map(len, buckets.values())))
 
 
 def is_stable(g: LabeledGraph, coloring: Coloring) -> tuple[bool, tuple[int, int, int] | None]:
     """Check stability; on failure return a witness (v, w, c) of same-colored
     vertices with different counts of c-colored neighbors."""
-    witness = unstable_witness(coloring, color_buckets(g, coloring.col))
+    col = coloring.col
+    witness = unstable_witness(coloring.classes, lambda v: sorted(col[u] for u in g.adj[v]))
     return witness is None, witness
 
 

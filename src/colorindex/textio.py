@@ -11,7 +11,7 @@ import re
 from .errors import ParseError, UnknownSymbol
 from .model import ConjunctiveQuery, ConstantPool, Database, Schema, cq, validate_database
 
-_SYMBOL_RE = re.compile(r"^([A-Za-z_]\w*)\s*/\s*(\d+)$")
+_SYMBOL_RE = re.compile(r"^([A-Za-z_]\w*)\s*/\s*(\d{1,9})$")  # int() refuses numbers of thousands of digits
 _FACT_RE = re.compile(r"^([A-Za-z_]\w*)\s*\(([^()]*)\)\s*\.$")
 _CONST_RE = re.compile(r"^[\w.\-]+$")
 _VAR_RE = re.compile(r"^[A-Za-z]\w*$")

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from colorindex.cli import main
@@ -118,6 +120,20 @@ def test_forced_graph_stage_on_two_binary_relations_is_data_error(tmp_path, caps
                        "--stage", "graph")
     assert code == 2
     assert err.startswith("data error:")
+    assert not out.exists()
+
+
+def test_index_refuses_an_arity_above_the_bound(tmp_path, capsys):
+    # arb2bin grows exponentially in the arity: one fact of arity 7 would
+    # take gigabytes, so the schema is refused at once
+    schema, db, out = tmp_path / "wide.schema", tmp_path / "wide.db", tmp_path / "wide.idx"
+    schema.write_text("T/7\n")
+    db.write_text("T(v0,v1,v2,v3,v4,v5,v6).\n")
+    started = time.perf_counter()
+    code, _, err = run(capsys, "index", "--db", str(db), "--schema", str(schema), "--out", str(out))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert err.startswith("data error:") and "T has arity 7" in err and "from 1 to 6" in err
     assert not out.exists()
 
 

@@ -59,10 +59,19 @@ def test_build_asymmetric_rejected():
 
 def test_neighbors_by_color():
     idx = build(cycle_db(6))
+    assert idx.buckets == ({0: slice(0, 2)},)
     for v in idx.graph.vertices:
-        ns = idx.nbr[v].get(0, ())
-        assert len(ns) == 2
-    assert idx.nbr[idx.graph.vertices[0]].get(99, ()) == ()
+        assert len(idx.graph.adj[v][idx.buckets[0][0]]) == 2
+    assert 99 not in idx.buckets[0]
+
+
+def test_rows_are_in_bucket_order():
+    # path 0-1-2-3-4: colors {0,4}, {1,3}, {2}; vertex 1's row lists 0 (color
+    # 0) before 2 (color 2), and vertex 2's lists 1 and 3 in one bucket
+    idx = build(path_db(5))
+    assert idx.coloring.classes == ((0, 4), (1, 3), (2,))
+    assert idx.graph.adj == {0: (1,), 4: (3,), 1: (0, 2), 3: (4, 2), 2: (1, 3)}
+    assert idx.buckets[1] == {0: slice(0, 1), 2: slice(1, 2)} and idx.buckets[2] == {1: slice(0, 2)}
 
 
 def test_neighbors_by_color_loop_includes_self():
@@ -70,7 +79,7 @@ def test_neighbors_by_color_loop_includes_self():
     db = validate_database(schema, {"E": [("a", "a")]})
     idx = build(db)
     (v,) = idx.graph.vertices
-    assert v in idx.nbr[v].get(idx.color_of(v), ())
+    assert v in idx.graph.adj[v][idx.buckets[idx.color_of(v)][idx.color_of(v)]]
 
 
 def test_stats_cycle100():
@@ -167,7 +176,15 @@ def test_check_colorindex_flags_typed_faults():
     assert any("flip" in p for p in check_colorindex(dataclasses.replace(ci, edges=flipped)))
     moved = EdgeColors(e.relations, e.labels, e.rev, tuple(reversed(e.src)))
     assert any("does not run from" in p for p in check_colorindex(dataclasses.replace(ci, edges=moved)))
-    v = ci.graph.vertices[0]
-    k = next(iter(ci.nbr[v]))
-    nbr = {**ci.nbr, v: {**ci.nbr[v], k: ci.nbr[v][k][1:]}}
-    assert any("incorrect" in p or "numN" in p for p in check_colorindex(dataclasses.replace(ci, nbr=nbr)))
+    v = next(v for v in ci.graph.vertices if len(ci.graph.adj[v]) > 1)
+    row = ci.graph.adj[v]
+
+    def with_row(new_row):
+        return dataclasses.replace(ci, graph=dataclasses.replace(ci.graph, adj={**ci.graph.adj, v: new_row}))
+
+    assert any("degree mismatch" in p for p in check_colorindex(with_row(row[1:])))
+    assert any("lacks its flip" in p or "not ascending" in p for p in check_colorindex(with_row(row[::-1])))
+    c = ci.color_of(v)
+    shifted = {k: slice(s.start + 1, s.stop + 1) for k, s in ci.buckets[c].items()}
+    buckets = ci.buckets[:c] + (shifted,) + ci.buckets[c + 1:]
+    assert any("offsets" in p for p in check_colorindex(dataclasses.replace(ci, buckets=buckets)))

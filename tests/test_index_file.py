@@ -1,4 +1,4 @@
-"""The v6 index file: what it stores, and that a damaged file ends in a data
+"""The v7 index file: what it stores, and that a damaged file ends in a data
 error (exit 2 with a message) rather than a traceback or a wrong answer."""
 import hashlib
 import importlib.util
@@ -10,10 +10,10 @@ import pytest
 
 from colorindex.cli import main
 from colorindex.errors import ParseError
-from colorindex.generators import path_db
+from colorindex.generators import TERNARY_SCHEMA, path_db, random_relational_db
 from colorindex.index import SectionReader, build, read_sections, write_sections
 from colorindex.pipeline import FORMAT_HEADER, DatabaseIndex
-from colorindex.refinement import Coloring, color_buckets, refines_labels, unstable_witness
+from colorindex.refinement import Coloring, refines_labels, unstable_witness
 from colorindex.textio import parse_database, parse_schema
 
 from test_cli import MOVIE_DB, MOVIE_SCHEMA, Q47
@@ -65,19 +65,32 @@ def id_mutants(lines):
 
 def unstable_swap(lines):
     """Swap the first members of two same-labeled classes so that the
-    coloring is no longer stable: on a typed index, per edge color."""
+    coloring is no longer stable: on a typed index, per edge color.  A
+    graph-stage row is put in the bucket order of the new colors, so that
+    only the stability check can find the fault."""
     ci = DatabaseIndex.load_text("\n".join(lines) + "\n").cindex
     g, classes = ci.graph, [list(m) for m in ci.coloring.classes]
     for a, b in itertools.combinations(range(len(classes)), 2):
         swapped = [list(m) for m in classes]
         swapped[a][0], swapped[b][0] = swapped[b][0], swapped[a][0]
         swapped = tuple(tuple(sorted(m)) for m in swapped)
-        coloring = Coloring(col={v: c for c, m in enumerate(swapped) for v in m}, classes=swapped)
-        nbr = color_buckets(g, coloring.col) if ci.edges is None else ci.nbr
-        if refines_labels(g, coloring) and unstable_witness(coloring, nbr) is not None:
+        col = {v: c for c, m in enumerate(swapped) for v in m}
+        if ci.edges is None:
+            adj = {v: sorted(g.adj[v], key=lambda u: (col[u], u)) for v in g.vertices}
+            keys = lambda v: [col[u] for u in adj[v]]
+        else:  # an entry's edge color is its bucket
+            adj = g.adj
+            keys = lambda v: [e for e, n in ci.deg[ci.color_of(v)] for _ in range(n)]
+        if refines_labels(g, Coloring(col=col, classes=swapped)) and unstable_witness(swapped, keys) is not None:
+            out = list(lines)
+            i, _ = sections(lines)["VERTICES"]
+            for r, v in enumerate(g.vertices, i + 1):
+                fields = out[r].split("\t")
+                fields[2] = " ".join(map(str, adj[v]))
+                out[r] = "\t".join(fields)
             i, _ = sections(lines)["CLASSES"]
-            rows = [" ".join(map(str, m)) for m in swapped]
-            return lines[: i + 1] + rows + lines[i + 1 + len(rows):]
+            out[i + 1 : i + 1 + len(swapped)] = [" ".join(map(str, m)) for m in swapped]
+            return out
     raise AssertionError("no swap makes the coloring unstable")
 
 
@@ -110,7 +123,7 @@ def test_saved_index_stores_only_graph_and_classes(saved_index):
     # a binary- or full-stage file holds the value rows and the edge colors,
     # not bin2graph's gadget vertices
     _, lines = saved_index
-    assert lines[0] == FORMAT_HEADER == "colorindex-file v6"
+    assert lines[0] == FORMAT_HEADER == "colorindex-file v7"
     stage = lines[sections(lines)["META"][0] + 1].split("\t")[1]
     typed = [] if stage == "graph" else ["EDGE_COLORS"]
     assert list(sections(lines)) == ["META", "SCHEMA", "CONSTANTS", "PROJ", *typed, "VERTICES", "CLASSES"]
@@ -141,6 +154,7 @@ def test_every_mutation_is_a_data_error(saved_index, capsys):
     mutants.append(("v3 header", ["colorindex-file v3"] + lines[1:]))
     mutants.append(("v4 header", ["colorindex-file v4"] + lines[1:]))
     mutants.append(("v5 header", ["colorindex-file v5"] + lines[1:]))
+    mutants.append(("v6 header", ["colorindex-file v6"] + lines[1:]))
     missed = []
     for (what, mutant), task in itertools.product(mutants, ("count", "enum")):
         code, out, err = query(tmp_path, mutant, task, capsys)
@@ -153,7 +167,7 @@ def test_mutation_messages(saved_index, capsys):
     tmp_path, lines = saved_index
     _, _, err = query(tmp_path, unstable_swap(lines), "count", capsys)
     assert "unstable coloring" in err
-    for old in ("v1", "v2", "v3", "v4", "v5"):
+    for old in ("v1", "v2", "v3", "v4", "v5", "v6"):
         _, _, err = query(tmp_path, [f"colorindex-file {old}"] + lines[1:], "count", capsys)
         assert f"'colorindex-file {old}'" in err and "rebuilt with `colorindex index`" in err
 
@@ -166,16 +180,16 @@ def test_loader_rejects_inconsistent_graphs():
     lines = write_sections(build(path_db(3)))
     rows = {name: i for name, (i, _) in sections(lines).items()}
     v0 = rows["VERTICES"] + 1
-    v0_id, labels, nbrs = lines[v0].split("\t")
+    v0_id, labels, row = lines[v0].split("\t")
     cases = {
-        "without its reverse": lines[:v0] + [f"{v0_id}\t{labels}\t{nbrs} 2"] + lines[v0 + 1:],
-        "undeclared label": lines[:v0] + [f"{v0_id}\tNope\t{nbrs}"] + lines[v0 + 1:],
-        "unsorted": lines[:v0 + 1] + [lines[v0 + 1].replace("0 2", "2 0")] + lines[v0 + 2:],
-        "listed twice": lines[:v0] + [f"{v0_id}\t{labels}\t{nbrs} {nbrs}",
+        "without its reverse": lines[:v0] + [f"{v0_id}\t{labels}\t{row} 2"] + lines[v0 + 1:],
+        "undeclared label": lines[:v0] + [f"{v0_id}\tNope\t{row}"] + lines[v0 + 1:],
+        "not in bucket order": lines[:v0 + 1] + [lines[v0 + 1].replace("0 2", "2 0")] + lines[v0 + 2:],
+        "listed twice": lines[:v0] + [f"{v0_id}\t{labels}\t{row} {row}",
                                       lines[v0 + 1].replace("0 2", "0 0 2")] + lines[v0 + 2:],
-        "not a vertex": lines[:v0] + [f"{v0_id}\t{labels}\t{nbrs} 7"] + lines[v0 + 1:],
+        "not a vertex": lines[:v0] + [f"{v0_id}\t{labels}\t{row} 7"] + lines[v0 + 1:],
         "does not partition": lines[:-1] + [lines[-1] + " 1"],
-        "bad number": lines[:v0] + [f"v\t{labels}\t{nbrs}"] + lines[v0 + 1:],
+        "bad number": lines[:v0] + [f"v\t{labels}\t{row}"] + lines[v0 + 1:],
     }
     for message, mutant in cases.items():
         with pytest.raises(ParseError, match=message):
@@ -199,6 +213,10 @@ def test_loader_rejects_schema_and_label_mismatches():
     assert schema in labeled and "\n5\tL,P\t5\n" in labeled
     cases["undeclared label"] = labeled.replace(schema, "[SCHEMA 2]\nE\t2\nL\t1\n")
     cases["disagrees with the loops"] = labeled.replace(schema, "[SCHEMA 3]\nE\t2\nP\t1\nL\t1\n")
+    # an arity above the bound is refused before arb2bin's schema for it is made
+    ternary = DatabaseIndex.build(random_relational_db(TERNARY_SCHEMA, 4, 6, seed=1)).save_text()
+    assert "[SCHEMA 3]\nT\t3\n" in ternary
+    cases["T has arity 1000000; arities must be from 1 to 6"] = ternary.replace("T\t3", "T\t1000000")
     for message, mutant in cases.items():
         assert mutant not in (text, labeled)
         with pytest.raises(ParseError, match=message):
@@ -239,9 +257,9 @@ def test_loader_checks_value_vertices(movie_db):
 # sha1 prefixes of the saved seed-1 benchmark inputs: a change to the file
 # format, or to any vertex id or color class, must update them on purpose
 PINNED = {
-    "relational-replicas": "6b44ee1df4d4",
-    "ternary-random": "e6d87e32cce4",
-    "graph-symmetric": "dfa7fb18b181",
+    "relational-replicas": "7eaf31011efe",
+    "ternary-random": "01933f28820c",
+    "graph-symmetric": "8bf910814403",
 }
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 

@@ -59,15 +59,12 @@ def test_query_stats_boolean():
     q = cq([], [("R", ["x", "y"])])
     assert q.free() == frozenset()
     assert q.quant() == q.vars() == frozenset({0, 1})
-    assert q.num_atoms == 1
 
 
 def test_query_stats_movie_query(movie_query):
     q = movie_query
     assert {q.var_name(v) for v in q.free()} == {"x", "y1"}
     assert {q.var_name(v) for v in q.quant()} == {"y2"}
-    assert q.num_atoms == 3
-    assert q.weight == 8
 
 
 def test_query_stats_projected_path():

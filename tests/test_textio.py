@@ -16,6 +16,12 @@ def test_parse_schema_bad_line_number():
     assert exc.value.line == 2
 
 
+def test_parse_schema_arity_of_many_digits():
+    with pytest.raises(ParseError, match="expected `Name/arity`") as exc:
+        parse_schema("R/2\nT/" + "9" * 5000 + "\n")
+    assert exc.value.line == 2
+
+
 def test_parse_database_roundtrip():
     schema = parse_schema("R/2\nU/1")
     db = parse_database("R(a,b).\n# c\nU(a).\nR(a,b).\n", schema)

@@ -237,7 +237,7 @@ def test_malformed_gadget_graph_is_a_data_error(tamper, tmp_path, capsys):
     row_a, row_b = "0\tP\t1\t0\n", "1\t-\t0\t1\n"
     assert row_a in text and row_b in text
     if tamper == "second value neighbor":  # b reaches a along a's edge color, not its reverse
-        text, message = text.replace(row_b, "1\t-\t0\t0\n"), "without its flip"
+        text, message = text.replace(row_b, "1\t-\t0\t0\n"), "starts at value colors"
     else:
         text, message = text.replace(row_a, "0\tP,R\t1\t0\n"), "relation or loop label"
     with pytest.raises(ParseError, match=message):
@@ -262,13 +262,16 @@ def test_loader_rejects_inconsistent_typed_rows():
         "breaks the loop label": text.replace(edge_colors, edge_colors.replace("L,R\t0", "R\t0")),
         "one edge color per far value": text.replace(rows, rows.replace("0\t-\t0 1\t0 1", "0\t-\t0 1\t0")),
         "edge color that \\[EDGE_COLORS\\] does not have": text.replace(rows, rows.replace("2\t3", "2\t4")),
-        "without its flip": text.replace(rows, rows.replace("1\t-\t0\t2", "1\t-\t0\t1")),
-        "not a vertex or is listed twice": text.replace(rows, rows.replace("2\t-\t2\t3", "2\t-\t2 2\t3 3")),
+        # b reaches a along a's edge color: that edge color starts at a and at b
+        "starts at value colors 0 and 1": text.replace(rows, rows.replace("1\t-\t0\t2", "1\t-\t0\t1")),
+        # edge colors 1 and 2 each their own reverse: a's entry to b lacks its flip
+        "without its flip": text.replace(edge_colors, edge_colors.replace("R\t2\nR\t1", "R\t1\nR\t2")),
+        "vertex 2 lists a far value twice": text.replace(rows, rows.replace("2\t-\t2\t3", "2\t-\t2 2\t3 3")),
         "out of order": text.replace(rows, rows.replace("1\t-", "7\t-")),
         # a and b in one class: b has no loop entry of color 0
         "unstable coloring": text.replace("[CLASSES 3]\n0\n1\n2", "[CLASSES 2]\n0 1\n2"),
         # a's loop entry moved to c's loop color, whose entries then start at two colors
-        "starts at value colors": text.replace(rows, rows.replace("0\t-\t0 1\t0 1", "0\t-\t0 1\t3 1")
+        "starts at value colors 0 and 2": text.replace(rows, rows.replace("0\t-\t0 1\t0 1", "0\t-\t0 1\t3 1")
                                                ).replace("L,R\t0", "R\t0"),
         "on no entry": text.replace(edge_colors, edge_colors.replace("[EDGE_COLORS 4]", "[EDGE_COLORS 5]")
                                     + "-\t4\n"),
@@ -277,6 +280,24 @@ def test_loader_rejects_inconsistent_typed_rows():
         assert mutant != text, message
         with pytest.raises(ParseError, match=message):
             DatabaseIndex.load_text(mutant)
+
+
+def test_loader_checks_the_bucket_order_of_typed_rows():
+    # R(a,b), R(a,c), S(a,d): a's row lists b and c in its bucket of edge
+    # color 0 (R), then d in that of edge color 1 (S)
+    db = validate_database(BINARY_SCHEMA, {"R": [("a", "b"), ("a", "c")], "S": [("a", "d")]})
+    text = DatabaseIndex.build(db).save_text()
+    row_a = "\n0\t-\t1 2 3\t0 0 1\n"
+    assert row_a in text
+    misplaced = "the entries of vertex 0 are not in bucket order or include one without its flip"
+    cases = [
+        ("1 2 3\t0 1 1", misplaced),  # c moved into the bucket of edge color 1
+        ("2 1 3\t0 0 1", misplaced),  # the bucket of edge color 0 out of ascending order
+        ("1 2 3 1\t0 0 1 1", "vertex 0 lists a far value twice"),  # b in both buckets
+    ]
+    for fields, message in cases:
+        with pytest.raises(ParseError, match=message):
+            DatabaseIndex.load_text(text.replace(row_a, f"\n0\t-\t{fields}\n"))
 
 
 def test_a_pair_whose_gadgets_share_a_color():
