@@ -26,7 +26,9 @@ Every vertex keeps one adjacency row, `graph.adj[v]`, in *bucket order*: by
 key in deg order, then ascending.  Stability gives every vertex of color c
 the same bucket sizes deg[c], so bucket k of v is the slice buckets[c][k] of
 v's row, at offsets that depend on c only.  A typed row lists far values;
-the edge color of an entry is the bucket it sits in.
+the edge color of an entry is the bucket it sits in, so the edge colors of
+a row are its class's deg row, each key k listed numN(c, k) times: the
+class's *keys*.
 
 The index is immutable after build and safe for unlimited concurrent readers;
 the evaluation phase serves many queries against one index.  It holds nothing
@@ -40,7 +42,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import chain
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bin2graph import GraphEncoding, GraphSymbols
 from .errors import ParseError
@@ -188,14 +190,14 @@ def build_from_coloring(graph: LabeledGraph, coloring: Coloring, source_size: in
     in class order."""
     adj = reverse_adjacency(tuple(chain.from_iterable(coloring.classes)), graph.adj)
     col = coloring.col
-    deg = _deg(coloring.classes, lambda v: [col[u] for u in adj[v]])
+    deg = _deg([col[u] for u in adj[members[0]]] for members in coloring.classes)
     return _tables(replace(graph, adj=adj), coloring, deg, source_size)
 
 
-def _deg(classes: Sequence[Sequence[int]], keys: Callable[[int], list[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The bucket sizes of each class, counted off its first member's keys
-    in bucket order: stability makes every member see what the first sees."""
-    return tuple(tuple(Counter(keys(members[0])).items()) for members in classes)
+def _deg(keys: Iterable[Sequence[int]]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The bucket sizes of each class, counted off its keys in bucket order:
+    those of its first member, which stability makes every member's."""
+    return tuple(tuple(Counter(ks).items()) for ks in keys)
 
 
 def _offsets(row: tuple[tuple[int, int], ...], shared: dict[tuple[int, int], slice]) -> dict[int, slice]:
@@ -365,11 +367,13 @@ def check_colorindex(idx: ColorIndex) -> list[str]:
 # Line-oriented, versioned sections; every section header carries its row
 # count.  Only the indexed graph and its coloring are written: the labels
 # come from the schema, and numN, the bucket offsets and the color database
-# are derived on load as on build.  A graph-stage VERTICES row is `v, labels,
-# neighbors`; a typed one is `v, labels, far values, edge colors`, after one
-# EDGE_COLORS row `labels, rev` per edge color.  Rows are in bucket order, so
-# the loader sorts nothing.  Writing is a pure function of the index, so
-# write -> read -> write is bit-identical.
+# are derived on load as on build.  Every VERTICES row is `v, labels, row`:
+# the neighbors, or on a typed index the far values.  A graph-stage CLASSES
+# row lists a color's members; a typed one is `members, keys`, after one
+# EDGE_COLORS row `labels, rev` per edge color, so each class's edge colors
+# are written once.  Rows are in bucket order, so the loader sorts nothing.
+# Writing is a pure function of the index, so write -> read -> write is
+# bit-identical.
 
 def write_section(lines: list[str], name: str, rows: list[str]) -> None:
     lines.append(f"[{name} {len(rows)}]")
@@ -381,17 +385,16 @@ def _labels_field(labels: frozenset[str]) -> str:
 
 
 def write_sections(idx: ColorIndex) -> list[str]:
-    g, edges, col = idx.graph, idx.edges, idx.coloring.col
+    g, edges = idx.graph, idx.edges
     lines: list[str] = []
-    # a typed row ends in the edge colors of its entries in bucket order,
-    # the same for every vertex of a color
-    tail = [""] * len(idx.deg)
+    classes = [" ".join(map(str, members)) for members in idx.coloring.classes]
     if edges is not None:
         write_section(lines, "EDGE_COLORS", [f"{_labels_field(ls)}\t{r}" for ls, r in zip(edges.labels, edges.rev)])
-        tail = ["\t" + " ".join(str(e) for e, n in row for _ in range(n)) for row in idx.deg]
-    write_section(lines, "VERTICES", [f"{v}\t{_labels_field(g.vl[v])}\t{' '.join(map(str, g.adj[v]))}{tail[col[v]]}"
+        classes = [f"{members}\t{' '.join(str(e) for e, n in row for _ in range(n))}"
+                   for members, row in zip(classes, idx.deg)]
+    write_section(lines, "VERTICES", [f"{v}\t{_labels_field(g.vl[v])}\t{' '.join(map(str, g.adj[v]))}"
                                       for v in g.vertices])
-    write_section(lines, "CLASSES", [" ".join(map(str, members)) for members in idx.coloring.classes])
+    write_section(lines, "CLASSES", classes)
     return lines
 
 
@@ -433,45 +436,49 @@ class SectionReader:
 
 def read_sections(reader: SectionReader, source_size: int, labels: tuple[tuple[str, ...], str, str],
                   relations: tuple[str, ...] | None = None) -> ColorIndex:
-    """Read the vertex rows and CLASSES of a graph-stage index, or of a typed
-    index with the given relation labels (then with EDGE_COLORS before the
-    vertex rows).  The file stores no labels: `labels` is the label
-    universe, loop label and edge label that its schema and stage give.
-    Check that the rows are in bucket order and describe an undirected
-    graph, or symmetric typed entries whose edge colors each start at one
-    value color, and that the coloring is stable: every member's keys equal
-    its class's first member's.  Derive the rest of the index as the build
+    """Read the VERTICES and CLASSES of a graph-stage index, or of a typed
+    index with the given relation labels (then with EDGE_COLORS first and
+    each class's keys on its CLASSES row).  The file stores no labels:
+    `labels` is the label universe, loop label and edge label that its
+    schema and stage give.  Check that the rows are in bucket order and
+    describe an undirected graph whose coloring is stable (every member's
+    keys equal its class's first member's), or typed entries that come in
+    flips, whose edge colors each start at one value color and give every
+    member its class's keys.  Derive the rest of the index as the build
     does, sorting nothing.  Any inconsistency raises ParseError."""
     universe, loop_label, edge_label = labels
+    edge_labels = set() if relations is None else {*relations, loop_label}
     with reader.numbers():
-        if relations is None:
-            graph, ecol = _read_graph(reader, universe, loop_label, edge_label), None
-        else:
-            graph, ecol, labels, rev = _read_typed(reader, universe, loop_label, edge_label, relations)
-        classes = tuple(tuple(map(int, members.split())) for (members,) in reader.rows("CLASSES", 1))
+        if edge_labels:
+            labels_e, rev = _read_edge_colors(reader, edge_labels)
+        graph = _read_vertices(reader, universe, loop_label, edge_label, edge_labels)
+        rows = [[tuple(map(int, f.split())) for f in row] for row in reader.rows("CLASSES", 2 if edge_labels else 1)]
+    classes = tuple(row[0] for row in rows)
     col = {v: c for c, members in enumerate(classes) for v in members}
     if not all(classes) or sum(map(len, classes)) != len(col) or col.keys() != graph.vl.keys():
         raise ParseError("[CLASSES] does not partition the vertices")
     coloring = Coloring(col=col, classes=classes)
     if not refines_labels(graph, coloring):
         raise ParseError("a color class mixes vertices with different labels")
-    if ecol is None:
+    if not edge_labels:
         _check_rows(graph, classes)
-        keys: Callable[[int], list[int]] = lambda v: [col[u] for u in graph.adj[v]]
-    else:
-        keys = ecol.__getitem__
-    witness = unstable_witness(classes, keys)
-    if witness is not None:
-        v, w, k = witness
-        kind = "color" if relations is None else "edge color"
-        raise ParseError(f"unstable coloring: vertices {v} and {w} share a color but not their number of "
-                         f"{kind}-{k} neighbors")
-    deg = _deg(classes, keys)
-    if ecol is None:
-        return _tables(graph, coloring, deg, source_size)
-    edges = EdgeColors(relations, labels, rev, _start_colors(deg, len(rev)))
+        neighbor_colors = lambda v: [col[u] for u in graph.adj[v]]
+        witness = unstable_witness(classes, neighbor_colors)
+        if witness is not None:
+            v, w, k = witness
+            raise ParseError(f"unstable coloring: vertices {v} and {w} share a color but not their number of "
+                             f"color-{k} neighbors")
+        return _tables(graph, coloring, _deg(neighbor_colors(m[0]) for m in classes), source_size)
+    keys = tuple(row[1] for row in rows)
+    for c, members in enumerate(classes):
+        v = next((v for v in members if len(graph.adj[v]) != len(keys[c])), None)
+        if v is not None:
+            raise ParseError(f"unstable coloring: vertex {v} has {len(graph.adj[v])} entries, not the "
+                             f"{len(keys[c])} that the keys of its color {c} list")
+    deg = _deg(keys)
+    edges = EdgeColors(relations, labels_e, rev, _start_colors(deg, len(rev)))
     ci = _tables(graph, coloring, deg, source_size, edges)
-    _check_entries(ci, ecol)
+    _check_entries(ci, keys)
     return ci
 
 
@@ -490,8 +497,14 @@ def _label_reader(reader: SectionReader, declared: set[str], what: str) -> Calla
     return read
 
 
-def _read_graph(reader: SectionReader, universe: tuple[str, ...], loop_label: str, edge_label: str) -> LabeledGraph:
-    read_labels = _label_reader(reader, set(universe), "no label")
+def _read_vertices(reader: SectionReader, universe: tuple[str, ...], loop_label: str, edge_label: str,
+                   edge_labels: set[str]) -> LabeledGraph:
+    """The VERTICES rows `v, labels, row`, v ascending.  On the graph stage
+    the loop label sits exactly on the vertices whose row lists them; on a
+    typed index, whose edge labels are given, a row lists a far value once,
+    and relation and loop labels sit on edge colors only."""
+    read_labels = _label_reader(reader, set(universe) - edge_labels,
+                                "a relation or loop label" if edge_labels else "no label")
     vertices: list[int] = []
     adj: dict[int, tuple[int, ...]] = {}
     vl: dict[int, frozenset[str]] = {}
@@ -501,8 +514,11 @@ def _read_graph(reader: SectionReader, universe: tuple[str, ...], loop_label: st
             raise ParseError(f"vertex {v} is out of order", line=reader.line)
         vertices.append(v)
         vl[v] = read_labels(lab_s)
-        adj[v] = tuple(map(int, row_s.split()))
-        if (loop_label in vl[v]) != (v in adj[v]):
+        adj[v] = row = tuple(map(int, row_s.split()))
+        if edge_labels:
+            if len(set(row)) != len(row):
+                raise ParseError(f"vertex {v} lists a far value twice", line=reader.line)
+        elif (loop_label in vl[v]) != (v in row):
             raise ParseError(f"loop label {loop_label!r} disagrees with the loops at vertex {v}", line=reader.line)
     return LabeledGraph(tuple(vertices), adj, vl, universe, loop_label, edge_label)
 
@@ -534,40 +550,6 @@ def _read_edge_colors(reader: SectionReader,
     return tuple(labels), tuple(rev)
 
 
-def _read_typed(reader: SectionReader, universe: tuple[str, ...], loop_label: str, edge_label: str,
-                relations: tuple[str, ...]) -> tuple[LabeledGraph, dict[int, list[int]], tuple[frozenset[str], ...],
-                                                     tuple[int, ...]]:
-    """The EDGE_COLORS and typed VERTICES rows: the graph of the values,
-    whose row at v lists the far values of v's entries, the edge colors of
-    those entries, one list per distinct field (the members of a class share
-    one), and the labels and reverses of the edge colors.  Relation and loop
-    labels are on edge colors only."""
-    edge_labels = set(relations) | {loop_label}
-    labels, rev = _read_edge_colors(reader, edge_labels)
-    read_labels = _label_reader(reader, set(universe) - edge_labels, "a relation or loop label")
-    vertices: list[int] = []
-    adj: dict[int, tuple[int, ...]] = {}
-    ecol: dict[int, list[int]] = {}
-    vl: dict[int, frozenset[str]] = {}
-    fields: dict[str, list[int]] = {}
-    for v_s, lab_s, far_s, ecol_s in reader.rows("VERTICES", 4):
-        v = int(v_s)
-        if vertices and v <= vertices[-1]:
-            raise ParseError(f"vertex {v} is out of order", line=reader.line)
-        vertices.append(v)
-        vl[v] = read_labels(lab_s)
-        adj[v] = far = tuple(map(int, far_s.split()))
-        es = fields.get(ecol_s)
-        if es is None:
-            es = fields[ecol_s] = list(map(int, ecol_s.split()))
-        ecol[v] = es
-        if len(es) != len(far):
-            raise ParseError(f"vertex {v} does not list one edge color per far value", line=reader.line)
-        if len(set(far)) != len(far):
-            raise ParseError(f"vertex {v} lists a far value twice", line=reader.line)
-    return LabeledGraph(tuple(vertices), adj, vl, universe, loop_label, edge_label), ecol, labels, rev
-
-
 def _start_colors(deg: tuple[tuple[tuple[int, int], ...], ...], edges: int) -> tuple[int, ...]:
     """Per edge color, the one value color its entries start at: the color
     whose deg row holds it."""
@@ -575,7 +557,7 @@ def _start_colors(deg: tuple[tuple[tuple[int, int], ...], ...], edges: int) -> t
     for c, row in enumerate(deg):
         for e, _ in row:
             if not 0 <= e < edges:
-                raise ParseError(f"the vertices of value color {c} list an edge color that [EDGE_COLORS] "
+                raise ParseError(f"the keys of value color {c} list an edge color that [EDGE_COLORS] "
                                  "does not have")
             if src[e] >= 0:
                 raise ParseError(f"edge color {e} starts at value colors {src[e]} and {c}")
@@ -585,14 +567,15 @@ def _start_colors(deg: tuple[tuple[tuple[int, int], ...], ...], edges: int) -> t
     return tuple(src)
 
 
-def _check_entries(ci: ColorIndex, ecol: dict[int, list[int]]) -> None:
+def _check_entries(ci: ColorIndex, keys: tuple[tuple[int, ...], ...]) -> None:
     """Check that the entries (v, u, e) of a typed index come in flips (u, v,
     rev[e]), that every bucket is ascending, and that the loop edge colors
     sit exactly on the entries with u == v.  The reverse of the entries,
     filled edge color by edge color, each over the buckets of the members of
     its start color in ascending order, lists every row in bucket order: it
-    must be the entries themselves."""
-    adj, classes, buckets = ci.graph.adj, ci.coloring.classes, ci.buckets
+    must be the entries themselves, and give each vertex the keys of its
+    class."""
+    adj, classes, buckets, col = ci.graph.adj, ci.coloring.classes, ci.buckets, ci.coloring.col
     src, labels, loop_label = ci.edges.src, ci.edges.labels, ci.loop_label
     back: dict[int, list[int]] = {v: [] for v in adj}
     back_e: dict[int, list[int]] = {v: [] for v in adj}
@@ -608,5 +591,5 @@ def _check_entries(ci: ColorIndex, ecol: dict[int, list[int]]) -> None:
                 row.append(v)
                 back_e[u].append(r)
     for v, row in adj.items():
-        if tuple(back[v]) != row or back_e[v] != ecol[v]:
+        if tuple(back[v]) != row or tuple(back_e[v]) != keys[col[v]]:
             raise ParseError(f"the entries of vertex {v} are not in bucket order or include one without its flip")

@@ -11,8 +11,9 @@ map: the value vertices, their classes and the edge colors.  That index is
 what is saved, loaded and served; `DatabaseIndex` projects a gadget-graph
 `ColorIndex` it is given with its pair map the same way.  The file stores no
 labels: the loader derives them from the schema and the stage.  It lists
-each vertex's adjacency row in bucket order, so the loader derives the
-bucket offsets from the degrees and sorts nothing.
+each vertex's adjacency row in bucket order, and on a typed index each
+class's edge colors once, as its keys; the loader derives the degrees and
+bucket offsets from them and sorts nothing.
 
 Serving compiles a query once per index: `DatabaseIndex.compile` checks it
 against the schema and for free-connex acyclicity, translates it to the
@@ -48,7 +49,7 @@ from .model import ConjunctiveQuery, ConstantPool, Database, Schema
 from .refinement import asymmetric_vertex, edge_adjacency, loop_encoding_labels
 from .textio import read_text
 
-FORMAT_HEADER = "colorindex-file v7"
+FORMAT_HEADER = "colorindex-file v8"
 COMPILED_LIMIT = 64  # compiled queries kept per index
 
 TASKS = ("bool", "count", "enum")

@@ -199,6 +199,23 @@ def test_bench_csv(tmp_path, capsys):
     assert lines[1].startswith("cycle,20,40,1,1,")
 
 
+def test_bench_rejected_query_prints_nothing(tmp_path, capsys):
+    # the header waits for the first row, so a query that fails the first
+    # row's translation leaves stdout empty
+    q = tmp_path / "triangle.cq"
+    q.write_text("Ans() :- E(x,y), E(y,z), E(z,x).\n")
+    code, out, err = run(capsys, "bench", "--family", "cycle", "--sizes", "3", "--query", str(q))
+    assert (code, out) == (3, "") and err.startswith("task error:")
+
+
+def test_bench_refuses_a_size_past_the_family_bound(tmp_path, capsys):
+    # a tree of height 30 has 2^31 - 1 nodes: refused before any is made
+    q = tmp_path / "path3.cq"
+    q.write_text("Ans(x1,x2,x3) :- E(x1,x2), E(x2,x3).\n")
+    code, out, err = run(capsys, "bench", "--family", "tree", "--sizes", "3,30", "--query", str(q))
+    assert (code, out) == (1, "") and err == "bench: --family tree needs sizes of 1 or more, up to 16\n"
+
+
 @pytest.mark.parametrize("family,text", [
     ("cycle", "Ans(x) :- T(x,y,z).\n"),
     ("random-relational", "Ans(x) :- E(x,y).\n"),

@@ -1,4 +1,4 @@
-"""The v7 index file: what it stores, and that a damaged file ends in a data
+"""The v8 index file: what it stores, and that a damaged file ends in a data
 error (exit 2 with a message) rather than a traceback or a wrong answer."""
 import hashlib
 import importlib.util
@@ -23,13 +23,14 @@ GRAPH_SCHEMA = "E/2\nP/1\n"
 GRAPH_DB = "".join(f"E({x},{y}).\nE({y},{x}).\n" for x, y in zip("abcd", "bcde")) + "P(c).\nE(f,f).\nP(f).\n"
 GRAPH_QUERIES = {"count": "Ans(x,y) :- E(x,y), E(y,z).\n", "enum": "Ans(x) :- E(x,y), P(y).\n"}
 
-# tab-separated fields that hold ids, per section: a typed VERTICES row is
-# `v, labels, far values, edge colors`, an EDGE_COLORS row `labels, rev`
+# tab-separated fields that hold ids, per section: a VERTICES row is `v,
+# labels, row`, a typed CLASSES row `members, keys` (edge colors), an
+# EDGE_COLORS row `labels, rev`
 ID_FIELDS = {
     "PROJ": (0, 1),
     "EDGE_COLORS": (1,),
-    "VERTICES": (0, 2, 3),
-    "CLASSES": (0,),
+    "VERTICES": (0, 2),
+    "CLASSES": (0, 1),
 }
 OUT_OF_RANGE = "999999"
 
@@ -65,9 +66,10 @@ def id_mutants(lines):
 
 def unstable_swap(lines):
     """Swap the first members of two same-labeled classes so that the
-    coloring is no longer stable: on a typed index, per edge color.  A
-    graph-stage row is put in the bucket order of the new colors, so that
-    only the stability check can find the fault."""
+    coloring is no longer stable.  A graph-stage row is put in the bucket
+    order of the new colors, so that only the stability check can find the
+    fault.  On a typed index the two members have different numbers of
+    entries, and each class keeps its keys."""
     ci = DatabaseIndex.load_text("\n".join(lines) + "\n").cindex
     g, classes = ci.graph, [list(m) for m in ci.coloring.classes]
     for a, b in itertools.combinations(range(len(classes)), 2):
@@ -77,19 +79,18 @@ def unstable_swap(lines):
         col = {v: c for c, m in enumerate(swapped) for v in m}
         if ci.edges is None:
             adj = {v: sorted(g.adj[v], key=lambda u: (col[u], u)) for v in g.vertices}
-            keys = lambda v: [col[u] for u in adj[v]]
-        else:  # an entry's edge color is its bucket
+            unstable = unstable_witness(swapped, lambda v: [col[u] for u in adj[v]]) is not None
+        else:
             adj = g.adj
-            keys = lambda v: [e for e, n in ci.deg[ci.color_of(v)] for _ in range(n)]
-        if refines_labels(g, Coloring(col=col, classes=swapped)) and unstable_witness(swapped, keys) is not None:
+            unstable = len(adj[classes[a][0]]) != len(adj[classes[b][0]])
+        if refines_labels(g, Coloring(col=col, classes=swapped)) and unstable:
             out = list(lines)
-            i, _ = sections(lines)["VERTICES"]
-            for r, v in enumerate(g.vertices, i + 1):
-                fields = out[r].split("\t")
-                fields[2] = " ".join(map(str, adj[v]))
-                out[r] = "\t".join(fields)
-            i, _ = sections(lines)["CLASSES"]
-            out[i + 1 : i + 1 + len(swapped)] = [" ".join(map(str, m)) for m in swapped]
+            for name, column, values in (("VERTICES", 2, [adj[v] for v in g.vertices]), ("CLASSES", 0, swapped)):
+                i, _ = sections(lines)[name]
+                for r, value in enumerate(values, i + 1):
+                    fields = out[r].split("\t")
+                    fields[column] = " ".join(map(str, value))
+                    out[r] = "\t".join(fields)
             return out
     raise AssertionError("no swap makes the coloring unstable")
 
@@ -123,12 +124,14 @@ def test_saved_index_stores_only_graph_and_classes(saved_index):
     # a binary- or full-stage file holds the value rows and the edge colors,
     # not bin2graph's gadget vertices
     _, lines = saved_index
-    assert lines[0] == FORMAT_HEADER == "colorindex-file v7"
+    assert lines[0] == FORMAT_HEADER == "colorindex-file v8"
     stage = lines[sections(lines)["META"][0] + 1].split("\t")[1]
     typed = [] if stage == "graph" else ["EDGE_COLORS"]
     assert list(sections(lines)) == ["META", "SCHEMA", "CONSTANTS", "PROJ", *typed, "VERTICES", "CLASSES"]
     i, count = sections(lines)["VERTICES"]
-    assert {len(row.split("\t")) for row in lines[i + 1 : i + 1 + count]} == {3 if stage == "graph" else 4}
+    assert {len(row.split("\t")) for row in lines[i + 1 : i + 1 + count]} == {3}
+    j, classes = sections(lines)["CLASSES"]  # a typed class row carries its keys
+    assert {len(row.split("\t")) for row in lines[j + 1 : j + 1 + classes]} == {1 if stage == "graph" else 2}
     if stage == "binary":  # one row per constant of the movie database, and no gadget rows
         assert count == sections(lines)["CONSTANTS"][1]
 
@@ -145,8 +148,8 @@ def test_every_mutation_is_a_data_error(saved_index, capsys):
     ids = list(id_mutants(lines))
     fields = {" ".join(what.split()[:3]) for what, _ in ids}
     assert fields >= {"[VERTICES] field 0", "[VERTICES] field 2", "[CLASSES] field 0"}
-    if "EDGE_COLORS" in sections(lines):  # the edge colors of the entries, and their reverses
-        assert fields >= {"[VERTICES] field 3", "[EDGE_COLORS] field 1"}
+    if "EDGE_COLORS" in sections(lines):  # the keys of the classes, and the reverses of the edge colors
+        assert fields >= {"[CLASSES] field 1", "[EDGE_COLORS] field 1"}
     mutants = list(header_mutants(lines)) + ids
     mutants.append(("unstable coloring", unstable_swap(lines)))
     mutants.append(("v1 header", ["colorindex-file v1"] + lines[1:]))
@@ -155,6 +158,7 @@ def test_every_mutation_is_a_data_error(saved_index, capsys):
     mutants.append(("v4 header", ["colorindex-file v4"] + lines[1:]))
     mutants.append(("v5 header", ["colorindex-file v5"] + lines[1:]))
     mutants.append(("v6 header", ["colorindex-file v6"] + lines[1:]))
+    mutants.append(("v7 header", ["colorindex-file v7"] + lines[1:]))
     missed = []
     for (what, mutant), task in itertools.product(mutants, ("count", "enum")):
         code, out, err = query(tmp_path, mutant, task, capsys)
@@ -167,7 +171,7 @@ def test_mutation_messages(saved_index, capsys):
     tmp_path, lines = saved_index
     _, _, err = query(tmp_path, unstable_swap(lines), "count", capsys)
     assert "unstable coloring" in err
-    for old in ("v1", "v2", "v3", "v4", "v5", "v6"):
+    for old in ("v1", "v2", "v3", "v4", "v5", "v6", "v7"):
         _, _, err = query(tmp_path, [f"colorindex-file {old}"] + lines[1:], "count", capsys)
         assert f"'colorindex-file {old}'" in err and "rebuilt with `colorindex index`" in err
 
@@ -257,9 +261,9 @@ def test_loader_checks_value_vertices(movie_db):
 # sha1 prefixes of the saved seed-1 benchmark inputs: a change to the file
 # format, or to any vertex id or color class, must update them on purpose
 PINNED = {
-    "relational-replicas": "7eaf31011efe",
-    "ternary-random": "01933f28820c",
-    "graph-symmetric": "8bf910814403",
+    "relational-replicas": "c56c5f1548d9",
+    "ternary-random": "71f55e61fc49",
+    "graph-symmetric": "3cd30aa57ac5",
 }
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
