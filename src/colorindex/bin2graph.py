@@ -6,10 +6,12 @@ a - w_ab - w_ba - b (with a self-looped w_aa for reflexive pairs).  Gadget
 nodes carry one label per binary relation containing their pair; original
 unary relations and the V / W membership labels complete the graph.
 
-`encode_db` is the build's reduction: binary- and full-stage indexes are
-refined on its graph and then keep only its value nodes, with one edge
-color per gadget color, read off its pair map `gadget_node` (`index.project`).  Queries do not pass through it
-when they are served; they run on those edge colors.  `encode_query`,
+`encode_db` is the reference for binary- and full-stage indexes and the
+reduction that criterion 7 checks, not the build path.  The typed index
+that `index.build_binary` refines on the values directly is the coloring of
+this graph kept on its value nodes, with one edge color per gadget color,
+as `index.project` reads it off the pair map `gadget_node`.  Queries do not
+pass through it either; they run on those edge colors.  `encode_query`,
 which subdivides each oriented Gaifman edge with two gadget variables and
 labels them, and `decode_answer`, which projects onto the original head
 prefix, state the reduction on queries, which criterion 7 checks.

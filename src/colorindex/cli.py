@@ -16,7 +16,7 @@ import sys
 import time
 from contextlib import closing
 
-from . import engine, evaluator, generators, oracle
+from . import analysis, engine, evaluator, generators, oracle
 from .errors import (
     BudgetExceeded,
     ColorIndexError,
@@ -52,7 +52,7 @@ def cmd_index(args) -> int:
     ci = idx.cindex
     # the compression: colors per vertex of the indexed graph, color-database
     # tuples per input tuple (above 1, the index is larger than the data).  A
-    # typed index counts as the gadget graph it was projected from: |V| its
+    # typed index counts as bin2graph's gadget graph of its values: |V| its
     # values and entries, |C| its value and edge colors
     dcol_ratio = ci.d_col_size / db.size if db.size else 0.0
     print(
@@ -177,6 +177,8 @@ def cmd_bench(args) -> int:
         print(f"bench: --family {args.family} needs sizes of {least} or more, up to {most}", file=sys.stderr)
         return USAGE_ERROR
     q = parse_query(read_text(args.query), schema)
+    if not analysis.is_free_connex_acyclic(q):  # before any size is built
+        raise NotFreeConnex("translation requires a free-connex acyclic query")
     header = ("family,size,db_size,colors,dcol_size,ratio,index_ms,"
               "indexed_pre_ops,baseline_pre_ops,indexed_ms,baseline_ms")
     for size in args.sizes:

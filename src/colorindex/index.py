@@ -6,21 +6,28 @@ A graph-stage index is built on the loop-encoded graph.  The key of an
 adjacency entry (v, u) is the color of u, and deg[c] holds (k, numN(c, k))
 for each key k that a vertex of color c sees, k ascending.
 
-A binary- or full-stage index is *typed*.  Refinement runs on `bin2graph`'s
-gadget graph: each ordered pair (a, b) of related values is a gadget vertex
-w_ab, linked a - w_ab - w_ba - b, with a self-looped w_aa for a pair (a, a).
-`project` then keeps the value vertices, each its source id (a constant, or
-an `arb2bin` node on the full stage), and their classes as the colors.  Each
-gadget color becomes an *edge color* e, and the gadget w_vu of color e
-becomes the entry (v, u, e), read off `bin2graph`'s pair map (v, u) -> w_vu.
-Stability gives e one value color src[e] that its entries start at, and one
-reverse rev[e], the color of the partners w_uv; so its entries end at one
-value color dst[e] = src[rev[e]].  A self-looped gadget is a loop entry (v,
-v, e) with rev[e] = e.  The labels of e are the relations that hold from v
-to u, with the loop label on a loop, and those of rev[e] the relations that
-hold back.  The key of an entry is its edge color, and deg[c] holds (e,
-numN(c, e)).  The graph stage is the one-type case: there the key of an
-entry is the color it leads to.
+A binary- or full-stage index is *typed*.  `build_binary` refines the
+values of the binary database (the source on the binary stage, `arb2bin`'s
+D2 on the full stage), each vertex its source id.  Each ordered pair (v, u)
+of related values is an *entry*, whose type is (the relations holding (v,
+u), those holding (u, v), u == v); a value's hit from a splitter is the
+multiset of the types of its entries into it.  The value classes are the
+colors, and the entries that share (type, col v, col u) make one *edge
+color* e, numbered by its least entry.  So e starts at one value color
+src[e] and has one reverse rev[e], the edge color of the flips (u, v); its
+entries end at one value color dst[e] = src[rev[e]].  A pair (v, v) is a
+loop entry, with rev[e] = e.  The labels of e are the relations that hold
+from v to u, with the loop label on a loop, and those of rev[e] the
+relations that hold back.  The key of an entry is its edge color, and
+deg[c] holds (e, numN(c, e)).  The graph stage is the one-type case: there
+the key of an entry is the color it leads to.
+
+This is the projection of the coarsest stable coloring of `bin2graph`'s
+gadget graph, where the pair (v, u) is the gadget w_vu, linked v - w_vu -
+w_uv - u: a value color is a class of its values, and an edge color a
+gadget class.  `project` reads the typed index off that coloring with
+`bin2graph`'s pair map.  It is the reference that the tests check the
+build against; `DatabaseIndex.build` does not run it.
 
 Every vertex keeps one adjacency row, `graph.adj[v]`, in *bucket order*: by
 key in deg order, then ascending.  Stability gives every vertex of color c
@@ -44,12 +51,13 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bin2graph import GraphEncoding, GraphSymbols
+from .bin2graph import GraphSymbols, graph_symbols_for
 from .errors import ParseError
+from .instrument import OpCounter
 from .model import Database, Schema
 from .refinement import (
     Coloring, LabeledGraph, asymmetric_vertex, encode_loops, fresh_name, refine, refines_labels, reverse_adjacency,
-    unstable_witness,
+    unary_labels, unstable_witness,
 )
 
 
@@ -91,19 +99,19 @@ class ColorIndex:
     # k, in deg order; derived from deg
     buckets: tuple[dict[int, slice], ...]
     label_colors: dict[str, frozenset[int]]  # vertex label -> the colors that carry it
-    source_size: int  # of the database the coloring was refined on
+    source_size: int  # of the graph the coloring is of: on a typed index, bin2graph's graph of the values
     edges: EdgeColors | None = None  # the edge colors of a typed index
 
     @property
     def colors(self) -> int:
         """The colors of the index: on a typed index its value colors and
-        its edge colors, as many as the coloring it was projected from."""
+        its edge colors, as many as `bin2graph`'s gadget coloring has."""
         return self.coloring.num_colors + (0 if self.edges is None else len(self.edges.rev))
 
     @property
     def vertex_count(self) -> int:
         """The vertices of the index: on a typed index its values and its
-        entries, as many as the graph it was projected from."""
+        entries, as many as `bin2graph`'s gadget graph has."""
         n = len(self.graph.vertices)
         return n if self.edges is None else n + sum(map(len, self.graph.adj.values()))
 
@@ -177,11 +185,54 @@ def build(db: Database) -> ColorIndex:
     return build_from_coloring(graph, coloring, source_size=db.size)
 
 
-def build_typed(genc: GraphEncoding) -> ColorIndex:
-    """Index `bin2graph`'s graph of a binary database: encode loops, refine,
-    and project the coloring onto the value vertices with the pair map."""
-    graph = encode_loops(genc.dhat)
-    return project(graph, refine(graph), genc.symbols, genc.gadget_node, genc.dhat.size)
+def build_binary(db: Database, ops: OpCounter | None = None) -> ColorIndex:
+    """The typed index of a binary database, refined on its values (see the
+    module docstring).  An ordered pair (v, u) of related values is an entry
+    of type (the relations holding (v, u), those holding (u, v), u == v).
+    Its edge color is the class of (type, col v, col u), and the edge colors
+    are numbered by their least entry, as `project` numbers them.  Its
+    source size is that of `bin2graph`'s graph, counted without making it:
+    four facts per entry, the source facts, and one V fact per value.  ops
+    counts the refinement's steps."""
+    symbols = graph_symbols_for(db.schema)
+    universe, loop_label = typed_labels(symbols)
+    relations = tuple(symbols.u_label)
+    values = tuple(sorted(db.active_domain()))
+    # the relations holding each pair, and each entry's type id
+    holds: dict[tuple[int, int], int] = {}
+    for i, f in enumerate(relations):
+        for pair in db.rel(f):
+            holds[pair] = holds.get(pair, 0) | 1 << i
+    pairs = sorted(holds.keys() | {(u, v) for v, u in holds})
+    type_ids: dict[tuple[int, int, bool], int] = {}
+    kinds = [type_ids.setdefault((holds.get((v, u), 0), holds.get((u, v), 0), u == v), len(type_ids))
+             for v, u in pairs]
+    types = len(type_ids)
+    rows: dict[int, list[int]] = {v: [] for v in values}
+    for (v, u), t in zip(pairs, kinds):
+        rows[u].append(v * types + t)
+    vl = unary_labels(db, symbols.unary, values)
+    graph = LabeledGraph(values, dict(zip(rows, map(tuple, rows.values()))), vl, universe, loop_label, symbols.edge)
+    coloring = refine(graph, ops, types)
+    # the edge colors, in the order of their least entry
+    col = coloring.col
+    edge_ids: dict[tuple[int, int, int], int] = {}
+    entries: list[list[tuple[int, int]]] = []
+    for pair, t in zip(pairs, kinds):
+        key = (t, col[pair[0]], col[pair[1]])
+        e = edge_ids.get(key)
+        if e is None:
+            e = edge_ids[key] = len(entries)
+            entries.append([])
+        entries[e].append(pair)
+    # per type: the labels of its edge colors, and the type of the flips
+    type_labels = [frozenset([f for i, f in enumerate(relations) if there >> i & 1] + [loop_label] * loop)
+                   for there, _, loop in type_ids]
+    flip = [type_ids[(back, there, loop)] for there, back, loop in type_ids]
+    edges = EdgeColors(relations=relations, labels=tuple(type_labels[t] for t, _, _ in edge_ids),
+                       rev=tuple(edge_ids[(flip[t], d, c)] for t, c, d in edge_ids),
+                       src=tuple(c for _, c, _ in edge_ids))
+    return _typed_tables(graph, coloring, entries, edges, 4 * len(pairs) + db.size + len(values))
 
 
 def build_from_coloring(graph: LabeledGraph, coloring: Coloring, source_size: int) -> ColorIndex:
@@ -240,9 +291,8 @@ def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols,
     (v, u, e), where e is the color of w_vu, rev[e] that of w_uv and src[e]
     that of v.  The map must list its pairs in ascending order, as
     `bin2graph` numbers them: the entries of each edge color, taken in that
-    order, then fill every row in bucket order.  numN(src[e], e) is the
-    number of e-entries over the size of class src[e].  Value and edge
-    colors are numbered in class order.  Raises
+    order, then fill every row in bucket order.  Value and edge colors are
+    numbered in class order.  Raises
     ValueError when the map does not have one pair per gadget vertex, or
     the coloring does not give each gadget color one reverse and one start
     color."""
@@ -277,18 +327,29 @@ def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols,
         elif rev[e] != r or src[e] != c:
             raise ValueError(f"gadget color {e} has two reverses or two start colors")
         entries[e].append(pair)
-    far: dict[int, list[int]] = {v: [] for v in values}
-    deg: list[list[tuple[int, int]]] = [[] for _ in value_classes]
+    value_labels = {ls: ls - {v_label} for ls in {vl[v] for v in values}}
+    typed = LabeledGraph(values, {}, {v: value_labels[vl[v]] for v in values}, universe, loop_label, symbols.edge)
+    edges = EdgeColors(relations=tuple(symbols.u_label), labels=tuple(labels), rev=tuple(rev), src=tuple(src))
+    value_coloring = Coloring(col={v: rank[col[v]] for v in values}, classes=tuple(value_classes))
+    return _typed_tables(typed, value_coloring, entries, edges, source_size)
+
+
+def _typed_tables(graph: LabeledGraph, coloring: Coloring, entries: list[list[tuple[int, int]]],
+                  edges: EdgeColors, source_size: int) -> ColorIndex:
+    """The tables of a typed index on the values of graph, given the entries
+    (v, u) of each edge color in ascending order: taken edge color by edge
+    color, they fill every row in bucket order.  numN(src[e], e) is the
+    number of e-entries over the size of class src[e]."""
+    far: dict[int, list[int]] = {v: [] for v in graph.vertices}
+    classes = coloring.classes
+    deg: list[list[tuple[int, int]]] = [[] for _ in classes]
     for e, pairs in enumerate(entries):
         for v, u in pairs:
             far[v].append(u)
-        deg[src[e]].append((e, len(pairs) // len(value_classes[src[e]])))
-    value_labels = {ls: ls - {v_label} for ls in {vl[v] for v in values}}
+        c = edges.src[e]
+        deg[c].append((e, len(pairs) // len(classes[c])))
     adj = dict(zip(far, map(tuple, far.values())))
-    typed = LabeledGraph(values, adj, {v: value_labels[vl[v]] for v in values}, universe, loop_label, symbols.edge)
-    edges = EdgeColors(relations=tuple(symbols.u_label), labels=tuple(labels), rev=tuple(rev), src=tuple(src))
-    value_coloring = Coloring(col={v: rank[col[v]] for v in values}, classes=tuple(value_classes))
-    return _tables(typed, value_coloring, tuple(map(tuple, deg)), source_size, edges)
+    return _tables(replace(graph, adj=adj), coloring, tuple(map(tuple, deg)), source_size, edges)
 
 
 def check_colorindex(idx: ColorIndex) -> list[str]:

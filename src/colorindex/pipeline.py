@@ -1,15 +1,19 @@
-"""End-to-end orchestration: stage the input database down to a node-labeled
-graph (skipping stages the schema does not need), build the color index, and
+"""End-to-end orchestration: stage the input database down to one the color
+index refines (skipping stages the schema does not need), build it, and
 serve bool / count / enum queries with answers as source constants.  Indexes
 serialize to a versioned, deterministic text format.  A value vertex is its
 source id, so graph- and binary-stage answers need no decoding; a full-stage
 answer reads its constants off `arb2bin`'s projection nodes (`node_proj`).
 
-A binary- or full-stage build refines `bin2graph`'s gadget graph and keeps
-the typed index that `index.project` reads off it with `bin2graph`'s pair
-map: the value vertices, their classes and the edge colors.  That index is
-what is saved, loaded and served; `DatabaseIndex` projects a gadget-graph
-`ColorIndex` it is given with its pair map the same way.  The file stores no
+A binary- or full-stage build refines the values of the binary database
+(the source, or `arb2bin`'s D2) with typed entries, and makes the typed
+index from that coloring directly (`index.build_binary`): the value
+vertices, their classes and the edge colors.  It makes no gadget graph:
+`bin2graph.encode_db` is the reference for that index and the reduction
+that criterion 7 checks, not the build path.  The typed index is what is
+saved, loaded and served.  Given a `ColorIndex` of `bin2graph`'s graph and
+its pair map, `DatabaseIndex` projects it to the same typed index
+(`index.project`, the reference).  The file stores no
 labels: the loader derives them from the schema and the stage.  It lists
 each vertex's adjacency row in bucket order, and on a typed index each
 class's edge colors once, as its keys; the loader derives the degrees and
@@ -156,11 +160,10 @@ class DatabaseIndex:
             # encode_loops rejects an asymmetric edge relation
             return cls(db.schema, db.pool, "graph", cindex_mod.build(db), db.size)
         if stage == "binary":
-            ci = cindex_mod.build_typed(bin2graph.encode_db(db))
-            return cls(db.schema, db.pool, "binary", ci, db.size)
+            return cls(db.schema, db.pool, "binary", cindex_mod.build_binary(db), db.size)
         if stage == "full":
             benc = arb2bin.encode_db(db)
-            ci = cindex_mod.build_typed(bin2graph.encode_db(benc.db2))
+            ci = cindex_mod.build_binary(benc.db2)
             return cls(db.schema, db.pool, "full", ci, db.size, node_proj=benc.node_proj, node_tuple=benc.node_tuple)
         raise ValueError(f"unknown stage {stage!r}")
 

@@ -16,6 +16,12 @@ tight for color refinement.  The result is the coarsest partition refining
 the vertex labels in which same-colored vertices have equal neighbor counts
 in every color class.  A self-loop makes a vertex its own neighbor.
 
+The rows may also be *typed*, for color refinement on an edge-labelled
+digraph (Grohe, Kersting, Mladenov & Schweitzer, 2021): each entry has one
+of several types, and a vertex's hit from a splitter is the multiset of the
+types of its entries into it, not their number.  The rule above and its
+bound carry over unchanged; an untyped graph is the one-type case.
+
 `encode_loops` makes ascending adjacency rows, and the color index keeps
 each row in bucket order: by color, then ascending.  Both are made and
 checked the same way, without sorting: the reverse of a relation, filled in
@@ -47,7 +53,9 @@ def fresh_name(base: str, taken: set[str]) -> str:
 class LabeledGraph:
     """Undirected node-labeled graph; a self-loop appears once in the row of
     its vertex.  Every adjacency row is ascending out of `encode_loops`, and
-    in bucket order in a color index (see `index.ColorIndex`)."""
+    in bucket order in a color index (see `index.ColorIndex`).  The graph
+    that `index.build_binary` refines has typed rows instead (see
+    `refine`)."""
 
     vertices: tuple[int, ...]
     adj: dict[int, tuple[int, ...]]
@@ -80,25 +88,31 @@ def encode_loops(db: Database) -> LabeledGraph:
         ins, outs = set(adj[bad]), {b for a, b in db.rel(edge_sym) if a == bad}
         a, b = (bad, min(outs - ins)) if outs - ins else (min(ins - outs), bad)
         raise AsymmetricEdgeRelation(f"{edge_sym}({db.display(a)},{db.display(b)}) present without its reverse")
-    # bit i of a vertex's mask: it carries universe[i]; one frozenset per mask
     universe, loop_label = loop_encoding_labels(schema)
-    masks = dict.fromkeys(vertices, 0)
-    for i, u in enumerate(schema.unary_symbols()):
-        for (v,) in db.rel(u):
-            masks[v] |= 1 << i
-    loop_bit = 1 << (len(universe) - 1)
+    vl = unary_labels(db, schema.unary_symbols(), vertices)
+    looped: dict[frozenset[str], frozenset[str]] = {}  # one label set per label set with the loop label
     for v in vertices:
         if v in adj[v]:
-            masks[v] |= loop_bit
-    label_sets = {m: frozenset(u for i, u in enumerate(universe) if m >> i & 1) for m in set(masks.values())}
+            ls = vl[v]
+            vl[v] = looped.get(ls) or looped.setdefault(ls, ls | {loop_label})
     return LabeledGraph(
         vertices=vertices,
         adj=adj,
-        vl={v: label_sets[m] for v, m in masks.items()},
+        vl=vl,
         label_universe=universe,
         loop_label=loop_label,
         edge_label=edge_sym,
     )
+
+
+def unary_labels(db: Database, unary: Sequence[str], vertices: Iterable[int]) -> dict[int, frozenset[str]]:
+    """The unary relations holding each vertex, one frozenset per label set."""
+    masks = dict.fromkeys(vertices, 0)  # bit i: the vertex carries unary[i]
+    for i, u in enumerate(unary):
+        for (v,) in db.rel(u):
+            masks[v] |= 1 << i
+    sets = {m: frozenset(u for i, u in enumerate(unary) if m >> i & 1) for m in set(masks.values())}
+    return {v: sets[m] for v, m in masks.items()}
 
 
 def edge_adjacency(db: Database) -> tuple[tuple[int, ...], dict[int, tuple[int, ...]]]:
@@ -158,11 +172,13 @@ def _canonicalize(groups: Iterable[Iterable[int]]) -> Coloring:
     return Coloring(col=col, classes=tuple(map(tuple, ordered)))
 
 
-def refine(g: LabeledGraph, ops: OpCounter | None = None) -> Coloring:
-    """Coarsest stable coloring refining the vertex labels.  ops ticks once
-    per vertex placed in its first class, per adjacency entry scanned, per
-    touched vertex grouped by its hit count and per vertex moved to a new
-    class."""
+def refine(g: LabeledGraph, ops: OpCounter | None = None, types: int = 1) -> Coloring:
+    """Coarsest stable coloring refining the vertex labels.  With types > 1
+    the rows are typed: the row of u lists v * types + t for each entry (v,
+    u) of type t < types, and a vertex's hit from a splitter is the multiset
+    of the types of its entries into it.  ops ticks once per vertex placed
+    in its first class, per adjacency entry scanned, per touched vertex
+    grouped by its hit and per vertex moved to a new class."""
     ops = ops if ops is not None else OpCounter()
     adj = g.adj
     by_label: dict[frozenset[str], list[int]] = {}
@@ -173,6 +189,7 @@ def refine(g: LabeledGraph, ops: OpCounter | None = None) -> Coloring:
     ops.tick(len(cls_of))
     queue = deque(range(len(classes)))
     pending = [True] * len(classes)
+    width = len(cls_of).bit_length()  # bits for a count: a splitter lists a vertex at most once per member
 
     while queue:
         s = queue.popleft()
@@ -183,6 +200,9 @@ def refine(g: LabeledGraph, ops: OpCounter | None = None) -> Coloring:
             hits = dict.fromkeys(adj[next(iter(splitter))], 1)
         else:
             hits = Counter(chain.from_iterable(map(adj.__getitem__, splitter)))
+        ops.tick(sum(hits.values()))
+        if types > 1:
+            hits = _type_multisets(hits, types, width)
         touched: dict[int, list[int]] = {}
         for v in hits:
             c = cls_of[v]
@@ -191,16 +211,15 @@ def refine(g: LabeledGraph, ops: OpCounter | None = None) -> Coloring:
                 touched[c] = [v]
             else:
                 vs.append(v)
-        ops.tick(sum(hits.values()))
         for c, vs in touched.items():
             members = classes[c]
             if len(members) == 1:
                 continue
             ops.tick(len(vs))
-            by_count: dict[int, list[int]] = {}
+            by_hit: dict[int, list[int]] = {}
             for v in vs:
-                by_count.setdefault(hits[v], []).append(v)
-            parts = list(by_count.values())
+                by_hit.setdefault(hits[v], []).append(v)
+            parts = list(by_hit.values())
             if len(members) == len(vs):
                 if len(parts) == 1:
                     continue
@@ -228,6 +247,18 @@ def refine(g: LabeledGraph, ops: OpCounter | None = None) -> Coloring:
                 queue.append(i)
                 pending[i] = True
     return _canonicalize(classes)
+
+
+def _type_multisets(counts: dict[int, int], types: int, width: int) -> dict[int, int]:
+    """Per vertex v, its hit from the counts of its typed entries v * types
+    + t: the multiset of their types as one int, with the count of type t in
+    the `width` bits from bit t * width on."""
+    hits: dict[int, int] = {}
+    get = hits.get
+    for x, n in counts.items():
+        v, t = divmod(x, types)
+        hits[v] = get(v, 0) + (n << t * width)
+    return hits
 
 
 def unstable_witness(classes: Sequence[Sequence[int]],

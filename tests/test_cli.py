@@ -208,6 +208,20 @@ def test_bench_rejected_query_prints_nothing(tmp_path, capsys):
     assert (code, out) == (3, "") and err.startswith("task error:")
 
 
+def test_bench_rejects_the_query_before_any_build(tmp_path, capsys, monkeypatch):
+    # a cycle of 65,536 vertices is not built for a query that no size can
+    # answer: the query is checked once, before the first size
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rejected query builds no index")
+
+    monkeypatch.setattr(DatabaseIndex, "build", refuse)
+    q = tmp_path / "triangle.cq"
+    q.write_text("Ans() :- E(x,y), E(y,z), E(z,x).\n")
+    code, out, err = run(capsys, "bench", "--family", "cycle", "--sizes", "65536", "--query", str(q))
+    assert (code, out) == (3, "")
+    assert err == "task error: translation requires a free-connex acyclic query\n"
+
+
 def test_bench_refuses_a_size_past_the_family_bound(tmp_path, capsys):
     # a tree of height 30 has 2^31 - 1 nodes: refused before any is made
     q = tmp_path / "path3.cq"

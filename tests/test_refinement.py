@@ -17,6 +17,7 @@ from colorindex.generators import (
     random_graph_db,
     random_relational_db,
 )
+from colorindex.index import build_binary
 from colorindex.instrument import OpCounter
 from colorindex.model import Schema, validate_database
 from colorindex.oracle import naive_refine
@@ -166,6 +167,24 @@ def _replicas(db, copies, bridges, symmetric, rng):
     return validate_database(db.schema, raw)
 
 
+def _typed_inputs():
+    base = random_relational_db(BINARY_SCHEMA, 8, 14, seed=1)
+    for copies in (25, 100, 400):  # many equal colors
+        yield _replicas(base, copies, 3, False, random.Random(copies))
+    for n in (250, 1000, 4000):  # nearly discrete
+        yield random_relational_db(BINARY_SCHEMA, n, n // 2, seed=n)
+
+
+@pytest.mark.parametrize("db", list(_typed_inputs()), ids=lambda db: f"{len(db.active_domain())}-values")
+def test_typed_refine_ops_within_n_plus_m_log_n(db):
+    # n values, m typed entries: one per ordered pair of related values
+    ops = OpCounter()
+    ci = build_binary(db, ops)
+    n, m = len(ci.graph.vertices), sum(map(len, ci.graph.adj.values()))
+    assert m > n > 0
+    assert n <= ops.n <= 2 * (n + m) * math.log2(n + 1)
+
+
 @st.composite
 def labeled_graphs(draw):
     """Random labeled graphs with loops, 30-300 vertices before bridging."""
@@ -178,13 +197,18 @@ def labeled_graphs(draw):
 
 
 @st.composite
-def gadget_graphs(draw):
-    """bin2graph encodings of random binary databases, replicated the same way."""
+def replicated_binary_dbs(draw):
+    """Random binary databases, replicated the same way."""
     base = random_relational_db(BINARY_SCHEMA, draw(st.integers(2, 12)), draw(st.integers(1, 20)),
                                 seed=draw(st.integers(0, 10**9)))
     copies = draw(st.integers(1, 6))
-    db = _replicas(base, copies, draw(st.integers(0, 3)), False, random.Random(draw(st.integers(0, 10**9))))
-    return encode_db(db).dhat
+    return _replicas(base, copies, draw(st.integers(0, 3)), False, random.Random(draw(st.integers(0, 10**9))))
+
+
+@st.composite
+def gadget_graphs(draw):
+    """bin2graph encodings of replicated random binary databases."""
+    return encode_db(draw(replicated_binary_dbs())).dhat
 
 
 @settings(max_examples=100, deadline=None)
@@ -199,3 +223,13 @@ def test_refine_matches_naive_oracle_on_larger_graphs(db):
 def test_refine_matches_naive_oracle_on_gadget_graphs(dhat):
     g = encode_loops(dhat)
     assert refine(g).partition() == naive_refine(g).partition()
+
+
+@settings(max_examples=100, deadline=None)
+@given(replicated_binary_dbs())
+def test_typed_refine_is_the_gadget_refinement_on_the_values(db):
+    # refining the values with typed entries splits them as refining
+    # bin2graph's gadget graph does
+    gadget = refine(encode_loops(encode_db(db).dhat))
+    values = db.active_domain()
+    assert build_binary(db).coloring.partition() == {m for m in gadget.partition() if m <= values}

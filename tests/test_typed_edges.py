@@ -1,5 +1,6 @@
-"""Binary- and full-stage indexes are typed: the value vertices of
-bin2graph's graph with their classes, and one edge color per gadget class.
+"""Binary- and full-stage indexes are typed: the values with their classes,
+and one edge color per class of entries, as many as bin2graph's graph has
+gadget classes.
 Queries run on them: parallel and opposite atoms merge into one typed edge,
 R(x, x) restricts x to the values with a loop entry, and the query that runs
 is the source query (binary stage) or arb2bin's q2 (full stage), never
@@ -361,17 +362,28 @@ def typed_instances(draw):
 @settings(max_examples=80, deadline=None)
 @given(typed_instances())
 def test_typed_index_is_the_projected_gadget_coloring(instance):
+    # the build refines the values with typed entries; the reference refines
+    # bin2graph's gadget graph and projects it with the pair map
     db, q = instance
     idx = DatabaseIndex.build(db)
     assert idx.stage in ("binary", "full")
     # the value classes of bin2graph's graph, refined
-    bdb = db if idx.stage == "binary" else arb2bin.encode_db(db).db2
+    benc = arb2bin.encode_db(db) if idx.stage == "full" else None
+    bdb = db if benc is None else benc.db2
     genc = bin2graph.encode_db(bdb)
-    gadget = refine(encode_loops(genc.dhat))
+    graph = encode_loops(genc.dhat)
+    gadget = refine(graph)
     values = set(bdb.active_domain())
     assert idx.cindex.coloring.partition() == {m for m in gadget.partition() if m <= values}
     assert idx.cindex.colors == gadget.num_colors
+    # the same file: edge-color numbering, reverses, labels, bucket order,
+    # and graph_size, the size of bin2graph's graph
+    reference = DatabaseIndex(db.schema, db.pool, idx.stage, build_from_coloring(graph, gadget, genc.dhat.size),
+                              db.size, gadget_node=genc.gadget_node,
+                              node_proj=None if benc is None else benc.node_proj)
+    assert idx.cindex.source_size == genc.dhat.size
     text = idx.save_text()
+    assert text == reference.save_text()
     loaded = DatabaseIndex.load_text(text)
     assert loaded.save_text() == text
     for served in (idx, loaded):
