@@ -20,7 +20,7 @@ print(f"database: {db.size} tuples over {len(db.active_domain())} constants")
 
 idx = DatabaseIndex.build(db, stage="full")
 print(f"staging: {idx.stage}")
-print(f"  tuple/projection nodes after the binary reduction: {len(idx.node_tuple)}/{len(idx.node_proj)}")
+print(f"  nodes after the binary reduction: {len(idx.node_proj)}, {len(idx.node_tuple)} of them source tuples")
 ci = idx.cindex
 entries = ci.vertex_count - len(ci.graph.vertices)
 print(f"  typed index: {len(ci.graph.vertices)} values, {entries} entries, {ci.coloring.num_colors} value colors, "

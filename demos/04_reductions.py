@@ -1,7 +1,8 @@
 """The two schema reductions, on a database small enough to read.
 
-Stage one replaces a ternary relation by tuple nodes, projection nodes, and
-position-equality edges.  Stage two replaces the remaining binary relations
+Stage one replaces a ternary relation by one node per projection of a tuple
+at increasing positions (the tuple itself included) and position-equality
+edges.  Stage two replaces the remaining binary relations
 by labeled 4-node gadgets around a single symmetric edge relation.  Both
 stages preserve answers bijectively.
 """
@@ -16,8 +17,8 @@ db = validate_database(schema, {"T": [("a", "b", "c"), ("a", "a", "b")]})
 print(f"source: {db.size} ternary tuples")
 
 benc = encode_db(db)
-print(f"binary encoding: {len(benc.tuple_node)} tuple nodes, "
-      f"{len(benc.proj_node)} projection nodes, schema of {len(benc.db2.schema.symbols)} symbols")
+print(f"binary encoding: {len(benc.node_proj)} nodes, {len(benc.node_tuple)} of them source tuples, "
+      f"schema of {len(benc.db2.schema.symbols)} symbols")
 
 
 def shown(t):
@@ -25,9 +26,9 @@ def shown(t):
 
 
 # the nodes have ids only; the maps say which tuple or projection each is
-for t, node in benc.tuple_node.items():
-    print(f"  tuple node {node}: w({shown(t)})")
-arity1 = sorted(f"v({shown(p)})" for p in benc.proj_node if len(p) == 1)
+for node, t in benc.node_tuple.items():
+    print(f"  source tuple node {node}: v({shown(t)})")
+arity1 = sorted(f"v({shown(p)})" for p in benc.node_proj.values() if len(p) == 1)
 print(f"  projections of arity 1: {arity1}")
 
 # translate a query whose free variables no single atom covers

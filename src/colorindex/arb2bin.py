@@ -1,31 +1,42 @@
 """Reduction from arbitrary schemas to binary schemas.
 
-A database maps to one node per tuple plus one node per projection of a
-tuple (subtuples selected by pairwise-distinct positions, the empty tuple
-included).  Unary relations tag tuple nodes with their relation symbol and
-projection nodes with their arity.  Binary relations record equal entries,
-`E<i>_<j>(w, v)` when position i of tuple w equals position j of projection
-v and `F<i>_<j>` likewise between projections, but only on the pairs a
-translated query can match:
-
-- E links a tuple to its projections over all of its values;
-- F links a projection p to each sub-selection p[S] at increasing positions
-  S, S = all positions included, in both directions.
+A database maps to one node per distinct value tuple selected at increasing
+positions of a source tuple: the empty tuple, the source tuple itself, and
+every selection between.  A source tuple is its own full projection, so it
+has no node of its own: `U_R` labels the node of each tuple of R, and `A<i>`
+labels every node by its arity.  The binary relations record equal entries,
+`F<i>_<j>(p, q)` and `F<j>_<i>(q, p)` when position i of p equals position j
+of q, but only on the pairs a translated query can match: q is a node whose
+tuple is a reordering of some sub-selection p[S] at non-empty increasing
+positions S.
 
 Query translation runs over a complete fc-1-GHD with bag containment on
-every edge: one node variable per GHD node, one extra tuple variable per
-atom node, head variables taken from the witness nodes with non-empty bags.
-A source homomorphism g answers the translated query by binding each node
-variable to the projection g(bag), the bag's variables taken in id order,
-and each tuple variable to its atom's image.  An atom node's bag is
-exactly its atom's variables, so g(bag) has the values of that tuple; along
-a containment edge the smaller bag's projection is the larger one's at
-increasing positions.  So the facts kept, a subset of all equal-entry
-facts, hold every fact such a witness uses, and the answers and their
-decoding are the same as over all of them.
+every edge: one node variable v_t per GHD node, head variables taken from
+the witness nodes with non-empty bags.  A bag is ordered by first occurrence
+in the atom that covers it, an atom node's bag by its own atom.  An atom
+R(..) with no repeated variable puts `U_R` on its node variable.  An atom
+with a repeated variable, such as R(x,x,y), gets a tuple variable w_t with
+`U_R` and `A<arity>`, linked to v_t by an F atom for each atom position and
+bag position that hold the same variable.  Each tree edge gets an F atom for
+each pair of positions of its two bags that hold the same variable.
 
-The nodes are numbered by counting, tuple nodes first, and have no names:
-the maps `node_tuple` and `node_proj` say what each one stands for.
+A source homomorphism g answers the translated query by binding v_t to the
+values of its bag in bag order, g(cover)[S] at increasing positions S: a
+node.  An atom node with no repeated variable is bound to its atom's tuple,
+which `U_R` labels.  Along a containment edge the smaller bag's values are
+the larger bag's at increasing positions, but in the smaller bag's order,
+which its own covering atom fixes; since F links a node to every reordering
+of each of its sub-selections, the edge's F facts are there in any such
+order.  Conversely an F fact holds only on equal entries, so a variable
+reads the same value in every bag that holds it (the bags that hold it form
+a subtree), and `U_R`, with w_t's F links for a repeated variable, puts each
+atom's image in R.  A node is its value tuple, so the answers over the
+witness nodes and the source answers correspond one to one, and
+`decode_answer` reads each head variable off its witness node.
+
+The nodes are numbered by counting, the source tuples first in relation
+order, and have no names: `node_proj` maps each node to its value tuple, and
+`node_tuple` each source tuple's node to its tuple.
 """
 from __future__ import annotations
 
@@ -39,92 +50,63 @@ from .model import ConjunctiveQuery, Database, Schema, cq
 
 def binary_schema_for(schema: Schema) -> tuple[Schema, int]:
     """The derived binary schema: U_<R> per source symbol, A<i> for arities
-    0..k, E<i>_<j> / F<i>_<j> for positions i,j in 1..k (k = max arity)."""
+    0..k, F<i>_<j> for positions i,j in 1..k (k = max arity)."""
     k = schema.max_arity
     symbols: list[tuple[str, int]] = [(f"U_{name}", 1) for name in schema.names]
     symbols += [(f"A{i}", 1) for i in range(k + 1)]
-    symbols += [(f"E{i}_{j}", 2) for i in range(1, k + 1) for j in range(1, k + 1)]
     symbols += [(f"F{i}_{j}", 2) for i in range(1, k + 1) for j in range(1, k + 1)]
     return Schema(tuple(symbols)), k
 
 
 def projections_of(t: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """All value tuples selected by pairwise-distinct positions of t,
-    including the empty tuple; deduplicated as value tuples."""
-    out: set[tuple[int, ...]] = set()
-    for m in range(len(t) + 1):
-        for positions in itertools.permutations(range(len(t)), m):
-            out.add(tuple(t[i] for i in positions))
-    return out
+    """All value tuples selected at increasing positions of t, the empty
+    tuple and t included; deduplicated as value tuples."""
+    return {tuple(t[i] for i in sel) for m in range(len(t) + 1) for sel in itertools.combinations(range(len(t)), m)}
 
 
 @dataclass(frozen=True)
 class BinaryEncoding:
     db2: Database  # over binary_schema_for(db.schema)
-    tuple_node: dict[tuple[int, ...], int]
-    proj_node: dict[tuple[int, ...], int]
-    node_tuple: dict[int, tuple[int, ...]]
-    node_proj: dict[int, tuple[int, ...]]
+    node_proj: dict[int, tuple[int, ...]]  # every node
+    node_tuple: dict[int, tuple[int, ...]]  # the nodes of source tuples
 
 
 def encode_db(db: Database) -> BinaryEncoding:
     schema = db.schema
     sigma2, k = binary_schema_for(schema)
 
-    # tuple nodes, deduplicated across relations, in relation order; then the
-    # projection nodes in order of first appearance, numbered on from there
-    tuple_node: dict[tuple[int, ...], int] = {}
+    # the source tuples, deduplicated across relations, in relation order;
+    # then their other projections in order of first appearance
+    proj_node: dict[tuple[int, ...], int] = {}
     for name in schema.names:
         for t in db.rel(name):
-            tuple_node.setdefault(t, len(tuple_node))
-
-    proj_node: dict[tuple[int, ...], int] = {}
-    projections_by_tuple: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for t in tuple_node:
-        projs = sorted(projections_of(t), key=lambda p: (len(p), p))
-        projections_by_tuple[t] = projs
-        for p in projs:
-            if p not in proj_node:
-                proj_node[p] = len(tuple_node) + len(proj_node)
+            proj_node.setdefault(t, len(proj_node))
+    node_tuple = {n: t for t, n in proj_node.items()}
+    for t in node_tuple.values():
+        for p in sorted(projections_of(t), key=lambda p: (len(p), p)):
+            proj_node.setdefault(p, len(proj_node))
 
     relations: dict[str, set[tuple[int, ...]]] = {name: set() for name in sigma2.names}
     for name in schema.names:
-        for t in db.rel(name):
-            relations[f"U_{name}"].add((tuple_node[t],))
+        relations[f"U_{name}"] = {(proj_node[t],) for t in db.rel(name)}
     for p, node in proj_node.items():
         relations[f"A{len(p)}"].add((node,))
+    # F: a node and every node whose tuple reorders one of its sub-selections
+    reorderings: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    for p, node in proj_node.items():
+        reorderings.setdefault(tuple(sorted(p)), []).append((p, node))
     positions = range(1, k + 1)
-    e_rel = [[relations[f"E{i}_{j}"] for j in positions] for i in positions]
     f_rel = [[relations[f"F{i}_{j}"] for j in positions] for i in positions]
-    # E: a tuple and its projections over all of its values
-    for t, wt in tuple_node.items():
-        values = set(t)
-        for p in projections_by_tuple[t]:
-            if set(p) != values:
-                continue
-            vp = proj_node[p]
-            for i, x in enumerate(t):
-                for j, y in enumerate(p):
-                    if x == y:
-                        e_rel[i][j].add((wt, vp))
-    # F: a projection and its order-preserving sub-selections, both ways
     for p, vp in proj_node.items():
-        for m in range(1, len(p) + 1):
-            for sel in itertools.combinations(range(len(p)), m):
-                vq = proj_node[tuple(p[s] for s in sel)]
+        for values in {tuple(sorted(s)) for s in projections_of(p) if s}:
+            for q, vq in reorderings[values]:
                 for i, x in enumerate(p):
-                    for j, s in enumerate(sel):
-                        if x == p[s]:
+                    for j, y in enumerate(q):
+                        if x == y:
                             f_rel[i][j].add((vp, vq))
                             f_rel[j][i].add((vq, vp))
     db2 = Database(schema=sigma2, relations={name: tuple(sorted(ts)) for name, ts in relations.items()})
-    return BinaryEncoding(
-        db2=db2,
-        tuple_node=tuple_node,
-        proj_node=proj_node,
-        node_tuple={n: t for t, n in tuple_node.items()},
-        node_proj={n: p for p, n in proj_node.items()},
-    )
+    return BinaryEncoding(db2=db2, node_proj={n: p for p, n in proj_node.items()}, node_tuple=node_tuple)
 
 
 @dataclass(frozen=True)
@@ -144,9 +126,12 @@ def encode_query(q: ConjunctiveQuery, ghd: FcGHD, schema: Schema) -> QueryEncodi
     for a, b in ghd.edges:
         if not (ghd.bag[a] <= ghd.bag[b] or ghd.bag[b] <= ghd.bag[a]):
             raise BadGHD("decomposition lacks bag containment on an edge")
-    bag_tuple = [tuple(sorted(ghd.bag[t])) for t in ghd.nodes]
-    node_of_atom = dict(ghd.atom_node)
-    atom_of_node = {t: ai for ai, t in node_of_atom.items()}
+    atom_of_node = {t: ai for ai, t in ghd.atom_node.items()}
+    order = [q.atoms[atom_of_node[t]] if t in atom_of_node else ghd.cover[t] for t in ghd.nodes]
+    # each bag in first-occurrence order of its atom
+    bag_tuple = [tuple(dict.fromkeys(x for x in order[t].args if x in ghd.bag[t])) for t in ghd.nodes]
+    if any(len(bag_tuple[t]) != len(ghd.bag[t]) for t in ghd.nodes):
+        raise BadGHD("decomposition has a bag that its covering atom does not contain")
     _, parent = ghd.bfs()
 
     # an empty-bag witness node decodes no variable, and its one value (the
@@ -159,17 +144,17 @@ def encode_query(q: ConjunctiveQuery, ghd: FcGHD, schema: Schema) -> QueryEncodi
         ai = atom_of_node.get(t)
         if ai is not None:
             atom = q.atoms[ai]
-            atoms.append((f"U_{atom.symbol}", [f"w{t}"]))
-            for i in range(1, atom.arity + 1):
-                for j in range(1, len(bag_tuple[t]) + 1):
-                    if atom.args[i - 1] == bag_tuple[t][j - 1]:
-                        atoms.append((f"E{i}_{j}", [f"w{t}", f"v{t}"]))
+            if len(bag_tuple[t]) == atom.arity:  # the node is the atom's tuple
+                atoms.append((f"U_{atom.symbol}", [f"v{t}"]))
+            else:
+                atoms += [(f"U_{atom.symbol}", [f"w{t}"]), (f"A{atom.arity}", [f"w{t}"])]
+                atoms += [(f"F{i}_{bag_tuple[t].index(x) + 1}", [f"w{t}", f"v{t}"])
+                          for i, x in enumerate(atom.args, 1)]
         if t in parent:
             p = parent[t]
-            for i in range(1, len(bag_tuple[t]) + 1):
-                for j in range(1, len(bag_tuple[p]) + 1):
-                    if bag_tuple[t][i - 1] == bag_tuple[p][j - 1]:
-                        atoms.append((f"F{i}_{j}", [f"v{t}", f"v{p}"]))
+            for i, x in enumerate(bag_tuple[t], 1):
+                if x in ghd.bag[p]:
+                    atoms.append((f"F{i}_{bag_tuple[p].index(x) + 1}", [f"v{t}", f"v{p}"]))
     q2 = cq(head_names, atoms)
 
     head_index = {t: i for i, t in enumerate(head_nodes)}

@@ -66,15 +66,14 @@ def cmd_index(args) -> int:
               f"|C| = {ci.coloring.num_colors} value + {len(ci.edges.rev)} edge colors, "
               f"|D_L| = entries + value labels, |D_col| = label facts + (c, e, c') facts")
     if args.dump_maps:
-        # a tuple node stands for every relation that holds its tuple
+        # a node is its value tuple: the node of a source tuple stands for
+        # every relation that holds it
         holders: dict[tuple[int, ...], list[str]] = {}
         for name in db.schema.names:
             for t in db.rel(name):
                 holders.setdefault(t, []).append(name)
-        for node, t in sorted(idx.node_tuple.items()):
-            print(f"w\t{node}\t{','.join(holders[t])}\t{' '.join(db.display(c) for c in t)}")
         for node, p in sorted(idx.node_proj.items()):
-            print(f"v\t{node}\t{' '.join(db.display(c) for c in p)}")
+            print(f"v\t{node}\t{','.join(holders.get(p, ['-']))}\t{' '.join(db.display(c) for c in p)}")
     return 0
 
 
@@ -226,9 +225,9 @@ def build_parser() -> _Parser:
     pi.add_argument("--out", required=True)
     pi.add_argument("--stage", default="auto", choices=("auto", "graph", "binary", "full"))
     pi.add_argument("--dump-maps", action="store_true",
-                    help="print arb2bin's node maps of a full-stage index: `w node relations constants` "
-                         "per tuple node, its relations comma-joined in schema order, and "
-                         "`v node constants` per projection node")
+                    help="print arb2bin's node map of a full-stage index: `v node relations constants` "
+                         "per node, the relations that hold its tuple comma-joined in schema order "
+                         "or `-` for none")
     pi.set_defaults(func=cmd_index)
 
     pq = sub.add_parser("query", help="answer a query against a persisted index")

@@ -14,8 +14,9 @@ from .errors import ArityMismatch, UnknownSymbol
 
 # The widest relation a schema may declare.  `arb2bin` makes a node and F
 # facts for the sub-selections of every tuple, so the full stage grows
-# exponentially in the arity: one fact of arity 6 indexes in seconds and a
-# few hundred MB, one of arity 7 not within 3 GB.
+# exponentially in the arity: two facts of arity 6 index in 0.01 s and 17 MB
+# of peak RSS (one process on a 2-vCPU VM), where ordered sub-selections
+# with tuple nodes took 2.3 s and 217 MB.
 MAX_ARITY = 6
 
 

@@ -53,7 +53,7 @@ from .model import ConjunctiveQuery, ConstantPool, Database, Schema
 from .refinement import asymmetric_vertex, edge_adjacency, loop_encoding_labels
 from .textio import read_text
 
-FORMAT_HEADER = "colorindex-file v8"
+FORMAT_HEADER = "colorindex-file v9"
 COMPILED_LIMIT = 64  # compiled queries kept per index
 
 TASKS = ("bool", "count", "enum")
@@ -320,12 +320,11 @@ class DatabaseIndex:
             if not all(v in constants for v in values):
                 raise ParseError(f"a {self.stage}-stage value vertex is not a constant id")
             return
-        # arb2bin labels a projection node of arity i with A<i>
+        # every arb2bin node is a projection, and A<i> labels it by its arity i
+        if set(values) != self.node_proj.keys():
+            raise ParseError("[PROJ] does not list exactly the value vertices")
         a_labels = frozenset(f"A{i}" for i in range(self.schema.max_arity + 1))
-        arity_labels = {v: graph.vl[v] & a_labels for v in values}
-        if {v for v, labels in arity_labels.items() if labels} != self.node_proj.keys():
-            raise ParseError("[PROJ] does not list exactly the value vertices with an A<i> label")
-        if any(arity_labels[v] != {f"A{len(p)}"} for v, p in self.node_proj.items()):
+        if any(graph.vl[v] & a_labels != {f"A{len(p)}"} for v, p in self.node_proj.items()):
             raise ParseError("a projection of [PROJ] does not have the arity of its A<i> label")
         if not all(c in constants for p in self.node_proj.values() for c in p):
             raise ParseError("[PROJ] names an id that is not a constant")

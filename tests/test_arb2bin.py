@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,10 +15,11 @@ from colorindex.errors import MalformedAnswer
 from colorindex.generators import BINARY_SCHEMA, TERNARY_SCHEMA, random_fc_query, random_relational_db
 from colorindex.model import Schema, cq, validate_database
 from colorindex.oracle import brute_answers
+from colorindex.pipeline import DatabaseIndex
 
 
 def test_projections_pair_distinct():
-    assert projections_of((1, 2)) == {(), (1,), (2,), (1, 2), (2, 1)}
+    assert projections_of((1, 2)) == {(), (1,), (2,), (1, 2)}
 
 
 def test_projections_pair_equal():
@@ -26,83 +28,96 @@ def test_projections_pair_equal():
 
 def test_projections_triple_distinct():
     ps = projections_of((1, 2, 3))
-    assert len(ps) == 16  # 1 + 3 + 6 + 6
+    assert len(ps) == 8  # 1 + 3 + 3 + 1: increasing positions only
     by_arity = {m: sum(1 for p in ps if len(p) == m) for m in range(4)}
-    assert by_arity == {0: 1, 1: 3, 2: 6, 3: 6}
+    assert by_arity == {0: 1, 1: 3, 2: 3, 3: 1}
+    assert (1, 3) in ps and (3, 1) not in ps
 
 
 def test_schema_size_formula():
     for schema in (BINARY_SCHEMA, TERNARY_SCHEMA, Schema.of(("R", 4), ("U", 1))):
         sigma2, k = binary_schema_for(schema)
         assert k == schema.max_arity
-        assert len(sigma2.symbols) == len(schema.symbols) + 2 * k * k + k + 1
+        assert len(sigma2.symbols) == k * k + k + 1 + len(schema.symbols)
         assert sigma2.is_binary()
+        assert not any(name.startswith("E") for name in sigma2.names)
 
 
 def test_encode_single_unary_tuple():
     schema = Schema.of(("R", 1))
     db = validate_database(schema, {"R": [("a",)]})
     enc = encode_db(db)
-    assert len(enc.tuple_node) == 1
-    assert set(enc.proj_node) == {(), (0,)}
-    w = enc.tuple_node[(0,)]
-    v_a = enc.proj_node[(0,)]
-    v_empty = enc.proj_node[()]
-    assert enc.db2.rel("U_R") == ((w,),)
-    assert enc.db2.rel("A0") == ((v_empty,),)
-    assert enc.db2.rel("A1") == ((v_a,),)
-    assert enc.db2.rel("E1_1") == ((w, v_a),)
-    assert enc.db2.rel("F1_1") == ((v_a, v_a),)
+    # the tuple is its own full projection: node 0, then the empty tuple
+    assert enc.node_tuple == {0: (0,)}
+    assert enc.node_proj == {0: (0,), 1: ()}
+    assert enc.db2.rel("U_R") == ((0,),)
+    assert enc.db2.rel("A0") == ((1,),)
+    assert enc.db2.rel("A1") == ((0,),)
+    assert enc.db2.rel("F1_1") == ((0, 0),)
+    assert enc.db2.size == 4
 
 
 def test_encode_pair_tuple():
     schema = Schema.of(("R", 2))
     db = validate_database(schema, {"R": [("a", "b")]})
     enc = encode_db(db)
-    assert len(enc.tuple_node) == 1
-    assert len(enc.proj_node) == 5
-    w = enc.tuple_node[(0, 1)]
-    e11 = set(enc.db2.rel("E1_1"))
-    assert e11 == {(w, enc.proj_node[(0, 1)])}
+    assert enc.node_tuple == {0: (0, 1)}
+    assert enc.node_proj == {0: (0, 1), 1: (), 2: (0,), 3: (1,)}
+    assert enc.db2.rel("U_R") == ((0,),)
+    assert set(enc.db2.rel("F1_1")) == {(0, 0), (0, 2), (2, 0), (2, 2), (3, 3)}
+    assert enc.db2.rel("F2_2") == ((0, 0),)
+    assert enc.db2.rel("F2_1") == ((0, 3),)
+    assert enc.db2.rel("F1_2") == ((3, 0),)
+
+
+def test_encode_reordered_pair_links_both_orders():
+    # (a,b) and (b,a) reorder each other: F links them at their equal entries
+    schema = Schema.of(("R", 2))
+    enc = encode_db(validate_database(schema, {"R": [("a", "b"), ("b", "a")]}))
+    ab, ba = (next(n for n, p in enc.node_proj.items() if p == t) for t in ((0, 1), (1, 0)))
+    assert (ab, ba) in enc.db2.rel("F1_2") and (ab, ba) in enc.db2.rel("F2_1")
+    assert (ab, ba) not in enc.db2.rel("F1_1") and (ab, ba) not in enc.db2.rel("F2_2")
 
 
 def test_encode_empty_db():
     schema = Schema.of(("R", 2))
     enc = encode_db(validate_database(schema, {}))
     assert enc.db2.size == 0
-    assert not enc.tuple_node and not enc.proj_node
+    assert not enc.node_proj and not enc.node_tuple
 
 
-def _is_sub_selection(q, p):
-    """q is p at some increasing positions."""
-    rest = iter(p)
-    return all(x in rest for x in q)
+def _reorders_a_sub_selection(q, p):
+    """q is a reordering of p at some non-empty increasing positions."""
+    return any(sorted(q) == sorted(p[i] for i in sel) for sel in itertools.combinations(range(len(p)), len(q)) if q)
 
 
 def test_f_relation_side_condition():
-    """E links a tuple to its projections over all of its values, and F a
-    projection to its order-preserving sub-selections, both ways: every such
-    fact is there, with each pair of equal entries, and no other."""
-    for seed in (9, 10):
-        enc = encode_db(random_relational_db(TERNARY_SCHEMA, 4, 3, seed=seed))
+    """One node per projection at increasing positions of a source tuple,
+    labeled U_R when it is a tuple of R and A<i> by its arity; F links a node
+    to every node that reorders one of its non-empty sub-selections, both
+    ways: every such fact is there, with each pair of equal entries, and no
+    other, and there are no E facts."""
+    for seed in (9, 10, 11):
+        db = random_relational_db(TERNARY_SCHEMA, 4, 3, seed=seed)
+        enc = encode_db(db)
+        proj_node = {p: n for n, p in enc.node_proj.items()}
+        assert set(proj_node) == {p for name in db.schema.names for t in db.rel(name) for p in projections_of(t)}
+        assert enc.node_tuple == {proj_node[t]: t for name in db.schema.names for t in db.rel(name)}
+        for name in db.schema.names:
+            assert set(enc.db2.rel(f"U_{name}")) == {(proj_node[t],) for t in db.rel(name)}
+        for i in range(4):
+            assert set(enc.db2.rel(f"A{i}")) == {(n,) for n, p in enc.node_proj.items() if len(p) == i}
         want = set()
-        for t, wt in enc.tuple_node.items():
-            for p in projections_of(t):
-                if set(p) == set(t):
-                    want |= {
-                        (f"E{i}_{j}", (wt, enc.proj_node[p]))
-                        for i, x in enumerate(t, 1)
-                        for j, y in enumerate(p, 1)
-                        if x == y
-                    }
-        for p, vp in enc.proj_node.items():
-            for q, vq in enc.proj_node.items():
-                if q and _is_sub_selection(q, p):
+        for vp, p in enc.node_proj.items():
+            for vq, q in enc.node_proj.items():
+                if _reorders_a_sub_selection(q, p):
                     for i, x in enumerate(p, 1):
                         for j, y in enumerate(q, 1):
                             if x == y:
                                 want |= {(f"F{i}_{j}", (vp, vq)), (f"F{j}_{i}", (vq, vp))}
-        have = {(name, fact) for name in enc.db2.schema.names if name[0] in "EF" for fact in enc.db2.rel(name)}
+        binary = [name for name, arity in enc.db2.schema.symbols if arity == 2]
+        assert all(name.startswith("F") for name in binary)
+        have = {(name, fact) for name in binary for fact in enc.db2.rel(name)}
         assert have == want
 
 
@@ -112,7 +127,35 @@ def test_encode_boolean_single_atom_query():
     enc_q = encode_query(q, compute_fc1ghd(q), schema)
     assert enc_q.q2.is_boolean()
     symbols = sorted(a.symbol for a in enc_q.q2.atoms)
-    assert symbols == ["A1", "E1_1", "U_R"]
+    assert symbols == ["A1", "U_R"]
+
+
+def _named_atoms(q2):
+    return sorted((a.symbol, tuple(q2.var_name(v) for v in a.args)) for a in q2.atoms)
+
+
+def test_repeated_variable_atom_reaches_its_bag_through_f():
+    # R(x,x,y): its tuple variable w0 is an R tuple linked to the bag (x, y)
+    # at each atom position and the bag position of its variable
+    q = cq(["x", "y"], [("R", ["x", "x", "y"])])
+    enc_q = encode_query(q, compute_fc1ghd(q), Schema.of(("R", 3)))
+    assert _named_atoms(enc_q.q2) == [
+        ("A2", ("v0",)), ("A3", ("w0",)),
+        ("F1_1", ("w0", "v0")), ("F2_1", ("w0", "v0")), ("F3_2", ("w0", "v0")),
+        ("U_R", ("w0",)),
+    ]
+
+
+def test_bags_take_the_first_occurrence_order_of_their_atoms():
+    # node 0 is R(y,x,z) in its order, node 1 S(x,y); the tree edge links
+    # y and x at their positions in each, and the head reads them back
+    q = cq(["y", "x"], [("R", ["y", "x", "z"]), ("S", ["x", "y"])])
+    enc_q = encode_query(q, compute_fc1ghd(q), Schema.of(("R", 3), ("S", 2)))
+    assert _named_atoms(enc_q.q2) == [
+        ("A2", ("v1",)), ("A3", ("v0",)), ("F1_2", ("v0", "v1")), ("F2_1", ("v0", "v1")),
+        ("U_R", ("v0",)), ("U_S", ("v1",)),
+    ]
+    assert enc_q.decode_plan == ((0, 2, 1), (0, 2, 0))
 
 
 def test_encode_ternary_query_single_head_var():
@@ -180,3 +223,29 @@ def test_movie_query_through_binary_reduction(movie_db, movie_schema, movie_quer
     decoded = {decode_answer(t, enc_q, enc.node_proj) for t in translated.answers.tuples}
     shown = sorted(tuple(movie_db.display(c) for c in t) for t in decoded)
     assert shown == [("LM", "PS"), ("MM", "PS")]
+
+
+@pytest.mark.parametrize("schema", [
+    Schema.of(("Q", 4)),
+    Schema.of(("W", 5), ("S", 3)),
+    Schema.of(("X", 6), ("R", 2)),
+], ids=["Q4", "W5-S3", "X6-R2"])
+def test_full_stage_matches_the_oracle_on_wide_relations(schema):
+    # the full-stage index counts and enumerates, decoded, the oracle's answers
+    rng = random.Random(700 + schema.max_arity)
+    for _ in range(40):
+        db = random_relational_db(schema, rng.randint(2, 4), rng.randint(1, 3), seed=rng.randrange(10**9))
+        q = random_fc_query(schema, rng, max_atoms=3)
+        idx = DatabaseIndex.build(db, stage="full")
+        expected = set(brute_answers(q, db).answers.tuples)
+        assert idx.count(q) == len(expected)
+        got = list(idx.enumerate(q))
+        assert len(got) == len(set(got)) and set(got) == expected
+
+
+def test_ternary_sizes_are_pinned():
+    # |D2| and |D_col| of the ternary input at n=200: 84,431 and 143,327
+    # under ordered projections with tuple nodes and E facts
+    db = random_relational_db(TERNARY_SCHEMA, 200, 400, seed=1)
+    assert encode_db(db).db2.size == 21_419
+    assert DatabaseIndex.build(db, stage="full").cindex.d_col_size == 36_905

@@ -243,40 +243,35 @@ def test_bench_query_off_the_family_schema_is_a_data_error(tmp_path, capsys, fam
     assert (code, out) == (2, "") and err.startswith("data error: unknown relation symbol")
 
 
-# arb2bin's nodes of the movie database: its tuple nodes in order, each with
-# its relation and constants, then its projection nodes, each with its
-# constants
-MOVIE_TUPLE_NODES = ["P\tPS LM", "P\tPS MM", "A\tLM PS", "A\tMM PS", "M\tLM Dr.S", "M\tMM Dr.S", "S\tLM 18m",
-                     "S\tMM 34m"]
-MOVIE_PROJECTION_NODES = [
-    "", "PS", "LM", "PS LM", "LM PS", "MM", "PS MM", "MM PS", "Dr.S", "LM Dr.S", "Dr.S LM", "MM Dr.S", "Dr.S MM",
-    "18m", "LM 18m", "18m LM", "34m", "MM 34m", "34m MM",
+# arb2bin's nodes of the movie database: the source tuples, each under the
+# relations that hold it, then the other projections at increasing positions
+MOVIE_NODES = [
+    "P\tPS LM", "P\tPS MM", "A\tLM PS", "A\tMM PS", "M\tLM Dr.S", "M\tMM Dr.S", "S\tLM 18m", "S\tMM 34m",
+    "-\t", "-\tPS", "-\tLM", "-\tMM", "-\tDr.S", "-\t18m", "-\t34m",
 ]
 
 
 def test_dump_maps_prints_the_node_maps_of_arb2bin(movie_files, capsys):
-    # one `w` row per tuple node and one `v` row per projection node: the
-    # value vertices of the saved and served index, and no other rows
+    # one `v` row per node: the value vertices of the saved and served
+    # index, and no other rows
     f = movie_files
     code, out, _ = run(capsys, "index", "--db", str(f["db"]), "--schema", str(f["schema"]), "--out", str(f["idx"]),
                        "--stage", "full", "--dump-maps")
     assert code == 0
-    tuples = len(MOVIE_TUPLE_NODES)
-    expected = [f"w\t{node}\t{c}" for node, c in enumerate(MOVIE_TUPLE_NODES)]
-    expected += [f"v\t{node}\t{c}" for node, c in enumerate(MOVIE_PROJECTION_NODES, tuples)]
+    expected = [f"v\t{node}\t{c}" for node, c in enumerate(MOVIE_NODES)]
     assert out.splitlines()[2:] == expected
     assert DatabaseIndex.load(str(f["idx"])).cindex.graph.vertices == tuple(range(len(expected)))
 
 
 def test_dump_maps_names_every_relation_of_a_tuple_node(tmp_path, capsys):
-    # one tuple node stands for R(a,b) and S(a,b): its row names both
+    # one node stands for R(a,b) and S(a,b): its row names both
     schema, db = tmp_path / "rs.schema", tmp_path / "rs.db"
     schema.write_text("R/2\nS/2\n")
     db.write_text("S(a,b).\nR(a,b).\n")
     code, out, _ = run(capsys, "index", "--db", str(db), "--schema", str(schema), "--out", str(tmp_path / "rs.idx"),
                        "--stage", "full", "--dump-maps")
     assert code == 0
-    assert [row for row in out.splitlines() if row.startswith("w\t")] == ["w\t0\tR,S\ta b"]
+    assert [row for row in out.splitlines() if row.startswith("v\t0\t")] == ["v\t0\tR,S\ta b"]
 
 
 def test_index_stats_on_cycle(tmp_path, capsys):

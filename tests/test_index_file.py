@@ -1,4 +1,4 @@
-"""The v8 index file: what it stores, and that a damaged file ends in a data
+"""The v9 index file: what it stores, and that a damaged file ends in a data
 error (exit 2 with a message) rather than a traceback or a wrong answer."""
 import hashlib
 import importlib.util
@@ -124,7 +124,7 @@ def test_saved_index_stores_only_graph_and_classes(saved_index):
     # a binary- or full-stage file holds the value rows and the edge colors,
     # not bin2graph's gadget vertices
     _, lines = saved_index
-    assert lines[0] == FORMAT_HEADER == "colorindex-file v8"
+    assert lines[0] == FORMAT_HEADER == "colorindex-file v9"
     stage = lines[sections(lines)["META"][0] + 1].split("\t")[1]
     typed = [] if stage == "graph" else ["EDGE_COLORS"]
     assert list(sections(lines)) == ["META", "SCHEMA", "CONSTANTS", "PROJ", *typed, "VERTICES", "CLASSES"]
@@ -159,6 +159,7 @@ def test_every_mutation_is_a_data_error(saved_index, capsys):
     mutants.append(("v5 header", ["colorindex-file v5"] + lines[1:]))
     mutants.append(("v6 header", ["colorindex-file v6"] + lines[1:]))
     mutants.append(("v7 header", ["colorindex-file v7"] + lines[1:]))
+    mutants.append(("v8 header", ["colorindex-file v8"] + lines[1:]))
     missed = []
     for (what, mutant), task in itertools.product(mutants, ("count", "enum")):
         code, out, err = query(tmp_path, mutant, task, capsys)
@@ -171,9 +172,24 @@ def test_mutation_messages(saved_index, capsys):
     tmp_path, lines = saved_index
     _, _, err = query(tmp_path, unstable_swap(lines), "count", capsys)
     assert "unstable coloring" in err
-    for old in ("v1", "v2", "v3", "v4", "v5", "v6", "v7"):
+    for old in ("v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"):
         _, _, err = query(tmp_path, [f"colorindex-file {old}"] + lines[1:], "count", capsys)
         assert f"'colorindex-file {old}'" in err and "rebuilt with `colorindex index`" in err
+
+
+# the full-stage v8 file of R(a): built under the earlier arb2bin, with a
+# tuple node and its E facts
+V8_FULL = ("colorindex-file v8\n[META 3]\nstage\tfull\nsource_size\t1\ngraph_size\t20\n[SCHEMA 1]\nR\t1\n"
+           "[CONSTANTS 1]\na\n[PROJ 2]\n1\t\n2\t0\n[EDGE_COLORS 3]\nE1_1\t1\n-\t0\nF1_1,L\t2\n[VERTICES 3]\n"
+           "0\tU_R\t2\n1\tA0\t\n2\tA1\t0 2\n[CLASSES 3]\n0\t0\n1\t\n2\t1 2\n")
+
+
+def test_full_stage_v8_file_is_refused_by_its_header():
+    # its arb2bin encoding is gone: the header, not a label, refuses it
+    with pytest.raises(ParseError, match="found 'colorindex-file v8'.*rebuilt with `colorindex index`"):
+        DatabaseIndex.load_text(V8_FULL)
+    with pytest.raises(ParseError, match="undeclared label.*'E1_1'"):
+        DatabaseIndex.load_text(V8_FULL.replace("colorindex-file v8", FORMAT_HEADER))
 
 
 def _read(lines):
@@ -245,8 +261,8 @@ def test_loader_checks_value_vertices(movie_db):
         "binary-stage value vertex is not a constant id": _replace_rows(binary, "CONSTANTS", lambda rows: rows[:-1]),
         "does not list exactly": [
             _replace_rows(full, "PROJ", lambda rows: rows[1:]),
-            # arb2bin numbers the tuple nodes first: node 0 is R(...), not a projection
-            _replace_rows(full, "PROJ", lambda rows: ["0\t" + rows[0].split("\t")[1]] + rows[1:]),
+            # arb2bin numbers its nodes 0.. up: the id past the last is no value vertex
+            _replace_rows(full, "PROJ", lambda rows: [f"{len(rows)}\t" + rows[0].split("\t")[1]] + rows[1:]),
         ],
         "arity of its A<i> label": _replace_rows(full, "PROJ", lambda rows: rows[:-1] + [rows[-1] + " 0"]),
         "not a constant": _replace_rows(full, "PROJ", lambda rows: rows[:-1] + [rows[-1][:-1] + OUT_OF_RANGE]),
@@ -261,9 +277,9 @@ def test_loader_checks_value_vertices(movie_db):
 # sha1 prefixes of the saved seed-1 benchmark inputs: a change to the file
 # format, or to any vertex id or color class, must update them on purpose
 PINNED = {
-    "relational-replicas": "c56c5f1548d9",
-    "ternary-random": "71f55e61fc49",
-    "graph-symmetric": "3cd30aa57ac5",
+    "relational-replicas": "468fb3256948",
+    "ternary-random": "b75489ae6820",
+    "graph-symmetric": "ffabd0e1545f",
 }
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
