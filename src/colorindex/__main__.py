@@ -1,0 +1,7 @@
+"""`python -m colorindex`: the `colorindex` command line."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,9 +22,14 @@ dynamic program runs on every call; no row, count or answer is kept.
 All three tasks run one counting dynamic program per component over the
 color tables, in O(|Q| * |D_col|).  Its rows are sparse, {color: count}
 with only the non-zero entries, so the work is spent on the colors that can
-still match: a label row intersects the label's color sets, a product walks
-the smaller row, and a lift walks the per-color neighbor lists (`deg`) of
-the child row's colors only, keeping the allowed edge colors.
+still match: a label row intersects the label's color sets, and a product
+walks the smaller row.  On a typed index a lift walks the edge colors e that
+its tree edge allows, the color-database facts (src[e], e, dst[e]) that can
+match it, and adds num[e] * row[dst[e]] to the parent's entry at src[e]; a
+variable with no label and no loop atom has no row until one is read, so a
+product passes the other row through and a lift sums num[e].  On the graph
+stage a lift walks the per-color neighbor lists (`deg`) of the child row's
+colors.
 
 Enumeration keeps the rows of the free variables: a color is alive at a
 free variable when it has an entry, and each free variable after a root
@@ -80,9 +85,8 @@ class Component:
     # value colors it may take
     loops: dict[int, frozenset[int]]
     # per variable but the root: the edge colors allowed from its parent's
-    # vertex toward its own (down) and back (up); None on the graph stage
+    # vertex toward its own; None on the graph stage
     down: dict[int, frozenset[int] | None]
-    up: dict[int, frozenset[int] | None]
     head_positions: tuple[int, ...]  # ascending
     sel: tuple[int, ...]  # per head position, the index of its variable in free_order
     parent_pos: tuple[int, ...]  # per free variable, the index of its parent in free_order
@@ -139,10 +143,9 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
         raise FreeNotConnected("free variables do not induce a connected subgraph")
 
     down: dict[int, frozenset[int] | None] = {}
-    up: dict[int, frozenset[int] | None] = {}
     loops: dict[int, frozenset[int]] = {}
     if edges is None:
-        down = up = dict.fromkeys(forest.parent)
+        down = dict.fromkeys(forest.parent)
     else:
         with_label, back, src = edges.with_label, edges.back, edges.src
         for x, rs in loop_labels.items():
@@ -153,7 +156,6 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
             # value toward y's, those read from y to x their reverses
             xy, yx = pairs.get((x, y), ()), pairs.get((y, x), ())
             down[y] = _meet([with_label[r] for r in xy] + [back[r] for r in yx])
-            up[y] = _meet([back[r] for r in xy] + [with_label[r] for r in yx])
 
     free, parent = forest.free, forest.parent
     position = {v: i for i, v in enumerate(q.head)}
@@ -174,7 +176,6 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
             labels={v: frozenset(labels[v]) for v in tree},
             loops={v: loops[v] for v in tree if v in loops},
             down={v: down[v] for v in tree[1:]},
-            up={v: up[v] for v in tree[1:]},
             head_positions=head_positions,
             sel=tuple(index[q.head[i]] for i in head_positions),
             parent_pos=(0,) + tuple(index[parent[x]] for x in free_order[1:])))
@@ -234,11 +235,11 @@ def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex
     plan = EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=False)
     for comp in comps:
         rows = _dp_rows(comp, idx, f1, ops)
-        if not rows[comp.root]:
+        if not _read(rows[comp.root], idx, f1, ops):
             return EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=True)
         if not comp.free:
             continue
-        alive = [rows[x] for x in comp.free_order]
+        alive = [_read(rows[x], idx, f1, ops) for x in comp.free_order]
         tables: list[dict[int, list[slice]]] = []
         for i in range(1, len(alive)):
             up, down = alive[comp.parent_pos[i]], alive[i]
@@ -326,8 +327,29 @@ def enumerate_answers(q: ConjunctiveQuery, idx: ColorIndex,
     return enumerate_prepared(prepare(q, idx, ops), steps)
 
 
+def _label_row(labels: frozenset[str], idx: ColorIndex, f1: dict[frozenset[str], Row], ops: OpCounter) -> Row:
+    """Count 1 at the colors that carry every label, or at every color for
+    none; f1 memoizes one row per label set of a query."""
+    row = f1.get(labels)
+    if row is None:
+        if labels:
+            # walk the smallest color set, probe the rest
+            first, *rest = sorted((idx.label_colors.get(u, frozenset()) for u in labels), key=len)
+            ops.tick(len(first))
+            row = f1[labels] = dict.fromkeys(first.intersection(*rest), 1)
+        else:
+            ops.tick(idx.coloring.num_colors)
+            row = f1[labels] = dict.fromkeys(range(idx.coloring.num_colors), 1)
+    return row
+
+
+def _read(row: Row | None, idx: ColorIndex, f1: dict[frozenset[str], Row], ops: OpCounter) -> Row:
+    """A row of `_dp_rows`, built when it is the all-ones row None."""
+    return _label_row(frozenset(), idx, f1, ops) if row is None else row
+
+
 def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
-             ops: OpCounter) -> dict[int, Row]:
+             ops: OpCounter) -> dict[int, Row | None]:
     """The counting dynamic program of one connected component, on sparse
     rows that hold only the non-zero entries.
 
@@ -336,69 +358,71 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
     row[c] of a free variable x counts the assignments to the free variables
     of x's subtree that extend x on a vertex of color c: f_down when all
     variables are free, else f_prime, a pass over the free subtree that asks
-    only for the existence of the quantified side. f1 memoizes the label rows
-    of one query, one per label set. Rows are never changed after they are
-    made.
-    """
-    order, root, children = comp.order, comp.root, comp.children
-    deg, label_colors, free = idx.deg, idx.label_colors, comp.free
-    classes, dest = idx.coloring.classes, idx.dest
+    only for the existence of the quantified side. Rows are never changed
+    after they are made.
 
-    def label_row(x: int) -> Row:
-        labels = comp.labels[x]
-        if labels not in f1:
-            if labels:
-                # the colors of every label: walk the smallest set, probe the rest
-                first, *rest = sorted((label_colors.get(u, frozenset()) for u in labels), key=len)
-                ops.tick(len(first))
-                f1[labels] = dict.fromkeys(first.intersection(*rest), 1)
-            else:
-                ops.tick(len(classes))
-                f1[labels] = dict.fromkeys(range(len(classes)), 1)
-        row = f1[labels]
-        only = comp.loops.get(x)
+    On a typed index a variable with no label and no loop atom has the
+    all-ones row, which stays None: a product passes the other row through,
+    and a lift sums num[e] over the allowed edge colors.  A caller builds a
+    returned None row with `_read` when it reads it.
+    """
+    order, root, children, free = comp.order, comp.root, comp.children, comp.free
+    deg, classes, edges = idx.deg, idx.coloring.classes, idx.edges
+
+    def first_row(x: int) -> Row | None:
+        labels, only = comp.labels[x], comp.loops.get(x)
+        row = None if edges is not None and not labels else _label_row(labels, idx, f1, ops)
         if only is not None:
             ops.tick(len(only))
-            row = {c: 1 for c in only if c in row}
+            row = dict.fromkeys(only, 1) if row is None else {c: 1 for c in only if c in row}
         return row
 
-    def times(a: Row, b: Row) -> Row:
+    def times(a: Row | None, b: Row) -> Row:
+        if a is None:
+            return b
         if len(b) < len(a):
             a, b = b, a
         ops.tick(len(a))
         return {c: n * b[c] for c, n in a.items() if c in b}
 
-    def lift(row: Row, allowed: frozenset[int] | None) -> Row:
-        # g[c] = sum over the allowed edge colors e from c to c' of
-        # numN(c, e) * row[c'], walked from the colors c' of the row along
-        # the reverses e' = rev[e], which `allowed` holds exactly when e is
-        # allowed: the entries between two classes number
-        # |C_c| * numN(c, e) = |C_c'| * numN(c', e'), so the division is
-        # exact.  On the graph stage e is c'.
+    def lift(row: Row | None, allowed: frozenset[int] | None) -> Row:
         total: Row = {}
-        for cp, r in row.items():
-            w = r * len(classes[cp])
-            edges = deg[cp]
-            ops.tick(len(edges))
-            if allowed is None:
-                for c, n in edges:
+        if allowed is None:
+            # the graph stage: g[c] = sum over the colors c' of the row of
+            # numN(c, c') * row[c'], walked along deg[c'] from c': the
+            # edges between two classes number |C_c| * numN(c, c') =
+            # |C_c'| * numN(c', c), so the division is exact
+            for cp, r in row.items():
+                w = r * len(classes[cp])
+                ops.tick(len(deg[cp]))
+                for c, n in deg[cp]:
                     total[c] = total.get(c, 0) + w * n
-            else:
-                for e, n in edges:
-                    if e in allowed:
-                        c = dest[e]
-                        total[c] = total.get(c, 0) + w * n
-        return {c: t // len(classes[c]) for c, t in total.items()}
+            return {c: t // len(classes[c]) for c, t in total.items()}
+        # typed: g[src[e]] sums num[e] * row[dst[e]] over the allowed edge
+        # colors e, which run from the parent's value toward the child's
+        src, dst, num = edges.src, edges.dst, edges.num
+        ops.tick(len(allowed))
+        if row is None:
+            for e in allowed:
+                c = src[e]
+                total[c] = total.get(c, 0) + num[e]
+        else:
+            for e in allowed:
+                r = row.get(dst[e])
+                if r is not None:
+                    c = src[e]
+                    total[c] = total.get(c, 0) + num[e] * r
+        return total
 
-    f_down: dict[int, Row] = {}
+    f_down: dict[int, Row | None] = {}
     g: dict[int, Row] = {}
     for x in reversed(order):
-        row = label_row(x)
+        row = first_row(x)
         for y in children[x]:
             row = times(row, g[y])
         f_down[x] = row
         if x != root:
-            g[x] = lift(row, comp.up[x])
+            g[x] = lift(row, comp.down[x])
     if not free:
         return {root: f_down[root]}
     if len(free) == len(order):
@@ -407,17 +431,19 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
     # the free variables are a prefix of the order and induce a subtree; a
     # color extends x's whole subtree exactly when it has an f_down entry,
     # and f_prime has the same colors as f_down at every variable
-    f_prime: dict[int, Row] = {}
+    f_prime: dict[int, Row | None] = {}
     g_prime: dict[int, Row] = {}
     for x in reversed(order[: len(free)]):
-        ops.tick(len(f_down[x]))
-        row = dict.fromkeys(f_down[x], 1)
+        row = f_down[x]
+        if row is not None:
+            ops.tick(len(row))
+            row = dict.fromkeys(row, 1)
         for y in children[x]:
             if y in free:
                 row = times(row, g_prime[y])
         f_prime[x] = row
         if x != root:
-            g_prime[x] = lift(row, comp.up[x])
+            g_prime[x] = lift(row, comp.down[x])
     return f_prime
 
 
@@ -436,7 +462,7 @@ def count_components(comps: tuple[Component, ...], idx: ColorIndex, ops: OpCount
     classes = idx.coloring.classes
     total = 1
     for comp in comps:
-        row = _dp_rows(comp, idx, f1, ops)[comp.root]
+        row = _read(_dp_rows(comp, idx, f1, ops)[comp.root], idx, f1, ops)
         if not comp.free:
             total *= 1 if row else 0
         else:

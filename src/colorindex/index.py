@@ -19,8 +19,9 @@ entries end at one value color dst[e] = src[rev[e]].  A pair (v, v) is a
 loop entry, with rev[e] = e.  The labels of e are the relations that hold
 from v to u, with the loop label on a loop, and those of rev[e] the
 relations that hold back.  The key of an entry is its edge color, and
-deg[c] holds (e, numN(c, e)).  The graph stage is the one-type case: there
-the key of an entry is the color it leads to.
+deg[c] holds (e, numN(c, e)), which `EdgeColors` keeps as num[e] too.  The
+graph stage is the one-type case: there the key of an entry is the color it
+leads to.
 
 This is the projection of the coarsest stable coloring of `bin2graph`'s
 gadget graph, where the pair (v, u) is the gadget w_vu, linked v - w_vu -
@@ -70,6 +71,7 @@ class EdgeColors:
     labels: tuple[frozenset[str], ...]  # per edge color: its relation labels, and the loop label on a loop
     rev: tuple[int, ...]  # per edge color e: the edge color of the reverse of each e-entry
     src: tuple[int, ...]  # per edge color: the value color its entries start at
+    num: tuple[int, ...]  # per edge color e: numN(src[e], e), the e-entries of each vertex of color src[e]
     # derived: per edge color, the value color its entries end at; per
     # label, the edge colors that carry it, and their reverses
     dst: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -229,9 +231,10 @@ def build_binary(db: Database, ops: OpCounter | None = None) -> ColorIndex:
     type_labels = [frozenset([f for i, f in enumerate(relations) if there >> i & 1] + [loop_label] * loop)
                    for there, _, loop in type_ids]
     flip = [type_ids[(back, there, loop)] for there, back, loop in type_ids]
+    src = tuple(c for _, c, _ in edge_ids)
     edges = EdgeColors(relations=relations, labels=tuple(type_labels[t] for t, _, _ in edge_ids),
                        rev=tuple(edge_ids[(flip[t], d, c)] for t, c, d in edge_ids),
-                       src=tuple(c for _, c, _ in edge_ids))
+                       src=src, num=_entries_per_start(entries, src, coloring.classes))
     return _typed_tables(graph, coloring, entries, edges, 4 * len(pairs) + db.size + len(values))
 
 
@@ -329,25 +332,30 @@ def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols,
         entries[e].append(pair)
     value_labels = {ls: ls - {v_label} for ls in {vl[v] for v in values}}
     typed = LabeledGraph(values, {}, {v: value_labels[vl[v]] for v in values}, universe, loop_label, symbols.edge)
-    edges = EdgeColors(relations=tuple(symbols.u_label), labels=tuple(labels), rev=tuple(rev), src=tuple(src))
+    edges = EdgeColors(relations=tuple(symbols.u_label), labels=tuple(labels), rev=tuple(rev), src=tuple(src),
+                       num=_entries_per_start(entries, src, value_classes))
     value_coloring = Coloring(col={v: rank[col[v]] for v in values}, classes=tuple(value_classes))
     return _typed_tables(typed, value_coloring, entries, edges, source_size)
+
+
+def _entries_per_start(entries: list[list[tuple[int, int]]], src: Sequence[int],
+                       classes: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    """numN(src[e], e) per edge color e: the number of e-entries over the
+    size of class src[e]."""
+    return tuple(len(pairs) // len(classes[c]) for pairs, c in zip(entries, src))
 
 
 def _typed_tables(graph: LabeledGraph, coloring: Coloring, entries: list[list[tuple[int, int]]],
                   edges: EdgeColors, source_size: int) -> ColorIndex:
     """The tables of a typed index on the values of graph, given the entries
     (v, u) of each edge color in ascending order: taken edge color by edge
-    color, they fill every row in bucket order.  numN(src[e], e) is the
-    number of e-entries over the size of class src[e]."""
+    color, they fill every row in bucket order."""
     far: dict[int, list[int]] = {v: [] for v in graph.vertices}
-    classes = coloring.classes
-    deg: list[list[tuple[int, int]]] = [[] for _ in classes]
+    deg: list[list[tuple[int, int]]] = [[] for _ in coloring.classes]
     for e, pairs in enumerate(entries):
         for v, u in pairs:
             far[v].append(u)
-        c = edges.src[e]
-        deg[c].append((e, len(pairs) // len(classes[c])))
+        deg[edges.src[e]].append((e, edges.num[e]))
     adj = dict(zip(far, map(tuple, far.values())))
     return _tables(replace(graph, adj=adj), coloring, tuple(map(tuple, deg)), source_size, edges)
 
@@ -358,7 +366,7 @@ def check_colorindex(idx: ColorIndex) -> list[str]:
     color-database definition.  Every entry (v, u) of bucket k must come
     with its flip (u, v): of bucket col[v] on the graph stage, and of bucket
     rev[k] on a typed index, where the end colors of every entry are checked
-    too."""
+    too, and so is num[e] against the count that deg[src[e]] lists."""
     problems: list[str] = []
     g, edges = idx.graph, idx.edges
     col = idx.coloring.col
@@ -416,6 +424,11 @@ def check_colorindex(idx: ColorIndex) -> list[str]:
         for label, es in edges.with_label.items():
             if list(idx.d_col.rel(label)) != [(e,) for e in sorted(es)]:
                 problems.append(f"edge color relation {label} incorrect")
+        if len(edges.num) != len(edges.src):
+            problems.append(f"num has {len(edges.num)} entries for {len(edges.src)} edge colors")
+        for e, (c, n) in enumerate(zip(edges.src, edges.num)):
+            if n != idx.num_n(c, e):
+                problems.append(f"num[{e}] = {n} is not numN({c}, {e}) = {idx.num_n(c, e)}, which deg lists")
     if vertex_labels | (edges.with_label.keys() if edges else set()) | {idx.loop_label} != set(g.label_universe):
         problems.append("the labels do not cover the label universe")
     if idx.d_col_size != idx.d_col.size:
@@ -537,7 +550,7 @@ def read_sections(reader: SectionReader, source_size: int, labels: tuple[tuple[s
             raise ParseError(f"unstable coloring: vertex {v} has {len(graph.adj[v])} entries, not the "
                              f"{len(keys[c])} that the keys of its color {c} list")
     deg = _deg(keys)
-    edges = EdgeColors(relations, labels_e, rev, _start_colors(deg, len(rev)))
+    edges = EdgeColors(relations, labels_e, rev, *_start_colors(deg, len(rev)))
     ci = _tables(graph, coloring, deg, source_size, edges)
     _check_entries(ci, keys)
     return ci
@@ -611,21 +624,22 @@ def _read_edge_colors(reader: SectionReader,
     return tuple(labels), tuple(rev)
 
 
-def _start_colors(deg: tuple[tuple[tuple[int, int], ...], ...], edges: int) -> tuple[int, ...]:
-    """Per edge color, the one value color its entries start at: the color
-    whose deg row holds it."""
-    src = [-1] * edges
+def _start_colors(deg: tuple[tuple[tuple[int, int], ...], ...],
+                  edges: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per edge color, the one value color its entries start at, the color
+    whose deg row holds it, and the count numN that this row lists for it."""
+    src, num = [-1] * edges, [0] * edges
     for c, row in enumerate(deg):
-        for e, _ in row:
+        for e, n in row:
             if not 0 <= e < edges:
                 raise ParseError(f"the keys of value color {c} list an edge color that [EDGE_COLORS] "
                                  "does not have")
             if src[e] >= 0:
                 raise ParseError(f"edge color {e} starts at value colors {src[e]} and {c}")
-            src[e] = c
+            src[e], num[e] = c, n
     if -1 in src:
         raise ParseError(f"edge color {src.index(-1)} is on no entry")
-    return tuple(src)
+    return tuple(src), tuple(num)
 
 
 def _check_entries(ci: ColorIndex, keys: tuple[tuple[int, ...], ...]) -> None:

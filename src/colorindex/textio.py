@@ -77,7 +77,8 @@ def parse_database(text: str, schema: Schema, pool: ConstantPool | None = None) 
 
 def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
     """Parse rule syntax.  Arguments must be variables (identifiers starting
-    with a letter); constants are not permitted in queries."""
+    with a letter); constants are not permitted in queries.  Body atoms are
+    separated by exactly one comma each."""
     body_lines = []
     for rawline in text.splitlines():
         line = _strip(rawline)
@@ -93,8 +94,13 @@ def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
             raise ParseError(f"bad head variable {v!r}")
     atoms: list[tuple[str, list[str]]] = []
     body = m.group(3)
-    consumed = 0
+    end = 0
     for am in _BODY_ATOM_RE.finditer(body):
+        # exactly one comma between two atoms, and nothing before the first
+        gap = body[end : am.start()].strip()
+        if gap != ("," if atoms else ""):
+            raise ParseError(f"body atoms are separated by exactly one comma: got {gap!r} before {am.group(0)!r}")
+        end = am.end()
         sym, arglist = am.group(1), [a.strip() for a in am.group(2).split(",")]
         if arglist == [""]:
             raise ParseError(f"empty argument list in atom {sym}()")
@@ -104,10 +110,9 @@ def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
         if sym not in schema:
             raise UnknownSymbol(f"unknown relation symbol {sym!r}")
         atoms.append((sym, arglist))
-        consumed += 1
-    if consumed == 0:
+    if not atoms:
         raise ParseError("query body has no atoms")
-    leftover = _BODY_ATOM_RE.sub("", body).replace(",", "").strip()
+    leftover = body[end:].strip()
     if leftover:
         raise ParseError(f"trailing junk in query body: {leftover!r}")
     return cq(head_args, atoms, schema)

@@ -373,3 +373,32 @@ def test_query_into_a_closed_pipe_exits_quietly(tmp_path, capsys, buffered):
     proc = query_cli(tmp_path / "missing.idx", "enum")
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 2 and out == b"" and b"data error" in err
+
+
+def test_python_dash_m_runs_the_command_line():
+    # `python -m colorindex` from a checkout, with only src on the path
+    import os
+    import subprocess
+    import sys
+
+    import colorindex
+
+    src = os.path.dirname(os.path.dirname(colorindex.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "colorindex", "--help"], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: colorindex")
+
+
+@pytest.mark.parametrize("body", ["R(x,y),, P(x)", "R(x,y), P(x),", ", R(x,y), P(x)", "R(x,y)P(x)"])
+def test_query_with_bad_atom_separators_is_a_data_error(tmp_path, capsys, body):
+    (tmp_path / "s").write_text("R/2\nP/1\n")
+    (tmp_path / "d").write_text("R(a,b).\nP(a).\n")
+    (tmp_path / "q").write_text(f"Ans(x) :- {body}.\n")
+    assert run(capsys, "index", "--db", str(tmp_path / "d"), "--schema", str(tmp_path / "s"),
+               "--out", str(tmp_path / "i"))[0] == 0
+    code, out, err = run(capsys, "query", "--idx", str(tmp_path / "i"), "--query", str(tmp_path / "q"),
+                         "--task", "count")
+    assert code == 2 and out == "" and err.startswith("data error:")
+    assert "exactly one comma" in err or "trailing junk" in err

@@ -167,14 +167,12 @@ def test_d_col_size_from_the_tables(stage, db):
 def test_check_colorindex_flags_typed_faults():
     import dataclasses
 
-    from colorindex.index import EdgeColors
-
     ci = DatabaseIndex.build(random_relational_db(BINARY_SCHEMA, 6, 10, seed=2)).cindex
     assert ci.edges is not None and check_colorindex(ci) == []
     e = ci.edges
-    flipped = EdgeColors(e.relations, e.labels, tuple(range(len(e.rev))), e.src)  # every edge color its own reverse
+    flipped = dataclasses.replace(e, rev=tuple(range(len(e.rev))))  # every edge color its own reverse
     assert any("flip" in p for p in check_colorindex(dataclasses.replace(ci, edges=flipped)))
-    moved = EdgeColors(e.relations, e.labels, e.rev, tuple(reversed(e.src)))
+    moved = dataclasses.replace(e, src=tuple(reversed(e.src)))
     assert any("does not run from" in p for p in check_colorindex(dataclasses.replace(ci, edges=moved)))
     v = next(v for v in ci.graph.vertices if len(ci.graph.adj[v]) > 1)
     row = ci.graph.adj[v]
@@ -188,3 +186,19 @@ def test_check_colorindex_flags_typed_faults():
     shifted = {k: slice(s.start + 1, s.stop + 1) for k, s in ci.buckets[c].items()}
     buckets = ci.buckets[:c] + (shifted,) + ci.buckets[c + 1:]
     assert any("offsets" in p for p in check_colorindex(dataclasses.replace(ci, buckets=buckets)))
+
+
+def test_check_colorindex_flags_a_tampered_num():
+    # num[e] is derived from deg on build and load; the check compares the
+    # two for every edge color, and the typed DP lift reads num alone
+    import dataclasses
+
+    ci = DatabaseIndex.build(random_relational_db(BINARY_SCHEMA, 6, 10, seed=2)).cindex
+    e = ci.edges
+    assert e.num == tuple(ci.num_n(c, k) for k, c in enumerate(e.src))
+    assert check_colorindex(ci) == []
+    bumped = dataclasses.replace(e, num=(e.num[0] + 1,) + e.num[1:])
+    problems = check_colorindex(dataclasses.replace(ci, edges=bumped))
+    assert problems == [f"num[0] = {e.num[0] + 1} is not numN({e.src[0]}, 0) = {e.num[0]}, which deg lists"]
+    short = dataclasses.replace(e, num=e.num[:-1])
+    assert any("entries for" in p for p in check_colorindex(dataclasses.replace(ci, edges=short)))

@@ -62,6 +62,29 @@ def test_parse_query_rejects_constants():
         parse_query("Ans(x) :- R(x,18m).", schema)
 
 
+@pytest.mark.parametrize("body,message", [
+    ("R(x,y),, P(x)", "exactly one comma: got ',,'"),
+    ("R(x,y) ,\n , P(x)", "exactly one comma: got ', ,'"),
+    ("R(x,y)P(x)", "exactly one comma: got ''"),
+    ("R(x,y) P(x)", "exactly one comma: got ''"),
+    (", R(x,y), P(x)", "exactly one comma: got ','"),
+    ("junk R(x,y)", "exactly one comma: got 'junk'"),
+    ("R(x,y), P(x),", "trailing junk in query body: ','"),
+    ("R(x,y), P(x) junk", "trailing junk in query body: 'junk'"),
+    (",", "no atoms"),
+])
+def test_parse_query_requires_one_comma_between_atoms(body, message):
+    schema = Schema.of(("R", 2), ("P", 1))
+    with pytest.raises(ParseError, match=message):
+        parse_query(f"Ans(x) :- {body}.", schema)
+
+
+def test_parse_query_accepts_spaces_and_line_breaks_around_commas():
+    schema = Schema.of(("R", 2), ("P", 1))
+    q = parse_query("Ans(x) :-\n  R(x,y) ,\n  P(x)\n  .", schema)
+    assert format_query(q) == "Ans(x) :- R(x,y), P(x)."
+
+
 def test_parse_query_unknown_symbol():
     schema = Schema.of(("R", 2))
     with pytest.raises(UnknownSymbol):

@@ -196,6 +196,78 @@ def test_graph_stage_prepare_ops_unchanged():
         assert ops.n == 7
 
 
+def _copies(db, k):
+    """k disjoint copies of a binary database, constant a of copy i renamed
+    to a_i."""
+    return validate_database(db.schema, {
+        s: [tuple(f"{db.display(c)}_{i}" for c in t) for i in range(k) for t in db.rel(s)] for s in db.schema.names})
+
+
+@pytest.mark.parametrize("text", [
+    "Ans(x,y) :- R(x,y), S(y,z).",
+    "Ans(x,y,z) :- R(x,y), S(z,y), P(z).",
+    "Ans(x) :- R(x,y), R(y,y).",
+    "Ans(y) :- S(x,y), R(y,z), S(z,w).",
+])
+def test_typed_dp_ops_do_not_grow_with_the_data(text):
+    # the binary-stage twin of test_prepare_ops_bounded_by_color_db: copies
+    # of one database have its colors and edge colors, so the DP does the
+    # same work on 2 and on 40 copies, and a connected query has k times
+    # the answers of one copy
+    base = random_relational_db(BINARY_SCHEMA, 6, 10, seed=2)
+    q = parse_query(text, BINARY_SCHEMA)
+    per_k = {}
+    for k in (2, 40):
+        idx = DatabaseIndex.build(_copies(base, k))
+        assert idx.stage == "binary"
+        count_ops, prepare_ops = OpCounter(), OpCounter()
+        count = idx.count(q, count_ops)
+        evaluator.prepare(q, idx.cindex, prepare_ops)
+        per_k[k] = count, count_ops.n, prepare_ops.n
+    (small, count_small, prepare_small), (large, count_large, prepare_large) = per_k[2], per_k[40]
+    assert small > 0 and large == 20 * small
+    assert (count_large, prepare_large) == (count_small, prepare_small)
+
+
+@pytest.mark.parametrize("text", [
+    "Ans(x,y) :- R(x,y).",
+    "Ans(x,y) :- R(x,y), P(y).",
+    "Ans(x,y,z) :- R(x,y), S(y,z).",
+    "Ans(z,y) :- S(y,z), R(x,y).",
+    "Ans(x,y,w) :- R(x,y), R(x,w), P(w).",
+    "Ans(x) :- R(x,y), S(y,z).",
+])
+def test_typed_lift_multiplies_by_num(text):
+    # three copies of a hub h with R to a, b and c, where a and b carry P and
+    # reach d by S: the hub's R edge color toward {a, b} has num 2, and so
+    # does d's reverse S edge color toward them, so a lift that drops num
+    # miscounts every full query here
+    raw = {"R": [], "S": [], "P": []}
+    for i in range(3):
+        raw["R"] += [(f"h{i}", f"{v}{i}") for v in "abc"]
+        raw["S"] += [(f"a{i}", f"d{i}"), (f"b{i}", f"d{i}")]
+        raw["P"] += [(f"a{i}",), (f"b{i}",)]
+    db = validate_database(BINARY_SCHEMA, raw)
+    idx = DatabaseIndex.build(db)
+    assert idx.stage == "binary" and sorted(idx.cindex.edges.num) == [1] * 4 + [2] * 2
+    _check_all_tasks(idx, db, parse_query(text, BINARY_SCHEMA))
+
+
+def test_count_ops_of_one_typed_edge_are_pinned():
+    # BINARY_RAW has 5 value colors, one per value, and 13 edge colors, 8
+    # of which carry R.  In Ans(x) :- R(x,y), y has no label and no loop
+    # atom, so its row is never built: the lift walks the 8 edge colors
+    # carrying R, and gives x a row with one entry per value color at which
+    # one of them starts (all 5).  The free root's row then takes one op
+    # per entry: 8 + 5 = 13
+    idx = DatabaseIndex.build(validate_database(BINARY_SCHEMA, BINARY_RAW))
+    edges = idx.cindex.edges
+    assert (idx.cindex.coloring.num_colors, len(edges.rev), len(edges.with_label["R"])) == (5, 13, 8)
+    ops = OpCounter()
+    assert idx.count(parse_query("Ans(x) :- R(x,y).", BINARY_SCHEMA), ops) == 5
+    assert ops.n == 13
+
+
 def test_count_ops_on_the_source_query():
     # the DP runs on the 3 variables of the query and the value colors; on
     # the gadget translation (7 variables, all colors) this took 3,520 ops
