@@ -321,12 +321,6 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
     steps.n += n
 
 
-def enumerate_answers(q: ConjunctiveQuery, idx: ColorIndex,
-                      ops: OpCounter | None = None,
-                      steps: OpCounter | None = None) -> Iterator[tuple[int, ...]]:
-    return enumerate_prepared(prepare(q, idx, ops), steps)
-
-
 def _label_row(labels: frozenset[str], idx: ColorIndex, f1: dict[frozenset[str], Row], ops: OpCounter) -> Row:
     """Count 1 at the colors that carry every label, or at every color for
     none; f1 memoizes one row per label set of a query."""

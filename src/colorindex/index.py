@@ -52,13 +52,13 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bin2graph import GraphSymbols, graph_symbols_for
-from .errors import ParseError
+from .bin2graph import GraphSymbols
+from .errors import NotBinarySchema, ParseError
 from .instrument import OpCounter
 from .model import Database, Schema
 from .refinement import (
-    Coloring, LabeledGraph, asymmetric_vertex, encode_loops, fresh_name, refine, refines_labels, reverse_adjacency,
-    unary_labels, unstable_witness,
+    Coloring, LabeledGraph, asymmetric_vertex, encode_loops, fresh_name, refine, reverse_adjacency, unary_labels,
+    unstable_witness,
 )
 
 
@@ -196,9 +196,7 @@ def build_binary(db: Database, ops: OpCounter | None = None) -> ColorIndex:
     source size is that of `bin2graph`'s graph, counted without making it:
     four facts per entry, the source facts, and one V fact per value.  ops
     counts the refinement's steps."""
-    symbols = graph_symbols_for(db.schema)
-    universe, loop_label = typed_labels(symbols)
-    relations = tuple(symbols.u_label)
+    universe, loop_label, edge_label, relations = typed_labels(db.schema)
     values = tuple(sorted(db.active_domain()))
     # the relations holding each pair, and each entry's type id
     holds: dict[tuple[int, int], int] = {}
@@ -213,8 +211,8 @@ def build_binary(db: Database, ops: OpCounter | None = None) -> ColorIndex:
     rows: dict[int, list[int]] = {v: [] for v in values}
     for (v, u), t in zip(pairs, kinds):
         rows[u].append(v * types + t)
-    vl = unary_labels(db, symbols.unary, values)
-    graph = LabeledGraph(values, dict(zip(rows, map(tuple, rows.values()))), vl, universe, loop_label, symbols.edge)
+    vl = unary_labels(db, db.schema.unary_symbols(), values)
+    graph = LabeledGraph(values, dict(zip(rows, map(tuple, rows.values()))), vl, universe, loop_label, edge_label)
     coloring = refine(graph, ops, types)
     # the edge colors, in the order of their least entry
     col = coloring.col
@@ -277,13 +275,16 @@ def _tables(graph: LabeledGraph, coloring: Coloring, deg: tuple[tuple[tuple[int,
                       source_size=source_size, edges=edges)
 
 
-def typed_labels(symbols: GraphSymbols) -> tuple[tuple[str, ...], str]:
-    """The label universe of a typed index over a binary schema, and its
-    loop label: the unary symbols label values, and the binary symbols and
-    a fresh loop label label edge colors."""
-    relations = tuple(symbols.u_label)
-    loop_label = fresh_name("L", set(symbols.unary) | set(relations))
-    return symbols.unary + relations + (loop_label,), loop_label
+def typed_labels(schema: Schema) -> tuple[tuple[str, ...], str, str, tuple[str, ...]]:
+    """The labels of a typed index over a binary schema: the label universe
+    (the unary symbols, which label values, then the binary symbols and a
+    fresh loop label, which label edge colors), the loop label, a fresh
+    edge label, that of the color edges, and the binary symbols."""
+    if not schema.is_binary():
+        raise NotBinarySchema("a typed index requires a binary schema")
+    relations, taken = schema.binary_symbols(), set(schema.names)
+    loop_label = fresh_name("L", taken)
+    return schema.unary_symbols() + relations + (loop_label,), loop_label, fresh_name("E", taken), relations
 
 
 def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols,
@@ -299,7 +300,8 @@ def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols,
     ValueError when the map does not have one pair per gadget vertex, or
     the coloring does not give each gadget color one reverse and one start
     color."""
-    universe, loop_label = typed_labels(symbols)
+    binary = Schema(tuple((u, 1) for u in symbols.unary) + tuple((f, 2) for f in symbols.u_label))
+    universe, loop_label, edge_label, relations = typed_labels(binary)
     v_label, w_label, vl = symbols.v_label, symbols.w_label, graph.vl
     relation = {u: f for f, u in symbols.u_label.items()}
     relation[graph.loop_label] = loop_label
@@ -331,8 +333,8 @@ def project(graph: LabeledGraph, coloring: Coloring, symbols: GraphSymbols,
             raise ValueError(f"gadget color {e} has two reverses or two start colors")
         entries[e].append(pair)
     value_labels = {ls: ls - {v_label} for ls in {vl[v] for v in values}}
-    typed = LabeledGraph(values, {}, {v: value_labels[vl[v]] for v in values}, universe, loop_label, symbols.edge)
-    edges = EdgeColors(relations=tuple(symbols.u_label), labels=tuple(labels), rev=tuple(rev), src=tuple(src),
+    typed = LabeledGraph(values, {}, {v: value_labels[vl[v]] for v in values}, universe, loop_label, edge_label)
+    edges = EdgeColors(relations=relations, labels=tuple(labels), rev=tuple(rev), src=tuple(src),
                        num=_entries_per_start(entries, src, value_classes))
     value_coloring = Coloring(col={v: rank[col[v]] for v in values}, classes=tuple(value_classes))
     return _typed_tables(typed, value_coloring, entries, edges, source_size)
@@ -439,15 +441,16 @@ def check_colorindex(idx: ColorIndex) -> list[str]:
 # --- serialization -----------------------------------------------------------
 #
 # Line-oriented, versioned sections; every section header carries its row
-# count.  Only the indexed graph and its coloring are written: the labels
-# come from the schema, and numN, the bucket offsets and the color database
-# are derived on load as on build.  Every VERTICES row is `v, labels, row`:
-# the neighbors, or on a typed index the far values.  A graph-stage CLASSES
-# row lists a color's members; a typed one is `members, keys`, after one
-# EDGE_COLORS row `labels, rev` per edge color, so each class's edge colors
-# are written once.  Rows are in bucket order, so the loader sorts nothing.
-# Writing is a pure function of the index, so write -> read -> write is
-# bit-identical.
+# count.  Only the indexed graph and its coloring are written, each fact
+# once: the labels come from the schema, and numN, the bucket offsets and
+# the color database are derived on load as on build.  CLASSES comes first,
+# one row per color: its labels, and on a typed index its keys, after one
+# EDGE_COLORS row `labels, rev` per edge color.  Every VERTICES row is `v,
+# color, row`: the neighbors, or on a typed index the far values.  The
+# loader gives each vertex its class's labels and builds the members of
+# every class from the ascending vertices.  Rows are in bucket order, so the
+# loader sorts nothing.  Writing is a pure function of the index, so write
+# -> read -> write is bit-identical.
 
 def write_section(lines: list[str], name: str, rows: list[str]) -> None:
     lines.append(f"[{name} {len(rows)}]")
@@ -459,16 +462,15 @@ def _labels_field(labels: frozenset[str]) -> str:
 
 
 def write_sections(idx: ColorIndex) -> list[str]:
-    g, edges = idx.graph, idx.edges
+    g, edges, col = idx.graph, idx.edges, idx.coloring.col
     lines: list[str] = []
-    classes = [" ".join(map(str, members)) for members in idx.coloring.classes]
+    classes = [_labels_field(g.vl[members[0]]) for members in idx.coloring.classes]
     if edges is not None:
         write_section(lines, "EDGE_COLORS", [f"{_labels_field(ls)}\t{r}" for ls, r in zip(edges.labels, edges.rev)])
-        classes = [f"{members}\t{' '.join(str(e) for e, n in row for _ in range(n))}"
-                   for members, row in zip(classes, idx.deg)]
-    write_section(lines, "VERTICES", [f"{v}\t{_labels_field(g.vl[v])}\t{' '.join(map(str, g.adj[v]))}"
-                                      for v in g.vertices])
+        classes = [f"{labels}\t{' '.join(str(e) for e, n in row for _ in range(n))}"
+                   for labels, row in zip(classes, idx.deg)]
     write_section(lines, "CLASSES", classes)
+    write_section(lines, "VERTICES", [f"{v}\t{col[v]}\t{' '.join(map(str, g.adj[v]))}" for v in g.vertices])
     return lines
 
 
@@ -510,31 +512,30 @@ class SectionReader:
 
 def read_sections(reader: SectionReader, source_size: int, labels: tuple[tuple[str, ...], str, str],
                   relations: tuple[str, ...] | None = None) -> ColorIndex:
-    """Read the VERTICES and CLASSES of a graph-stage index, or of a typed
+    """Read the CLASSES and VERTICES of a graph-stage index, or of a typed
     index with the given relation labels (then with EDGE_COLORS first and
-    each class's keys on its CLASSES row).  The file stores no labels:
-    `labels` is the label universe, loop label and edge label that its
-    schema and stage give.  Check that the rows are in bucket order and
-    describe an undirected graph whose coloring is stable (every member's
-    keys equal its class's first member's), or typed entries that come in
-    flips, whose edge colors each start at one value color and give every
-    member its class's keys.  Derive the rest of the index as the build
-    does, sorting nothing.  Any inconsistency raises ParseError."""
+    each class's keys on its CLASSES row).  The file stores no labels of the
+    schema: `labels` is the label universe, loop label and edge label that
+    its schema and stage give, and every vertex takes the labels of its
+    class.  Check that the rows are in bucket order and describe an
+    undirected graph whose coloring is stable (every member's keys equal its
+    class's first member's), or typed entries that come in flips, whose edge
+    colors each start at one value color and give every member its class's
+    keys.  Derive the rest of the index as the build does, sorting nothing.
+    Any inconsistency raises ParseError."""
     universe, loop_label, edge_label = labels
     edge_labels = set() if relations is None else {*relations, loop_label}
     with reader.numbers():
         if edge_labels:
             labels_e, rev = _read_edge_colors(reader, edge_labels)
-        graph = _read_vertices(reader, universe, loop_label, edge_label, edge_labels)
-        rows = [[tuple(map(int, f.split())) for f in row] for row in reader.rows("CLASSES", 2 if edge_labels else 1)]
-    classes = tuple(row[0] for row in rows)
-    col = {v: c for c, members in enumerate(classes) for v in members}
-    if not all(classes) or sum(map(len, classes)) != len(col) or col.keys() != graph.vl.keys():
-        raise ParseError("[CLASSES] does not partition the vertices")
-    coloring = Coloring(col=col, classes=classes)
-    if not refines_labels(graph, coloring):
-        raise ParseError("a color class mixes vertices with different labels")
+        read_labels = _label_reader(reader, set(universe) - edge_labels,
+                                    "a relation or loop label" if edge_labels else "no label")
+        # per class: its labels, and on a typed index its keys
+        class_rows = [(read_labels(row[0]), tuple(map(int, row[1].split())) if edge_labels else None)
+                      for row in reader.rows("CLASSES", 2 if edge_labels else 1)]
+        graph, coloring = _read_vertices(reader, class_rows, labels)
     if not edge_labels:
+        classes, col = coloring.classes, coloring.col
         _check_rows(graph, classes)
         neighbor_colors = lambda v: [col[u] for u in graph.adj[v]]
         witness = unstable_witness(classes, neighbor_colors)
@@ -543,12 +544,7 @@ def read_sections(reader: SectionReader, source_size: int, labels: tuple[tuple[s
             raise ParseError(f"unstable coloring: vertices {v} and {w} share a color but not their number of "
                              f"color-{k} neighbors")
         return _tables(graph, coloring, _deg(neighbor_colors(m[0]) for m in classes), source_size)
-    keys = tuple(row[1] for row in rows)
-    for c, members in enumerate(classes):
-        v = next((v for v in members if len(graph.adj[v]) != len(keys[c])), None)
-        if v is not None:
-            raise ParseError(f"unstable coloring: vertex {v} has {len(graph.adj[v])} entries, not the "
-                             f"{len(keys[c])} that the keys of its color {c} list")
+    keys = tuple(ks for _, ks in class_rows)
     deg = _deg(keys)
     edges = EdgeColors(relations, labels_e, rev, *_start_colors(deg, len(rev)))
     ci = _tables(graph, coloring, deg, source_size, edges)
@@ -571,30 +567,42 @@ def _label_reader(reader: SectionReader, declared: set[str], what: str) -> Calla
     return read
 
 
-def _read_vertices(reader: SectionReader, universe: tuple[str, ...], loop_label: str, edge_label: str,
-                   edge_labels: set[str]) -> LabeledGraph:
-    """The VERTICES rows `v, labels, row`, v ascending.  On the graph stage
-    the loop label sits exactly on the vertices whose row lists them; on a
-    typed index, whose edge labels are given, a row lists a far value once,
-    and relation and loop labels sit on edge colors only."""
-    read_labels = _label_reader(reader, set(universe) - edge_labels,
-                                "a relation or loop label" if edge_labels else "no label")
+def _read_vertices(reader: SectionReader, class_rows: list[tuple[frozenset[str], tuple[int, ...] | None]],
+                   labels: tuple[tuple[str, ...], str, str]) -> tuple[LabeledGraph, Coloring]:
+    """The VERTICES rows `v, color, row`, v ascending, and the coloring they
+    give: each vertex takes the labels of its class's row and joins its
+    members, and every class has one.  On the graph stage the loop label
+    sits exactly on the vertices whose row lists them; on a typed index,
+    whose class rows carry keys, a row lists a far value once, and as many
+    as its class has keys."""
     vertices: list[int] = []
     adj: dict[int, tuple[int, ...]] = {}
     vl: dict[int, frozenset[str]] = {}
-    for v_s, lab_s, row_s in reader.rows("VERTICES", 3):
-        v = int(v_s)
+    col: dict[int, int] = {}
+    members: list[list[int]] = [[] for _ in class_rows]
+    loop_label = labels[1]
+    for v_s, c_s, row_s in reader.rows("VERTICES", 3):
+        v, c = int(v_s), int(c_s)
         if vertices and v <= vertices[-1]:
             raise ParseError(f"vertex {v} is out of order", line=reader.line)
+        if not 0 <= c < len(members):
+            raise ParseError(f"vertex {v} has color {c}, which [CLASSES] does not have", line=reader.line)
         vertices.append(v)
-        vl[v] = read_labels(lab_s)
+        members[c].append(v)
+        vl[v], keys = class_rows[c]
+        col[v] = c
         adj[v] = row = tuple(map(int, row_s.split()))
-        if edge_labels:
-            if len(set(row)) != len(row):
-                raise ParseError(f"vertex {v} lists a far value twice", line=reader.line)
-        elif (loop_label in vl[v]) != (v in row):
-            raise ParseError(f"loop label {loop_label!r} disagrees with the loops at vertex {v}", line=reader.line)
-    return LabeledGraph(tuple(vertices), adj, vl, universe, loop_label, edge_label)
+        if keys is None:
+            if (loop_label in vl[v]) != (v in row):
+                raise ParseError(f"loop label {loop_label!r} disagrees with the loops at vertex {v}", line=reader.line)
+        elif len(set(row)) != len(row):
+            raise ParseError(f"vertex {v} lists a far value twice", line=reader.line)
+        elif len(row) != len(keys):
+            raise ParseError(f"unstable coloring: vertex {v} has {len(row)} entries, not the {len(keys)} that "
+                             f"the keys of its color {c} list", line=reader.line)
+    if not all(members):
+        raise ParseError(f"color {members.index([])} of [CLASSES] has no vertex")
+    return LabeledGraph(tuple(vertices), adj, vl, *labels), Coloring(col=col, classes=tuple(map(tuple, members)))
 
 
 def _check_rows(graph: LabeledGraph, classes: tuple[tuple[int, ...], ...]) -> None:

@@ -13,11 +13,13 @@ vertices, their classes and the edge colors.  It makes no gadget graph:
 that criterion 7 checks, not the build path.  The typed index is what is
 saved, loaded and served.  Given a `ColorIndex` of `bin2graph`'s graph and
 its pair map, `DatabaseIndex` projects it to the same typed index
-(`index.project`, the reference).  The file stores no
-labels: the loader derives them from the schema and the stage.  It lists
-each vertex's adjacency row in bucket order, and on a typed index each
-class's edge colors once, as its keys; the loader derives the degrees and
-bucket offsets from them and sorts nothing.
+(`index.project`, the reference).  The file writes each fact once: a class
+row names its labels (on a typed index also its edge colors, as its keys),
+a vertex row its color and its adjacency row in bucket order, and a
+full-stage `[PROJ]` row the tuple of the vertex in its place.  The label
+names come from the schema and the stage.  The loader derives the members
+of each class, the labels of each vertex, the projection of each node, the
+degrees and the bucket offsets, and sorts nothing.
 
 Serving compiles a query once per index: `DatabaseIndex.compile` checks it
 against the schema and for free-connex acyclicity, translates it to the
@@ -53,7 +55,7 @@ from .model import ConjunctiveQuery, ConstantPool, Database, Schema
 from .refinement import asymmetric_vertex, edge_adjacency, loop_encoding_labels
 from .textio import read_text
 
-FORMAT_HEADER = "colorindex-file v9"
+FORMAT_HEADER = "colorindex-file v10"
 COMPILED_LIMIT = 64  # compiled queries kept per index
 
 TASKS = ("bool", "count", "enum")
@@ -85,15 +87,15 @@ class CompiledQuery:
 _REJECTED = CompiledQuery(qhat=None)
 
 
+def _stage_schema(stage: str, schema: Schema) -> Schema:
+    """The binary schema that a binary- or full-stage index refines."""
+    return schema if stage == "binary" else arb2bin.binary_schema_for(schema)[0]
+
+
 def _stage_symbols(stage: str, schema: Schema) -> bin2graph.GraphSymbols | None:
-    """The graph symbols of the stage's binary schema; None on the graph
-    stage and for a schema that the stage cannot index (the loader rejects
-    that)."""
-    if stage == "binary" and schema.is_binary():
-        return bin2graph.graph_symbols_for(schema)
-    if stage == "full" and schema.symbols:
-        return bin2graph.graph_symbols_for(arb2bin.binary_schema_for(schema)[0])
-    return None
+    """The graph symbols of the stage's binary schema, for an index given on
+    `bin2graph`'s graph; None on the graph stage."""
+    return None if stage == "graph" else bin2graph.graph_symbols_for(_stage_schema(stage, schema))
 
 
 def _query_key(q: ConjunctiveQuery) -> tuple:
@@ -254,7 +256,8 @@ class DatabaseIndex:
                                       f"graph_size\t{self.cindex.source_size}"])
         write_section(lines, "SCHEMA", [f"{n}\t{ar}" for n, ar in self.schema.symbols])
         write_section(lines, "CONSTANTS", self.pool.names())
-        write_section(lines, "PROJ", [f"{n}\t{' '.join(map(str, p))}" for n, p in sorted(self.node_proj.items())])
+        proj = self.cindex.graph.vertices if self.stage == "full" else ()
+        write_section(lines, "PROJ", [" ".join(map(str, self.node_proj[v])) for v in proj])
         lines.extend(cindex_mod.write_sections(self.cindex))
         return "\n".join(lines) + "\n"
 
@@ -287,13 +290,12 @@ class DatabaseIndex:
             if not schema.symbols or not fits[stage]:
                 raise ParseError(f"[SCHEMA] cannot be indexed in the {stage} stage")
             names = [name for (name,) in reader.rows("CONSTANTS", 1)]
-            node_proj = {int(n): tuple(map(int, p.split())) for n, p in reader.rows("PROJ", 2)}
-        symbols = _stage_symbols(stage, schema)
+            proj = [tuple(map(int, p.split())) for (p,) in reader.rows("PROJ", 1)]
         # the labels the build gives: (label universe, loop label, edge label)
-        if symbols is None:
+        if stage == "graph":
             labels, relations = (*loop_encoding_labels(schema), schema.edge_symbol()), None
         else:
-            labels, relations = (*cindex_mod.typed_labels(symbols), symbols.edge), tuple(symbols.u_label)
+            *labels, relations = cindex_mod.typed_labels(_stage_schema(stage, schema))
         ci = cindex_mod.read_sections(reader, graph_size, labels, relations)
         if reader.pos != len(lines):
             raise ParseError("unexpected line after the last section", line=reader.pos + 1)
@@ -302,7 +304,10 @@ class DatabaseIndex:
             pool.intern(name)
         if len(pool) != len(names):
             raise ParseError("[CONSTANTS] lists a constant twice")
-        idx = cls(schema, pool, stage, ci, source_size, node_proj=node_proj)
+        values = ci.graph.vertices if stage == "full" else ()
+        if len(proj) != len(values):
+            raise ParseError(f"[PROJ] has {len(proj)} rows for {len(values)} projection nodes")
+        idx = cls(schema, pool, stage, ci, source_size, node_proj=dict(zip(values, proj)))
         idx._check_values()
         return idx
 
@@ -313,16 +318,17 @@ class DatabaseIndex:
     def _check_values(self) -> None:
         """Check the value vertices and projection nodes of a loaded index
         against its constants and graph, so that every answer is a constant
-        or reads its constants off a projection node of its arity."""
+        or reads its constants off a projection node of its arity, and no two
+        nodes read one tuple: they would give one answer twice."""
         graph, constants = self.cindex.graph, range(len(self.pool))
         values = graph.vertices
         if self.stage != "full":
             if not all(v in constants for v in values):
                 raise ParseError(f"a {self.stage}-stage value vertex is not a constant id")
             return
-        # every arb2bin node is a projection, and A<i> labels it by its arity i
-        if set(values) != self.node_proj.keys():
-            raise ParseError("[PROJ] does not list exactly the value vertices")
+        # every arb2bin node is a projection of its own, and A<i> labels it by its arity i
+        if len(set(self.node_proj.values())) != len(self.node_proj):
+            raise ParseError("[PROJ] lists a tuple twice")
         a_labels = frozenset(f"A{i}" for i in range(self.schema.max_arity + 1))
         if any(graph.vl[v] & a_labels != {f"A{len(p)}"} for v, p in self.node_proj.items()):
             raise ParseError("a projection of [PROJ] does not have the arity of its A<i> label")

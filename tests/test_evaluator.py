@@ -10,7 +10,6 @@ from colorindex.errors import NotAcyclic, NotFreeConnex
 from colorindex.evaluator import (
     components,
     count_answers,
-    enumerate_answers,
     enumerate_prepared,
     eval_bool,
     prepare,
@@ -48,7 +47,7 @@ def test_rewrite_mixed_matches_oracle():
         db = random_graph_db(rng.randint(2, 7), rng.random(), seed=rng.randrange(10**9), loop_p=0.4)
         idx = build(db)
         q = cq(["x", "y"], [("E", ["x", "y"]), ("E", ["y", "y"])])
-        got = set(enumerate_answers(q, idx))
+        got = set(enumerate_prepared(prepare(q, idx)))
         assert got == set(brute_answers(q, db).answers.tuples)
 
 
@@ -77,7 +76,7 @@ def test_enumerate_full_query_cycle4():
     db = cycle_db(4)
     idx = build(db)
     q = parse_query("Ans(x,y) :- E(x,y).", db.schema)
-    got = list(enumerate_answers(q, idx))
+    got = list(enumerate_prepared(prepare(q, idx)))
     assert len(got) == len(set(got)) == 8
 
 
@@ -85,7 +84,7 @@ def test_enumerate_projected_on_star():
     db = star_db(3)
     idx = build(db)
     q = parse_query("Ans(x) :- E(x,y), E(y,z).", db.schema)
-    got = set(enumerate_answers(q, idx))
+    got = set(enumerate_prepared(prepare(q, idx)))
     assert got == set(brute_answers(q, db).answers.tuples)
     assert len(got) == 4
 
@@ -94,7 +93,7 @@ def test_enumerate_empty_answer():
     db = cycle_db(5)
     idx = build(db)
     q = parse_query("Ans(x) :- E(x,x).", db.schema)
-    assert list(enumerate_answers(q, idx)) == []
+    assert list(enumerate_prepared(prepare(q, idx))) == []
 
 
 def test_enumerate_rejects_non_fc():
@@ -102,7 +101,7 @@ def test_enumerate_rejects_non_fc():
     idx = build(db)
     q = parse_query("Ans(x,z) :- E(x,y), E(y,z).", db.schema)
     with pytest.raises(NotFreeConnex):
-        list(enumerate_answers(q, idx))
+        list(enumerate_prepared(prepare(q, idx)))
 
 
 def test_count_full_two_path_on_cycle4():
@@ -127,7 +126,7 @@ def test_cross_component_enum_and_count():
     )
     idx = build(db)
     q = cq(["x", "u"], [("P", ["x"]), ("P", ["u"])])
-    got = set(enumerate_answers(q, idx))
+    got = set(enumerate_prepared(prepare(q, idx)))
     assert got == set(brute_answers(q, db).answers.tuples)
     assert count_answers(q, idx) == len(got) == 4
 
@@ -178,7 +177,7 @@ def test_counting_matches_oracle_random():
         q = random_fc_query(db.schema, rng)
         expected = brute_answers(q, db)
         assert count_answers(q, idx) == len(expected.answers)
-        got = list(enumerate_answers(q, idx))
+        got = list(enumerate_prepared(prepare(q, idx)))
         assert len(got) == len(set(got))
         assert set(got) == set(expected.answers.tuples)
         if q.is_full():

@@ -1,8 +1,9 @@
-"""The v9 index file: what it stores, and that a damaged file ends in a data
+"""The v10 index file: what it stores, and that a damaged file ends in a data
 error (exit 2 with a message) rather than a traceback or a wrong answer."""
 import hashlib
 import importlib.util
 import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -13,8 +14,8 @@ from colorindex.errors import ParseError
 from colorindex.generators import TERNARY_SCHEMA, path_db, random_relational_db
 from colorindex.index import SectionReader, build, read_sections, write_sections
 from colorindex.pipeline import FORMAT_HEADER, DatabaseIndex
-from colorindex.refinement import Coloring, refines_labels, unstable_witness
-from colorindex.textio import parse_database, parse_schema
+from colorindex.refinement import unstable_witness
+from colorindex.textio import parse_database, parse_query, parse_schema
 
 from test_cli import MOVIE_DB, MOVIE_SCHEMA, Q47
 
@@ -23,14 +24,14 @@ GRAPH_SCHEMA = "E/2\nP/1\n"
 GRAPH_DB = "".join(f"E({x},{y}).\nE({y},{x}).\n" for x, y in zip("abcd", "bcde")) + "P(c).\nE(f,f).\nP(f).\n"
 GRAPH_QUERIES = {"count": "Ans(x,y) :- E(x,y), E(y,z).\n", "enum": "Ans(x) :- E(x,y), P(y).\n"}
 
-# tab-separated fields that hold ids, per section: a VERTICES row is `v,
-# labels, row`, a typed CLASSES row `members, keys` (edge colors), an
-# EDGE_COLORS row `labels, rev`
+# tab-separated fields that hold ids, per section: a PROJ row is a tuple, an
+# EDGE_COLORS row `labels, rev`, a typed CLASSES row `labels, keys` (edge
+# colors), a VERTICES row `v, color, row`
 ID_FIELDS = {
-    "PROJ": (0, 1),
+    "PROJ": (0,),
     "EDGE_COLORS": (1,),
-    "VERTICES": (0, 2),
-    "CLASSES": (0, 1),
+    "CLASSES": (1,),
+    "VERTICES": (0, 1, 2),
 }
 OUT_OF_RANGE = "999999"
 
@@ -65,33 +66,27 @@ def id_mutants(lines):
 
 
 def unstable_swap(lines):
-    """Swap the first members of two same-labeled classes so that the
-    coloring is no longer stable.  A graph-stage row is put in the bucket
-    order of the new colors, so that only the stability check can find the
-    fault.  On a typed index the two members have different numbers of
-    entries, and each class keeps its keys."""
+    """Swap the colors of the first members of two classes of one label set
+    so that the coloring is no longer stable.  A graph-stage row is put in
+    the bucket order of the new colors, so that only the stability check can
+    find the fault.  On a typed index the two members have different numbers
+    of entries, and each class keeps its keys."""
     ci = DatabaseIndex.load_text("\n".join(lines) + "\n").cindex
-    g, classes = ci.graph, [list(m) for m in ci.coloring.classes]
+    g, classes = ci.graph, ci.coloring.classes
     for a, b in itertools.combinations(range(len(classes)), 2):
-        swapped = [list(m) for m in classes]
-        swapped[a][0], swapped[b][0] = swapped[b][0], swapped[a][0]
-        swapped = tuple(tuple(sorted(m)) for m in swapped)
-        col = {v: c for c, m in enumerate(swapped) for v in m}
+        va, vb = classes[a][0], classes[b][0]
+        col = {**ci.coloring.col, va: b, vb: a}
+        swapped = tuple(tuple(v for v in g.vertices if col[v] == c) for c in range(len(classes)))
         if ci.edges is None:
             adj = {v: sorted(g.adj[v], key=lambda u: (col[u], u)) for v in g.vertices}
             unstable = unstable_witness(swapped, lambda v: [col[u] for u in adj[v]]) is not None
         else:
             adj = g.adj
-            unstable = len(adj[classes[a][0]]) != len(adj[classes[b][0]])
-        if refines_labels(g, Coloring(col=col, classes=swapped)) and unstable:
-            out = list(lines)
-            for name, column, values in (("VERTICES", 2, [adj[v] for v in g.vertices]), ("CLASSES", 0, swapped)):
-                i, _ = sections(lines)[name]
-                for r, value in enumerate(values, i + 1):
-                    fields = out[r].split("\t")
-                    fields[column] = " ".join(map(str, value))
-                    out[r] = "\t".join(fields)
-            return out
+            unstable = len(adj[va]) != len(adj[vb])
+        if g.vl[va] == g.vl[vb] and unstable:
+            i, _ = sections(lines)["VERTICES"]
+            rows = [f"{v}\t{col[v]}\t{' '.join(map(str, adj[v]))}" for v in g.vertices]
+            return lines[: i + 1] + rows + lines[i + 1 + len(rows):]
     raise AssertionError("no swap makes the coloring unstable")
 
 
@@ -124,14 +119,18 @@ def test_saved_index_stores_only_graph_and_classes(saved_index):
     # a binary- or full-stage file holds the value rows and the edge colors,
     # not bin2graph's gadget vertices
     _, lines = saved_index
-    assert lines[0] == FORMAT_HEADER == "colorindex-file v9"
+    assert lines[0] == FORMAT_HEADER == "colorindex-file v10"
     stage = lines[sections(lines)["META"][0] + 1].split("\t")[1]
     typed = [] if stage == "graph" else ["EDGE_COLORS"]
-    assert list(sections(lines)) == ["META", "SCHEMA", "CONSTANTS", "PROJ", *typed, "VERTICES", "CLASSES"]
-    i, count = sections(lines)["VERTICES"]
-    assert {len(row.split("\t")) for row in lines[i + 1 : i + 1 + count]} == {3}
-    j, classes = sections(lines)["CLASSES"]  # a typed class row carries its keys
+    assert list(sections(lines)) == ["META", "SCHEMA", "CONSTANTS", "PROJ", *typed, "CLASSES", "VERTICES"]
+    i, count = sections(lines)["VERTICES"]  # v, its color, its row
+    vertex_rows = [row.split("\t") for row in lines[i + 1 : i + 1 + count]]
+    assert {len(row) for row in vertex_rows} == {3}
+    j, classes = sections(lines)["CLASSES"]  # its labels; on a typed index, its keys
     assert {len(row.split("\t")) for row in lines[j + 1 : j + 1 + classes]} == {1 if stage == "graph" else 2}
+    assert {int(c) for _, c, _ in vertex_rows} == set(range(classes))
+    # a full-stage PROJ row is the tuple of the vertex of its place
+    assert sections(lines)["PROJ"][1] == (count if stage == "full" else 0)
     if stage == "binary":  # one row per constant of the movie database, and no gadget rows
         assert count == sections(lines)["CONSTANTS"][1]
 
@@ -147,7 +146,7 @@ def test_every_mutation_is_a_data_error(saved_index, capsys):
     tmp_path, lines = saved_index
     ids = list(id_mutants(lines))
     fields = {" ".join(what.split()[:3]) for what, _ in ids}
-    assert fields >= {"[VERTICES] field 0", "[VERTICES] field 2", "[CLASSES] field 0"}
+    assert fields >= {"[VERTICES] field 0", "[VERTICES] field 1", "[VERTICES] field 2"}
     if "EDGE_COLORS" in sections(lines):  # the keys of the classes, and the reverses of the edge colors
         assert fields >= {"[CLASSES] field 1", "[EDGE_COLORS] field 1"}
     mutants = list(header_mutants(lines)) + ids
@@ -160,6 +159,7 @@ def test_every_mutation_is_a_data_error(saved_index, capsys):
     mutants.append(("v6 header", ["colorindex-file v6"] + lines[1:]))
     mutants.append(("v7 header", ["colorindex-file v7"] + lines[1:]))
     mutants.append(("v8 header", ["colorindex-file v8"] + lines[1:]))
+    mutants.append(("v9 header", ["colorindex-file v9"] + lines[1:]))
     missed = []
     for (what, mutant), task in itertools.product(mutants, ("count", "enum")):
         code, out, err = query(tmp_path, mutant, task, capsys)
@@ -172,7 +172,7 @@ def test_mutation_messages(saved_index, capsys):
     tmp_path, lines = saved_index
     _, _, err = query(tmp_path, unstable_swap(lines), "count", capsys)
     assert "unstable coloring" in err
-    for old in ("v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8"):
+    for old in ("v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"):
         _, _, err = query(tmp_path, [f"colorindex-file {old}"] + lines[1:], "count", capsys)
         assert f"'colorindex-file {old}'" in err and "rebuilt with `colorindex index`" in err
 
@@ -185,11 +185,15 @@ V8_FULL = ("colorindex-file v8\n[META 3]\nstage\tfull\nsource_size\t1\ngraph_siz
 
 
 def test_full_stage_v8_file_is_refused_by_its_header():
-    # its arb2bin encoding is gone: the header, not a label, refuses it
+    # its arb2bin encoding is gone: the header refuses it, and under the
+    # current header its keyed [PROJ] rows, then its labels
     with pytest.raises(ParseError, match="found 'colorindex-file v8'.*rebuilt with `colorindex index`"):
         DatabaseIndex.load_text(V8_FULL)
+    current = V8_FULL.replace("colorindex-file v8", FORMAT_HEADER)
+    with pytest.raises(ParseError, match="\\[PROJ\\] rows have 1 tab-separated fields, not 2"):
+        DatabaseIndex.load_text(current)
     with pytest.raises(ParseError, match="undeclared label.*'E1_1'"):
-        DatabaseIndex.load_text(V8_FULL.replace("colorindex-file v8", FORMAT_HEADER))
+        DatabaseIndex.load_text(current.replace("[PROJ 2]\n1\t\n2\t0\n", "[PROJ 0]\n"))
 
 
 def _read(lines):
@@ -198,18 +202,19 @@ def _read(lines):
 
 def test_loader_rejects_inconsistent_graphs():
     lines = write_sections(build(path_db(3)))
-    rows = {name: i for name, (i, _) in sections(lines).items()}
-    v0 = rows["VERTICES"] + 1
-    v0_id, labels, row = lines[v0].split("\t")
+    assert lines == ["[CLASSES 2]", "-", "-", "[VERTICES 3]", "0\t0\t1", "1\t1\t0 2", "2\t0\t1"]
+    c0, v0 = 1, 4
+    v0_id, color, row = lines[v0].split("\t")
     cases = {
-        "without its reverse": lines[:v0] + [f"{v0_id}\t{labels}\t{row} 2"] + lines[v0 + 1:],
-        "undeclared label": lines[:v0] + [f"{v0_id}\tNope\t{row}"] + lines[v0 + 1:],
+        "without its reverse": lines[:v0] + [f"{v0_id}\t{color}\t{row} 2"] + lines[v0 + 1:],
+        "undeclared label": lines[:c0] + ["Nope"] + lines[c0 + 1:],
         "not in bucket order": lines[:v0 + 1] + [lines[v0 + 1].replace("0 2", "2 0")] + lines[v0 + 2:],
-        "listed twice": lines[:v0] + [f"{v0_id}\t{labels}\t{row} {row}",
+        "listed twice": lines[:v0] + [f"{v0_id}\t{color}\t{row} {row}",
                                       lines[v0 + 1].replace("0 2", "0 0 2")] + lines[v0 + 2:],
-        "not a vertex": lines[:v0] + [f"{v0_id}\t{labels}\t{row} 7"] + lines[v0 + 1:],
-        "does not partition": lines[:-1] + [lines[-1] + " 1"],
-        "bad number": lines[:v0] + [f"v\t{labels}\t{row}"] + lines[v0 + 1:],
+        "not a vertex": lines[:v0] + [f"{v0_id}\t{color}\t{row} 7"] + lines[v0 + 1:],
+        "vertex 0 has color 2, which \\[CLASSES\\] does not have": lines[:v0] + [f"{v0_id}\t2\t{row}"] + lines[v0 + 1:],
+        "color 2 of \\[CLASSES\\] has no vertex": ["[CLASSES 3]", "-", "-", "-"] + lines[3:],
+        "bad number": lines[:v0] + [f"v\t{color}\t{row}"] + lines[v0 + 1:],
     }
     for message, mutant in cases.items():
         with pytest.raises(ParseError, match=message):
@@ -230,7 +235,7 @@ def test_loader_rejects_schema_and_label_mismatches():
     # labels of the rows, or that makes the loop label another name
     labeled = DatabaseIndex.build(parse_database(GRAPH_DB, parse_schema(GRAPH_SCHEMA))).save_text()
     schema = "[SCHEMA 2]\nE\t2\nP\t1\n"
-    assert schema in labeled and "\n5\tL,P\t5\n" in labeled
+    assert schema in labeled and "\nL,P\n[VERTICES 6]\n" in labeled and "\n5\t3\t5\n" in labeled
     cases["undeclared label"] = labeled.replace(schema, "[SCHEMA 2]\nE\t2\nL\t1\n")
     cases["disagrees with the loops"] = labeled.replace(schema, "[SCHEMA 3]\nE\t2\nP\t1\nL\t1\n")
     # an arity above the bound is refused before arb2bin's schema for it is made
@@ -257,13 +262,17 @@ def test_loader_checks_value_vertices(movie_db):
     # node of arity i
     binary = DatabaseIndex.build(movie_db, stage="binary").save_text()
     full = DatabaseIndex.build(movie_db, stage="full").save_text()
+    proj = full.splitlines()[sections(full.splitlines())["PROJ"][0] + 1 :][:2]
+    assert proj == ["0 1", "0 2"]  # the projection nodes of P(PS,LM) and P(PS,MM)
     cases = {
         "binary-stage value vertex is not a constant id": _replace_rows(binary, "CONSTANTS", lambda rows: rows[:-1]),
-        "does not list exactly": [
+        # one row per value vertex on the full stage, none on the others
+        "\\[PROJ\\] has \\d+ rows for \\d+ projection nodes": [
             _replace_rows(full, "PROJ", lambda rows: rows[1:]),
-            # arb2bin numbers its nodes 0.. up: the id past the last is no value vertex
-            _replace_rows(full, "PROJ", lambda rows: [f"{len(rows)}\t" + rows[0].split("\t")[1]] + rows[1:]),
+            _replace_rows(full, "PROJ", lambda rows: rows + ["0 0"]),
+            _replace_rows(binary, "PROJ", lambda rows: ["0"]),
         ],
+        "\\[PROJ\\] lists a tuple twice": _replace_rows(full, "PROJ", lambda rows: [rows[1]] + rows[1:]),
         "arity of its A<i> label": _replace_rows(full, "PROJ", lambda rows: rows[:-1] + [rows[-1] + " 0"]),
         "not a constant": _replace_rows(full, "PROJ", lambda rows: rows[:-1] + [rows[-1][:-1] + OUT_OF_RANGE]),
     }
@@ -277,19 +286,103 @@ def test_loader_checks_value_vertices(movie_db):
 # sha1 prefixes of the saved seed-1 benchmark inputs: a change to the file
 # format, or to any vertex id or color class, must update them on purpose
 PINNED = {
-    "relational-replicas": "468fb3256948",
-    "ternary-random": "b75489ae6820",
-    "graph-symmetric": "ffabd0e1545f",
+    "relational-replicas": "5a0c8bae3628",
+    "ternary-random": "1ad28a23af00",
+    "graph-symmetric": "4588cabdf938",
 }
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-def test_saved_benchmark_inputs_are_pinned(monkeypatch):
+@pytest.fixture
+def saved_bench_input(monkeypatch):
+    """The saved index text of a benchmark workload's seed-1 input."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look the module up
     spec.loader.exec_module(workloads)
-    for name, prefix in PINNED.items():
+
+    def saved(name: str) -> str:
         wl = workloads.make(name, 1)
-        text = DatabaseIndex.build(parse_database(wl.db_text, parse_schema(wl.schema_text))).save_text()
+        return DatabaseIndex.build(parse_database(wl.db_text, parse_schema(wl.schema_text))).save_text()
+    return saved
+
+
+def test_saved_benchmark_inputs_are_pinned(saved_bench_input):
+    for name, prefix in PINNED.items():
+        text = saved_bench_input(name)
         assert hashlib.sha1(text.encode()).hexdigest()[:12] == prefix, name
+
+
+def test_a_proj_tuple_listed_twice_is_a_data_error(saved_bench_input, tmp_path, capsys):
+    # ternary-random's nodes 14 and 15 are the projections (k0) and (k2),
+    # both with P: giving node 14 the tuple of node 15 would make
+    # `Ans(x) :- P(x).` enumerate k2 twice and count it twice
+    lines = saved_bench_input("ternary-random").splitlines()
+    i, _ = sections(lines)["PROJ"]
+    assert lines[i + 15 : i + 17] == ["3", "1"]
+    mutant = lines[: i + 15] + ["1"] + lines[i + 16 :]
+    with pytest.raises(ParseError, match="\\[PROJ\\] lists a tuple twice"):
+        DatabaseIndex.load_text("\n".join(mutant) + "\n")
+    (tmp_path / "count.cq").write_text("Ans(x) :- P(x).\n")
+    code, out, err = query(tmp_path, mutant, "count", capsys)
+    assert (code, out) == (2, "") and err.startswith("data error:") and "lists a tuple twice" in err
+
+
+def set_semantics_queries(schema):
+    """Per relation symbol: the query text of all its tuples, and of each of
+    its columns."""
+    for name, arity in schema.symbols:
+        xs = [f"x{i}" for i in range(arity)]
+        atom = f"{name}({','.join(xs)})"
+        for head in [xs] + ([[x] for x in xs] if arity > 1 else []):
+            yield f"Ans({','.join(head)}) :- {atom}."
+
+
+def field_edits(lines, rng, count):
+    """count edits of one tab-separated field of one row each, in the
+    sections that hold the index (not META, SCHEMA or CONSTANTS): the field
+    becomes that of another row of its section, or one of its tokens is
+    dropped, repeated, moved by one or replaced by a token of the same field
+    of another row."""
+    rows = {r: range(i + 1, i + 1 + n) for name, (i, n) in sections(lines).items()
+            if name in ("PROJ", "EDGE_COLORS", "CLASSES", "VERTICES") for r in range(i + 1, i + 1 + n)}
+    cells = [(r, f) for r in rows for f in range(len(lines[r].split("\t")))]
+    for _ in range(count):
+        r, f = rng.choice(cells)
+        fields = lines[r].split("\t")
+        others = [row[f] for row in (lines[o].split("\t") for o in rows[r]) if len(row) > f]
+        tokens = fields[f].split()
+        kind = rng.choice(("copy", "swap", "drop", "repeat", "step") if tokens else ("copy", "swap"))
+        j = rng.randrange(len(tokens)) if tokens else 0
+        if kind == "copy":
+            fields[f] = rng.choice(others)
+        else:
+            if kind == "swap":
+                tokens[j : j + 1] = [rng.choice([t for o in others for t in o.split()] or ["0"])]
+            elif kind == "drop":
+                del tokens[j]
+            elif kind == "repeat":
+                tokens.insert(j, tokens[j])
+            elif tokens[j].isdecimal():
+                tokens[j] = str(int(tokens[j]) + rng.choice((-1, 1)))
+            fields[f] = " ".join(tokens)
+        yield lines[:r] + ["\t".join(fields)] + lines[r + 1 :]
+
+
+def test_single_field_edits_keep_set_semantics(saved_index):
+    # an edited file that still loads answers every query without repeats,
+    # and counts what it enumerates
+    _, lines = saved_index
+    loaded, broken = 0, []
+    for mutant in field_edits(lines, random.Random(1), 400):
+        try:
+            idx = DatabaseIndex.load_text("\n".join(mutant) + "\n")
+        except ParseError:
+            continue
+        loaded += 1
+        for text in set_semantics_queries(idx.schema):
+            q = parse_query(text, idx.schema)
+            answers = list(idx.enumerate(q))
+            if not len(set(answers)) == len(answers) == idx.count(q):
+                broken.append(f"{text} {len(answers)} answers, {len(set(answers))} distinct, count {idx.count(q)}")
+    assert loaded and not broken, broken

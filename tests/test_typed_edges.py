@@ -305,15 +305,15 @@ def test_malformed_gadget_graph_is_a_data_error(tamper, tmp_path, capsys):
     ci = build_from_coloring(g, merged, genc.dhat.size)
     with pytest.raises(ValueError, match="two start colors"):
         DatabaseIndex(good.schema, good.pool, "binary", ci, good.source_size, gadget_node=genc.gadget_node)
-    # the value row `0 P 1` (a: b), and the classes `0 0` (a: edge color 0)
-    # and `1 1` (b: its reverse)
+    # the classes `P 0` (a's: its label, and edge color 0) and `- 1` (b's:
+    # the reverse)
     text = good.save_text()
-    row_a, class_b = "\n0\tP\t1\n", "\n1\t1\n"
-    assert row_a in text and class_b in text
+    classes = "[CLASSES 2]\nP\t0\n-\t1\n"
+    assert classes in text
     if tamper == "second value neighbor":  # b reaches a along a's edge color, not its reverse
-        text, message = text.replace(class_b, "\n1\t0\n"), "starts at value colors"
+        text, message = text.replace(classes, "[CLASSES 2]\nP\t0\n-\t0\n"), "starts at value colors"
     else:
-        text, message = text.replace(row_a, "\n0\tP,R\t1\n"), "relation or loop label"
+        text, message = text.replace(classes, "[CLASSES 2]\nP,R\t0\n-\t1\n"), "relation or loop label"
     with pytest.raises(ParseError, match=message):
         DatabaseIndex.load_text(text)
     (tmp_path / "bad.idx").write_text(text)
@@ -328,28 +328,34 @@ def test_loader_rejects_inconsistent_typed_rows():
     db = validate_database(BINARY_SCHEMA, {"R": [("a", "b"), ("b", "a"), ("a", "a")], "S": [("c", "c")]})
     text = DatabaseIndex.build(db).save_text()
     edge_colors = "[EDGE_COLORS 4]\nL,R\t0\nR\t2\nR\t1\nL,S\t3\n"
-    rows = "[VERTICES 3]\n0\t-\t0 1\n1\t-\t0\n2\t-\t2\n"
-    classes = "[CLASSES 3]\n0\t0 1\n1\t2\n2\t3\n"  # members, then their keys
+    classes = "[CLASSES 3]\n-\t0 1\n-\t2\n-\t3\n"  # labels, then the keys
+    rows = "[VERTICES 3]\n0\t0\t0 1\n1\t1\t0\n2\t2\t2\n"  # v, its color, its far values
     assert edge_colors in text and rows in text and classes in text
     cases = {
         "not an involution": text.replace(edge_colors, edge_colors.replace("R\t2\nR\t1", "R\t2\nR\t2")),
         "undeclared label, or a value label": text.replace(edge_colors, edge_colors.replace("R\t2", "P\t2")),
         "breaks the loop label": text.replace(edge_colors, edge_colors.replace("L,R\t0", "R\t0")),
         # a's class keys one edge color for its two far values
-        "vertex 0 has 2 entries, not the 1": text.replace(classes, classes.replace("0\t0 1", "0\t0")),
-        "edge color that \\[EDGE_COLORS\\] does not have": text.replace(classes, classes.replace("2\t3", "2\t4")),
+        "vertex 0 has 2 entries, not the 1": text.replace(classes, classes.replace("-\t0 1", "-\t0")),
+        "edge color that \\[EDGE_COLORS\\] does not have": text.replace(classes, classes.replace("-\t3", "-\t4")),
         # b reaches a along a's edge color: that edge color starts at a and at b
-        "starts at value colors 0 and 1": text.replace(classes, classes.replace("1\t2", "1\t1")),
+        "starts at value colors 0 and 1": text.replace(classes, classes.replace("-\t2", "-\t1")),
         # edge colors 1 and 2 each their own reverse: a's entry to b lacks its flip
         "without its flip": text.replace(edge_colors, edge_colors.replace("R\t2\nR\t1", "R\t1\nR\t2")),
-        "vertex 2 lists a far value twice": text.replace(rows, rows.replace("2\t-\t2", "2\t-\t2 2")
-                                                         ).replace(classes, classes.replace("2\t3", "2\t3 3")),
-        "out of order": text.replace(rows, rows.replace("1\t-", "7\t-")),
+        "vertex 2 lists a far value twice": text.replace(rows, rows.replace("2\t2\t2", "2\t2\t2 2")
+                                                         ).replace(classes, classes.replace("-\t3", "-\t3 3")),
+        "out of order": text.replace(rows, rows.replace("1\t1", "7\t1")),
         # a and b in one class: b has no loop entry of color 0
-        "unstable coloring": text.replace(classes, "[CLASSES 2]\n0 1\t0 1\n2\t3\n"),
+        "unstable coloring": text.replace(classes, "[CLASSES 2]\n-\t0 1\n-\t3\n").replace(
+            rows, "[VERTICES 3]\n0\t0\t0 1\n1\t0\t0\n2\t1\t2\n"),
         # a's loop entry moved to c's loop color, whose entries then start at two colors
-        "starts at value colors 0 and 2": text.replace(rows, rows.replace("0\t-\t0 1", "0\t-\t1 0")).replace(
-            classes, classes.replace("0\t0 1", "0\t1 3")).replace("L,R\t0", "R\t0"),
+        "starts at value colors 0 and 2": text.replace(rows, rows.replace("0\t0\t0 1", "0\t0\t1 0")).replace(
+            classes, classes.replace("-\t0 1", "-\t1 3")).replace("L,R\t0", "R\t0"),
+        # c's color is not a row of [CLASSES]; a fourth class has no member
+        "vertex 2 has color 3, which \\[CLASSES\\] does not have":
+            text.replace(rows, rows.replace("2\t2\t2", "2\t3\t2")),
+        "color 3 of \\[CLASSES\\] has no vertex": text.replace(classes, classes.replace("[CLASSES 3]", "[CLASSES 4]")
+                                                               + "-\t\n"),
         "on no entry": text.replace(edge_colors, edge_colors.replace("[EDGE_COLORS 4]", "[EDGE_COLORS 5]")
                                     + "-\t4\n"),
     }
@@ -364,7 +370,7 @@ def test_loader_checks_the_bucket_order_of_typed_rows():
     # color 0 (R), then d in that of edge color 1 (S), as its class's keys say
     db = validate_database(BINARY_SCHEMA, {"R": [("a", "b"), ("a", "c")], "S": [("a", "d")]})
     text = DatabaseIndex.build(db).save_text()
-    row_a, class_a = "\n0\t-\t1 2 3\n", "\n0\t0 0 1\n"
+    row_a, class_a = "\n0\t0\t1 2 3\n", "\n-\t0 0 1\n"
     assert row_a in text and class_a in text
     misplaced = "the entries of vertex 0 are not in bucket order or include one without its flip"
     cases = [
@@ -375,7 +381,7 @@ def test_loader_checks_the_bucket_order_of_typed_rows():
     ]
     for row, keys, message in cases:
         with pytest.raises(ParseError, match=message):
-            DatabaseIndex.load_text(text.replace(row_a, f"\n0\t-\t{row}\n").replace(class_a, f"\n0\t{keys}\n"))
+            DatabaseIndex.load_text(text.replace(row_a, f"\n0\t0\t{row}\n").replace(class_a, f"\n-\t{keys}\n"))
 
 
 def test_loader_checks_the_keys_of_typed_classes():
@@ -385,18 +391,18 @@ def test_loader_checks_the_keys_of_typed_classes():
     db = validate_database(BINARY_SCHEMA, {"R": [("a", "b"), ("c", "d"), ("a", "a"), ("c", "c")],
                                            "S": [("b", "d"), ("d", "b")]})
     text = DatabaseIndex.build(db).save_text()
-    classes, row_b = "[CLASSES 2]\n0 2\t0 1\n1 3\t2 3\n", "\n1\t-\t0 3\n"
+    classes, row_b = "[CLASSES 2]\n-\t0 1\n-\t2 3\n", "\n1\t1\t0 3\n"
     assert "[EDGE_COLORS 4]\nL,R\t0\nR\t2\n-\t1\nS\t3\n" in text and classes in text and row_b in text
     cases = {
         "the keys of value color 0 list an edge color that \\[EDGE_COLORS\\] does not have":
-            text.replace(classes, classes.replace("0 2\t0 1", "0 2\t0 4")),
+            text.replace(classes, classes.replace("-\t0 1", "-\t0 4")),
         # b and d list two far values each
         "vertex 1 has 2 entries, not the 1 that the keys of its color 1 list":
-            text.replace(classes, classes.replace("1 3\t2 3", "1 3\t2")),
+            text.replace(classes, classes.replace("-\t2 3", "-\t2")),
         # b's entries to a and d trade buckets: a's row still lists what its
         # entries' flips give, but their edge colors are 0 and 3, not its keys
         "the entries of vertex 0 are not in bucket order or include one without its flip":
-            text.replace(row_b, "\n1\t-\t3 0\n"),
+            text.replace(row_b, "\n1\t1\t3 0\n"),
     }
     for message, mutant in cases.items():
         assert mutant != text, message
