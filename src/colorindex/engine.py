@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .analysis import FcGHD, compute_fc1ghd, is_acyclic
-from .errors import NotAcyclic, NotFreeConnex
+from .errors import NotAcyclic, TaskMismatch
 from .instrument import OpCounter
 from .model import Atom, ConjunctiveQuery, Database
 
@@ -173,7 +173,7 @@ def answers(q: ConjunctiveQuery, db: Database, ops: OpCounter | None = None) -> 
 def bool_eval(q: ConjunctiveQuery, db: Database, ops: OpCounter | None = None) -> bool:
     """Boolean acyclic evaluation: satisfiability after the full reducer."""
     if not q.is_boolean():
-        raise NotFreeConnex("bool_eval expects a Boolean query")
+        raise TaskMismatch("bool task is only allowed for Boolean queries")
     if not is_acyclic(q):
         raise NotAcyclic("Boolean evaluation requires an acyclic query")
     return preprocess(q, db, ops).satisfiable

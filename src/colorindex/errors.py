@@ -29,14 +29,6 @@ class NotFreeConnex(ColorIndexError):
     pass
 
 
-class NotTree(ColorIndexError):
-    pass
-
-
-class FreeNotConnected(ColorIndexError):
-    pass
-
-
 class BadGHD(ColorIndexError):
     pass
 

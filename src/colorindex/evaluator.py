@@ -20,7 +20,9 @@ and `prepare_components` again (`pipeline.DatabaseIndex` does).  The
 dynamic program runs on every call; no row, count or answer is kept.
 
 All three tasks run one counting dynamic program per component over the
-color tables, in O(|Q| * |D_col|).  Its rows are sparse, {color: count}
+color tables, in O(|Q| * |D_col|): one bottom-up pass over the component's
+parent array that lifts each variable but the root once and multiplies it
+into its parent's row (see `_dp_rows`).  Its rows are sparse, {color: count}
 with only the non-zero entries, so the work is spent on the colors that can
 still match: a label row intersects the label's color sets, and a product
 walks the smaller row.  On a typed index a lift walks the edge colors e that
@@ -60,7 +62,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .analysis import spanning_forest
-from .errors import ArityMismatch, FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree, UnknownSymbol
+from .errors import ArityMismatch, NotAcyclic, NotFreeConnex, TaskMismatch, UnknownSymbol
 from .index import ColorIndex
 from .instrument import OpCounter
 from .model import ConjunctiveQuery
@@ -71,33 +73,25 @@ Row = dict[int, int]  # color -> non-zero count; absent colors count 0
 @dataclass(frozen=True)
 class Component:
     """One connected component of a query: one tree of its spanning forest,
-    with the variables in a free-first BFS order, their labels, the allowed
-    edge colors of each tree edge, and the head positions its free
-    variables fill."""
+    as a parent array over its variables in a free-first BFS order, with
+    each position's labels, the allowed edge colors of its tree edge, and
+    the head positions its free variables fill."""
 
-    order: tuple[int, ...]  # the free variables first; ancestors precede descendants
-    free: frozenset[int]  # the free variables, order[:len(free)]
-    children: dict[int, tuple[int, ...]]
-    # the unary symbols on a variable, with the loop label for a graph-stage
-    # atom E(x, x)
-    labels: dict[int, frozenset[str]]
-    # per variable with an atom R(x, x) on the binary or full stage: the
-    # value colors it may take
-    loops: dict[int, frozenset[int]]
-    # per variable but the root: the edge colors allowed from its parent's
-    # vertex toward its own; None on the graph stage
-    down: dict[int, frozenset[int] | None]
+    order: tuple[int, ...]  # the free variables first; parents precede children
+    n_free: int  # the free variables are order[:n_free]
+    parent: tuple[int, ...]  # per position, its parent's position; -1 at the root
+    # per position, the unary symbols on its variable, with the loop label
+    # for a graph-stage atom E(x, x)
+    labels: tuple[frozenset[str], ...]
+    # per position, the value colors its variable may take under its atoms
+    # R(x, x) on the binary or full stage; None when it has none
+    loops: tuple[frozenset[int] | None, ...]
+    # per position, the edge colors allowed from its parent's vertex toward
+    # its own; None at the root and on the graph stage
+    down: tuple[frozenset[int] | None, ...]
+    collapse: tuple[int, ...]  # the free positions that have a quantified child
     head_positions: tuple[int, ...]  # ascending
-    sel: tuple[int, ...]  # per head position, the index of its variable in free_order
-    parent_pos: tuple[int, ...]  # per free variable, the index of its parent in free_order
-
-    @property
-    def root(self) -> int:
-        return self.order[0]
-
-    @property
-    def free_order(self) -> tuple[int, ...]:
-        return self.order[: len(self.free)]
+    sel: tuple[int, ...]  # per head position, the position of its variable
 
 
 def _meet(sets: list[frozenset[int]]) -> frozenset[int]:
@@ -113,9 +107,9 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
     tree is rooted at its lowest-id free variable, else at its lowest-id
     variable, and its free variables precede the quantified ones.  Raises
     UnknownSymbol for a binary atom that is not a relation of the index,
-    ArityMismatch for a wider atom, NotTree when the Gaifman graph has a
-    cycle, and FreeNotConnected when the free variables of a component do
-    not induce a connected subgraph (see the module docstring)."""
+    ArityMismatch for a wider atom, and NotFreeConnex when the Gaifman graph
+    has a cycle or the free variables of a component do not induce a
+    connected subgraph (see the module docstring)."""
     edges = idx.edges
     labels: dict[int, set[str]] = {v: set() for a in q.atoms for v in a.args}
     loop_labels: dict[int, set[str]] = {}
@@ -138,15 +132,13 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
         (loop_labels.setdefault(x, set()) if x == y else pairs.setdefault((x, y), set())).add(a.symbol)
     forest = spanning_forest(q)
     if not forest.acyclic:
-        raise NotTree("Gaifman graph has a cycle")
+        raise NotFreeConnex("Gaifman graph has a cycle")
     if not forest.free_connected():
-        raise FreeNotConnected("free variables do not induce a connected subgraph")
+        raise NotFreeConnex("free variables do not induce a connected subgraph")
 
-    down: dict[int, frozenset[int] | None] = {}
+    down: dict[int, frozenset[int]] = {}
     loops: dict[int, frozenset[int]] = {}
-    if edges is None:
-        down = dict.fromkeys(forest.parent)
-    else:
+    if edges is not None:
         with_label, back, src = edges.with_label, edges.back, edges.src
         for x, rs in loop_labels.items():
             looped = _meet([with_label.get(idx.loop_label, frozenset())] + [with_label[r] for r in rs])
@@ -162,23 +154,23 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
     out: list[Component] = []
     for tree in forest.trees:
         # the free variables form a subtree at the root, so taking them
-        # first keeps every ancestor before its descendants
-        free_order = tuple(v for v in tree if v in free)
-        index = {v: i for i, v in enumerate(free_order)}
-        children: dict[int, list[int]] = {v: [] for v in tree}
-        for v in tree[1:]:
-            children[parent[v]].append(v)
-        head_positions = tuple(sorted(position[v] for v in free_order))
+        # first keeps every parent before its children
+        free_order = [v for v in tree if v in free]
+        n_free = len(free_order)
+        order = tuple(free_order + [v for v in tree if v not in free])
+        index = {v: i for i, v in enumerate(order)}
+        up = (-1, *[index[parent[v]] for v in order[1:]])
+        head_positions = tuple(sorted([position[v] for v in free_order]))
         out.append(Component(
-            order=free_order + tuple(v for v in tree if v not in free),
-            free=frozenset(free_order),
-            children={v: tuple(c) for v, c in children.items()},
-            labels={v: frozenset(labels[v]) for v in tree},
-            loops={v: loops[v] for v in tree if v in loops},
-            down={v: down[v] for v in tree[1:]},
+            order=order,
+            n_free=n_free,
+            parent=up,
+            labels=tuple([frozenset(labels[v]) for v in order]),
+            loops=tuple([loops.get(v) for v in order]),
+            down=(None, *[down.get(v) for v in order[1:]]),
+            collapse=tuple(sorted({p for p in up[n_free:] if 0 <= p < n_free})),
             head_positions=head_positions,
-            sel=tuple(index[q.head[i]] for i in head_positions),
-            parent_pos=(0,) + tuple(index[parent[x]] for x in free_order[1:])))
+            sel=tuple([index[q.head[i]] for i in head_positions])))
     out.sort(key=lambda c: c.head_positions[0] if c.head_positions else len(q.head))
     return tuple(out)
 
@@ -187,14 +179,14 @@ def _checked(q: ConjunctiveQuery, idx: ColorIndex, error: type[Exception],
              message: str) -> tuple[Component, ...]:
     try:
         return components(q, idx)
-    except (NotTree, FreeNotConnected):
+    except NotFreeConnex:
         raise error(message) from None
 
 
 def eval_bool(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> bool:
     """Boolean evaluation by the counting dynamic program, component-wise."""
     if not q.is_boolean():
-        raise ValueError("eval_bool expects a Boolean query")
+        raise TaskMismatch("bool task is only allowed for Boolean queries")
     comps = _checked(q, idx, NotAcyclic, "Boolean evaluation requires an acyclic query")
     return count_components(comps, idx, ops) > 0
 
@@ -235,15 +227,14 @@ def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex
     plan = EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=False)
     for comp in comps:
         rows = _dp_rows(comp, idx, f1, ops)
-        if not _read(rows[comp.root], idx, f1, ops):
+        if not _read(rows[0], idx, f1, ops):
             return EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=True)
-        if not comp.free:
+        if not comp.n_free:
             continue
-        alive = [_read(rows[x], idx, f1, ops) for x in comp.free_order]
+        alive = [_read(row, idx, f1, ops) for row in rows[:comp.n_free]]
         tables: list[dict[int, list[slice]]] = []
-        for i in range(1, len(alive)):
-            up, down = alive[comp.parent_pos[i]], alive[i]
-            allowed = comp.down[comp.free_order[i]]
+        for i in range(1, comp.n_free):
+            up, down, allowed = alive[comp.parent[i]], alive[i], comp.down[i]
             ops.tick(sum(len(buckets[c]) for c in up))
             tables.append({c: [s for k, s in buckets[c].items()
                                if dest[k] in down and (allowed is None or k in allowed)] for c in up})
@@ -273,7 +264,7 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
     heads = [0] * plan.width  # per head position, its level
     for comp, roots, tables in zip(plan.components, plan.roots, plan.tables):
         base = len(parent)
-        parent += [-1] + [base + p for p in comp.parent_pos[1:]]
+        parent += [-1] + [base + p for p in comp.parent[1:comp.n_free]]
         source += [roots] + tables
         for pos, j in zip(comp.head_positions, comp.sel):
             heads[pos] = base + j
@@ -343,28 +334,32 @@ def _read(row: Row | None, idx: ColorIndex, f1: dict[frozenset[str], Row], ops: 
 
 
 def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
-             ops: OpCounter) -> dict[int, Row | None]:
-    """The counting dynamic program of one connected component, on sparse
-    rows that hold only the non-zero entries.
+             ops: OpCounter) -> list[Row | None]:
+    """The counting dynamic program of one connected component, one row per
+    position, on sparse rows that hold only the non-zero entries: one
+    bottom-up pass that lifts every position but the root once and
+    multiplies it into its parent's row.
 
-    f_down[x][c] counts the matches of x's subtree with x on a fixed vertex
-    of color c; a Boolean component returns the root's row of it. Otherwise
-    row[c] of a free variable x counts the assignments to the free variables
-    of x's subtree that extend x on a vertex of color c: f_down when all
-    variables are free, else f_prime, a pass over the free subtree that asks
-    only for the existence of the quantified side. Rows are never changed
-    after they are made.
+    The pass folds the quantified positions first, from the last one, so
+    that the row of a quantified variable x counts, per color c, the
+    matches of x's subtree with x on a fixed vertex of color c.  A free
+    variable with a quantified child asks only whether the quantified side
+    extends it, so its row then drops to 1 at each of its colors; a color
+    extends the whole subtree exactly when it has an entry, whatever the
+    free side below it counts.  The free positions then fold the same way,
+    so the row of a free variable x counts the assignments to the free
+    variables of x's subtree that extend x on a vertex of color c.  On a
+    Boolean component the root's row is the first kind.
 
     On a typed index a variable with no label and no loop atom has the
     all-ones row, which stays None: a product passes the other row through,
     and a lift sums num[e] over the allowed edge colors.  A caller builds a
     returned None row with `_read` when it reads it.
     """
-    order, root, children, free = comp.order, comp.root, comp.children, comp.free
     deg, classes, edges = idx.deg, idx.coloring.classes, idx.edges
 
-    def first_row(x: int) -> Row | None:
-        labels, only = comp.labels[x], comp.loops.get(x)
+    def first_row(i: int) -> Row | None:
+        labels, only = comp.labels[i], comp.loops[i]
         row = None if edges is not None and not labels else _label_row(labels, idx, f1, ops)
         if only is not None:
             ops.tick(len(only))
@@ -408,37 +403,16 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
                     total[c] = total.get(c, 0) + num[e] * r
         return total
 
-    f_down: dict[int, Row | None] = {}
-    g: dict[int, Row] = {}
-    for x in reversed(order):
-        row = first_row(x)
-        for y in children[x]:
-            row = times(row, g[y])
-        f_down[x] = row
-        if x != root:
-            g[x] = lift(row, comp.down[x])
-    if not free:
-        return {root: f_down[root]}
-    if len(free) == len(order):
-        return f_down
-
-    # the free variables are a prefix of the order and induce a subtree; a
-    # color extends x's whole subtree exactly when it has an f_down entry,
-    # and f_prime has the same colors as f_down at every variable
-    f_prime: dict[int, Row | None] = {}
-    g_prime: dict[int, Row] = {}
-    for x in reversed(order[: len(free)]):
-        row = f_down[x]
-        if row is not None:
-            ops.tick(len(row))
-            row = dict.fromkeys(row, 1)
-        for y in children[x]:
-            if y in free:
-                row = times(row, g_prime[y])
-        f_prime[x] = row
-        if x != root:
-            g_prime[x] = lift(row, comp.down[x])
-    return f_prime
+    parent, down, n_free = comp.parent, comp.down, comp.n_free
+    rows = [first_row(i) for i in range(len(comp.order))]
+    for i in range(len(rows) - 1, max(n_free, 1) - 1, -1):  # every quantified position but a root
+        rows[parent[i]] = times(rows[parent[i]], lift(rows[i], down[i]))
+    for i in comp.collapse:
+        ops.tick(len(rows[i]))
+        rows[i] = dict.fromkeys(rows[i], 1)
+    for i in range(n_free - 1, 0, -1):  # the free positions but the root
+        rows[parent[i]] = times(rows[parent[i]], lift(rows[i], down[i]))
+    return rows
 
 
 def count_answers(q: ConjunctiveQuery, idx: ColorIndex, ops: OpCounter | None = None) -> int:
@@ -456,8 +430,8 @@ def count_components(comps: tuple[Component, ...], idx: ColorIndex, ops: OpCount
     classes = idx.coloring.classes
     total = 1
     for comp in comps:
-        row = _read(_dp_rows(comp, idx, f1, ops)[comp.root], idx, f1, ops)
-        if not comp.free:
+        row = _read(_dp_rows(comp, idx, f1, ops)[0], idx, f1, ops)
+        if not comp.n_free:
             total *= 1 if row else 0
         else:
             total *= sum(len(classes[c]) * n for c, n in row.items())

@@ -46,7 +46,7 @@ from typing import Callable, Iterator
 from . import arb2bin, bin2graph, evaluator, index as cindex_mod
 from .analysis import compute_fc1ghd
 from .errors import (
-    ArityMismatch, AsymmetricEdgeRelation, FreeNotConnected, NotAcyclic, NotFreeConnex, NotTree, ParseError,
+    ArityMismatch, AsymmetricEdgeRelation, NotAcyclic, NotFreeConnex, ParseError,
     TaskMismatch, UnknownSymbol,
 )
 from .index import ColorIndex, SectionReader, write_section
@@ -203,7 +203,7 @@ class DatabaseIndex:
             qhat, decode = enc2.q2, lambda t: arb2bin.decode_answer(t, enc2, self.node_proj)
         try:
             comps = evaluator.components(qhat, self.cindex)
-        except (NotTree, FreeNotConnected):
+        except NotFreeConnex:
             # q2 is free-connex acyclic by construction: only a graph- or
             # binary-stage query gets here
             return _REJECTED

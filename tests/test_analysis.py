@@ -10,7 +10,7 @@ from colorindex.analysis import (
     is_free_connex_acyclic,
     spanning_forest,
 )
-from colorindex.errors import FreeNotConnected, NotFreeConnex, NotTree
+from colorindex.errors import NotFreeConnex
 from colorindex.evaluator import components
 from colorindex.generators import BINARY_SCHEMA, TERNARY_SCHEMA, cycle_db, random_fc_query, random_graph_db
 from colorindex.model import Schema, cq
@@ -168,7 +168,7 @@ def test_components_two_parts():
     q = cq(["x", "u"], [("E", ["x", "y"]), ("E", ["u", "v"])])
     comps = components(q, GRAPH_INDEX)
     assert len(comps) == 2
-    heads = [[q.var_name(v) for v in c.free_order] for c in comps]
+    heads = [[q.var_name(v) for v in c.order[:c.n_free]] for c in comps]
     assert heads == [["x"], ["u"]]
     assert [c.head_positions for c in comps] == [(0,), (1,)]
 
@@ -177,7 +177,7 @@ def test_components_boolean():
     q = cq([], [("E", ["x", "y"]), ("E", ["u", "v"])])
     comps = components(q, GRAPH_INDEX)
     assert len(comps) == 2
-    assert all(not c.free and not c.head_positions for c in comps)
+    assert all(not c.n_free and not c.head_positions for c in comps)
 
 
 def test_components_product_equals_oracle():
@@ -192,7 +192,7 @@ def test_components_product_equals_oracle():
         expected = set(brute_answers(q, db).answers.tuples)
         partials = []
         for c in comps:
-            assert [c.free_order[j] for j in c.sel] == [q.head[i] for i in c.head_positions]
+            assert [c.order[j] for j in c.sel] == [q.head[i] for i in c.head_positions]
             part = cq([q.var_name(q.head[i]) for i in c.head_positions],
                       [(a.symbol, [q.var_name(v) for v in a.args]) for a in q.atoms if a.args[0] in c.order])
             partials.append((sorted(brute_answers(part, db).answers.tuples), c.head_positions))
@@ -215,35 +215,32 @@ def test_components_product_equals_oracle():
 
 
 def _check_order(c):
-    """Every variable after the root is the child of one variable before it,
-    and parent_pos points at the parent of each free variable."""
-    pos = {v: i for i, v in enumerate(c.order)}
-    assert sorted(v for cs in c.children.values() for v in cs) == sorted(c.order[1:])
-    for v, cs in c.children.items():
-        assert all(pos[v] < pos[u] for u in cs)
-    for i, x in enumerate(c.free_order[1:], 1):
-        assert x in c.children[c.free_order[c.parent_pos[i]]]
+    """The root alone has no parent, every other position's parent comes
+    before it (so a free position's parent is free), and collapse lists the
+    free positions with a quantified child."""
+    assert c.parent[0] == -1 and all(0 <= p < i for i, p in enumerate(c.parent) if i)
+    assert c.collapse == tuple(sorted({p for p in c.parent[c.n_free:] if 0 <= p < c.n_free}))
 
 
 def test_variable_order_single_edge():
     q = cq(["x"], [("E", ["x", "y"])])
     (c,) = components(q, GRAPH_INDEX)
     assert [q.var_name(v) for v in c.order] == ["x", "y"]
-    assert c.children[c.order[0]] == (c.order[1],)
+    assert c.parent == (-1, 0) and c.n_free == 1 and c.collapse == (0,)
 
 
 def test_variable_order_movie_query(movie_query):
     q = on_graph(movie_query)
     (c,) = components(q, GRAPH_INDEX)
     assert [q.var_name(v) for v in c.order] == ["x", "y1", "y2"]
-    assert c.root == q.head[0]
+    assert c.order[0] == q.head[0]
     _check_order(c)
 
 
 def test_variable_order_boolean_path():
     q = cq([], [("E", ["x", "y"]), ("E", ["y", "z"])])
     (c,) = components(q, GRAPH_INDEX)
-    assert c.root == min(q.vars()) and not c.free
+    assert c.order[0] == min(q.vars()) and not c.n_free
     _check_order(c)
 
 
@@ -251,19 +248,19 @@ def test_variable_order_labels():
     q = cq(["x"], [("E", ["x", "y"]), ("P", ["x"]), ("Q", ["x"]), ("P", ["y"])])
     (c,) = components(q, GRAPH_INDEX)
     x, y = q.head[0], next(v for v in q.vars() if v != q.head[0])
-    assert c.labels[x] == {"P", "Q"}
-    assert c.labels[y] == {"P"}
+    assert c.order == (x, y)
+    assert c.labels == ({"P", "Q"}, {"P"})
 
 
 def test_variable_order_not_tree():
     q = cq([], [("E", ["x", "y"]), ("E", ["y", "z"]), ("E", ["z", "x"])])
-    with pytest.raises(NotTree):
+    with pytest.raises(NotFreeConnex, match="Gaifman graph has a cycle"):
         components(q, GRAPH_INDEX)
 
 
 def test_variable_order_free_not_connected():
     q = cq(["x", "z"], [("E", ["x", "y"]), ("E", ["y", "z"])])
-    with pytest.raises(FreeNotConnected):
+    with pytest.raises(NotFreeConnex, match="free variables do not induce a connected subgraph"):
         components(q, GRAPH_INDEX)
 
 
@@ -273,7 +270,6 @@ def test_variable_order_free_before_quantified():
     for _ in range(200):
         q = random_fc_query(schema, rng, max_atoms=4, max_vars=5)
         comps = components(q, GRAPH_INDEX)
-        assert frozenset().union(*(c.free for c in comps)) == q.free()
+        assert frozenset().union(*(c.order[:c.n_free] for c in comps)) == q.free()
         for c in comps:
-            assert set(c.order[: len(c.free)]) == c.free
             _check_order(c)

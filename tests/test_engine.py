@@ -3,7 +3,7 @@ import random
 import pytest
 
 from colorindex.engine import answers, bool_eval, enumerate_plan, preprocess
-from colorindex.errors import NotAcyclic, NotFreeConnex
+from colorindex.errors import NotAcyclic, NotFreeConnex, TaskMismatch
 from colorindex.generators import (
     BINARY_SCHEMA,
     TERNARY_SCHEMA,
@@ -44,6 +44,11 @@ def test_bool_eval_rejects_cyclic():
     q = parse_query("Ans() :- E(x,y), E(y,z), E(z,x).", db.schema)
     with pytest.raises(NotAcyclic):
         bool_eval(q, db)
+
+
+def test_bool_eval_rejects_non_boolean_as_task_mismatch(movie_db, movie_query):
+    with pytest.raises(TaskMismatch, match="only allowed for Boolean queries"):
+        bool_eval(movie_query, movie_db)
 
 
 def test_movie_enumeration(movie_db, movie_query):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorindex import index as cidx
-from colorindex.errors import NotAcyclic, NotFreeConnex
+from colorindex.errors import NotAcyclic, NotFreeConnex, TaskMismatch
 from colorindex.evaluator import (
     components,
     count_answers,
@@ -30,15 +30,15 @@ def test_rewrite_loop_atom():
     idx = build(cycle_db(3))
     q = cq(["x"], [("E", ["x", "x"])])
     (comp,) = components(q, idx)
-    assert comp.order == (0,) and not comp.children[0]
-    assert comp.labels == {0: frozenset({idx.loop_label})}
+    assert comp.order == (0,) and comp.parent == (-1,)
+    assert comp.labels == (frozenset({idx.loop_label}),)
 
 
 def test_rewrite_keeps_loop_free_query():
     idx = build(cycle_db(3))
     q = cq(["x"], [("E", ["x", "y"]), ("P", ["x"])])
     (comp,) = components(q, idx)
-    assert comp.labels == {0: frozenset({"P"}), 1: frozenset()}
+    assert comp.order == (0, 1) and comp.labels == (frozenset({"P"}), frozenset())
 
 
 def test_rewrite_mixed_matches_oracle():
@@ -57,6 +57,12 @@ def test_eval_bool_rejects_cyclic():
     q = parse_query("Ans() :- E(x,y), E(y,z), E(z,x).", db.schema)
     with pytest.raises(NotAcyclic):
         eval_bool(q, idx)
+
+
+def test_eval_bool_rejects_non_boolean_as_task_mismatch():
+    idx = build(cycle_db(6))
+    with pytest.raises(TaskMismatch, match="only allowed for Boolean queries"):
+        eval_bool(cq(["x"], [("E", ["x", "y"])]), idx)
 
 
 def test_eval_bool_loop_label_empty():
@@ -145,11 +151,11 @@ def test_color_tuple_membership_and_disjointness():
     # for the query (its one component) with its head in the enumeration order
     name = q.var_name
     reordered = cq(
-        [name(v) for v in comp.free_order],
+        [name(v) for v in comp.order[:comp.n_free]],
         [(a.symbol, [name(v) for v in a.args]) for a in q.atoms],
     )
     color_answers = engine.answers(reordered, idx.d_col)
-    k = len(comp.free_order)
+    k = comp.n_free
     seen_by_pattern: dict[tuple, set] = {}
     for t in enumerate_prepared(plan):
         bfs_tuple = [0] * k

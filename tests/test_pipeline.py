@@ -118,16 +118,33 @@ def test_enum_rejects_non_fc(movie_db, movie_schema):
         list(idx.enumerate(q))
 
 
-@pytest.mark.parametrize("stage", ["binary", "full"])
-def test_stages_agree_on_binary_data(stage):
-    rng = random.Random(61)
+def _stage_inputs(stage):
+    """Binary data for the binary and full stages, and graph data with
+    labels and loops for all three, each with a random fc-ACQ."""
+    rng, graph_rng = random.Random(61), random.Random(63)
     for _ in range(25):
         db = random_relational_db(BINARY_SCHEMA, rng.randint(2, 5), rng.randint(1, 5), seed=rng.randrange(10**9))
         q = random_fc_query(BINARY_SCHEMA, rng)
-        idx = DatabaseIndex.build(db, stage=stage)
-        expected = brute_answers(q, db)
-        assert set(idx.enumerate(q)) == set(expected.answers.tuples)
-        assert idx.count(q) == len(expected.answers)
+        if stage != "graph":
+            yield db, q
+        graph = random_graph_db(graph_rng.randint(2, 6), graph_rng.random(), graph_rng.randrange(10**9),
+                                num_labels=graph_rng.randint(1, 2), loop_p=0.4)
+        yield graph, random_fc_query(graph.schema, graph_rng)
+
+
+@pytest.mark.parametrize("stage", ["graph", "binary", "full"])
+def test_stages_agree_on_binary_data(stage):
+    # every stage serves the oracle's answers from an index that was saved
+    # and loaded first
+    for db, q in _stage_inputs(stage):
+        idx = DatabaseIndex.load_text(DatabaseIndex.build(db, stage=stage).save_text())
+        assert idx.stage == stage
+        expected = brute_answers(q, db).answers.tuples
+        got = list(idx.enumerate(q))
+        assert len(got) == len(set(got)) and set(got) == set(expected)
+        assert idx.count(q) == len(expected)
+        if q.is_boolean():
+            assert idx.eval_bool(q) == bool(expected)
 
 
 def test_ternary_pipeline_all_tasks():

@@ -1,8 +1,8 @@
 """`perfbench/scaling.py` runs against the package as it is: its prepare
 table has seven rows, and each stays within the paper's O(|Q| * |D_col|)
-preprocessing bound at no more than 8 ops per color-database tuple (7.01 is
+preprocessing bound at no more than 8 ops per color-database tuple (7.01 was
 the largest when this test was written), and the path rows keep their op
-counts."""
+counts, 5 per color-database tuple."""
 import importlib.util
 from pathlib import Path
 
@@ -22,4 +22,4 @@ def test_scaling_prepare_table(capsys):
     for label, _, d_col, ops, _ in rows:
         assert int(ops) <= OPS_PER_D_COL_TUPLE * int(d_col), label
     # the graph-stage rows are the one-type case of the typed color edges
-    assert [int(ops) for _, _, _, ops, _ in rows[:4]] == [3496, 6996, 13996, 27996]
+    assert [int(ops) for _, _, _, ops, _ in rows[:4]] == [2497, 4997, 9997, 19997]

@@ -268,6 +268,27 @@ def test_count_ops_of_one_typed_edge_are_pinned():
     assert ops.n == 13
 
 
+def test_one_pass_ops_of_a_projected_path_are_pinned():
+    # BINARY_RAW's 13 edge colors are the ordered value pairs of its binary
+    # facts and their reverses, one value per value color; 8 carry R and 6
+    # carry S, and the S ones start at all 5 values.  In
+    # Ans(x,y) :- R(x,y), S(y,z) no variable has a label or a loop atom, so
+    # no first row is built.  z lifts into y over the 6 S edge colors, y's
+    # row of 5 entries drops to 1s (5), and y lifts into x over the 8 R edge
+    # colors: 6 + 5 + 8 = 19, each variable lifted once.  Every R fact ends
+    # at a value where an S fact starts: 8 answers.  Enumeration adds x's
+    # table, one op per bucket of x's 5 alive colors: a bucket per edge
+    # color, 13 in all, so 19 + 13 = 32.
+    idx = DatabaseIndex.build(validate_database(BINARY_SCHEMA, BINARY_RAW))
+    edges = idx.cindex.edges
+    assert (len(edges.rev), len(edges.with_label["R"]), len(edges.with_label["S"])) == (13, 8, 6)
+    q = parse_query("Ans(x,y) :- R(x,y), S(y,z).", BINARY_SCHEMA)
+    count_ops, prepare_ops = OpCounter(), OpCounter()
+    assert idx.count(q, count_ops) == 8
+    evaluator.prepare(q, idx.cindex, prepare_ops)
+    assert (count_ops.n, prepare_ops.n) == (19, 32)
+
+
 def test_count_ops_on_the_source_query():
     # the DP runs on the 3 variables of the query and the value colors; on
     # the gadget translation (7 variables, all colors) this took 3,520 ops
