@@ -1,8 +1,9 @@
 """Structural analysis of conjunctive queries: the hyperedges and their
-acyclicity tests, the spanning forest of the Gaifman graph (the one search
-that query components, variable orders and graph translations are read
-from), and free-connex width-1 generalized hypertree decompositions with
-their one breadth-first walk.
+acyclicity tests, the breadth-first spanning forest of the Gaifman graph
+(`bfs_forest`, the one search that query components, variable orders and
+graph translations are read from: `spanning_forest` and
+`evaluator.components` both run it), and free-connex width-1 generalized
+hypertree decompositions with their one breadth-first walk.
 """
 from __future__ import annotations
 
@@ -104,8 +105,8 @@ class SpanningForest:
 
 
 def spanning_forest(q: ConjunctiveQuery) -> SpanningForest:
-    """The one component search over G(Q): the trees that rooted orders,
-    component splits and query orientations are read from."""
+    """The spanning forest of G(Q) that rooted orders, component splits and
+    query orientations are read from, by the one search `bfs_forest`."""
     adj: dict[int, set[int]] = {v: set() for a in q.atoms for v in a.args}
     for a in q.atoms:
         args = a.args
@@ -115,8 +116,21 @@ def spanning_forest(q: ConjunctiveQuery) -> SpanningForest:
                     adj[x].add(y)
                     adj[y].add(x)
     free = q.free()
+    trees, parent = bfs_forest(adj, free)
+    edges = sum(map(len, adj.values())) // 2
+    return SpanningForest(trees=tuple(map(tuple, trees)), parent=parent, free=free,
+                          acyclic=edges == len(adj) - len(trees))
+
+
+def bfs_forest(adj: dict[int, set[int]], free: frozenset[int]) -> tuple[list[list[int]], dict[int, int]]:
+    """The one component search over a Gaifman graph, given as each
+    variable's neighbors: the breadth-first trees, in order of their
+    smallest variable, each rooted at its lowest-id free variable, else at
+    its lowest-id variable, with neighbors visited by id; and each variable's
+    parent but the roots'.  The graph is a forest exactly when it has
+    len(adj) - len(trees) edges."""
     parent: dict[int, int] = {}
-    trees: list[tuple[int, ...]] = []
+    trees: list[list[int]] = []
     seen: set[int] = set()
     # the free variables first, so that a component with free variables is
     # entered at its lowest-id one
@@ -131,11 +145,9 @@ def spanning_forest(q: ConjunctiveQuery) -> SpanningForest:
                     seen.add(w)
                     parent[w] = v
                     tree.append(w)
-        trees.append(tuple(tree))
+        trees.append(tree)
     trees.sort(key=min)
-    edges = sum(map(len, adj.values())) // 2
-    return SpanningForest(trees=tuple(trees), parent=parent, free=free,
-                          acyclic=edges == len(adj) - len(trees))
+    return trees, parent
 
 
 @dataclass

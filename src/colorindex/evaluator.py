@@ -12,9 +12,12 @@ must carry the relations of the atoms read forward and whose reverses must
 carry those read backward, and an atom R(x, x) restricts x to the value
 colors at which a loop edge color that carries R starts.
 
-`components` is the per-query compile step: one pass over the one spanning
-forest of the query makes every `Component`, with the allowed edge colors
-of each typed edge.  Its result is immutable and depends only on the query
+`components` is the per-query compile step: one pass over the query's
+atoms reads its labels, loop relations, typed variable pairs and Gaifman
+graph; the breadth-first search it shares with `analysis.spanning_forest`
+(`analysis.bfs_forest`) splits the graph into trees; and one loop over
+each tree's order makes its `Component`, with the allowed edge colors of
+each typed edge.  Its result is immutable and depends only on the query
 and the index, so a caller may keep it and pass it to `count_components`
 and `prepare_components` again (`pipeline.DatabaseIndex` does).  The
 dynamic program runs on every call; no row, count or answer is kept.
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .analysis import spanning_forest
+from .analysis import bfs_forest
 from .errors import ArityMismatch, NotAcyclic, NotFreeConnex, TaskMismatch, UnknownSymbol
 from .index import ColorIndex
 from .instrument import OpCounter
@@ -101,73 +104,88 @@ def _meet(sets: list[frozenset[int]]) -> frozenset[int]:
 
 
 def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
-    """The components of a query over the index's schema, in one pass over
-    the one spanning forest: components with head variables first, by their
-    earliest head position, then the Boolean ones by smallest variable.  A
-    tree is rooted at its lowest-id free variable, else at its lowest-id
-    variable, and its free variables precede the quantified ones.  Raises
-    UnknownSymbol for a binary atom that is not a relation of the index,
-    ArityMismatch for a wider atom, and NotFreeConnex when the Gaifman graph
-    has a cycle or the free variables of a component do not induce a
-    connected subgraph (see the module docstring)."""
+    """The components of a query over the index's schema: one pass over the
+    atoms reads the labels, the loop relations, the typed variable pairs
+    and the Gaifman graph, and the one search `analysis.bfs_forest` splits
+    that graph into trees.  Components with head variables come first, by
+    their earliest head position, then the Boolean ones by smallest
+    variable.  A tree is rooted at its lowest-id free variable, else at its
+    lowest-id variable, and its free variables precede the quantified ones.
+    Raises UnknownSymbol for a binary atom that is not a relation of the
+    index, ArityMismatch for a wider atom, and NotFreeConnex when the
+    Gaifman graph has a cycle or the free variables of a component do not
+    induce a connected subgraph (see the module docstring)."""
     edges = idx.edges
-    labels: dict[int, set[str]] = {v: set() for a in q.atoms for v in a.args}
+    adj: dict[int, set[int]] = {}  # the Gaifman graph
+    labels: dict[int, set[str]] = {}
     loop_labels: dict[int, set[str]] = {}
     pairs: dict[tuple[int, int], set[str]] = {}  # (x, y) -> the relations read from x toward y
     for a in q.atoms:
-        if a.arity > 2:
+        args = a.args
+        if len(args) > 2:
             raise ArityMismatch(f"{a.symbol} has arity {a.arity}; an indexed query has arities 1 and 2")
-        if a.arity == 1:
-            labels[a.args[0]].add(a.symbol)
+        if len(args) == 1:
+            adj.setdefault(args[0], set())
+            labels.setdefault(args[0], set()).add(a.symbol)
             continue
-        x, y = a.args
+        x, y = args
         if edges is None:
             if a.symbol != idx.edge_label:
                 raise UnknownSymbol(f"{a.symbol!r} is not the edge label {idx.edge_label!r} of the index")
-            if x == y:
-                labels[x].add(idx.loop_label)
-            continue
-        if a.symbol not in edges.relations:
+        elif a.symbol not in edges.relations:
             raise UnknownSymbol(f"{a.symbol!r} is not a binary relation of the index")
-        (loop_labels.setdefault(x, set()) if x == y else pairs.setdefault((x, y), set())).add(a.symbol)
-    forest = spanning_forest(q)
-    if not forest.acyclic:
+        if x == y:
+            adj.setdefault(x, set())
+            if edges is None:
+                labels.setdefault(x, set()).add(idx.loop_label)
+            else:
+                loop_labels.setdefault(x, set()).add(a.symbol)
+            continue
+        adj.setdefault(x, set()).add(y)
+        adj.setdefault(y, set()).add(x)
+        if edges is not None:
+            pairs.setdefault((x, y), set()).add(a.symbol)
+    free = q.free()
+    trees, parent = bfs_forest(adj, free)
+    if sum(map(len, adj.values())) // 2 != len(adj) - len(trees):
         raise NotFreeConnex("Gaifman graph has a cycle")
-    if not forest.free_connected():
-        raise NotFreeConnex("free variables do not induce a connected subgraph")
 
-    down: dict[int, frozenset[int]] = {}
     loops: dict[int, frozenset[int]] = {}
     if edges is not None:
         with_label, back, src = edges.with_label, edges.back, edges.src
         for x, rs in loop_labels.items():
             looped = _meet([with_label.get(idx.loop_label, frozenset())] + [with_label[r] for r in rs])
             loops[x] = frozenset(src[e] for e in looped)
-        for y, x in forest.parent.items():
-            # the relations read from x to y label the edge colors from x's
-            # value toward y's, those read from y to x their reverses
-            xy, yx = pairs.get((x, y), ()), pairs.get((y, x), ())
-            down[y] = _meet([with_label[r] for r in xy] + [back[r] for r in yx])
-
-    free, parent = forest.free, forest.parent
     position = {v: i for i, v in enumerate(q.head)}
     out: list[Component] = []
-    for tree in forest.trees:
-        # the free variables form a subtree at the root, so taking them
-        # first keeps every parent before its children
-        free_order = [v for v in tree if v in free]
-        n_free = len(free_order)
-        order = tuple(free_order + [v for v in tree if v not in free])
+    for tree in trees:
+        # a tree with free variables is rooted at one, so when each free
+        # variable's parent is free they form a subtree at the root, and
+        # taking them first keeps every parent before its children
+        order = [v for v in tree if v in free]
+        n_free = len(order)
+        order += [v for v in tree if v not in free]
         index = {v: i for i, v in enumerate(order)}
-        up = (-1, *[index[parent[v]] for v in order[1:]])
-        head_positions = tuple(sorted([position[v] for v in free_order]))
+        up, down = [-1], [None]
+        for i in range(1, len(order)):
+            y = order[i]
+            x = parent[y]
+            p = index[x]
+            if i < n_free <= p:
+                raise NotFreeConnex("free variables do not induce a connected subgraph")
+            up.append(p)
+            # the relations read from x to y label the edge colors from x's
+            # value toward y's, those read from y to x their reverses
+            down.append(None if edges is None else _meet(
+                [with_label[r] for r in pairs.get((x, y), ())] + [back[r] for r in pairs.get((y, x), ())]))
+        head_positions = tuple(sorted([position[v] for v in order[:n_free]]))
         out.append(Component(
-            order=order,
+            order=tuple(order),
             n_free=n_free,
-            parent=up,
-            labels=tuple([frozenset(labels[v]) for v in order]),
+            parent=tuple(up),
+            labels=tuple([frozenset(labels.get(v, ())) for v in order]),
             loops=tuple([loops.get(v) for v in order]),
-            down=(None, *[down.get(v) for v in order[1:]]),
+            down=tuple(down),
             collapse=tuple(sorted({p for p in up[n_free:] if 0 <= p < n_free})),
             head_positions=head_positions,
             sel=tuple([index[q.head[i]] for i in head_positions])))

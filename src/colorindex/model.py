@@ -226,22 +226,16 @@ class ConjunctiveQuery:
 def cq(head: list[str], atoms: list[tuple[str, list[str]]], schema: Schema | None = None) -> ConjunctiveQuery:
     """Build a query from variable names, interning variables in first-occurrence
     order (head first, then atom arguments left to right)."""
-    ids: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        if name not in ids:
-            ids[name] = len(ids)
-        return ids[name]
-
-    head_ids = tuple(intern(v) for v in head)
+    ids: dict[str, int] = {}  # insertion order is id order
+    head_ids = tuple([ids.setdefault(v, len(ids)) for v in head])
     atom_objs = []
     for sym, args in atoms:
         if schema is not None:
             ar = schema.arity(sym)
             if len(args) != ar:
                 raise ArityMismatch(f"{sym} expects {ar} arguments, got {len(args)}")
-        atom_objs.append(Atom(sym, tuple(intern(v) for v in args)))
-    names = tuple(sorted(ids, key=ids.get))
+        atom_objs.append(Atom(sym, tuple([ids.setdefault(v, len(ids)) for v in args])))
+    names = tuple(ids)
     return ConjunctiveQuery(head=head_ids, atoms=tuple(atom_objs), var_names=names)
 
 

@@ -12,12 +12,21 @@ from colorindex.analysis import (
 )
 from colorindex.errors import NotFreeConnex
 from colorindex.evaluator import components
-from colorindex.generators import BINARY_SCHEMA, TERNARY_SCHEMA, cycle_db, random_fc_query, random_graph_db
+from colorindex.generators import (
+    BINARY_SCHEMA,
+    TERNARY_SCHEMA,
+    cycle_db,
+    random_fc_query,
+    random_graph_db,
+    random_relational_db,
+)
 from colorindex.model import Schema, cq
 from colorindex.oracle import brute_answers
 
 # an index over the graph schema E/2: components() reads its edge and loop labels
 GRAPH_INDEX = cidx.build(cycle_db(3))
+# a typed index over BINARY_SCHEMA: components() reads its relations R and S
+TYPED_INDEX = cidx.build_binary(random_relational_db(BINARY_SCHEMA, 4, 6, seed=1))
 
 TERNARY_FC = cq(
     ["x", "y", "z"],
@@ -86,6 +95,9 @@ def test_triangle_cyclic():
 
 
 def test_binary_characterization_agrees_with_general():
+    # components() reads its own Gaifman graph off the atoms: it agrees with
+    # spanning_forest on queries with loops, repeated atoms and both
+    # directions of a pair, on a typed index and on a graph index
     rng = random.Random(20240817)
     pool = [f"x{i}" for i in range(6)]
     for _ in range(1000):
@@ -96,7 +108,30 @@ def test_binary_characterization_agrees_with_general():
         used = sorted({v for _, a in atoms for v in a})
         head = rng.sample(used, rng.randint(0, len(used)))
         q = cq(head, atoms)
-        assert spanning_forest(q).free_connex() == is_free_connex_acyclic(q)
+        fc = is_free_connex_acyclic(q)
+        assert spanning_forest(q).free_connex() == fc
+        # a loop, a repeated atom and a reversed atom leave the Gaifman
+        # graph and free-connex acyclicity as they were
+        x = rng.choice(used)
+        atoms.append((rng.choice("RS"), [x, x]))
+        atoms.append(rng.choice(atoms))
+        for sym, args in list(atoms):
+            if len(args) == 2:
+                atoms.append((sym, args[::-1]))
+                break
+        q = cq(head, atoms)
+        assert is_free_connex_acyclic(q) == fc
+        for query, index in ((q, TYPED_INDEX), (on_graph(q), GRAPH_INDEX)):
+            forest = spanning_forest(query)
+            try:
+                comps = components(query, index)
+            except NotFreeConnex as e:
+                assert not fc
+                assert (str(e) == "Gaifman graph has a cycle") == (not forest.acyclic)
+                continue
+            assert fc
+            assert {c.order[i]: c.order[p] for c in comps for i, p in enumerate(c.parent) if p >= 0} \
+                == forest.parent
 
 
 def test_fc1ghd_single_atom():

@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorindex.errors import ArityMismatch, UnknownSymbol
-from colorindex.generators import cycle_db
+from colorindex.generators import BINARY_SCHEMA, TERNARY_SCHEMA, cycle_db, random_fc_query
 from colorindex.model import (
     AnswerSet,
     ConstantPool,
@@ -11,6 +13,7 @@ from colorindex.model import (
     cq,
     validate_database,
 )
+from colorindex.textio import format_query, parse_query
 
 R2 = Schema.of(("R", 2))
 
@@ -81,6 +84,30 @@ def test_head_must_occur_in_body():
 def test_duplicate_head_rejected():
     with pytest.raises(ArityMismatch):
         cq(["x", "x"], [("R", ["x", "y"])])
+
+
+def test_cq_interns_variables_by_first_occurrence():
+    # head first, then the atom arguments left to right; var_names by id
+    q = cq(["y", "x"], [("R", ["z", "x"]), ("P", ["w"]), ("R", ["y", "z"]), ("R", ["w", "w"])])
+    assert q.var_names == ("y", "x", "z", "w")
+    assert q.head == (0, 1)
+    assert [a.args for a in q.atoms] == [(2, 1), (3,), (0, 2), (3, 3)]
+    assert cq([], [("R", ["b", "a"])]).var_names == ("b", "a")
+
+
+def test_cq_arity_checked_against_schema():
+    with pytest.raises(ArityMismatch, match="R expects 2 arguments, got 3"):
+        cq(["x"], [("R", ["x", "y", "z"])], BINARY_SCHEMA)
+
+
+@pytest.mark.parametrize("schema,seed", [(BINARY_SCHEMA, 31), (TERNARY_SCHEMA, 32)])
+def test_query_text_round_trip(schema, seed):
+    # the benchmark streams and every translation rebuild queries from their
+    # names: interning the formatted text again gives the same ids
+    rng = random.Random(seed)
+    for _ in range(300):
+        q = random_fc_query(schema, rng)
+        assert parse_query(format_query(q), schema) == q
 
 
 names = st.text(alphabet="abcdefgh0123", min_size=1, max_size=6)
