@@ -13,28 +13,30 @@ carry those read backward, and an atom R(x, x) restricts x to the value
 colors at which a loop edge color that carries R starts.
 
 `components` is the per-query compile step: one pass over the query's
-atoms reads its labels, loop relations, typed variable pairs and Gaifman
-graph; the breadth-first search it shares with `analysis.spanning_forest`
-(`analysis.bfs_forest`) splits the graph into trees; and one loop over
-each tree's order makes its `Component`, with the allowed edge colors of
-each typed edge.  Its result is immutable and depends only on the query
-and the index, so a caller may keep it and pass it to `count_components`
-and `prepare_components` again (`pipeline.DatabaseIndex` does).  The
-dynamic program runs on every call; no row, count or answer is kept.
+atoms reads the color sets of its labels, its loop relations, typed
+variable pairs and Gaifman graph; the breadth-first search it shares with
+`analysis.spanning_forest` (`analysis.bfs_forest`) splits the graph into
+trees; and one loop over each tree's order makes its `Component`, with the
+colors each variable may take under its unary and loop atoms and the
+allowed edge colors of each typed edge.  Its result is immutable and
+depends only on the query and the index, so a caller may keep it and pass
+it to `count_components` and `prepare_components` again
+(`pipeline.DatabaseIndex` does).  The dynamic program runs on every call;
+no row, count or answer is kept.
 
 All three tasks run one counting dynamic program per component over the
 color tables, in O(|Q| * |D_col|): one bottom-up pass over the component's
 parent array that lifts each variable but the root once and multiplies it
 into its parent's row (see `_dp_rows`).  Its rows are sparse, {color: count}
 with only the non-zero entries, so the work is spent on the colors that can
-still match: a label row intersects the label's color sets, and a product
-walks the smaller row.  On a typed index a lift walks the edge colors e that
-its tree edge allows, the color-database facts (src[e], e, dst[e]) that can
-match it, and adds num[e] * row[dst[e]] to the parent's entry at src[e]; a
-variable with no label and no loop atom has no row until one is read, so a
-product passes the other row through and a lift sums num[e].  On the graph
-stage a lift walks the per-color neighbor lists (`deg`) of the child row's
-colors.
+still match: a variable's row starts at 1 on the colors its unary and loop
+atoms allow, and a product walks the smaller row.  A variable with no such
+atom has no row until one is read, so a product passes the other row
+through.  On a typed index a lift walks the edge colors e that its tree
+edge allows, the color-database facts (src[e], e, dst[e]) that can match
+it, and adds num[e] * row[dst[e]] to the parent's entry at src[e], or
+num[e] when the child has no row.  On the graph stage a lift walks the
+per-color neighbor lists (`deg`) of the child row's colors.
 
 Enumeration keeps the rows of the free variables: a color is alive at a
 free variable when it has an entry, and each free variable after a root
@@ -77,18 +79,15 @@ Row = dict[int, int]  # color -> non-zero count; absent colors count 0
 class Component:
     """One connected component of a query: one tree of its spanning forest,
     as a parent array over its variables in a free-first BFS order, with
-    each position's labels, the allowed edge colors of its tree edge, and
-    the head positions its free variables fill."""
+    the colors each position may take, the allowed edge colors of its tree
+    edge, and the head positions its free variables fill."""
 
     order: tuple[int, ...]  # the free variables first; parents precede children
     n_free: int  # the free variables are order[:n_free]
     parent: tuple[int, ...]  # per position, its parent's position; -1 at the root
-    # per position, the unary symbols on its variable, with the loop label
-    # for a graph-stage atom E(x, x)
-    labels: tuple[frozenset[str], ...]
-    # per position, the value colors its variable may take under its atoms
-    # R(x, x) on the binary or full stage; None when it has none
-    loops: tuple[frozenset[int] | None, ...]
+    # per position, the colors its variable may take under its unary atoms
+    # and its atoms E(x, x) or R(x, x); None when it has none
+    only: tuple[frozenset[int] | None, ...]
     # per position, the edge colors allowed from its parent's vertex toward
     # its own; None at the root and on the graph stage
     down: tuple[frozenset[int] | None, ...]
@@ -98,26 +97,30 @@ class Component:
 
 
 def _meet(sets: list[frozenset[int]]) -> frozenset[int]:
-    """The intersection of a non-empty list of sets, walked from the smallest."""
+    """The intersection of a non-empty list of sets, walked from the
+    smallest; that set itself when the rest keep all of it, so a compiled
+    query shares the index's sets instead of holding copies."""
     first, *rest = sorted(sets, key=len)
-    return first.intersection(*rest) if rest else first
+    meet = first.intersection(*rest) if rest else first
+    return first if len(meet) == len(first) else meet
 
 
 def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
     """The components of a query over the index's schema: one pass over the
-    atoms reads the labels, the loop relations, the typed variable pairs
-    and the Gaifman graph, and the one search `analysis.bfs_forest` splits
-    that graph into trees.  Components with head variables come first, by
-    their earliest head position, then the Boolean ones by smallest
-    variable.  A tree is rooted at its lowest-id free variable, else at its
-    lowest-id variable, and its free variables precede the quantified ones.
-    Raises UnknownSymbol for a binary atom that is not a relation of the
-    index, ArityMismatch for a wider atom, and NotFreeConnex when the
-    Gaifman graph has a cycle or the free variables of a component do not
-    induce a connected subgraph (see the module docstring)."""
-    edges = idx.edges
+    atoms reads the label colors, the loop relations, the typed variable
+    pairs and the Gaifman graph, and the one search `analysis.bfs_forest`
+    splits that graph into trees.  Components with head variables come
+    first, by their earliest head position, then the Boolean ones by
+    smallest variable.  A tree is rooted at its lowest-id free variable,
+    else at its lowest-id variable, and its free variables precede the
+    quantified ones.  Raises UnknownSymbol for a unary atom that is not a
+    vertex label or a binary atom that is not a relation of the index,
+    ArityMismatch for a wider atom, and NotFreeConnex when the Gaifman graph
+    has a cycle or the free variables of a component do not induce a
+    connected subgraph (see the module docstring)."""
+    edges, label_colors = idx.edges, idx.label_colors
     adj: dict[int, set[int]] = {}  # the Gaifman graph
-    labels: dict[int, set[str]] = {}
+    only: dict[int, list[frozenset[int]]] = {}  # x -> the color sets its unary and loop atoms allow
     loop_labels: dict[int, set[str]] = {}
     pairs: dict[tuple[int, int], set[str]] = {}  # (x, y) -> the relations read from x toward y
     for a in q.atoms:
@@ -125,8 +128,10 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
         if len(args) > 2:
             raise ArityMismatch(f"{a.symbol} has arity {a.arity}; an indexed query has arities 1 and 2")
         if len(args) == 1:
+            if a.symbol not in label_colors:
+                raise UnknownSymbol(f"{a.symbol!r} is not a vertex label of the index")
             adj.setdefault(args[0], set())
-            labels.setdefault(args[0], set()).add(a.symbol)
+            only.setdefault(args[0], []).append(label_colors[a.symbol])
             continue
         x, y = args
         if edges is None:
@@ -137,7 +142,7 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
         if x == y:
             adj.setdefault(x, set())
             if edges is None:
-                labels.setdefault(x, set()).add(idx.loop_label)
+                only.setdefault(x, []).append(label_colors[idx.loop_label])
             else:
                 loop_labels.setdefault(x, set()).add(a.symbol)
             continue
@@ -150,12 +155,11 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
     if sum(map(len, adj.values())) // 2 != len(adj) - len(trees):
         raise NotFreeConnex("Gaifman graph has a cycle")
 
-    loops: dict[int, frozenset[int]] = {}
     if edges is not None:
         with_label, back, src = edges.with_label, edges.back, edges.src
         for x, rs in loop_labels.items():
             looped = _meet([with_label.get(idx.loop_label, frozenset())] + [with_label[r] for r in rs])
-            loops[x] = frozenset(src[e] for e in looped)
+            only.setdefault(x, []).append(frozenset(src[e] for e in looped))
     position = {v: i for i, v in enumerate(q.head)}
     out: list[Component] = []
     for tree in trees:
@@ -183,8 +187,7 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
             order=tuple(order),
             n_free=n_free,
             parent=tuple(up),
-            labels=tuple([frozenset(labels.get(v, ())) for v in order]),
-            loops=tuple([loops.get(v) for v in order]),
+            only=tuple([_meet(only[v]) if v in only else None for v in order]),
             down=tuple(down),
             collapse=tuple(sorted({p for p in up[n_free:] if 0 <= p < n_free})),
             head_positions=head_positions,
@@ -241,15 +244,14 @@ def prepare_components(comps: tuple[Component, ...], width: int, idx: ColorIndex
     variables."""
     ops = ops if ops is not None else OpCounter()
     buckets, dest = idx.buckets, idx.dest
-    f1: dict[frozenset[str], Row] = {}
     plan = EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=False)
     for comp in comps:
-        rows = _dp_rows(comp, idx, f1, ops)
-        if not _read(rows[0], idx, f1, ops):
+        rows = _dp_rows(comp, idx, ops)
+        if not _read(rows[0], idx, ops):
             return EnumPlan(idx=idx, width=width, components=[], roots=[], tables=[], empty=True)
         if not comp.n_free:
             continue
-        alive = [_read(row, idx, f1, ops) for row in rows[:comp.n_free]]
+        alive = [_read(row, idx, ops) for row in rows[:comp.n_free]]
         tables: list[dict[int, list[slice]]] = []
         for i in range(1, comp.n_free):
             up, down, allowed = alive[comp.parent[i]], alive[i], comp.down[i]
@@ -330,29 +332,15 @@ def enumerate_prepared(plan: EnumPlan, steps: OpCounter | None = None) -> Iterat
     steps.n += n
 
 
-def _label_row(labels: frozenset[str], idx: ColorIndex, f1: dict[frozenset[str], Row], ops: OpCounter) -> Row:
-    """Count 1 at the colors that carry every label, or at every color for
-    none; f1 memoizes one row per label set of a query."""
-    row = f1.get(labels)
-    if row is None:
-        if labels:
-            # walk the smallest color set, probe the rest
-            first, *rest = sorted((idx.label_colors.get(u, frozenset()) for u in labels), key=len)
-            ops.tick(len(first))
-            row = f1[labels] = dict.fromkeys(first.intersection(*rest), 1)
-        else:
-            ops.tick(idx.coloring.num_colors)
-            row = f1[labels] = dict.fromkeys(range(idx.coloring.num_colors), 1)
-    return row
-
-
-def _read(row: Row | None, idx: ColorIndex, f1: dict[frozenset[str], Row], ops: OpCounter) -> Row:
+def _read(row: Row | None, idx: ColorIndex, ops: OpCounter) -> Row:
     """A row of `_dp_rows`, built when it is the all-ones row None."""
-    return _label_row(frozenset(), idx, f1, ops) if row is None else row
+    if row is not None:
+        return row
+    ops.tick(idx.coloring.num_colors)
+    return dict.fromkeys(range(idx.coloring.num_colors), 1)
 
 
-def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
-             ops: OpCounter) -> list[Row | None]:
+def _dp_rows(comp: Component, idx: ColorIndex, ops: OpCounter) -> list[Row | None]:
     """The counting dynamic program of one connected component, one row per
     position, on sparse rows that hold only the non-zero entries: one
     bottom-up pass that lifts every position but the root once and
@@ -369,20 +357,19 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
     variables of x's subtree that extend x on a vertex of color c.  On a
     Boolean component the root's row is the first kind.
 
-    On a typed index a variable with no label and no loop atom has the
-    all-ones row, which stays None: a product passes the other row through,
-    and a lift sums num[e] over the allowed edge colors.  A caller builds a
-    returned None row with `_read` when it reads it.
+    A position starts at 1 on each color its unary and loop atoms allow
+    (`Component.only`).  One with no such atom has the all-ones row, which
+    stays None: a product passes the other row through, a typed lift sums
+    num[e] over the allowed edge colors, and a graph-stage lift builds it
+    with `_read`, as a caller does when it reads a returned None row.
     """
     deg, classes, edges = idx.deg, idx.coloring.classes, idx.edges
 
-    def first_row(i: int) -> Row | None:
-        labels, only = comp.labels[i], comp.loops[i]
-        row = None if edges is not None and not labels else _label_row(labels, idx, f1, ops)
-        if only is not None:
-            ops.tick(len(only))
-            row = dict.fromkeys(only, 1) if row is None else {c: 1 for c in only if c in row}
-        return row
+    def first_row(only: frozenset[int] | None) -> Row | None:
+        if only is None:
+            return None
+        ops.tick(len(only))
+        return dict.fromkeys(only, 1)
 
     def times(a: Row | None, b: Row) -> Row:
         if a is None:
@@ -399,7 +386,7 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
             # numN(c, c') * row[c'], walked along deg[c'] from c': the
             # edges between two classes number |C_c| * numN(c, c') =
             # |C_c'| * numN(c', c), so the division is exact
-            for cp, r in row.items():
+            for cp, r in _read(row, idx, ops).items():
                 w = r * len(classes[cp])
                 ops.tick(len(deg[cp]))
                 for c, n in deg[cp]:
@@ -422,7 +409,7 @@ def _dp_rows(comp: Component, idx: ColorIndex, f1: dict[frozenset[str], Row],
         return total
 
     parent, down, n_free = comp.parent, comp.down, comp.n_free
-    rows = [first_row(i) for i in range(len(comp.order))]
+    rows = [first_row(only) for only in comp.only]
     for i in range(len(rows) - 1, max(n_free, 1) - 1, -1):  # every quantified position but a root
         rows[parent[i]] = times(rows[parent[i]], lift(rows[i], down[i]))
     for i in comp.collapse:
@@ -444,11 +431,10 @@ def count_components(comps: tuple[Component, ...], idx: ColorIndex, ops: OpCount
     """Product over the components of |Q(D)|, taken as 1 or 0 for a Boolean
     component; stops at the first zero."""
     ops = ops if ops is not None else OpCounter()
-    f1: dict[frozenset[str], Row] = {}
     classes = idx.coloring.classes
     total = 1
     for comp in comps:
-        row = _read(_dp_rows(comp, idx, f1, ops)[0], idx, f1, ops)
+        row = _read(_dp_rows(comp, idx, ops)[0], idx, ops)
         if not comp.n_free:
             total *= 1 if row else 0
         else:

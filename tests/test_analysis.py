@@ -15,16 +15,20 @@ from colorindex.evaluator import components
 from colorindex.generators import (
     BINARY_SCHEMA,
     TERNARY_SCHEMA,
-    cycle_db,
     random_fc_query,
     random_graph_db,
     random_relational_db,
 )
-from colorindex.model import Schema, cq
+from colorindex.model import Schema, cq, validate_database
 from colorindex.oracle import brute_answers
 
-# an index over the graph schema E/2: components() reads its edge and loop labels
-GRAPH_INDEX = cidx.build(cycle_db(3))
+# an index over the graph schema E/2, P/1, Q/1: components() reads its edge
+# label and the colors of its vertex labels and its loop label; the triangle
+# has P on v0 and v1 and Q on v1, so Q's colors are a subset of P's
+GRAPH_INDEX = cidx.build(validate_database(
+    Schema.of(("E", 2), ("P", 1), ("Q", 1)),
+    {"E": [(f"v{i}", f"v{j}") for i in range(3) for j in range(3) if i != j],
+     "P": [("v0",), ("v1",)], "Q": [("v1",)]}))
 # a typed index over BINARY_SCHEMA: components() reads its relations R and S
 TYPED_INDEX = cidx.build_binary(random_relational_db(BINARY_SCHEMA, 4, 6, seed=1))
 
@@ -284,7 +288,9 @@ def test_variable_order_labels():
     (c,) = components(q, GRAPH_INDEX)
     x, y = q.head[0], next(v for v in q.vars() if v != q.head[0])
     assert c.order == (x, y)
-    assert c.labels == ({"P", "Q"}, {"P"})
+    colors = GRAPH_INDEX.label_colors
+    assert c.only == (colors["P"] & colors["Q"], colors["P"])
+    assert c.only[0] is colors["Q"]  # P keeps all of Q, so the meet is Q's own set
 
 
 def test_variable_order_not_tree():

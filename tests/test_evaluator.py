@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorindex import index as cidx
-from colorindex.errors import NotAcyclic, NotFreeConnex, TaskMismatch
+from colorindex.errors import NotAcyclic, NotFreeConnex, TaskMismatch, UnknownSymbol
 from colorindex.evaluator import (
     components,
     count_answers,
@@ -14,7 +14,7 @@ from colorindex.evaluator import (
     eval_bool,
     prepare,
 )
-from colorindex.generators import cycle_db, random_graph_db, star_db
+from colorindex.generators import BINARY_SCHEMA, cycle_db, random_graph_db, random_relational_db, star_db
 from colorindex.instrument import OpCounter
 from colorindex.model import Schema, cq, validate_database
 from colorindex.oracle import brute_answers
@@ -31,14 +31,78 @@ def test_rewrite_loop_atom():
     q = cq(["x"], [("E", ["x", "x"])])
     (comp,) = components(q, idx)
     assert comp.order == (0,) and comp.parent == (-1,)
-    assert comp.labels == (frozenset({idx.loop_label}),)
+    assert comp.only == (idx.label_colors[idx.loop_label],)
 
 
 def test_rewrite_keeps_loop_free_query():
-    idx = build(cycle_db(3))
+    idx = build(with_unary(cycle_db(3), P=["v0"]))
     q = cq(["x"], [("E", ["x", "y"]), ("P", ["x"])])
     (comp,) = components(q, idx)
-    assert comp.order == (0, 1) and comp.labels == (frozenset({"P"}), frozenset())
+    assert comp.order == (0, 1) and comp.only == (idx.label_colors["P"], None)
+
+
+def with_unary(db, **labels):
+    """db with one more unary relation per keyword, holding the named
+    constants; an empty list declares a label that no constant carries."""
+    schema = Schema(db.schema.symbols + tuple((u, 1) for u in labels))
+    raw = {s: [tuple(map(db.display, t)) for t in db.rel(s)] for s in db.schema.names}
+    return validate_database(schema, {**raw, **{u: [(c,) for c in cs] for u, cs in labels.items()}})
+
+
+@pytest.mark.parametrize("typed", [False, True])
+def test_unknown_unary_symbol_is_an_error(typed):
+    idx = (cidx.build_binary(random_relational_db(BINARY_SCHEMA, 4, 6, seed=1)) if typed
+           else build(cycle_db(4)))
+    q = cq(["x"], [("Zzz", ["x"])])
+    for call in (components, count_answers, prepare):
+        with pytest.raises(UnknownSymbol, match="'Zzz' is not a vertex label of the index"):
+            call(q, idx)
+    with pytest.raises(UnknownSymbol, match="not a vertex label"):
+        eval_bool(cq([], [("Zzz", ["x"])]), idx)
+
+
+@pytest.mark.parametrize("typed", [False, True])
+def test_only_is_the_colors_the_unary_and_loop_atoms_allow(typed):
+    # per position, only equals the colors of the source vertices that carry
+    # every unary label of its variable and have each of its loops; Z labels
+    # no vertex, so a query that reads it counts 0
+    rng = random.Random(2024 + typed)
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        if typed:
+            db = random_relational_db(BINARY_SCHEMA, n, rng.randint(1, 2 * n), seed=rng.randrange(10**9))
+            binary, unary = ("R", "S"), ["P", "Z"]
+        else:
+            db = random_graph_db(n, rng.random(), seed=rng.randrange(10**9), num_labels=2, loop_p=0.4)
+            binary, unary = ("E",), ["P0", "P1", "Z"]
+        db = with_unary(db, Z=[])
+        idx = cidx.build_binary(db) if typed else build(db)
+        holds = {s: set(db.rel(s)) for s in db.schema.names}
+        names = [f"x{i}" for i in range(rng.randint(1, 4))]
+        atoms, want, shared = [], {}, {}
+        for i, x in enumerate(names):
+            if i:
+                y = rng.choice(names[:i])
+                atoms.append((rng.choice(binary), [x, y] if rng.random() < 0.5 else [y, x]))
+            us = rng.sample(unary, rng.randint(len(names) == 1, 2))  # a lone variable needs an atom
+            loops = rng.sample(binary, rng.randint(0, len(binary)))
+            atoms += [(u, [x]) for u in us] + [(r, [x, x]) for r in loops]
+            if us or loops:
+                want[x] = frozenset(idx.color_of(v) for v in idx.graph.vertices
+                                    if all((v,) in holds[u] for u in us)
+                                    and all((v, v) in holds[r] for r in loops))
+            if len(us) == 1 and not loops:
+                shared[x] = idx.label_colors[us[0]]
+        q = cq(names[:rng.randint(0, len(names))], atoms)
+        (comp,) = components(q, idx)
+        only = {q.var_name(v): colors for v, colors in zip(comp.order, comp.only)}
+        assert only == {x: want.get(x) for x in names}
+        for x, colors in shared.items():
+            assert only[x] is colors  # the index's set, not a copy
+        n_answers = len(brute_answers(q, db).answers.tuples)
+        assert count_answers(q, idx) == n_answers
+        if any(("Z", [x]) in atoms for x in names):
+            assert n_answers == 0
 
 
 def test_rewrite_mixed_matches_oracle():

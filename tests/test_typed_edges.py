@@ -188,12 +188,12 @@ def test_typed_view_derived_on_first_use(schema, raw):
 
 
 def test_graph_stage_prepare_ops_unchanged():
-    # criterion 5's query: one type of edge, 7 ops at every cycle length
+    # criterion 5's query: one type of edge, 6 ops at every cycle length
     q = parse_query("Ans(x1,x2,x3) :- E(x1,x2), E(x2,x3).", cycle_db(3).schema)
     for n in (10**3, 10**4):
         ops = OpCounter()
         evaluator.prepare(q, DatabaseIndex.build(cycle_db(n)).cindex, ops)
-        assert ops.n == 7
+        assert ops.n == 6
 
 
 def _copies(db, k):
