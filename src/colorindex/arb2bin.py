@@ -8,12 +8,18 @@ labels every node by its arity.  The binary relations record equal entries,
 `F<i>_<j>(p, q)` and `F<j>_<i>(q, p)` when position i of p equals position j
 of q, but only on the pairs a translated query can match: q is a node whose
 tuple is a reordering of some sub-selection p[S] at non-empty increasing
-positions S.
+positions S, and q is not p itself when p's values are pairwise distinct.
+Such a pair (p, p) would hold only F<i>_<i>(p, p), which no translated
+query asks for; a node with a repeated value keeps its self pair, since a
+bag order that swaps two equal values needs its F<i>_<j> with i != j.
 
 Query translation runs over a complete fc-1-GHD with bag containment on
 every edge: one node variable v_t per GHD node, head variables taken from
 the witness nodes with non-empty bags.  A bag is ordered by first occurrence
-in the atom that covers it, an atom node's bag by its own atom.  An atom
+in the atom that covers it, an atom node's bag by its own atom.  A tree edge
+whose two bags list the same variables in the same order is contracted: its
+two ends share the node variable of the end nearer the root, which takes
+the `U_R` labels, the `w_t` links and the witness role of both.  An atom
 R(..) with no repeated variable puts `U_R` on its node variable.  An atom
 with a repeated variable, such as R(x,x,y), gets a tuple variable w_t with
 `U_R` and `A<arity>`, linked to v_t by an F atom for each atom position and
@@ -27,7 +33,12 @@ which `U_R` labels.  Along a containment edge the smaller bag's values are
 the larger bag's at increasing positions, but in the smaller bag's order,
 which its own covering atom fixes; since F links a node to every reordering
 of each of its sub-selections, the edge's F facts are there in any such
-order.  Conversely an F fact holds only on equal entries, so a variable
+order.  Two bags that list the same variables in the same order bind to
+one node, so contracting their edge loses no answer; merging two adjacent
+nodes keeps the tree a tree and the witness nodes connected, so q2 stays
+free-connex.  Two bags that hold the same variables in another order bind
+to one node only when its values repeat, and such a node keeps its self
+pair.  Conversely an F fact holds only on equal entries, so a variable
 reads the same value in every bag that holds it (the bags that hold it form
 a subtree), and `U_R`, with w_t's F links for a repeated variable, puts each
 atom's image in R.  A node is its value tuple, so the answers over the
@@ -91,15 +102,19 @@ def encode_db(db: Database) -> BinaryEncoding:
         relations[f"U_{name}"] = {(proj_node[t],) for t in db.rel(name)}
     for p, node in proj_node.items():
         relations[f"A{len(p)}"].add((node,))
-    # F: a node and every node whose tuple reorders one of its sub-selections
+    # F: a node and every node whose tuple reorders one of its sub-selections,
+    # but a node with pairwise distinct values not with itself
     reorderings: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
     for p, node in proj_node.items():
         reorderings.setdefault(tuple(sorted(p)), []).append((p, node))
     positions = range(1, k + 1)
     f_rel = [[relations[f"F{i}_{j}"] for j in positions] for i in positions]
     for p, vp in proj_node.items():
+        distinct = len(set(p)) == len(p)
         for values in {tuple(sorted(s)) for s in projections_of(p) if s}:
             for q, vq in reorderings[values]:
+                if distinct and vq == vp:
+                    continue  # only F<i>_<i>(p, p): no translated query asks for it
                 for i, x in enumerate(p):
                     for j, y in enumerate(q):
                         if x == y:
@@ -119,8 +134,10 @@ class QueryEncoding2:
 
 def encode_query(q: ConjunctiveQuery, ghd: FcGHD, schema: Schema) -> QueryEncoding2:
     """Translate an fc-ACQ into the binary schema, given a complete fc-1-GHD
-    with bag containment along every edge.  The atoms of q name everything
-    the translation reads; schema, q's source schema, is not consulted."""
+    with bag containment along every edge, contracting each tree edge whose
+    bags list the same variables in the same order into one node variable.
+    The atoms of q name everything the translation reads; schema, q's
+    source schema, is not consulted."""
     if ghd.query is not q:
         raise BadGHD("decomposition does not belong to the query")
     for a, b in ghd.edges:
@@ -132,36 +149,42 @@ def encode_query(q: ConjunctiveQuery, ghd: FcGHD, schema: Schema) -> QueryEncodi
     bag_tuple = [tuple(dict.fromkeys(x for x in order[t].args if x in ghd.bag[t])) for t in ghd.nodes]
     if any(len(bag_tuple[t]) != len(ghd.bag[t]) for t in ghd.nodes):
         raise BadGHD("decomposition has a bag that its covering atom does not contain")
-    _, parent = ghd.bfs()
+    walk, parent = ghd.bfs()
+    # a tree edge whose two bags list the same variables in the same order
+    # binds both ends to one node: it contracts into the end nearer the root
+    rep: dict[int, int] = {}
+    for t in walk:
+        rep[t] = rep[parent[t]] if t in parent and bag_tuple[t] == bag_tuple[parent[t]] else t
+    v = [f"v{rep[t]}" for t in ghd.nodes]
 
     # an empty-bag witness node decodes no variable, and its one value (the
     # empty projection) leaves the count unchanged: it stays quantified
-    head_nodes = tuple(sorted(t for t in ghd.witness if ghd.bag[t]))
-    head_names = [f"v{t}" for t in head_nodes]
+    head_nodes = tuple(sorted({rep[t] for t in ghd.witness if ghd.bag[t]}))
     atoms: list[tuple[str, list[str]]] = []
     for t in ghd.nodes:
-        atoms.append((f"A{len(ghd.bag[t])}", [f"v{t}"]))
+        if rep[t] == t:
+            atoms.append((f"A{len(ghd.bag[t])}", [v[t]]))
         ai = atom_of_node.get(t)
         if ai is not None:
             atom = q.atoms[ai]
             if len(bag_tuple[t]) == atom.arity:  # the node is the atom's tuple
-                atoms.append((f"U_{atom.symbol}", [f"v{t}"]))
+                atoms.append((f"U_{atom.symbol}", [v[t]]))
             else:
                 atoms += [(f"U_{atom.symbol}", [f"w{t}"]), (f"A{atom.arity}", [f"w{t}"])]
-                atoms += [(f"F{i}_{bag_tuple[t].index(x) + 1}", [f"w{t}", f"v{t}"])
+                atoms += [(f"F{i}_{bag_tuple[t].index(x) + 1}", [f"w{t}", v[t]])
                           for i, x in enumerate(atom.args, 1)]
-        if t in parent:
+        if t in parent and rep[t] == t:
             p = parent[t]
             for i, x in enumerate(bag_tuple[t], 1):
                 if x in ghd.bag[p]:
-                    atoms.append((f"F{i}_{bag_tuple[p].index(x) + 1}", [f"v{t}", f"v{p}"]))
-    q2 = cq(head_names, atoms)
+                    atoms.append((f"F{i}_{bag_tuple[p].index(x) + 1}", [v[t], v[p]]))
+    q2 = cq([f"v{t}" for t in head_nodes], atoms)
 
     head_index = {t: i for i, t in enumerate(head_nodes)}
     decode_plan = []
     for y in q.head:
         t_y = min(t for t in ghd.witness if y in ghd.bag[t])
-        decode_plan.append((head_index[t_y], len(bag_tuple[t_y]), bag_tuple[t_y].index(y)))
+        decode_plan.append((head_index[rep[t_y]], len(bag_tuple[t_y]), bag_tuple[t_y].index(y)))
     return QueryEncoding2(q2=q2, decode_plan=tuple(decode_plan))
 
 

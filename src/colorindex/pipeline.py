@@ -55,7 +55,7 @@ from .model import ConjunctiveQuery, ConstantPool, Database, Schema
 from .refinement import asymmetric_vertex, edge_adjacency, loop_encoding_labels
 from .textio import read_text
 
-FORMAT_HEADER = "colorindex-file v10"
+FORMAT_HEADER = "colorindex-file v11"
 COMPILED_LIMIT = 64  # compiled queries kept per index
 
 TASKS = ("bool", "count", "enum")

@@ -16,6 +16,7 @@ from colorindex.generators import BINARY_SCHEMA, TERNARY_SCHEMA, random_fc_query
 from colorindex.model import Schema, cq, validate_database
 from colorindex.oracle import brute_answers
 from colorindex.pipeline import DatabaseIndex
+from colorindex.textio import parse_query
 
 
 def test_projections_pair_distinct():
@@ -53,8 +54,8 @@ def test_encode_single_unary_tuple():
     assert enc.db2.rel("U_R") == ((0,),)
     assert enc.db2.rel("A0") == ((1,),)
     assert enc.db2.rel("A1") == ((0,),)
-    assert enc.db2.rel("F1_1") == ((0, 0),)
-    assert enc.db2.size == 4
+    assert enc.db2.rel("F1_1") == ()  # (a) has distinct values: no self pair
+    assert enc.db2.size == 3
 
 
 def test_encode_pair_tuple():
@@ -64,8 +65,9 @@ def test_encode_pair_tuple():
     assert enc.node_tuple == {0: (0, 1)}
     assert enc.node_proj == {0: (0, 1), 1: (), 2: (0,), 3: (1,)}
     assert enc.db2.rel("U_R") == ((0,),)
-    assert set(enc.db2.rel("F1_1")) == {(0, 0), (0, 2), (2, 0), (2, 2), (3, 3)}
-    assert enc.db2.rel("F2_2") == ((0, 0),)
+    # every node has distinct values, so none is linked to itself
+    assert set(enc.db2.rel("F1_1")) == {(0, 2), (2, 0)}
+    assert enc.db2.rel("F2_2") == ()
     assert enc.db2.rel("F2_1") == ((0, 3),)
     assert enc.db2.rel("F1_2") == ((3, 0),)
 
@@ -86,6 +88,23 @@ def test_encode_empty_db():
     assert not enc.node_proj and not enc.node_tuple
 
 
+def test_only_a_node_with_a_repeated_value_links_to_itself():
+    # (a,b,c) and its projections have distinct values and no (p, p) fact;
+    # (a,a,b) and (a,a) keep theirs, with F<i>_<j> wherever p[i] = p[j]
+    schema = Schema.of(("T", 3))
+    enc = encode_db(validate_database(schema, {"T": [("a", "b", "c"), ("a", "a", "b")]}))
+    self_facts = {}
+    for name, arity in enc.db2.schema.symbols:
+        if arity == 2:
+            for vp, vq in enc.db2.rel(name):
+                if vp == vq:
+                    self_facts.setdefault(vp, set()).add(name)
+    repeated = {vp: p for vp, p in enc.node_proj.items() if len(set(p)) < len(p)}
+    assert sorted(repeated.values()) == [(0, 0), (0, 0, 1)]
+    assert self_facts == {vp: {f"F{i}_{j}" for i, x in enumerate(p, 1) for j, y in enumerate(p, 1) if x == y}
+                          for vp, p in repeated.items()}
+
+
 def _reorders_a_sub_selection(q, p):
     """q is a reordering of p at some non-empty increasing positions."""
     return any(sorted(q) == sorted(p[i] for i in sel) for sel in itertools.combinations(range(len(p)), len(q)) if q)
@@ -95,8 +114,9 @@ def test_f_relation_side_condition():
     """One node per projection at increasing positions of a source tuple,
     labeled U_R when it is a tuple of R and A<i> by its arity; F links a node
     to every node that reorders one of its non-empty sub-selections, both
-    ways: every such fact is there, with each pair of equal entries, and no
-    other, and there are no E facts."""
+    ways, but a node with pairwise distinct values not to itself: every such
+    fact is there, with each pair of equal entries, and no other, and there
+    are no E facts."""
     for seed in (9, 10, 11):
         db = random_relational_db(TERNARY_SCHEMA, 4, 3, seed=seed)
         enc = encode_db(db)
@@ -110,7 +130,7 @@ def test_f_relation_side_condition():
         want = set()
         for vp, p in enc.node_proj.items():
             for vq, q in enc.node_proj.items():
-                if _reorders_a_sub_selection(q, p):
+                if _reorders_a_sub_selection(q, p) and not (vq == vp and len(set(p)) == len(p)):
                     for i, x in enumerate(p, 1):
                         for j, y in enumerate(q, 1):
                             if x == y:
@@ -245,7 +265,61 @@ def test_full_stage_matches_the_oracle_on_wide_relations(schema):
 
 def test_ternary_sizes_are_pinned():
     # |D2| and |D_col| of the ternary input at n=200: 84,431 and 143,327
-    # under ordered projections with tuple nodes and E facts
+    # under ordered projections with tuple nodes and E facts, 21,419 and
+    # 36,905 with a self pair on every node
     db = random_relational_db(TERNARY_SCHEMA, 200, 400, seed=1)
-    assert encode_db(db).db2.size == 21_419
-    assert DatabaseIndex.build(db, stage="full").cindex.d_col_size == 36_905
+    assert encode_db(db).db2.size == 16_919
+    assert DatabaseIndex.build(db, stage="full").cindex.d_col_size == 28_101
+
+
+def _node_vars(q2):
+    return {q2.var_name(v) for a in q2.atoms for v in a.args if q2.var_name(v).startswith("v")}
+
+
+@pytest.mark.parametrize("schema, text", [
+    (BINARY_SCHEMA, "Ans(x,y) :- R(x,y), S(x,y)."),
+    (Schema.of(("T", 3), ("W", 3), ("P", 1)), "Ans(x,y,z) :- T(x,y,z), W(x,y,z), P(z)."),
+], ids=["binary", "ternary"])
+def test_a_same_bag_edge_contracts_to_one_node_variable(schema, text):
+    # both atom nodes bind to the one node of their tuple: q2 has one node
+    # variable for them, the head and the decode plan read it, and no F atom
+    # joins two node variables of equal bags
+    q = parse_query(text, schema)
+    ghd = compute_fc1ghd(q)
+    (a, b), = [(a, b) for a, b in ghd.edges if ghd.bag[a] == ghd.bag[b]]
+    enc_q = encode_query(q, ghd, schema)
+    q2 = enc_q.q2
+    assert len(_node_vars(q2)) == len(ghd.nodes) - 1
+    (merged,) = _node_vars(q2) & {f"v{a}", f"v{b}"}
+    bag_of = {f"v{t}": ghd.bag[t] for t in ghd.nodes}
+    for atom in q2.atoms:
+        names = [q2.var_name(v) for v in atom.args]
+        if atom.symbol.startswith("F") and all(n.startswith("v") for n in names):
+            assert bag_of[names[0]] != bag_of[names[1]]
+    assert [q2.var_name(v) for v in q2.head] == [merged]
+    assert {slot for slot, _, _ in enc_q.decode_plan} == {0}
+    for seed in range(5):
+        db = random_relational_db(schema, 3, 6, seed=seed)
+        expected = set(brute_answers(q, db).answers.tuples)
+        idx = DatabaseIndex.build(db, stage="full")
+        assert idx.count(q) == len(expected)
+        assert sorted(idx.enumerate(q)) == sorted(expected)
+
+
+def test_contracted_queries_match_the_oracle():
+    # random queries, among them ones with same-bag edges, on the full stage
+    rng = random.Random(800)
+    contracted = 0
+    for trial in range(60):
+        schema = TERNARY_SCHEMA if trial % 2 else BINARY_SCHEMA
+        db = random_relational_db(schema, rng.randint(2, 4), rng.randint(2, 6), seed=rng.randrange(10**9))
+        idx = DatabaseIndex.build(db, stage="full")
+        for _ in range(5):
+            q = random_fc_query(schema, rng, max_atoms=4)
+            ghd = compute_fc1ghd(q)
+            contracted += len(ghd.nodes) - len(_node_vars(encode_query(q, ghd, schema).q2))
+            expected = set(brute_answers(q, db).answers.tuples)
+            assert idx.count(q) == len(expected)
+            got = list(idx.enumerate(q))
+            assert len(got) == len(set(got)) and set(got) == expected
+    assert contracted > 0

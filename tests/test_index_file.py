@@ -1,4 +1,4 @@
-"""The v10 index file: what it stores, and that a damaged file ends in a data
+"""The v11 index file: what it stores, and that a damaged file ends in a data
 error (exit 2 with a message) rather than a traceback or a wrong answer."""
 import hashlib
 import importlib.util
@@ -119,7 +119,7 @@ def test_saved_index_stores_only_graph_and_classes(saved_index):
     # a binary- or full-stage file holds the value rows and the edge colors,
     # not bin2graph's gadget vertices
     _, lines = saved_index
-    assert lines[0] == FORMAT_HEADER == "colorindex-file v10"
+    assert lines[0] == FORMAT_HEADER == "colorindex-file v11"
     stage = lines[sections(lines)["META"][0] + 1].split("\t")[1]
     typed = [] if stage == "graph" else ["EDGE_COLORS"]
     assert list(sections(lines)) == ["META", "SCHEMA", "CONSTANTS", "PROJ", *typed, "CLASSES", "VERTICES"]
@@ -160,6 +160,7 @@ def test_every_mutation_is_a_data_error(saved_index, capsys):
     mutants.append(("v7 header", ["colorindex-file v7"] + lines[1:]))
     mutants.append(("v8 header", ["colorindex-file v8"] + lines[1:]))
     mutants.append(("v9 header", ["colorindex-file v9"] + lines[1:]))
+    mutants.append(("v10 header", ["colorindex-file v10"] + lines[1:]))
     missed = []
     for (what, mutant), task in itertools.product(mutants, ("count", "enum")):
         code, out, err = query(tmp_path, mutant, task, capsys)
@@ -172,7 +173,7 @@ def test_mutation_messages(saved_index, capsys):
     tmp_path, lines = saved_index
     _, _, err = query(tmp_path, unstable_swap(lines), "count", capsys)
     assert "unstable coloring" in err
-    for old in ("v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9"):
+    for old in ("v1", "v2", "v3", "v4", "v5", "v6", "v7", "v8", "v9", "v10"):
         _, _, err = query(tmp_path, [f"colorindex-file {old}"] + lines[1:], "count", capsys)
         assert f"'colorindex-file {old}'" in err and "rebuilt with `colorindex index`" in err
 
@@ -286,9 +287,9 @@ def test_loader_checks_value_vertices(movie_db):
 # sha1 prefixes of the saved seed-1 benchmark inputs: a change to the file
 # format, or to any vertex id or color class, must update them on purpose
 PINNED = {
-    "relational-replicas": "5a0c8bae3628",
-    "ternary-random": "1ad28a23af00",
-    "graph-symmetric": "4588cabdf938",
+    "relational-replicas": "9f6fc904e037",
+    "ternary-random": "1a07ec3d3419",
+    "graph-symmetric": "36d49101e705",
 }
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 

@@ -18,6 +18,14 @@ def tool(name, *args):
     return done.stdout.splitlines()
 
 
+# the dp_ops column (bool, count, enum) on seed 1: the ops are deterministic,
+# so a change to what serving runs must update these on purpose
+DP_OPS = {
+    "relational-replicas": ["47.15", "52.20", "87.20"],
+    "ternary-random": ["99.00", "111.43", "162.50"],
+}
+
+
 @pytest.mark.parametrize("workload", ["relational-replicas", "ternary-random"])
 def test_served_split_rows(workload):
     lines = tool("served_split.py", "--workload", workload, "--seed", "1", "--passes", "1")
@@ -29,6 +37,7 @@ def test_served_split_rows(workload):
         parse, compile_, run, total, ops = map(float, figures)
         assert int(calls) > 0 and min(parse, compile_, run) > 0 and ops > 0
         assert abs(parse + compile_ + run - total) <= 0.2 + 1e-9  # each printed to 0.1
+    assert [row[-1] for row in rows] == DP_OPS[workload]
 
 
 def test_code_lines_rows():
