@@ -1,14 +1,17 @@
 """Structural analysis of conjunctive queries: the hyperedges and their
-acyclicity tests, the breadth-first spanning forest of the Gaifman graph
-(`bfs_forest`, the one search that query components, variable orders and
-graph translations are read from: `spanning_forest` and
-`evaluator.components` both run it), and free-connex width-1 generalized
-hypertree decompositions with their one breadth-first walk.
+join tree by maximum cardinality search (`join_tree`, the one hypergraph
+acyclicity test), the one free-connex acyclicity test (`free_connex_tree`,
+which `is_free_connex_acyclic` and `compute_fc1ghd` both run), the
+breadth-first spanning forest of the Gaifman graph (`bfs_forest`, the one
+search that query components, variable orders and graph translations are
+read from: `spanning_forest` and `evaluator.components` both run it), and
+free-connex width-1 generalized hypertree decompositions with their one
+breadth-first walk.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable
 
 from .errors import BadGHD, NotFreeConnex
@@ -22,42 +25,50 @@ def hyperedges(q: ConjunctiveQuery) -> list[frozenset[int]]:
 
 
 def join_tree(hyperedges: list[frozenset[int]]) -> list[tuple[int, int]] | None:
-    """GYO reduction.  Returns tree edges over hyperedge indices (a spanning
-    tree over all indices), or None if the hypergraph is not alpha-acyclic.
+    """A join tree by maximum cardinality search (Tarjan & Yannakakis 1984,
+    SIAM J. Comput. 13(3)), in O(N log N) for N the total size of the
+    hyperedges.  Returns tree edges
+    (hyperedge, parent) over hyperedge indices, a spanning tree over all of
+    them, or None if the hypergraph is not alpha-acyclic.
 
-    Ear vertices (occurring in exactly one hyperedge) are stripped and
-    hyperedges contained in another are absorbed, recording a tree edge to
-    the absorber.  Disconnected acyclic hypergraphs reduce through empty
-    shrunken edges, which attaches their components arbitrarily.
+    The hyperedges are visited one at a time, each time the one that holds
+    the most visited variables, the lowest index on a tie.  The parent of a
+    hyperedge is the last-visited hyperedge that first held one of its
+    visited variables, and the hypergraph is alpha-acyclic exactly when every
+    hyperedge's visited variables lie in its parent.  A hyperedge with no
+    visited variable, the first of each connected part, hangs under the first
+    one visited.  The tests keep the fixpoint GYO reduction as the
+    reference.
     """
-    if not hyperedges:
-        return []
-    work = {i: set(e) for i, e in enumerate(hyperedges)}
-    alive = set(range(len(hyperedges)))
+    holders: dict[int, list[int]] = {}
+    for i, e in enumerate(hyperedges):
+        for v in e:
+            holders.setdefault(v, []).append(i)
+    held = [0] * len(hyperedges)  # per hyperedge, how many of its variables are visited; -1 once it is
+    first: dict[int, int] = {}  # visited variable -> the rank of the hyperedge that first held it
+    order: list[int] = []  # the hyperedges visited, in turn
+    heap = [(0, i) for i in range(len(hyperedges))]  # (-held, index); stale entries are skipped
     edges: list[tuple[int, int]] = []
-    while len(alive) > 1:
-        occ = Counter(v for i in alive for v in work[i])
-        changed = False
-        for i in sorted(alive):
-            private = {v for v in work[i] if occ[v] == 1}
-            if private:
-                work[i] -= private
-                changed = True
-        absorbed = None
-        for i in sorted(alive):
-            for j in sorted(alive):
-                if i != j and work[i] <= work[j]:
-                    absorbed = (i, j)
-                    break
-            if absorbed:
-                break
-        if absorbed:
-            i, j = absorbed
-            edges.append((i, j))
-            alive.remove(i)
-            changed = True
-        if not changed:
-            return None
+    while heap:
+        count, i = heappop(heap)
+        if -count != held[i]:
+            continue  # stale, or visited
+        e = hyperedges[i]
+        seen = [v for v in e if v in first]
+        if order:
+            p = order[max([first[v] for v in seen], default=0)]
+            if not hyperedges[p].issuperset(seen):
+                return None
+            edges.append((i, p))
+        held[i] = -1
+        for v in e:
+            if v not in first:
+                first[v] = len(order)
+                for j in holders[v]:
+                    if held[j] >= 0:
+                        held[j] += 1
+                        heappush(heap, (-held[j], j))
+        order.append(i)
     return edges
 
 
@@ -65,14 +76,30 @@ def is_acyclic(q: ConjunctiveQuery) -> bool:
     return join_tree(hyperedges(q)) is not None
 
 
-def is_free_connex_acyclic(q: ConjunctiveQuery) -> bool:
+def free_connex_tree(q: ConjunctiveQuery) -> tuple[list[frozenset[int]], list[tuple[int, int]]]:
+    """The one free-connex acyclicity test: q's hyperedges, with free(Q)
+    appended when it is non-empty and no atom's variables are exactly
+    free(Q), and a join tree over them.  Raises NotFreeConnex when either
+    q's hypergraph or the extended one is not alpha-acyclic."""
     hs = hyperedges(q)
-    if join_tree(hs) is None:
-        return False
+    tree = join_tree(hs)
+    if tree is None:
+        raise NotFreeConnex("query hypergraph is not alpha-acyclic")
     free = q.free()
-    if not free or free in hs:
-        return True
-    return join_tree(hs + [free]) is not None
+    if free and free not in hs:
+        hs.append(free)
+        tree = join_tree(hs)
+        if tree is None:
+            raise NotFreeConnex("hypergraph plus free-variable hyperedge is not alpha-acyclic")
+    return hs, tree
+
+
+def is_free_connex_acyclic(q: ConjunctiveQuery) -> bool:
+    try:
+        free_connex_tree(q)
+    except NotFreeConnex:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -84,19 +111,6 @@ class SpanningForest:
 
     trees: tuple[tuple[int, ...], ...]
     parent: dict[int, int]  # every variable but the roots -> its parent
-    free: frozenset[int]
-    acyclic: bool  # the Gaifman graph is a forest
-
-    def free_connected(self) -> bool:
-        """On an acyclic Gaifman graph: the free variables of each component
-        induce a connected subtree (or none), that is, no free variable
-        hangs under a quantified one (the root of a tree with free variables
-        is free)."""
-        return all(self.parent[v] in self.free for v in self.free if v in self.parent)
-
-    def free_connex(self) -> bool:
-        """Free-connex acyclicity, for a query over a binary schema."""
-        return self.acyclic and self.free_connected()
 
     def edges(self) -> list[tuple[int, int]]:
         """The tree edges oriented away from the roots, in BFS discovery
@@ -115,11 +129,8 @@ def spanning_forest(q: ConjunctiveQuery) -> SpanningForest:
                 if x != y:
                     adj[x].add(y)
                     adj[y].add(x)
-    free = q.free()
-    trees, parent = bfs_forest(adj, free)
-    edges = sum(map(len, adj.values())) // 2
-    return SpanningForest(trees=tuple(map(tuple, trees)), parent=parent, free=free,
-                          acyclic=edges == len(adj) - len(trees))
+    trees, parent = bfs_forest(adj, q.free())
+    return SpanningForest(trees=tuple(map(tuple, trees)), parent=parent)
 
 
 def bfs_forest(adj: dict[int, set[int]], free: frozenset[int]) -> tuple[list[list[int]], dict[int, int]]:
@@ -220,37 +231,23 @@ def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
 
     Raises NotFreeConnex when the query admits no such decomposition.
     """
-    hs = hyperedges(q)
-    tree_edges = join_tree(hs)
-    if tree_edges is None:
-        raise NotFreeConnex("query hypergraph is not alpha-acyclic")
+    bags, tree_edges = free_connex_tree(q)
     free = q.free()
-
-    ext = list(hs)
-    if free and free not in ext:
-        ext.append(free)
-        tree_edges = join_tree(ext)
-        if tree_edges is None:
-            raise NotFreeConnex("hypergraph plus free-variable hyperedge is not alpha-acyclic")
-
-    bags: list[frozenset[int]] = list(ext)
     adj: dict[int, list[int]] = {i: [] for i in range(len(bags))}
     for a, b in tree_edges:
         adj[a].append(b)
         adj[b].append(a)
 
-    # covering atom per hyperedge node: first atom with that exact var set
-    first_atom_for: dict[frozenset[int], int] = {}
-    for ai, atom in enumerate(q.atoms):
-        first_atom_for.setdefault(atom.var_set(), ai)
-    covers: list[Atom | None] = [None] * len(bags)
-    for i, e in enumerate(hs):
-        covers[i] = q.atoms[first_atom_for[e]]
+    # covering atom per hyperedge node: first atom with that exact var set;
+    # the free node, if appended, has none
+    first_atom_for: dict[frozenset[int], Atom] = {}
+    for atom in q.atoms:
+        first_atom_for.setdefault(atom.var_set(), atom)
+    covers: list[Atom | None] = [first_atom_for.get(b) for b in bags]
 
     witness: set[int] = set()
-    removed: set[int] = set()
     if free:
-        f_node = ext.index(free)
+        f_node = bags.index(free)
         cover_atom = covers[f_node] or next((a for a in q.atoms if free <= a.var_set()), None)
         if cover_atom is not None:
             covers[f_node] = cover_atom
@@ -259,7 +256,8 @@ def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
             # Split the uncoverable free node: its neighbors' bags intersected
             # with free(Q) form an alpha-acyclic hypergraph; a join tree of the
             # maximal intersections becomes the witness, each piece covered by
-            # the corresponding neighbor's atom.
+            # the corresponding neighbor's atom.  The first piece takes the
+            # free node's slot, the others are appended.
             neighbors = sorted(adj[f_node])
             inter = [(u, bags[u] & free) for u in neighbors]
             distinct = sorted({b for _, b in inter}, key=lambda s: (len(s), sorted(s)))
@@ -268,32 +266,21 @@ def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
             wt_edges = join_tree(maximal)
             if wt_edges is None:
                 raise BadGHD("internal: free-split hypergraph not acyclic")
-            base = len(bags)
-            b_node = {i: base + i for i in range(len(maximal))}
-            for i, b in enumerate(maximal):
-                bags.append(b)
-                covers.append(covers[owner[b]])
-                adj[base + i] = []
-                witness.add(base + i)
+            node = [f_node] + list(range(len(bags), len(bags) + len(maximal) - 1))
+            bags[f_node] = maximal[0]
+            bags += maximal[1:]
+            covers[f_node] = covers[owner[maximal[0]]]
+            covers += [covers[owner[b]] for b in maximal[1:]]
+            adj.update({t: [] for t in node})
+            witness = set(node)
             for a, b in wt_edges:
-                adj[b_node[a]].append(b_node[b])
-                adj[b_node[b]].append(b_node[a])
+                adj[node[a]].append(node[b])
+                adj[node[b]].append(node[a])
             for u, bu in inter:
-                target = b_node[next(i for i, m in enumerate(maximal) if bu <= m)]
-                adj[u] = [x for x in adj[u] if x != f_node]
+                target = node[next(i for i, m in enumerate(maximal) if bu <= m)]
+                adj[u].remove(f_node)
                 adj[u].append(target)
                 adj[target].append(u)
-            removed.add(f_node)
-            adj[f_node] = []
-
-    # compact away the removed node, if any
-    if removed:
-        keep = [i for i in range(len(bags)) if i not in removed]
-        remap = {old: new for new, old in enumerate(keep)}
-        bags = [bags[i] for i in keep]
-        covers = [covers[i] for i in keep]
-        adj = {remap[i]: sorted(remap[j] for j in adj[i]) for i in keep}
-        witness = {remap[i] for i in witness}
 
     root = min(witness) if witness else 0
 

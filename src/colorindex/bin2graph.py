@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import spanning_forest
+from .analysis import is_free_connex_acyclic, spanning_forest
 from .errors import NotBinarySchema, NotFreeConnex
 from .model import ConjunctiveQuery, Database, Schema, cq
 from .refinement import fresh_name
@@ -159,13 +159,15 @@ class QueryEncodingHat:
 def encode_query(q: ConjunctiveQuery, schema: Schema) -> QueryEncodingHat:
     """The graph query of a free-connex acyclic query over a binary schema:
     each edge of its spanning forest, oriented away from the root, gets two
-    gadget variables.  Raises NotFreeConnex for any other query."""
-    forest = spanning_forest(q)
-    if not forest.free_connex():
+    gadget variables.  Raises NotBinarySchema for an atom of arity above 2
+    and NotFreeConnex for any other query."""
+    if any(a.arity > 2 for a in q.atoms):
+        raise NotBinarySchema("graph encoding requires atoms of arity 1 and 2")
+    if not is_free_connex_acyclic(q):
         raise NotFreeConnex("graph encoding requires a free-connex acyclic query")
     symbols = graph_symbols_for(schema)
-    free = forest.free
-    edges = forest.edges()
+    free = q.free()
+    edges = spanning_forest(q).edges()
 
     def name(v: int) -> str:
         return q.var_name(v)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from colorindex.analysis import (
     compute_fc1ghd,
     is_acyclic,
     is_free_connex_acyclic,
+    join_tree,
     spanning_forest,
 )
 from colorindex.errors import NotFreeConnex
@@ -54,6 +56,89 @@ def on_graph(q):
               [("E" if a.arity == 2 else a.symbol, [q.var_name(v) for v in a.args]) for a in q.atoms])
 
 
+def gyo_join_tree(hyperedges):
+    """The fixpoint GYO reduction, the reference for `join_tree`: tree edges
+    over hyperedge indices, or None if the hypergraph is not alpha-acyclic.
+    Ear vertices (occurring in exactly one hyperedge) are stripped and a
+    hyperedge contained in another is absorbed, with a tree edge to the
+    absorber, until one hyperedge is left or nothing changes."""
+    if not hyperedges:
+        return []
+    work = {i: set(e) for i, e in enumerate(hyperedges)}
+    alive = set(range(len(hyperedges)))
+    edges = []
+    while len(alive) > 1:
+        occ = Counter(v for i in alive for v in work[i])
+        changed = False
+        for i in sorted(alive):
+            private = {v for v in work[i] if occ[v] == 1}
+            if private:
+                work[i] -= private
+                changed = True
+        absorbed = next(((i, j) for i in sorted(alive) for j in sorted(alive)
+                         if i != j and work[i] <= work[j]), None)
+        if absorbed:
+            edges.append(absorbed)
+            alive.remove(absorbed[0])
+            changed = True
+        if not changed:
+            return None
+    return edges
+
+
+def assert_join_tree(hs, edges):
+    """edges span the hyperedges hs as a tree in which the hyperedges that
+    hold any one variable are connected (the running-intersection
+    condition)."""
+    assert len(edges) == len(hs) - 1
+    adj = {i: [] for i in range(len(hs))}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+
+    def reached(start, inside):
+        seen, todo = {start}, [start]
+        while todo:
+            for u in adj[todo.pop()]:
+                if u not in seen and inside(u):
+                    seen.add(u)
+                    todo.append(u)
+        return seen
+
+    assert len(reached(0, lambda u: True)) == len(hs), "not connected"
+    for v in frozenset().union(*hs):
+        holders = {i for i, e in enumerate(hs) if v in e}
+        assert reached(min(holders), lambda u: v in hs[u]) == holders, f"running intersection fails for {v}"
+
+
+def test_join_tree_agrees_with_gyo():
+    # 1-7 variables, 1-7 hyperedges of 1-4 variables each, repeats allowed
+    rng = random.Random(27)
+    acyclic = 0
+    for _ in range(20000):
+        nv = rng.randint(1, 7)
+        hs = [frozenset(rng.sample(range(nv), rng.randint(1, min(4, nv)))) for _ in range(rng.randint(1, 7))]
+        tree = join_tree(hs)
+        assert (tree is None) == (gyo_join_tree(hs) is None), hs
+        if tree is not None:
+            acyclic += 1
+            assert_join_tree(hs, tree)
+    assert 1000 < acyclic < 20000  # both verdicts are exercised
+
+
+def test_join_tree_small_cases():
+    assert join_tree([]) == []
+    assert join_tree([frozenset({0})]) == []
+    triangle = [frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})]
+    assert join_tree(triangle) is None
+    # the triangle with a hyperedge over all of it is acyclic
+    hs = triangle + [frozenset({0, 1, 2})]
+    assert_join_tree(hs, join_tree(hs))
+    # disconnected parts hang under the first hyperedge visited
+    hs = [frozenset({0, 1}), frozenset({2, 3}), frozenset({1, 4})]
+    assert sorted(join_tree(hs)) == [(1, 0), (2, 0)]
+
+
 def test_gaifman_unary_only():
     q = cq(["x"], [("U", ["x"])])
     forest = spanning_forest(q)
@@ -62,7 +147,7 @@ def test_gaifman_unary_only():
 
 def test_gaifman_movie_query(movie_query):
     forest = spanning_forest(movie_query)
-    assert forest.acyclic
+    assert is_acyclic(movie_query)  # on arity <= 2, alpha-acyclic is a Gaifman forest
     assert edge_names(movie_query, forest) == {frozenset({"x", "y1"}), frozenset({"x", "y2"})}
 
 
@@ -74,7 +159,7 @@ def test_gaifman_naive_ternary_encoding_has_cycle():
         for pos, v in enumerate(args, start=1):
             atoms.append((f"E{pos}", [ui, v]))
     q = cq(["x", "y", "z"], atoms)
-    assert not spanning_forest(q).acyclic
+    assert not is_acyclic(q)
     assert not is_free_connex_acyclic(q)
 
 
@@ -100,8 +185,9 @@ def test_triangle_cyclic():
 
 def test_binary_characterization_agrees_with_general():
     # components() reads its own Gaifman graph off the atoms: it agrees with
-    # spanning_forest on queries with loops, repeated atoms and both
-    # directions of a pair, on a typed index and on a graph index
+    # is_free_connex_acyclic and spanning_forest on queries with loops,
+    # repeated atoms and both directions of a pair, on a typed index and on
+    # a graph index
     rng = random.Random(20240817)
     pool = [f"x{i}" for i in range(6)]
     for _ in range(1000):
@@ -111,9 +197,8 @@ def test_binary_characterization_agrees_with_general():
             atoms.append((sym, [rng.choice(pool) for _ in range(ar)]))
         used = sorted({v for _, a in atoms for v in a})
         head = rng.sample(used, rng.randint(0, len(used)))
-        q = cq(head, atoms)
-        fc = is_free_connex_acyclic(q)
-        assert spanning_forest(q).free_connex() == fc
+        plain = cq(head, atoms)
+        fc = is_free_connex_acyclic(plain)
         # a loop, a repeated atom and a reversed atom leave the Gaifman
         # graph and free-connex acyclicity as they were
         x = rng.choice(used)
@@ -125,13 +210,13 @@ def test_binary_characterization_agrees_with_general():
                 break
         q = cq(head, atoms)
         assert is_free_connex_acyclic(q) == fc
-        for query, index in ((q, TYPED_INDEX), (on_graph(q), GRAPH_INDEX)):
+        for query, index in ((plain, TYPED_INDEX), (q, TYPED_INDEX), (on_graph(q), GRAPH_INDEX)):
             forest = spanning_forest(query)
             try:
                 comps = components(query, index)
             except NotFreeConnex as e:
                 assert not fc
-                assert (str(e) == "Gaifman graph has a cycle") == (not forest.acyclic)
+                assert (str(e) == "Gaifman graph has a cycle") == (not is_acyclic(query))
                 continue
             assert fc
             assert {c.order[i]: c.order[p] for c in comps for i, p in enumerate(c.parent) if p >= 0} \

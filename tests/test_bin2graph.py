@@ -22,6 +22,10 @@ def test_schema_grows_by_three(movie_schema):
 def test_not_binary_rejected():
     with pytest.raises(NotBinarySchema):
         graph_symbols_for(Schema.of(("T", 3)))
+    # a wide atom is refused, also when its Gaifman graph is a forest
+    for args in (["x", "y", "z"], ["x", "y", "y"]):
+        with pytest.raises(NotBinarySchema):
+            encode_query(cq(["x"], [("T", args)]), BINARY_SCHEMA)
 
 
 def test_movie_graph_shape(movie_db):

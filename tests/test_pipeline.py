@@ -1,11 +1,12 @@
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 
-from colorindex import pipeline
+from colorindex import engine, pipeline
 from colorindex.errors import (
     ArityMismatch, AsymmetricEdgeRelation, NotAcyclic, NotFreeConnex, TaskMismatch, UnknownSymbol,
 )
@@ -160,6 +161,30 @@ def test_ternary_pipeline_all_tasks():
         assert idx.count(q) == len(expected.answers)
         if q.is_boolean():
             assert idx.eval_bool(q) == bool(expected.answers.tuples)
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_large_query_compiles_in_linear_time(shape):
+    # an uncached full-stage compile of a 2,000-atom query takes about 0.1 s
+    # (its front end is linear in |Q|); a cubic join tree took minutes.  On
+    # this data a walk of 2,000 steps starts at each of a-d but not at e or
+    # f, and the star's centre is any of a-e.
+    schema = Schema.of(("T", 3))
+    db = validate_database(schema, {"T": [("a", "b", "c"), ("b", "c", "a"), ("c", "c", "b"),
+                                          ("d", "a", "a"), ("e", "f", "a")]})
+    idx = DatabaseIndex.build(db, stage="full")
+    n = 2000
+    if shape == "path":
+        text = "Ans(x0) :- " + ", ".join(f"T(x{i},x{i + 1},y{i})" for i in range(n)) + "."
+        expected = 4
+    else:
+        text = "Ans(c) :- " + ", ".join(f"T(c,a{i},b{i})" for i in range(n)) + "."
+        expected = 5
+    q = parse_query(text, schema)
+    start = time.perf_counter()
+    idx.compile(q)
+    assert time.perf_counter() - start < 2.0
+    assert idx.count(q) == expected == len(engine.answers(q, db))
 
 
 def test_save_load_round_trip_graph(tmp_path):
