@@ -260,12 +260,22 @@ def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
             # free node's slot, the others are appended.
             neighbors = sorted(adj[f_node])
             inter = [(u, bags[u] & free) for u in neighbors]
-            distinct = sorted({b for _, b in inter}, key=lambda s: (len(s), sorted(s)))
-            maximal = [b for b in distinct if not any(b < other for other in distinct)]
-            owner = {b: next(u for u, bu in inter if bu == b) for b in maximal}
-            wt_edges = join_tree(maximal)
-            if wt_edges is None:
+            owner: dict[frozenset[int], int] = {}  # piece -> the first neighbor it is of
+            for u, bu in inter:
+                owner.setdefault(bu, u)
+            distinct = sorted(owner, key=lambda s: (len(s), sorted(s)))
+            d_edges = join_tree(distinct)
+            if d_edges is None:
                 raise BadGHD("internal: free-split hypergraph not acyclic")
+            # by running intersection, a piece inside another one is strictly
+            # inside a neighbor of it on the join tree of the pieces
+            inside = {i for e in d_edges for i, j in (e, e[::-1]) if distinct[i] < distinct[j]}
+            maximal = [b for i, b in enumerate(distinct) if i not in inside]
+            wt_edges = join_tree(maximal)  # acyclic: a subset of the pieces less the ones inside others
+            holding: dict[int, list[int]] = {}  # free variable -> the maximal pieces holding it, in order
+            for i, m in enumerate(maximal):
+                for x in m:
+                    holding.setdefault(x, []).append(i)
             node = [f_node] + list(range(len(bags), len(bags) + len(maximal) - 1))
             bags[f_node] = maximal[0]
             bags += maximal[1:]
@@ -277,7 +287,8 @@ def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
                 adj[node[a]].append(node[b])
                 adj[node[b]].append(node[a])
             for u, bu in inter:
-                target = node[next(i for i, m in enumerate(maximal) if bu <= m)]
+                pieces = min((holding[x] for x in bu), key=len, default=[0])
+                target = node[next(i for i in pieces if bu <= maximal[i])]
                 adj[u].remove(f_node)
                 adj[u].append(target)
                 adj[target].append(u)

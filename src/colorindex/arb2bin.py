@@ -160,30 +160,35 @@ def encode_query(q: ConjunctiveQuery, ghd: FcGHD, schema: Schema) -> QueryEncodi
     # an empty-bag witness node decodes no variable, and its one value (the
     # empty projection) leaves the count unchanged: it stays quantified
     head_nodes = tuple(sorted({rep[t] for t in ghd.witness if ghd.bag[t]}))
-    atoms: list[tuple[str, list[str]]] = []
+    atoms: list[tuple[str, tuple[str, ...]]] = []
     for t in ghd.nodes:
         if rep[t] == t:
-            atoms.append((f"A{len(ghd.bag[t])}", [v[t]]))
+            atoms.append((f"A{len(ghd.bag[t])}", (v[t],)))
         ai = atom_of_node.get(t)
         if ai is not None:
             atom = q.atoms[ai]
             if len(bag_tuple[t]) == atom.arity:  # the node is the atom's tuple
-                atoms.append((f"U_{atom.symbol}", [v[t]]))
+                atoms.append((f"U_{atom.symbol}", (v[t],)))
             else:
-                atoms += [(f"U_{atom.symbol}", [f"w{t}"]), (f"A{atom.arity}", [f"w{t}"])]
-                atoms += [(f"F{i}_{bag_tuple[t].index(x) + 1}", [f"w{t}", v[t]])
+                atoms += [(f"U_{atom.symbol}", (f"w{t}",)), (f"A{atom.arity}", (f"w{t}",))]
+                atoms += [(f"F{i}_{bag_tuple[t].index(x) + 1}", (f"w{t}", v[t]))
                           for i, x in enumerate(atom.args, 1)]
         if t in parent and rep[t] == t:
             p = parent[t]
             for i, x in enumerate(bag_tuple[t], 1):
                 if x in ghd.bag[p]:
-                    atoms.append((f"F{i}_{bag_tuple[p].index(x) + 1}", [v[t], v[p]]))
-    q2 = cq([f"v{t}" for t in head_nodes], atoms)
+                    atoms.append((f"F{i}_{bag_tuple[p].index(x) + 1}", (v[t], v[p])))
+    # a source atom that q repeats gives its atoms twice: q2 keeps one copy
+    q2 = cq([f"v{t}" for t in head_nodes], list(dict.fromkeys(atoms)))
 
     head_index = {t: i for i, t in enumerate(head_nodes)}
+    least: dict[int, int] = {}  # head variable -> the least witness node holding it
+    for t in sorted(ghd.witness):
+        for y in ghd.bag[t]:
+            least.setdefault(y, t)
     decode_plan = []
     for y in q.head:
-        t_y = min(t for t in ghd.witness if y in ghd.bag[t])
+        t_y = least[y]
         decode_plan.append((head_index[rep[t_y]], len(bag_tuple[t_y]), bag_tuple[t_y].index(y)))
     return QueryEncoding2(q2=q2, decode_plan=tuple(decode_plan))
 

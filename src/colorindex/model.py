@@ -2,13 +2,17 @@
 
 Constants are interned to dense non-negative integers so that relations can
 be stored and compared as plain integer tuples.  Variables are interned per
-query, independently of constants.  All structures are immutable after
-construction and safe for concurrent readers.
+query, independently of constants.  An atom is a named tuple, so a query
+is built, hashed and compared over plain tuples; `DatabaseIndex` keys its
+compiled queries by the query itself.  A schema is looked up one way, by
+`Schema.arities`.  All structures are immutable after construction and
+safe for concurrent readers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import ArityMismatch, UnknownSymbol
 
@@ -68,15 +72,6 @@ class Schema:
     def of(*symbols: tuple[str, int]) -> "Schema":
         return Schema(tuple(symbols))
 
-    def arity(self, name: str) -> int:
-        ar = self.arities.get(name)
-        if ar is None:
-            raise UnknownSymbol(f"unknown relation symbol {name!r}")
-        return ar
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.arities
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.symbols)
@@ -120,7 +115,7 @@ class Database:
             self.relations.setdefault(name, ())
 
     def rel(self, name: str) -> tuple[tuple[int, ...], ...]:
-        if name not in self.schema:
+        if name not in self.schema.arities:
             raise UnknownSymbol(f"unknown relation symbol {name!r}")
         return self.relations[name]
 
@@ -148,9 +143,8 @@ def validate_database(
     pool = pool if pool is not None else ConstantPool()
     relations: dict[str, tuple[tuple[int, ...], ...]] = {}
     dropped = 0
-    for name in schema.names:
+    for name, ar in schema.symbols:
         rows = raw.get(name, [])
-        ar = schema.arity(name)
         seen: set[tuple[int, ...]] = set()
         out: list[tuple[int, ...]] = []
         for row in rows:
@@ -164,13 +158,12 @@ def validate_database(
                 out.append(tup)
         relations[name] = tuple(out)
     for name in raw:
-        if name not in schema:
+        if name not in schema.arities:
             raise UnknownSymbol(f"relation {name!r} not declared in schema")
     return Database(schema=schema, relations=relations, pool=pool, dropped_duplicates=dropped)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     symbol: str
     args: tuple[int, ...]
 
@@ -223,20 +216,15 @@ class ConjunctiveQuery:
         return self.var_names[v]
 
 
-def cq(head: list[str], atoms: list[tuple[str, list[str]]], schema: Schema | None = None) -> ConjunctiveQuery:
+def cq(head: list[str], atoms: list[tuple[str, list[str]]]) -> ConjunctiveQuery:
     """Build a query from variable names, interning variables in first-occurrence
-    order (head first, then atom arguments left to right)."""
+    order (head first, then atom arguments left to right).  The symbols are
+    not checked against a schema: `textio.parse_query` checks them as it
+    reads, and `DatabaseIndex.compile` checks every query it serves."""
     ids: dict[str, int] = {}  # insertion order is id order
     head_ids = tuple([ids.setdefault(v, len(ids)) for v in head])
-    atom_objs = []
-    for sym, args in atoms:
-        if schema is not None:
-            ar = schema.arity(sym)
-            if len(args) != ar:
-                raise ArityMismatch(f"{sym} expects {ar} arguments, got {len(args)}")
-        atom_objs.append(Atom(sym, tuple([ids.setdefault(v, len(ids)) for v in args])))
-    names = tuple(ids)
-    return ConjunctiveQuery(head=head_ids, atoms=tuple(atom_objs), var_names=names)
+    atom_objs = tuple([Atom(sym, tuple([ids.setdefault(v, len(ids)) for v in args])) for sym, args in atoms])
+    return ConjunctiveQuery(head=head_ids, atoms=atom_objs, var_names=tuple(ids))
 
 
 @dataclass(frozen=True)

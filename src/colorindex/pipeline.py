@@ -29,18 +29,20 @@ the decoder of its answers; a rejected query compiles to one without a
 translated query.  The translation is the identity on the graph and binary
 stages, where the query runs on the index's color edges or edge colors,
 and `arb2bin`'s q2 on the full stage; `bin2graph`'s gadget translation of
-queries is not on the serving path.  The index keeps the last
-COMPILED_LIMIT compiled queries, keyed by the parsed query; the oldest goes
-first.  Only compile results are kept: bool, count and enum run the dynamic
-program and the enumeration preprocessing on every call.  An index is safe for concurrent readers: a
-`CompiledQuery` is immutable, a lock guards each look-up and change of the
-map but not the compiling, and two threads that miss the map at once both
-compile the query and store equal results.
+queries is not on the serving path.  `compile` is a `functools.lru_cache`
+of the COMPILED_LIMIT most recently asked queries, keyed by the query
+itself; the least recently asked goes first, and a query that does not fit
+the schema is not kept.  Only compile results are kept: bool, count and
+enum run the dynamic program and the enumeration preprocessing on every
+call.  An index is safe for concurrent readers: a `CompiledQuery` is
+immutable, the cache is thread-safe with no lock of the index's own, and
+two threads that miss it at once both compile the query and keep equal
+results.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from . import arb2bin, bin2graph, evaluator, index as cindex_mod
@@ -98,24 +100,48 @@ def _stage_symbols(stage: str, schema: Schema) -> bin2graph.GraphSymbols | None:
     return None if stage == "graph" else bin2graph.graph_symbols_for(_stage_schema(stage, schema))
 
 
-def _query_key(q: ConjunctiveQuery) -> tuple:
-    """The parsed query as plain tuples: equal exactly when the queries are,
-    and hashed and compared without running Python code."""
-    return q.head, q.var_names, tuple((a.symbol, a.args) for a in q.atoms)
-
-
 def _identity(t: tuple[int, ...]) -> tuple[int, ...]:
     return t
 
 
+def _compile(schema: Schema, stage: str, cindex: ColorIndex, node_proj: dict[int, tuple[int, ...]],
+             q: ConjunctiveQuery) -> CompiledQuery:
+    """The compiled form of q on the index of these fields.  Raises
+    UnknownSymbol or ArityMismatch when q does not fit the schema."""
+    for a in q.atoms:
+        arity = schema.arities.get(a.symbol)
+        if arity is None:
+            raise UnknownSymbol(f"unknown relation symbol {a.symbol!r}")
+        if arity != a.arity:
+            raise ArityMismatch(f"{a.symbol} expects {arity} arguments, got {a.arity}")
+    if stage != "full":
+        qhat, decode = q, _identity
+    else:
+        try:
+            ghd = compute_fc1ghd(q)
+        except NotFreeConnex:
+            return _REJECTED
+        enc2 = arb2bin.encode_query(q, ghd, schema)
+        qhat, decode = enc2.q2, lambda t: arb2bin.decode_answer(t, enc2, node_proj)
+    try:
+        comps = evaluator.components(qhat, cindex)
+    except NotFreeConnex:
+        # q2 is free-connex acyclic by construction: only a graph- or
+        # binary-stage query gets here
+        return _REJECTED
+    return CompiledQuery(qhat=qhat, decode=decode, components=comps)
+
+
 class DatabaseIndex:
     """A built index: the color index (typed on the binary and full stages),
-    the projection nodes of a full-stage index, and a bounded map of
-    compiled queries.  Safe for concurrent readers (see the module
-    docstring).  A binary- or full-stage `cindex` on `bin2graph`'s graph is
-    projected to the typed index with the graph's pair map `gadget_node`,
-    which is required then and not kept.  `vmap` must be the identity;
-    `node_tuple` is not saved."""
+    the projection nodes of a full-stage index, and `compile`, the bounded
+    cache of compiled queries: the compiled form of a query, which raises
+    UnknownSymbol or ArityMismatch when it does not fit the schema.  Safe
+    for concurrent readers (see the module docstring).  A binary- or
+    full-stage `cindex` on `bin2graph`'s graph is projected to the typed
+    index with the graph's pair map `gadget_node`, which is required then
+    and not kept.  `vmap` must be the identity; `node_tuple` is not
+    saved."""
 
     def __init__(
         self,
@@ -144,8 +170,8 @@ class DatabaseIndex:
             if gadget_node is None:
                 raise ValueError(f"a {stage}-stage index on bin2graph's graph needs its pair map gadget_node")
             self.cindex = cindex_mod.project(cindex.graph, cindex.coloring, symbols, gadget_node, cindex.source_size)
-        self._compiled: dict[tuple, CompiledQuery] = {}  # insertion order: oldest first
-        self._lock = threading.Lock()
+        # over the index's fields, not a bound method: the cache holds no reference to the index
+        self.compile = lru_cache(COMPILED_LIMIT)(partial(_compile, schema, stage, self.cindex, self.node_proj))
 
     # -- construction --------------------------------------------------------
 
@@ -170,44 +196,6 @@ class DatabaseIndex:
         raise ValueError(f"unknown stage {stage!r}")
 
     # -- compiling queries -----------------------------------------------------
-
-    def compile(self, q: ConjunctiveQuery) -> CompiledQuery:
-        """The compiled form of q, from the map or compiled now.  Raises
-        UnknownSymbol or ArityMismatch when q does not fit the schema."""
-        key = _query_key(q)
-        with self._lock:
-            compiled = self._compiled.get(key)
-        if compiled is None:
-            compiled = self._compile(q)
-            with self._lock:
-                self._compiled[key] = compiled
-                while len(self._compiled) > COMPILED_LIMIT:
-                    del self._compiled[next(iter(self._compiled))]
-        return compiled
-
-    def _compile(self, q: ConjunctiveQuery) -> CompiledQuery:
-        for a in q.atoms:
-            arity = self.schema.arities.get(a.symbol)
-            if arity is None:
-                raise UnknownSymbol(f"unknown relation symbol {a.symbol!r}")
-            if arity != a.arity:
-                raise ArityMismatch(f"{a.symbol} expects {arity} arguments, got {a.arity}")
-        if self.stage != "full":
-            qhat, decode = q, _identity
-        else:
-            try:
-                ghd = compute_fc1ghd(q)
-            except NotFreeConnex:
-                return _REJECTED
-            enc2 = arb2bin.encode_query(q, ghd, self.schema)
-            qhat, decode = enc2.q2, lambda t: arb2bin.decode_answer(t, enc2, self.node_proj)
-        try:
-            comps = evaluator.components(qhat, self.cindex)
-        except NotFreeConnex:
-            # q2 is free-connex acyclic by construction: only a graph- or
-            # binary-stage query gets here
-            return _REJECTED
-        return CompiledQuery(qhat=qhat, decode=decode, components=comps)
 
     def _accepted(self, q: ConjunctiveQuery, error: type[Exception], message: str) -> CompiledQuery:
         compiled = self.compile(q)

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError, UnknownSymbol
-from .model import ConjunctiveQuery, ConstantPool, Database, Schema, cq, validate_database
+from .errors import ArityMismatch, ParseError, UnknownSymbol
+from .model import Atom, ConjunctiveQuery, ConstantPool, Database, Schema, validate_database
 
 _SYMBOL_RE = re.compile(r"^([A-Za-z_]\w*)\s*/\s*(\d{1,9})$")  # int() refuses numbers of thousands of digits
 _FACT_RE = re.compile(r"^([A-Za-z_]\w*)\s*\(([^()]*)\)\s*\.$")
@@ -62,15 +62,16 @@ def parse_database(text: str, schema: Schema, pool: ConstantPool | None = None) 
         if not m:
             raise ParseError(f"expected `R(a,b).`, got {line!r}", line=no)
         name, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
-        if name not in schema:
+        ar = schema.arities.get(name)
+        if ar is None:
             raise ParseError(f"unknown relation symbol {name!r}", line=no)
         if args == [""]:
             raise ParseError(f"empty argument list in {line!r}", line=no)
         for a in args:
             if not _CONST_RE.match(a):
                 raise ParseError(f"bad constant token {a!r}", line=no)
-        if len(args) != schema.arity(name):
-            raise ParseError(f"{name} expects arity {schema.arity(name)}, got {len(args)}", line=no)
+        if len(args) != ar:
+            raise ParseError(f"{name} expects arity {ar}, got {len(args)}", line=no)
         raw[name].append(tuple(args))
     return validate_database(schema, raw, pool)
 
@@ -78,7 +79,10 @@ def parse_database(text: str, schema: Schema, pool: ConstantPool | None = None) 
 def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
     """Parse rule syntax.  Arguments must be variables (identifiers starting
     with a letter); constants are not permitted in queries.  Body atoms are
-    separated by exactly one comma each."""
+    separated by exactly one comma each.  Variables are interned as `cq`
+    interns them, head first, and each symbol and its arity are checked
+    against the schema as the atom is read; a wrong arity is reported once
+    the whole text has parsed."""
     body_lines = []
     for rawline in text.splitlines():
         line = _strip(rawline)
@@ -92,7 +96,10 @@ def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
     for v in head_args:
         if not _VAR_RE.match(v):
             raise ParseError(f"bad head variable {v!r}")
-    atoms: list[tuple[str, list[str]]] = []
+    ids: dict[str, int] = {}  # insertion order is id order
+    head = tuple([ids.setdefault(v, len(ids)) for v in head_args])
+    atoms: list[Atom] = []
+    mismatch = None
     body = m.group(3)
     end = 0
     for am in _BODY_ATOM_RE.finditer(body):
@@ -107,15 +114,20 @@ def parse_query(text: str, schema: Schema) -> ConjunctiveQuery:
         for v in arglist:
             if not _VAR_RE.match(v):
                 raise ParseError(f"bad variable {v!r} in atom {sym} (constants are not permitted)")
-        if sym not in schema:
+        ar = schema.arities.get(sym)
+        if ar is None:
             raise UnknownSymbol(f"unknown relation symbol {sym!r}")
-        atoms.append((sym, arglist))
+        if ar != len(arglist) and mismatch is None:
+            mismatch = ArityMismatch(f"{sym} expects {ar} arguments, got {len(arglist)}")
+        atoms.append(Atom(sym, tuple([ids.setdefault(v, len(ids)) for v in arglist])))
     if not atoms:
         raise ParseError("query body has no atoms")
     leftover = body[end:].strip()
     if leftover:
         raise ParseError(f"trailing junk in query body: {leftover!r}")
-    return cq(head_args, atoms, schema)
+    if mismatch is not None:
+        raise mismatch
+    return ConjunctiveQuery(head=head, atoms=tuple(atoms), var_names=tuple(ids))
 
 
 def format_query(q: ConjunctiveQuery) -> str:

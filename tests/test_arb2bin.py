@@ -279,11 +279,13 @@ def _node_vars(q2):
 @pytest.mark.parametrize("schema, text", [
     (BINARY_SCHEMA, "Ans(x,y) :- R(x,y), S(x,y)."),
     (Schema.of(("T", 3), ("W", 3), ("P", 1)), "Ans(x,y,z) :- T(x,y,z), W(x,y,z), P(z)."),
-], ids=["binary", "ternary"])
+    (Schema.of(("T", 3)), "Ans(x,y,z) :- T(x,y,z), T(x,y,z)."),
+], ids=["binary", "ternary", "repeated"])
 def test_a_same_bag_edge_contracts_to_one_node_variable(schema, text):
     # both atom nodes bind to the one node of their tuple: q2 has one node
-    # variable for them, the head and the decode plan read it, and no F atom
-    # joins two node variables of equal bags
+    # variable for them, the head and the decode plan read it, no F atom
+    # joins two node variables of equal bags, and a repeated atom does not
+    # repeat its U_T on the merged node
     q = parse_query(text, schema)
     ghd = compute_fc1ghd(q)
     (a, b), = [(a, b) for a, b in ghd.edges if ghd.bag[a] == ghd.bag[b]]
@@ -297,6 +299,7 @@ def test_a_same_bag_edge_contracts_to_one_node_variable(schema, text):
         if atom.symbol.startswith("F") and all(n.startswith("v") for n in names):
             assert bag_of[names[0]] != bag_of[names[1]]
     assert [q2.var_name(v) for v in q2.head] == [merged]
+    assert len(set(q2.atoms)) == len(q2.atoms)
     assert {slot for slot, _, _ in enc_q.decode_plan} == {0}
     for seed in range(5):
         db = random_relational_db(schema, 3, 6, seed=seed)

@@ -3,6 +3,7 @@ error (exit 2 with a message) rather than a traceback or a wrong answer."""
 import hashlib
 import importlib.util
 import itertools
+import json
 import random
 import sys
 from pathlib import Path
@@ -291,20 +292,30 @@ PINNED = {
     "ternary-random": "1a07ec3d3419",
     "graph-symmetric": "36d49101e705",
 }
+# sha256 prefixes of the seed-1 benchmark query streams with their database
+# text: a change to `cq`, `parse_query` or `format_query` that alters the
+# benchmark's queries fails here
+STREAMS = {
+    "relational-replicas": "48d5a90ba152427a",
+    "ternary-random": "6e7ddc5d1fa50511",
+    "graph-symmetric": "2073eca1cdbfc498",
+}
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 @pytest.fixture
 def saved_bench_input(monkeypatch):
-    """The saved index text of a benchmark workload's seed-1 input."""
+    """The saved index text of a benchmark workload's seed-1 input; its
+    `workload` gives the workload itself."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look the module up
     spec.loader.exec_module(workloads)
 
     def saved(name: str) -> str:
-        wl = workloads.make(name, 1)
+        wl = saved.workload(name)
         return DatabaseIndex.build(parse_database(wl.db_text, parse_schema(wl.schema_text))).save_text()
+    saved.workload = lambda name: workloads.make(name, 1)
     return saved
 
 
@@ -312,6 +323,9 @@ def test_saved_benchmark_inputs_are_pinned(saved_bench_input):
     for name, prefix in PINNED.items():
         text = saved_bench_input(name)
         assert hashlib.sha1(text.encode()).hexdigest()[:12] == prefix, name
+        wl = saved_bench_input.workload(name)
+        stream = hashlib.sha256((json.dumps(wl.stream()) + wl.db_text).encode()).hexdigest()[:16]
+        assert stream == STREAMS[name], name
 
 
 def test_a_proj_tuple_listed_twice_is_a_data_error(saved_bench_input, tmp_path, capsys):

@@ -95,9 +95,13 @@ def test_cq_interns_variables_by_first_occurrence():
     assert cq([], [("R", ["b", "a"])]).var_names == ("b", "a")
 
 
-def test_cq_arity_checked_against_schema():
+def test_parse_query_arity_checked_against_schema():
     with pytest.raises(ArityMismatch, match="R expects 2 arguments, got 3"):
-        cq(["x"], [("R", ["x", "y", "z"])], BINARY_SCHEMA)
+        parse_query("Ans(x) :- R(x,y,z).", BINARY_SCHEMA)
+    # every symbol is checked before an arity, as when `cq` checked arities
+    # after the text had parsed
+    with pytest.raises(UnknownSymbol, match="unknown relation symbol 'Q'"):
+        parse_query("Ans(x) :- R(x,y,z), Q(x).", BINARY_SCHEMA)
 
 
 @pytest.mark.parametrize("schema,seed", [(BINARY_SCHEMA, 31), (TERNARY_SCHEMA, 32)])

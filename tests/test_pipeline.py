@@ -163,12 +163,14 @@ def test_ternary_pipeline_all_tasks():
             assert idx.eval_bool(q) == bool(expected.answers.tuples)
 
 
-@pytest.mark.parametrize("shape", ["path", "star"])
+@pytest.mark.parametrize("shape", ["path", "star", "free"])
 def test_large_query_compiles_in_linear_time(shape):
     # an uncached full-stage compile of a 2,000-atom query takes about 0.1 s
     # (its front end is linear in |Q|); a cubic join tree took minutes.  On
     # this data a walk of 2,000 steps starts at each of a-d but not at e or
-    # f, and the star's centre is any of a-e.
+    # f, and the star's centre is any of a-e.  The free shape splits a free
+    # node that no atom covers into 6,400 pieces, one per atom, whose first
+    # variables each take any of a-e.
     schema = Schema.of(("T", 3))
     db = validate_database(schema, {"T": [("a", "b", "c"), ("b", "c", "a"), ("c", "c", "b"),
                                           ("d", "a", "a"), ("e", "f", "a")]})
@@ -177,14 +179,21 @@ def test_large_query_compiles_in_linear_time(shape):
     if shape == "path":
         text = "Ans(x0) :- " + ", ".join(f"T(x{i},x{i + 1},y{i})" for i in range(n)) + "."
         expected = 4
-    else:
+    elif shape == "star":
         text = "Ans(c) :- " + ", ".join(f"T(c,a{i},b{i})" for i in range(n)) + "."
         expected = 5
+    else:
+        n = 6400
+        head = ",".join(f"x{i}" for i in range(n))
+        text = f"Ans({head}) :- " + ", ".join(f"T(x{i},y{i},z{i})" for i in range(n)) + "."
+        expected = 5**n
     q = parse_query(text, schema)
     start = time.perf_counter()
     idx.compile(q)
     assert time.perf_counter() - start < 2.0
-    assert idx.count(q) == expected == len(engine.answers(q, db))
+    assert idx.count(q) == expected
+    if shape != "free":  # the engine lists all 5**6400 answers of the free shape
+        assert expected == len(engine.answers(q, db))
 
 
 def test_save_load_round_trip_graph(tmp_path):
@@ -251,7 +260,7 @@ def test_second_call_reruns_the_dynamic_program(stage):
         first, second = OpCounter(), OpCounter()
         assert run(first) == run(second), task
         assert first.n == second.n > 0, task
-    assert len(idx._compiled) == 2
+    assert idx.compile.cache_info().currsize == 2
 
 
 def test_compiled_map_keeps_the_newest_up_to_its_limit():
@@ -259,8 +268,13 @@ def test_compiled_map_keeps_the_newest_up_to_its_limit():
     queries = [cq(["x"], [("E", ["x", f"y{i}"])]) for i in range(COMPILED_LIMIT + 10)]
     for q in queries:
         assert idx.count(q) == 6
-        assert len(idx._compiled) <= COMPILED_LIMIT
-    assert list(idx._compiled) == [pipeline._query_key(q) for q in queries[-COMPILED_LIMIT:]]
+        assert idx.compile.cache_info().currsize <= COMPILED_LIMIT
+    misses = idx.compile.cache_info().misses
+    for q in queries[-COMPILED_LIMIT:]:
+        idx.compile(q)
+    assert idx.compile.cache_info().misses == misses
+    idx.compile(queries[0])
+    assert idx.compile.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("stage", ["graph", "binary", "full"])
@@ -319,7 +333,7 @@ def test_repeated_queries_match_oracle_property(instance):
 
 
 def test_threads_ask_the_same_stream(monkeypatch):
-    # more threads than cores, and a small map that they evict from while
+    # more threads than cores, and a small cache that they evict from while
     # the others read
     monkeypatch.setattr(pipeline, "COMPILED_LIMIT", 3)
     db = random_relational_db(TERNARY_SCHEMA, 5, 10, seed=3)
@@ -339,7 +353,8 @@ def test_threads_ask_the_same_stream(monkeypatch):
             results = list(pool.map(ask, range(4), timeout=300))
     finally:
         sys.setswitchinterval(interval)
-    assert len(results) == 4 and len(idx._compiled) <= pipeline.COMPILED_LIMIT
+    info = idx.compile.cache_info()
+    assert len(results) == 4 and info.currsize <= info.maxsize == 3
     for answers, counts in results:
         assert answers == expected
         assert counts == [len(e) for e in expected]

@@ -4,10 +4,10 @@ task, over one benchmark workload's query stream.
     python3 tools/served_split.py --workload NAME --seed N [--passes P]
 
 Builds the workload's index once and saves it as text.  Each pass loads a
-fresh index from that text, so its map of compiled queries starts empty as
+fresh index from that text, so its cache of compiled queries starts empty as
 in a served process, and asks the whole stream once, one query at a time.
 A call is split into `textio.parse_query`, `DatabaseIndex.compile` (from
-the map when the query was compiled before) and the run: the counting
+the cache when the query was compiled before) and the run: the counting
 dynamic program for bool and count, and for enum its preprocessing and the
 walk to the first `ENUM_CAP` answers, decoded.  Prints, per task, the number
 of calls and the mean microseconds per call of each part in the fastest
