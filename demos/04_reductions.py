@@ -33,7 +33,7 @@ print(f"  projections of arity 1: {arity1}")
 
 # translate a query whose free variables no single atom covers
 q = cq(["x", "z"], [("T", ["x", "y", "z"]), ("T", ["x", "x", "z"])])
-enc_q = encode_query(q, compute_fc1ghd(q), schema)
+enc_q = encode_query(compute_fc1ghd(q))
 print(f"\nquery translated to {len(enc_q.q2.atoms)} binary atoms, "
       f"head arity {len(enc_q.q2.head)} (source arity {len(q.head)})")
 

@@ -2,17 +2,16 @@
 join tree by maximum cardinality search (`join_tree`, the one hypergraph
 acyclicity test), the one free-connex acyclicity test (`free_connex_tree`,
 which `is_free_connex_acyclic` and `compute_fc1ghd` both run), the
-breadth-first spanning forest of the Gaifman graph (`bfs_forest`, the one
-search that query components, variable orders and graph translations are
-read from: `spanning_forest` and `evaluator.components` both run it), and
-free-connex width-1 generalized hypertree decompositions with their one
-breadth-first walk.
+breadth-first spanning forest of a graph (`bfs_forest`, the one search in
+this module: query components, variable orders and graph translations are
+read from it through `spanning_forest` and `evaluator.components`, and the
+tree of an fc-1-GHD is walked by it once), and free-connex width-1
+generalized hypertree decompositions, each one rooted tree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable
 
 from .errors import BadGHD, NotFreeConnex
 from .model import Atom, ConjunctiveQuery
@@ -139,7 +138,8 @@ def bfs_forest(adj: dict[int, set[int]], free: frozenset[int]) -> tuple[list[lis
     smallest variable, each rooted at its lowest-id free variable, else at
     its lowest-id variable, with neighbors visited by id; and each variable's
     parent but the roots'.  The graph is a forest exactly when it has
-    len(adj) - len(trees) edges."""
+    len(adj) - len(trees) edges.  `compute_fc1ghd` walks its tree with it,
+    the root as the one free vertex."""
     parent: dict[int, int] = {}
     trees: list[list[int]] = []
     seen: set[int] = set()
@@ -167,34 +167,30 @@ class FcGHD:
 
     Tree nodes are dense ints.  ``cover`` maps each node to an atom whose
     variables contain the node's bag; ``atom_node`` gives, per atom index of
-    the query, the dedicated node with bag equal to the atom's variables.
-    ``witness`` is the connected node set whose bags union to free(Q).
+    the query, the dedicated node with bag equal to the atom's variables,
+    which that atom covers.  ``witness`` is the connected node set whose bags
+    union to free(Q), and holds ``root`` when it is non-empty.  The tree is
+    stored once: ``order`` lists the nodes breadth-first from the root,
+    neighbors by id, and ``parent`` gives each node's parent, -1 at the root.
     """
 
     query: ConjunctiveQuery
     bag: list[frozenset[int]]
     cover: list[Atom]
-    edges: list[tuple[int, int]]
     witness: frozenset[int]
     atom_node: dict[int, int]
     root: int
-    adj: dict[int, list[int]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.adj = {t: [] for t in range(len(self.bag))}
-        for a, b in self.edges:
-            self.adj[a].append(b)
-            self.adj[b].append(a)
-        for t in self.adj:
-            self.adj[t].sort()
+    order: list[int]
+    parent: list[int]
 
     @property
     def nodes(self) -> range:
         return range(len(self.bag))
 
-    def bfs(self) -> tuple[list[int], dict[int, int]]:
-        """tree_bfs from self.root."""
-        return tree_bfs(self.adj, self.root)
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """The tree edges as (parent, child) pairs, children by id."""
+        return [(p, t) for t, p in enumerate(self.parent) if p >= 0]
 
     def to_dot(self) -> str:
         q = self.query
@@ -211,43 +207,46 @@ class FcGHD:
         return "\n".join(lines)
 
 
-def tree_bfs(adj: dict[int, list[int]], root: int) -> tuple[list[int], dict[int, int]]:
-    """The one breadth-first walk of a tree from root, neighbors in adjacency
-    order: the nodes in visiting order, and each node's parent but the
-    root's."""
-    order, parent = [root], {}
-    for t in order:  # grows while it is walked: a FIFO queue
-        for u in adj[t]:
-            if u != root and u not in parent:
-                parent[u] = t
-                order.append(u)
-    return order, parent
-
-
 def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
     """Compute a complete fc-1-GHD whose tree edges all satisfy bag
     containment (one endpoint's bag contains the other's) and with
     |witness| < 2 * |free(Q)| whenever free(Q) is non-empty.
 
+    The nodes start as the join tree of `free_connex_tree`.  Each atom takes
+    the node of its own hyperedge; an atom whose hyperedge's node an earlier
+    atom took gets a new leaf under that node.  A free node that no atom
+    covers is split into a witness subtree, each edge without containment is
+    subdivided, and the tree is walked once from the root.
+
     Raises NotFreeConnex when the query admits no such decomposition.
     """
     bags, tree_edges = free_connex_tree(q)
     free = q.free()
-    adj: dict[int, list[int]] = {i: [] for i in range(len(bags))}
+    adj: dict[int, set[int]] = {i: set() for i in range(len(bags))}
     for a, b in tree_edges:
-        adj[a].append(b)
-        adj[b].append(a)
+        adj[a].add(b)
+        adj[b].add(a)
 
-    # covering atom per hyperedge node: first atom with that exact var set;
-    # the free node, if appended, has none
-    first_atom_for: dict[frozenset[int], Atom] = {}
-    for atom in q.atoms:
-        first_atom_for.setdefault(atom.var_set(), atom)
-    covers: list[Atom | None] = [first_atom_for.get(b) for b in bags]
+    # completion: a node with bag == vars(atom) per atom, covered by it; the
+    # free node, if appended, has no atom, as no atom's variables are free(Q)
+    node_of = {b: t for t, b in enumerate(bags)}
+    covers: list[Atom | None] = [None] * len(bags)
+    atom_node: dict[int, int] = {}
+    for ai, atom in enumerate(q.atoms):
+        host = node_of[atom.var_set()]
+        if covers[host] is None:
+            covers[host] = atom
+            atom_node[ai] = host
+        else:  # an earlier atom took the node: a new leaf under it
+            t = atom_node[ai] = len(bags)
+            bags.append(bags[host])
+            covers.append(atom)
+            adj[t] = {host}
+            adj[host].add(t)
 
     witness: set[int] = set()
     if free:
-        f_node = bags.index(free)
+        f_node = node_of[free]
         cover_atom = covers[f_node] or next((a for a in q.atoms if free <= a.var_set()), None)
         if cover_atom is not None:
             covers[f_node] = cover_atom
@@ -281,42 +280,19 @@ def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
             bags += maximal[1:]
             covers[f_node] = covers[owner[maximal[0]]]
             covers += [covers[owner[b]] for b in maximal[1:]]
-            adj.update({t: [] for t in node})
+            adj.update({t: set() for t in node})
             witness = set(node)
             for a, b in wt_edges:
-                adj[node[a]].append(node[b])
-                adj[node[b]].append(node[a])
+                adj[node[a]].add(node[b])
+                adj[node[b]].add(node[a])
             for u, bu in inter:
                 pieces = min((holding[x] for x in bu), key=len, default=[0])
                 target = node[next(i for i in pieces if bu <= maximal[i])]
                 adj[u].remove(f_node)
-                adj[u].append(target)
-                adj[target].append(u)
+                adj[u].add(target)
+                adj[target].add(u)
 
     root = min(witness) if witness else 0
-
-    # completion: a dedicated node per atom with bag == vars(atom), attached to
-    # the first BFS node carrying that bag; a node added here is a leaf under
-    # a node with its bag, so the first node of every bag stays first
-    first_with_bag: dict[frozenset[int], int] = {}
-    for t in tree_bfs(adj, root)[0]:
-        first_with_bag.setdefault(bags[t], t)
-    atom_node: dict[int, int] = {}
-    taken: set[int] = set()
-    for ai, atom in enumerate(q.atoms):
-        vs = atom.var_set()
-        host = first_with_bag[vs]
-        if host not in taken and covers[host] == atom:
-            atom_node[ai] = host
-            taken.add(host)
-        else:
-            new = len(bags)
-            bags.append(vs)
-            covers.append(atom)
-            adj[new] = [host]
-            adj[host].append(new)
-            atom_node[ai] = new
-            taken.add(new)
 
     # subdivision: enforce bag containment along every edge
     pending = sorted({(min(a, b), max(a, b)) for a in adj for b in adj[a]})
@@ -328,22 +304,26 @@ def compute_fc1ghd(q: ConjunctiveQuery) -> FcGHD:
         covers.append(covers[a])
         adj[a].remove(b)
         adj[b].remove(a)
-        adj[n] = [a, b]
-        adj[a].append(n)
-        adj[b].append(n)
+        adj[n] = {a, b}
+        adj[a].add(n)
+        adj[b].add(n)
         if a in witness and b in witness:
             witness.add(n)
 
-    edges = sorted({(min(a, b), max(a, b)) for a in adj for b in adj[a]})
+    (order,), parent_of = bfs_forest(adj, frozenset([root]))
+    parent = [-1] * len(bags)
+    for t, p in parent_of.items():
+        parent[t] = p
     assert all(c is not None for c in covers)
     return FcGHD(
         query=q,
         bag=bags,
         cover=covers,  # type: ignore[arg-type]
-        edges=edges,
         witness=frozenset(witness),
         atom_node=atom_node,
         root=root,
+        order=order,
+        parent=parent,
     )
 
 
@@ -351,23 +331,33 @@ def check_fc1ghd(H: FcGHD) -> list[str]:
     """Mechanically verify every fc-1-GHD invariant; returns a list of
     violations (empty when valid)."""
     q = H.query
-    problems: list[str] = []
-
-    def reached(start: int, inside: Callable[[int], bool]) -> set[int]:
-        # the nodes reachable from start along H.adj through nodes inside
-        seen, todo = {start}, [start]
-        while todo:
-            for u in H.adj[todo.pop()]:
-                if u not in seen and inside(u):
-                    seen.add(u)
-                    todo.append(u)
-        return seen
-
     n = len(H.bag)
-    if len(H.edges) != n - 1:
-        problems.append(f"not a tree: {n} nodes, {len(H.edges)} edges")
-    if n and len(reached(0, lambda u: True)) != n:
-        problems.append("tree is disconnected")
+    if len(H.parent) != n or not all(-1 <= p < n for p in H.parent) or not 0 <= H.root < n:
+        return ["parent array or root out of range"]
+    problems: list[str] = []
+    # the parent array is one tree rooted at root, and order is its
+    # breadth-first walk from the root, children by id
+    children: list[list[int]] = [[] for _ in H.nodes]
+    for p, t in H.edges:
+        children[p].append(t)
+    walk, seen = [H.root], {H.root}
+    for t in walk:  # grows while it is walked: a FIFO queue
+        for u in children[t]:
+            if u not in seen:
+                seen.add(u)
+                walk.append(u)
+    if H.parent[H.root] != -1:
+        problems.append("root has a parent")
+    # under another root, or on or under a parent cycle that misses the root
+    problems += [f"node {t} unreachable from the root" for t in H.nodes if t not in seen]
+    if H.order != walk:
+        problems.append("order is not the breadth-first walk of the tree")
+
+    def connected(nodes: frozenset[int]) -> bool:
+        # on a tree, nodes are connected exactly when one of them has its
+        # parent outside them
+        return sum(H.parent[t] not in nodes for t in nodes) == 1
+
     for t in H.nodes:
         if not H.bag[t] <= H.cover[t].var_set():
             problems.append(f"bag of node {t} not covered by its atom")
@@ -378,11 +368,10 @@ def check_fc1ghd(H: FcGHD) -> list[str]:
         if not any(atom.var_set() <= H.bag[t2] for t2 in H.nodes):
             problems.append(f"no bag contains vars of atom {ai}")
     for v in q.vars():
-        holders = [t for t in H.nodes if v in H.bag[t]]
+        holders = frozenset(t for t in H.nodes if v in H.bag[t])
         if not holders:
             problems.append(f"variable {v} in no bag")
-            continue
-        if reached(holders[0], lambda u: v in H.bag[u]) != set(holders):
+        elif not connected(holders):
             problems.append(f"path condition fails for variable {v}")
     free = q.free()
     if free:
@@ -392,7 +381,7 @@ def check_fc1ghd(H: FcGHD) -> list[str]:
             union = frozenset().union(*(H.bag[t] for t in H.witness))
             if union != free:
                 problems.append("witness bags do not union to free(Q)")
-            if reached(min(H.witness), H.witness.__contains__) != H.witness:
+            if not connected(H.witness):
                 problems.append("witness is not connected")
             if len(H.witness) >= 2 * len(free):
                 problems.append(f"|W|={len(H.witness)} >= 2*|free|={2 * len(free)}")

@@ -132,49 +132,47 @@ class QueryEncoding2:
     decode_plan: tuple[tuple[int, int, int], ...]
 
 
-def encode_query(q: ConjunctiveQuery, ghd: FcGHD, schema: Schema) -> QueryEncoding2:
-    """Translate an fc-ACQ into the binary schema, given a complete fc-1-GHD
-    with bag containment along every edge, contracting each tree edge whose
-    bags list the same variables in the same order into one node variable.
-    The atoms of q name everything the translation reads; schema, q's
-    source schema, is not consulted."""
-    if ghd.query is not q:
-        raise BadGHD("decomposition does not belong to the query")
-    for a, b in ghd.edges:
-        if not (ghd.bag[a] <= ghd.bag[b] or ghd.bag[b] <= ghd.bag[a]):
+def encode_query(ghd: FcGHD) -> QueryEncoding2:
+    """Translate the query of ghd, an fc-ACQ, into the binary schema, given
+    a complete fc-1-GHD with bag containment along every edge, contracting
+    each tree edge whose bags list the same variables in the same order into
+    one node variable.  The query's atoms name everything the translation
+    reads, so it needs no schema."""
+    q, parent = ghd.query, ghd.parent
+    for t, p in enumerate(parent):
+        if p >= 0 and not (ghd.bag[t] <= ghd.bag[p] or ghd.bag[p] <= ghd.bag[t]):
             raise BadGHD("decomposition lacks bag containment on an edge")
-    atom_of_node = {t: ai for ai, t in ghd.atom_node.items()}
-    order = [q.atoms[atom_of_node[t]] if t in atom_of_node else ghd.cover[t] for t in ghd.nodes]
-    # each bag in first-occurrence order of its atom
-    bag_tuple = [tuple(dict.fromkeys(x for x in order[t].args if x in ghd.bag[t])) for t in ghd.nodes]
+    # each bag in first-occurrence order of the atom that covers it, an atom
+    # node's bag in that of its own atom
+    bag_tuple = [tuple(dict.fromkeys(x for x in ghd.cover[t].args if x in ghd.bag[t])) for t in ghd.nodes]
     if any(len(bag_tuple[t]) != len(ghd.bag[t]) for t in ghd.nodes):
         raise BadGHD("decomposition has a bag that its covering atom does not contain")
-    walk, parent = ghd.bfs()
     # a tree edge whose two bags list the same variables in the same order
     # binds both ends to one node: it contracts into the end nearer the root
-    rep: dict[int, int] = {}
-    for t in walk:
-        rep[t] = rep[parent[t]] if t in parent and bag_tuple[t] == bag_tuple[parent[t]] else t
+    rep = list(ghd.nodes)
+    for t in ghd.order[1:]:  # every node but the root, parents first
+        if bag_tuple[t] == bag_tuple[parent[t]]:
+            rep[t] = rep[parent[t]]
     v = [f"v{rep[t]}" for t in ghd.nodes]
 
     # an empty-bag witness node decodes no variable, and its one value (the
     # empty projection) leaves the count unchanged: it stays quantified
     head_nodes = tuple(sorted({rep[t] for t in ghd.witness if ghd.bag[t]}))
+    atom_nodes = set(ghd.atom_node.values())
     atoms: list[tuple[str, tuple[str, ...]]] = []
     for t in ghd.nodes:
         if rep[t] == t:
             atoms.append((f"A{len(ghd.bag[t])}", (v[t],)))
-        ai = atom_of_node.get(t)
-        if ai is not None:
-            atom = q.atoms[ai]
+        if t in atom_nodes:
+            atom = ghd.cover[t]
             if len(bag_tuple[t]) == atom.arity:  # the node is the atom's tuple
                 atoms.append((f"U_{atom.symbol}", (v[t],)))
             else:
                 atoms += [(f"U_{atom.symbol}", (f"w{t}",)), (f"A{atom.arity}", (f"w{t}",))]
                 atoms += [(f"F{i}_{bag_tuple[t].index(x) + 1}", (f"w{t}", v[t]))
                           for i, x in enumerate(atom.args, 1)]
-        if t in parent and rep[t] == t:
-            p = parent[t]
+        p = parent[t]
+        if p >= 0 and rep[t] == t:
             for i, x in enumerate(bag_tuple[t], 1):
                 if x in ghd.bag[p]:
                     atoms.append((f"F{i}_{bag_tuple[p].index(x) + 1}", (v[t], v[p])))

@@ -1,7 +1,9 @@
 """Baseline evaluator for free-connex acyclic queries: preprocessing in
 O(|Q| * |D|) builds a semijoin-reduced join plan over a complete fc-1-GHD;
 enumeration then streams the duplicate-free answer set with delay bounded by
-the witness size (and hence by O(|free(Q)|)), independent of |D|.
+the witness size (and hence by O(|free(Q)|)), independent of |D|.  The
+full reducer and the enumeration read the decomposition's one tree, its
+breadth-first order and parent array.
 
 Used directly on a database as the unindexed baseline that the indexed path
 is checked and measured against.
@@ -24,8 +26,7 @@ class JoinPlan:
     node_rel: list[list[tuple[int, ...]]]
     node_vars: list[tuple[int, ...]]  # bag in ascending var-id order
     witness_order: list[int]  # BFS over the witness subtree, root first
-    witness_parent: dict[int, int]
-    # per non-root witness node: shared vars with its witness parent, and
+    # per non-root witness node: shared vars with its tree parent, and
     # buckets of its relation keyed by those shared values
     shared_vars: dict[int, tuple[int, ...]]
     buckets: dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]]
@@ -82,28 +83,25 @@ def preprocess(q: ConjunctiveQuery, db: Database, ops: OpCounter | None = None) 
     node_vars = [tuple(sorted(b)) for b in ghd.bag]
     node_rel = [_match_atom(db, ghd.cover[t], node_vars[t], ops) for t in ghd.nodes]
 
-    order, parent = ghd.bfs()
+    order, parent = ghd.order, ghd.parent
     # leaves -> root
-    for t in reversed(order):
-        if t in parent:
-            p = parent[t]
-            node_rel[p] = _semijoin(node_rel[p], node_vars[p], node_rel[t], node_vars[t], ops)
+    for t in reversed(order[1:]):
+        p = parent[t]
+        node_rel[p] = _semijoin(node_rel[p], node_vars[p], node_rel[t], node_vars[t], ops)
     # root -> leaves
-    for t in order:
-        if t in parent:
-            p = parent[t]
-            node_rel[t] = _semijoin(node_rel[t], node_vars[t], node_rel[p], node_vars[p], ops)
+    for t in order[1:]:
+        p = parent[t]
+        node_rel[t] = _semijoin(node_rel[t], node_vars[t], node_rel[p], node_vars[p], ops)
 
     satisfiable = all(node_rel[t] for t in ghd.nodes)
 
+    # the witness is connected and holds the root, so each of its nodes but
+    # the root has its tree parent in it
     witness_order = [t for t in order if t in ghd.witness]
-    witness_parent = {t: parent[t] for t in witness_order if t != ghd.root}
     shared_vars: dict[int, tuple[int, ...]] = {}
     buckets: dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]] = {}
-    for t in witness_order:
-        if t == ghd.root:
-            continue
-        p = witness_parent[t]
+    for t in witness_order[1:]:
+        p = parent[t]
         shared = tuple(v for v in node_vars[t] if v in ghd.bag[p])
         shared_vars[t] = shared
         pos = tuple(node_vars[t].index(v) for v in shared)
@@ -118,7 +116,6 @@ def preprocess(q: ConjunctiveQuery, db: Database, ops: OpCounter | None = None) 
         node_rel=node_rel,
         node_vars=node_vars,
         witness_order=witness_order,
-        witness_parent=witness_parent,
         shared_vars=shared_vars,
         buckets=buckets,
         satisfiable=satisfiable,

@@ -121,7 +121,7 @@ def _compile(schema: Schema, stage: str, cindex: ColorIndex, node_proj: dict[int
             ghd = compute_fc1ghd(q)
         except NotFreeConnex:
             return _REJECTED
-        enc2 = arb2bin.encode_query(q, ghd, schema)
+        enc2 = arb2bin.encode_query(ghd)
         qhat, decode = enc2.q2, lambda t: arb2bin.decode_answer(t, enc2, node_proj)
     try:
         comps = evaluator.components(qhat, cindex)

@@ -229,7 +229,7 @@ def test_criterion_07_reduction_bijections():
         source = brute_answers(q, db)
         # arbitrary -> binary
         benc = arb2bin.encode_db(db)
-        enc2 = arb2bin.encode_query(q, compute_fc1ghd(q), schema)
+        enc2 = arb2bin.encode_query(compute_fc1ghd(q))
         translated = brute_answers(enc2.q2, benc.db2)
         assert len(translated.answers) == len(source.answers)
         decoded = {arb2bin.decode_answer(t, enc2, benc.node_proj) for t in translated.answers.tuples}
@@ -261,7 +261,7 @@ def test_criterion_08_structural_invariants():
         assert problems == [], problems
         if q.head:
             assert len(ghd.witness) < 2 * len(q.head)
-        enc2 = arb2bin.encode_query(q, ghd, schema)
+        enc2 = arb2bin.encode_query(ghd)
         assert is_free_connex_acyclic(enc2.q2)
         if schema.is_binary():
             ench = bin2graph.encode_query(q, schema)

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import random
 from collections import Counter
 
@@ -23,6 +25,7 @@ from colorindex.generators import (
 )
 from colorindex.model import Schema, cq, validate_database
 from colorindex.oracle import brute_answers
+from colorindex.textio import parse_query
 
 # an index over the graph schema E/2, P/1, Q/1: components() reads its edge
 # label and the colors of its vertex labels and its loop label; the triangle
@@ -274,6 +277,60 @@ def test_fc1ghd_invariants_random(schema, seed):
         q = random_fc_query(schema, rng)
         h = compute_fc1ghd(q)
         assert check_fc1ghd(h) == [], check_fc1ghd(h)
+
+
+def _changed(seq, i, x):
+    return [x if j == i else y for j, y in enumerate(seq)]
+
+
+def _broken(h):
+    """Copies of h, a valid fc-1-GHD with |free| >= 2 and at least
+    2 * |free| nodes, each breaking one invariant, with the message that
+    check_fc1ghd gives for it."""
+    q, order, free, root = h.query, h.order, h.query.free(), h.root
+    copy = functools.partial(dataclasses.replace, h)
+    last = order[-1]  # a leaf
+    up = h.parent[last]
+    assert up != root
+    extra = min(q.vars() - h.cover[root].var_set())
+    yield copy(bag=_changed(h.bag, root, h.bag[root] | {extra})), f"bag of node {root} not covered by its atom"
+    yield copy(atom_node={ai: t for ai, t in h.atom_node.items() if ai}), "completeness fails for atom 0"
+    gone = copy(bag=[b - {extra} for b in h.bag])
+    yield gone, f"variable {extra} in no bag"
+    yield gone, f"no bag contains vars of atom {next(ai for ai, a in enumerate(q.atoms) if extra in a.args)}"
+    # a variable held by a node, its parent and its child, dropped from the node
+    v, t = next((min(h.bag[p] & h.bag[t] & h.bag[c]), t) for p, t in h.edges for t2, c in h.edges
+                if t2 == t and h.bag[p] & h.bag[t] & h.bag[c])
+    yield copy(bag=_changed(h.bag, t, h.bag[t] - {v})), f"path condition fails for variable {v}"
+    k = next(i for i, t in enumerate(order) if h.bag[t] - free)  # order's prefixes are connected
+    yield copy(witness=frozenset(order[:k + 1])), "witness bags do not union to free(Q)"
+    yield copy(witness=frozenset([root, last])), "witness is not connected"
+    yield copy(witness=frozenset()), "empty witness for non-Boolean query"
+    yield copy(witness=frozenset(order[:2 * len(free)])), f"|W|={2 * len(free)} >= 2*|free|={2 * len(free)}"
+    yield copy(root=next(t for t in order if t not in h.witness)), "root not in witness"
+    new = next(t for t in order if not (h.bag[t] <= h.bag[last] or h.bag[last] <= h.bag[t]))
+    yield copy(parent=_changed(h.parent, last, new)), f"edge ({new},{last}) violates bag containment"
+    yield copy(parent=_changed(h.parent, root, last)), "root has a parent"  # a cycle through the root
+    yield copy(parent=_changed(h.parent, up, last)), f"node {up} unreachable from the root"  # a cycle without it
+    yield copy(parent=_changed(h.parent, last, -1)), f"node {last} unreachable from the root"
+    yield copy(order=order[::-1]), "order is not the breadth-first walk of the tree"
+    yield copy(parent=h.parent[:-1]), "parent array or root out of range"
+
+
+@pytest.mark.parametrize("schema, text, witness", [
+    (Schema.of(("P", 2), ("A", 2), ("M", 2), ("S", 2)), "Ans(x,y1) :- A(x,y1), A(x,y2), P(y2,x).", 1),
+    (TERNARY_SCHEMA, "Ans(x,y,z) :- T(x,y,u), R(y,z), P(x), T(z,w,w).", 3),
+], ids=["movie", "free-split"])
+def test_check_fc1ghd_reports_each_broken_invariant(schema, text, witness):
+    # the second query's free variables share no atom: its free node is
+    # split into pieces, and an edge of the split is subdivided
+    h = compute_fc1ghd(parse_query(text, schema))
+    assert check_fc1ghd(h) == [] and len(h.witness) == witness
+    broken = list(_broken(h))
+    assert len(broken) == 16
+    for mutant, message in broken:
+        assert message in check_fc1ghd(mutant), message
+    assert check_fc1ghd(h) == []  # the mutants were copies
 
 
 def test_fc1ghd_dot_export(movie_query):

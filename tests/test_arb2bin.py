@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from colorindex.analysis import compute_fc1ghd, is_free_connex_acyclic
+from colorindex.analysis import check_fc1ghd, compute_fc1ghd, is_free_connex_acyclic
 from colorindex.arb2bin import (
     binary_schema_for,
     decode_answer,
@@ -142,9 +142,8 @@ def test_f_relation_side_condition():
 
 
 def test_encode_boolean_single_atom_query():
-    schema = Schema.of(("R", 1))
     q = cq([], [("R", ["x"])])
-    enc_q = encode_query(q, compute_fc1ghd(q), schema)
+    enc_q = encode_query(compute_fc1ghd(q))
     assert enc_q.q2.is_boolean()
     symbols = sorted(a.symbol for a in enc_q.q2.atoms)
     assert symbols == ["A1", "U_R"]
@@ -158,7 +157,7 @@ def test_repeated_variable_atom_reaches_its_bag_through_f():
     # R(x,x,y): its tuple variable w0 is an R tuple linked to the bag (x, y)
     # at each atom position and the bag position of its variable
     q = cq(["x", "y"], [("R", ["x", "x", "y"])])
-    enc_q = encode_query(q, compute_fc1ghd(q), Schema.of(("R", 3)))
+    enc_q = encode_query(compute_fc1ghd(q))
     assert _named_atoms(enc_q.q2) == [
         ("A2", ("v0",)), ("A3", ("w0",)),
         ("F1_1", ("w0", "v0")), ("F2_1", ("w0", "v0")), ("F3_2", ("w0", "v0")),
@@ -170,7 +169,7 @@ def test_bags_take_the_first_occurrence_order_of_their_atoms():
     # node 0 is R(y,x,z) in its order, node 1 S(x,y); the tree edge links
     # y and x at their positions in each, and the head reads them back
     q = cq(["y", "x"], [("R", ["y", "x", "z"]), ("S", ["x", "y"])])
-    enc_q = encode_query(q, compute_fc1ghd(q), Schema.of(("R", 3), ("S", 2)))
+    enc_q = encode_query(compute_fc1ghd(q))
     assert _named_atoms(enc_q.q2) == [
         ("A2", ("v1",)), ("A3", ("v0",)), ("F1_2", ("v0", "v1")), ("F2_1", ("v0", "v1")),
         ("U_R", ("v0",)), ("U_S", ("v1",)),
@@ -183,15 +182,14 @@ def test_encode_ternary_query_single_head_var():
         ["x", "y", "z"],
         [("R", ["x", "y", "z"]), ("R", ["x", "x", "y"]), ("R", ["y", "y", "z"]), ("R", ["z", "z", "x"])],
     )
-    schema = Schema.of(("R", 3))
-    enc_q = encode_query(q, compute_fc1ghd(q), schema)
+    enc_q = encode_query(compute_fc1ghd(q))
     assert len(enc_q.q2.head) == 1
     assert is_free_connex_acyclic(enc_q.q2)
 
 
 def test_boolean_query_stays_boolean():
     q = cq([], [("T", ["x", "y", "z"])])
-    enc_q = encode_query(q, compute_fc1ghd(q), TERNARY_SCHEMA)
+    enc_q = encode_query(compute_fc1ghd(q))
     assert enc_q.q2.is_boolean()
 
 
@@ -200,22 +198,41 @@ def test_translated_queries_free_connex_random():
     for _ in range(200):
         schema = TERNARY_SCHEMA if rng.random() < 0.5 else BINARY_SCHEMA
         q = random_fc_query(schema, rng)
-        enc_q = encode_query(q, compute_fc1ghd(q), schema)
+        enc_q = encode_query(compute_fc1ghd(q))
         assert is_free_connex_acyclic(enc_q.q2)
         assert len(enc_q.q2.head) < 2 * len(q.head) or not q.head
 
 
+def test_translated_query_size_stays_at_most_its_pin():
+    # every decomposition of 2,000 random fc-ACQs is valid, and q2's atoms and
+    # variables over them stay at most the pinned totals; the corpus has
+    # repeated atoms and parallel atoms (two over one variable set), which a
+    # decomposition that leaves an atom's hyperedge node to a parallel atom
+    # translates to more atoms and variables
+    rng = random.Random(29)
+    atoms = variables = repeated = parallel = 0
+    for trial in range(2000):
+        q = random_fc_query(TERNARY_SCHEMA if trial % 2 else BINARY_SCHEMA, rng)
+        ghd = compute_fc1ghd(q)
+        assert check_fc1ghd(ghd) == []
+        q2 = encode_query(ghd).q2
+        atoms += len(q2.atoms)
+        variables += len(q2.vars())
+        repeated += len(set(q.atoms)) < len(q.atoms)
+        parallel += len({a.var_set() for a in q.atoms}) < len(set(q.atoms))
+    assert (repeated, parallel) == (622, 771)
+    assert atoms <= 20_755 and variables <= 7_355
+
+
 def test_decode_boolean():
-    schema = Schema.of(("R", 1))
     q = cq([], [("R", ["x"])])
-    enc_q = encode_query(q, compute_fc1ghd(q), schema)
+    enc_q = encode_query(compute_fc1ghd(q))
     assert decode_answer((), enc_q, {}) == ()
 
 
 def test_decode_malformed_component():
-    schema = Schema.of(("R", 2))
     q = cq(["x", "y"], [("R", ["x", "y"])])
-    enc_q = encode_query(q, compute_fc1ghd(q), schema)
+    enc_q = encode_query(compute_fc1ghd(q))
     with pytest.raises(MalformedAnswer):
         decode_answer(tuple(999 for _ in enc_q.q2.head), enc_q, {999: (0,)})
 
@@ -227,7 +244,7 @@ def test_bijection_on_random_instances():
         db = random_relational_db(schema, rng.randint(2, 4), rng.randint(1, 3), seed=rng.randrange(10**9))
         q = random_fc_query(schema, rng, max_atoms=4)
         enc = encode_db(db)
-        enc_q = encode_query(q, compute_fc1ghd(q), schema)
+        enc_q = encode_query(compute_fc1ghd(q))
         source = brute_answers(q, db)
         translated = brute_answers(enc_q.q2, enc.db2)
         assert len(translated.answers) == len(source.answers)
@@ -236,9 +253,9 @@ def test_bijection_on_random_instances():
         assert decoded == set(source.answers.tuples)  # image equals the oracle set
 
 
-def test_movie_query_through_binary_reduction(movie_db, movie_schema, movie_query):
+def test_movie_query_through_binary_reduction(movie_db, movie_query):
     enc = encode_db(movie_db)
-    enc_q = encode_query(movie_query, compute_fc1ghd(movie_query), movie_schema)
+    enc_q = encode_query(compute_fc1ghd(movie_query))
     translated = brute_answers(enc_q.q2, enc.db2)
     decoded = {decode_answer(t, enc_q, enc.node_proj) for t in translated.answers.tuples}
     shown = sorted(tuple(movie_db.display(c) for c in t) for t in decoded)
@@ -289,7 +306,7 @@ def test_a_same_bag_edge_contracts_to_one_node_variable(schema, text):
     q = parse_query(text, schema)
     ghd = compute_fc1ghd(q)
     (a, b), = [(a, b) for a, b in ghd.edges if ghd.bag[a] == ghd.bag[b]]
-    enc_q = encode_query(q, ghd, schema)
+    enc_q = encode_query(ghd)
     q2 = enc_q.q2
     assert len(_node_vars(q2)) == len(ghd.nodes) - 1
     (merged,) = _node_vars(q2) & {f"v{a}", f"v{b}"}
@@ -320,7 +337,7 @@ def test_contracted_queries_match_the_oracle():
         for _ in range(5):
             q = random_fc_query(schema, rng, max_atoms=4)
             ghd = compute_fc1ghd(q)
-            contracted += len(ghd.nodes) - len(_node_vars(encode_query(q, ghd, schema).q2))
+            contracted += len(ghd.nodes) - len(_node_vars(encode_query(ghd).q2))
             expected = set(brute_answers(q, db).answers.tuples)
             assert idx.count(q) == len(expected)
             got = list(idx.enumerate(q))

@@ -30,13 +30,15 @@ DP_OPS = {
 def test_served_split_rows(workload):
     lines = tool("served_split.py", "--workload", workload, "--seed", "1", "--passes", "1")
     assert lines[0] == f"{workload} seed 1, best of 1 passes, us per call"
-    assert lines[1].split() == ["task", "calls", "parse", "compile", "run", "total", "dp_ops"]
+    assert lines[1].split() == ["task", "calls", "parse", "compile", "run", "total", "miss", "dp_ops"]
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == ["bool", "count", "enum"]
-    for _, calls, *figures in rows:
-        parse, compile_, run, total, ops = map(float, figures)
-        assert int(calls) > 0 and min(parse, compile_, run) > 0 and ops > 0
+    for _, calls, *figures, miss, ops in rows:
+        parse, compile_, run, total = map(float, figures)
+        assert int(calls) > 0 and min(parse, compile_, run) > 0 and float(ops) > 0
         assert abs(parse + compile_ + run - total) <= 0.2 + 1e-9  # each printed to 0.1
+        assert miss == "-" or float(miss) > 0
+    assert any(row[-2] != "-" for row in rows)  # a fresh index misses its first query
     assert [row[-1] for row in rows] == DP_OPS[workload]
 
 

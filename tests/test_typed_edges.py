@@ -152,7 +152,7 @@ def test_qhat_is_the_source_query_or_q2():
     full = DatabaseIndex.build(validate_database(TERNARY_SCHEMA, TERNARY_RAW))
     q = parse_query("Ans(y) :- T(x,x,y), R(y,x).", TERNARY_SCHEMA)
     assert full.stage == "full"
-    assert full.translate(q).qhat == arb2bin.encode_query(q, compute_fc1ghd(q), TERNARY_SCHEMA).q2
+    assert full.translate(q).qhat == arb2bin.encode_query(compute_fc1ghd(q)).q2
 
 
 @pytest.mark.parametrize("schema,raw,text", [
