@@ -18,11 +18,11 @@ variable pairs and Gaifman graph; the breadth-first search it shares with
 `analysis.spanning_forest` (`analysis.bfs_forest`) splits the graph into
 trees; and one loop over each tree's order makes its `Component`, with the
 colors each variable may take under its unary and loop atoms and the
-allowed edge colors of each typed edge.  Its result is immutable and
-depends only on the query and the index, so a caller may keep it and pass
-it to `count_components` and `prepare_components` again
-(`pipeline.DatabaseIndex` does).  The dynamic program runs on every call;
-no row, count or answer is kept.
+allowed edge colors of each typed edge, which run between such colors.
+Its result is immutable and depends only on the query and the index, so a
+caller may keep it and pass it to `count_components` and
+`prepare_components` again (`pipeline.DatabaseIndex` does).  The dynamic
+program runs on every call; no row, count or answer is kept.
 
 All three tasks run one counting dynamic program per component over the
 color tables, in O(|Q| * |D_col|): one bottom-up pass over the component's
@@ -35,8 +35,12 @@ atom has no row until one is read, so a product passes the other row
 through.  On a typed index a lift walks the edge colors e that its tree
 edge allows, the color-database facts (src[e], e, dst[e]) that can match
 it, and adds num[e] * row[dst[e]] to the parent's entry at src[e], or
-num[e] when the child has no row.  On the graph stage a lift walks the
-per-color neighbor lists (`deg`) of the child row's colors.
+num[e] when the child has no row.  Compile keeps only the edge colors e
+whose src[e] the parent may take and whose dst[e] the child may take under
+their unary and loop atoms.  The others never add anything: the child's row
+has no entry at any other end, and the product with the parent's row drops
+any other start.  On the graph stage a lift walks the per-color neighbor
+lists (`deg`) of the child row's colors.
 
 Enumeration keeps the rows of the free variables: a color is alive at a
 free variable when it has an entry, and each free variable after a root
@@ -89,7 +93,9 @@ class Component:
     # and its atoms E(x, x) or R(x, x); None when it has none
     only: tuple[frozenset[int] | None, ...]
     # per position, the edge colors allowed from its parent's vertex toward
-    # its own; None at the root and on the graph stage
+    # its own: those that carry the relations of the atoms between the two,
+    # start at a color in the parent's `only` and end at one in its own,
+    # where those are set; None at the root and on the graph stage
     down: tuple[frozenset[int] | None, ...]
     collapse: tuple[int, ...]  # the free positions that have a quantified child
     head_positions: tuple[int, ...]  # ascending
@@ -99,7 +105,8 @@ class Component:
 def _meet(sets: list[frozenset[int]]) -> frozenset[int]:
     """The intersection of a non-empty list of sets, walked from the
     smallest; that set itself when the rest keep all of it, so a compiled
-    query shares the index's sets instead of holding copies."""
+    query shares the index's sets instead of holding copies (for a typed
+    edge, when neither end has a unary or loop atom to prune it by)."""
     first, *rest = sorted(sets, key=len)
     meet = first.intersection(*rest) if rest else first
     return first if len(meet) == len(first) else meet
@@ -156,10 +163,11 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
         raise NotFreeConnex("Gaifman graph has a cycle")
 
     if edges is not None:
-        with_label, back, src = edges.with_label, edges.back, edges.src
+        with_label, back, src, dst = edges.with_label, edges.back, edges.src, edges.dst
         for x, rs in loop_labels.items():
             looped = _meet([with_label.get(idx.loop_label, frozenset())] + [with_label[r] for r in rs])
             only.setdefault(x, []).append(frozenset(src[e] for e in looped))
+    allowed = {x: _meet(sets) for x, sets in only.items()}
     position = {v: i for i, v in enumerate(q.head)}
     out: list[Component] = []
     for tree in trees:
@@ -178,16 +186,25 @@ def components(q: ConjunctiveQuery, idx: ColorIndex) -> tuple[Component, ...]:
             if i < n_free <= p:
                 raise NotFreeConnex("free variables do not induce a connected subgraph")
             up.append(p)
+            if edges is None:
+                down.append(None)
+                continue
             # the relations read from x to y label the edge colors from x's
             # value toward y's, those read from y to x their reverses
-            down.append(None if edges is None else _meet(
-                [with_label[r] for r in pairs.get((x, y), ())] + [back[r] for r in pairs.get((y, x), ())]))
+            es = _meet([with_label[r] for r in pairs.get((x, y), ())] + [back[r] for r in pairs.get((y, x), ())])
+            # an edge color that starts at a color x may not take, or ends at
+            # one y may not take, matches nothing: x's row has no entry at
+            # its start, y's row none at its end
+            a, b = allowed.get(x), allowed.get(y)
+            if a is not None or b is not None:
+                es = frozenset([e for e in es if (a is None or src[e] in a) and (b is None or dst[e] in b)])
+            down.append(es)
         head_positions = tuple(sorted([position[v] for v in order[:n_free]]))
         out.append(Component(
             order=tuple(order),
             n_free=n_free,
             parent=tuple(up),
-            only=tuple([_meet(only[v]) if v in only else None for v in order]),
+            only=tuple([allowed.get(v) for v in order]),
             down=tuple(down),
             collapse=tuple(sorted({p for p in up[n_free:] if 0 <= p < n_free})),
             head_positions=head_positions,
@@ -362,24 +379,28 @@ def _dp_rows(comp: Component, idx: ColorIndex, ops: OpCounter) -> list[Row | Non
     stays None: a product passes the other row through, a typed lift sums
     num[e] over the allowed edge colors, and a graph-stage lift builds it
     with `_read`, as a caller does when it reads a returned None row.
+
+    The pass is one loop, each step a lift and a product, and it counts its
+    ops in a local that it adds to `ops` once, at the end: one per first-row
+    entry, per allowed edge color or `deg` entry a lift walks, per entry of
+    the smaller row of a product, and per entry of a row that drops to 1s
+    (`_read` counts the all-ones rows it builds itself).
     """
     deg, classes, edges = idx.deg, idx.coloring.classes, idx.edges
-
-    def first_row(only: frozenset[int] | None) -> Row | None:
-        if only is None:
-            return None
-        ops.tick(len(only))
-        return dict.fromkeys(only, 1)
-
-    def times(a: Row | None, b: Row) -> Row:
-        if a is None:
-            return b
-        if len(b) < len(a):
-            a, b = b, a
-        ops.tick(len(a))
-        return {c: n * b[c] for c, n in a.items() if c in b}
-
-    def lift(row: Row | None, allowed: frozenset[int] | None) -> Row:
+    src, dst, num = (edges.src, edges.dst, edges.num) if edges is not None else ((), (), ())
+    parent, down, n_free = comp.parent, comp.down, comp.n_free
+    rows: list[Row | None] = [None if only is None else dict.fromkeys(only, 1) for only in comp.only]
+    n = sum(map(len, filter(None, comp.only)))
+    # the quantified positions but a root fold first, from the last one;
+    # then (None) the free rows with a quantified child drop to 1s; then
+    # the free positions but the root fold
+    for i in [*range(len(rows) - 1, max(n_free, 1) - 1, -1), None, *range(n_free - 1, 0, -1)]:
+        if i is None:
+            for j in comp.collapse:
+                n += len(rows[j])
+                rows[j] = dict.fromkeys(rows[j], 1)
+            continue
+        row, allowed = rows[i], down[i]
         total: Row = {}
         if allowed is None:
             # the graph stage: g[c] = sum over the colors c' of the row of
@@ -388,35 +409,35 @@ def _dp_rows(comp: Component, idx: ColorIndex, ops: OpCounter) -> list[Row | Non
             # |C_c'| * numN(c', c), so the division is exact
             for cp, r in _read(row, idx, ops).items():
                 w = r * len(classes[cp])
-                ops.tick(len(deg[cp]))
-                for c, n in deg[cp]:
-                    total[c] = total.get(c, 0) + w * n
-            return {c: t // len(classes[c]) for c, t in total.items()}
-        # typed: g[src[e]] sums num[e] * row[dst[e]] over the allowed edge
-        # colors e, which run from the parent's value toward the child's
-        src, dst, num = edges.src, edges.dst, edges.num
-        ops.tick(len(allowed))
-        if row is None:
-            for e in allowed:
-                c = src[e]
-                total[c] = total.get(c, 0) + num[e]
+                n += len(deg[cp])
+                for c, k in deg[cp]:
+                    total[c] = total.get(c, 0) + w * k
+            total = {c: t // len(classes[c]) for c, t in total.items()}
         else:
-            for e in allowed:
-                r = row.get(dst[e])
-                if r is not None:
+            # typed: g[src[e]] sums num[e] * row[dst[e]] over the allowed
+            # edge colors e, which run from the parent's value toward the
+            # child's
+            n += len(allowed)
+            if row is None:
+                for e in allowed:
                     c = src[e]
-                    total[c] = total.get(c, 0) + num[e] * r
-        return total
-
-    parent, down, n_free = comp.parent, comp.down, comp.n_free
-    rows = [first_row(only) for only in comp.only]
-    for i in range(len(rows) - 1, max(n_free, 1) - 1, -1):  # every quantified position but a root
-        rows[parent[i]] = times(rows[parent[i]], lift(rows[i], down[i]))
-    for i in comp.collapse:
-        ops.tick(len(rows[i]))
-        rows[i] = dict.fromkeys(rows[i], 1)
-    for i in range(n_free - 1, 0, -1):  # the free positions but the root
-        rows[parent[i]] = times(rows[parent[i]], lift(rows[i], down[i]))
+                    total[c] = total.get(c, 0) + num[e]
+            else:
+                for e in allowed:
+                    r = row.get(dst[e])
+                    if r is not None:
+                        c = src[e]
+                        total[c] = total.get(c, 0) + num[e] * r
+        # the product with the parent's row walks the smaller row
+        p = parent[i]
+        a = rows[p]
+        if a is not None:
+            if len(total) < len(a):
+                a, total = total, a
+            n += len(a)
+            total = {c: k * total[c] for c, k in a.items() if c in total}
+        rows[p] = total
+    ops.tick(n)
     return rows
 
 

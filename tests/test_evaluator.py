@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -8,13 +9,25 @@ from hypothesis import strategies as st
 from colorindex import index as cidx
 from colorindex.errors import NotAcyclic, NotFreeConnex, TaskMismatch, UnknownSymbol
 from colorindex.evaluator import (
+    _dp_rows,
+    _meet,
     components,
     count_answers,
+    count_components,
     enumerate_prepared,
     eval_bool,
     prepare,
+    prepare_components,
 )
-from colorindex.generators import BINARY_SCHEMA, cycle_db, random_graph_db, random_relational_db, star_db
+from colorindex.generators import (
+    BINARY_SCHEMA,
+    TERNARY_SCHEMA,
+    cycle_db,
+    random_fc_query,
+    random_graph_db,
+    random_relational_db,
+    star_db,
+)
 from colorindex.instrument import OpCounter
 from colorindex.model import Schema, cq, validate_database
 from colorindex.oracle import brute_answers
@@ -103,6 +116,90 @@ def test_only_is_the_colors_the_unary_and_loop_atoms_allow(typed):
         assert count_answers(q, idx) == n_answers
         if any(("Z", [x]) in atoms for x in names):
             assert n_answers == 0
+
+
+def _with_extra_atoms(q, schema, rng):
+    """q with, at random, one more unary atom, loop atom, repeated atom and
+    parallel or opposite atom on its variables: each adds a hyperedge inside
+    one q has, so q stays free-connex acyclic."""
+    atoms = [(a.symbol, [q.var_name(v) for v in a.args]) for a in q.atoms]
+    names = sorted({x for _, args in atoms for x in args})
+    unary = [s for s, ar in schema.symbols if ar == 1]
+    binary = [s for s, ar in schema.symbols if ar == 2]
+    if rng.random() < 0.6:
+        atoms.append((rng.choice(unary), [rng.choice(names)]))
+    if rng.random() < 0.4:
+        atoms.append((rng.choice(binary), [rng.choice(names)] * 2))
+    if rng.random() < 0.3:
+        atoms.append(rng.choice(atoms))
+    pairs = [args for _, args in atoms if len(args) == 2 and args[0] != args[1]]
+    if pairs and rng.random() < 0.5:
+        x, y = rng.choice(pairs)
+        atoms.append((rng.choice(binary), [x, y] if rng.random() < 0.5 else [y, x]))
+    return cq([q.var_name(v) for v in q.head], atoms)
+
+
+def _unpruned(comp, q, edges):
+    """comp with each typed tree edge allowing every edge color that carries
+    the relations of its atoms, whatever colors its ends may take."""
+    down = [None]
+    for i in range(1, len(comp.order)):
+        x, y = comp.order[comp.parent[i]], comp.order[i]
+        down.append(_meet([edges.with_label[a.symbol] for a in q.atoms if a.args == (x, y)]
+                          + [edges.back[a.symbol] for a in q.atoms if a.args == (y, x)]))
+    return dataclasses.replace(comp, down=tuple(down))
+
+
+def test_pruned_edge_colors_change_no_row_table_or_count():
+    # compile drops the edge colors of a typed tree edge that start at a
+    # color its parent may not take or end at one its child may not take:
+    # the DP over the relations' edge colors alone gives the same rows,
+    # enumeration tables and counts, in no fewer ops
+    from colorindex.pipeline import DatabaseIndex
+
+    rng = random.Random(31)
+    shrunk = fewer_ops = 0
+    for n in range(240):
+        seed = rng.randrange(10**9)
+        kind = ["graph", "binary", "ternary"][n % 3]
+        if kind == "graph":
+            db = random_graph_db(rng.randint(2, 8), rng.random(), seed, num_labels=2, loop_p=0.3)
+        else:
+            db = random_relational_db(BINARY_SCHEMA if kind == "binary" else TERNARY_SCHEMA,
+                                      rng.randint(2, 6), rng.randint(2, 12), seed)
+        stage = "full" if kind == "ternary" else rng.choice(["binary", "full"])
+        idx = DatabaseIndex.build(db, stage=stage)
+        ci = idx.cindex
+        src, dst = ci.edges.src, ci.edges.dst
+        for _ in range(3):
+            compiled = idx.compile(_with_extra_atoms(random_fc_query(db.schema, rng), db.schema, rng))
+            if compiled.qhat is None:
+                continue
+            comps = compiled.components
+            refs = tuple(_unpruned(comp, compiled.qhat, ci.edges) for comp in comps)
+            for comp, ref in zip(comps, refs):
+                for i in range(1, len(comp.order)):
+                    a, b = comp.only[comp.parent[i]], comp.only[i]
+                    assert comp.down[i] <= ref.down[i]
+                    assert all((a is None or src[e] in a) and (b is None or dst[e] in b) for e in comp.down[i])
+                    if a is None and b is None:
+                        assert comp.down[i] == ref.down[i]
+                    shrunk += len(comp.down[i]) < len(ref.down[i])
+                ops, ref_ops = OpCounter(), OpCounter()
+                assert _dp_rows(comp, ci, ops) == _dp_rows(ref, ci, ref_ops)
+                assert ops.n <= ref_ops.n
+            width = len(compiled.qhat.head)
+            ops, ref_ops = OpCounter(), OpCounter()
+            assert count_components(comps, ci, ops) == count_components(refs, ci, ref_ops)
+            assert ops.n <= ref_ops.n
+            fewer_ops += ops.n < ref_ops.n
+            ops, ref_ops = OpCounter(), OpCounter()
+            plan, ref_plan = prepare_components(comps, width, ci, ops), prepare_components(refs, width, ci, ref_ops)
+            # rows are equal as maps; the order of their keys may differ
+            assert plan.empty == ref_plan.empty and plan.tables == ref_plan.tables
+            assert [sorted(roots) for roots in plan.roots] == [sorted(roots) for roots in ref_plan.roots]
+            assert ops.n <= ref_ops.n
+    assert shrunk > 100 and fewer_ops > 100
 
 
 def test_rewrite_mixed_matches_oracle():
